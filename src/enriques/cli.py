@@ -28,7 +28,6 @@ from .fundamental import (
     FundamentalCoefficients,
     format_coefficients,
     fundamental_presentation,
-    genus_of,
     parse_coefficients,
     phivector_from_coefficients,
     quadratic_value,
@@ -164,7 +163,7 @@ def _class_from_args(args: argparse.Namespace, parser: argparse.ArgumentParser):
 def cmd_phivector(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     num, fc = _class_from_args(args, parser)
     profile = phivector_from_coefficients(fc)
-    g = genus_of(fc)
+    g = profile.genus()
     two_div = is_two_divisible(num)
     eps = fc.eps
     name = component_name(g, profile, eps)

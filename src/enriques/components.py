@@ -14,7 +14,7 @@ profile-side enumeration lives in `verify` and must agree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator, Sequence
 
 from .lattice import is_two_divisible, pair, self_int, standard_sequence
@@ -176,18 +176,14 @@ def enumerate_components(g: int) -> tuple[ModuliComponent, ...]:
     for c in _coefficient_tuples(g - 1):
         p = phivector_from_coefficients(c)
         two_div = p.all_even()
-        eps_choices = (0, 1) if two_div else (0,)
-        for eps in eps_choices:
-            cc = FundamentalCoefficients(
-                a0=c.a0, head=c.head, a9=c.a9, a10=c.a10, eps=eps
-            )
+        for cc in (c, replace(c, eps=1)) if two_div else (c,):
             out.append(
                 ModuliComponent(
                     genus=g,
                     phi=p,
-                    eps=eps,
+                    eps=cc.eps,
                     two_divisible=two_div,
-                    name=component_name(g, p, eps),
+                    name=component_name(g, p, cc.eps),
                     unirational=unirationality_flag(p),
                     coefficients=cc,
                 )
@@ -223,15 +219,16 @@ def numerical_components(g: int) -> tuple[NumericalComponent, ...]:
 
 
 def rho_fiber_structure(g: int) -> RhoSummary:
-    hats = numerical_components(g)
     comps = enumerate_components(g)
-    n2 = sum(1 for h in hats if h.two_divisible)
+    hats = [m for m in comps if m.eps == 0]
+    n2 = sum(1 for m in hats if m.two_divisible)
     summary = RhoSummary(
         n_hat_components=len(hats),
         n_components=len(comps),
         n_two_divisible=n2,
     )
-    assert summary.n_components == (summary.n_hat_components - n2) + 2 * n2
+    if summary.n_components != (summary.n_hat_components - n2) + 2 * n2:
+        raise AssertionError("fiber count breaks the double-cover identity")
     return summary
 
 
@@ -320,9 +317,16 @@ def dominating_component_check(
 
 @dataclass(frozen=True)
 class BoundsReport:
-    genera_checked: int
-    components_checked: int
+    counts: tuple[tuple[int, int], ...]  # (genus, number of components), ascending
     violations: tuple[str, ...]
+
+    @property
+    def genera_checked(self) -> int:
+        return len(self.counts)
+
+    @property
+    def components_checked(self) -> int:
+        return sum(n for _, n in self.counts)
 
     @property
     def passed(self) -> bool:
@@ -334,18 +338,15 @@ def classical_bounds_audit(g_max: int) -> BoundsReport:
     phi_1^2 < 2g - 2 < phi_1^2 + phi_1 - 2 is never entered."""
     if g_max < 2:
         raise ValueError("g_max must be at least 2")
-    n_comp = 0
+    counts = []
     violations = []
     for g in range(2, g_max + 1):
-        for m in enumerate_components(g):
-            n_comp += 1
+        comps = enumerate_components(g)
+        counts.append((g, len(comps)))
+        for m in comps:
             p1 = m.phi.phis[0]
             if p1 * p1 > 2 * g - 2:
                 violations.append(f"{m.name}: phi_1^2 exceeds 2g-2")
             if p1 * p1 < 2 * g - 2 < p1 * p1 + p1 - 2:
                 violations.append(f"{m.name}: enters the forbidden gap")
-    return BoundsReport(
-        genera_checked=g_max - 1,
-        components_checked=n_comp,
-        violations=tuple(violations),
-    )
+    return BoundsReport(counts=tuple(counts), violations=tuple(violations))

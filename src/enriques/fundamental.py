@@ -16,7 +16,7 @@ the same profiles by exhaustive search.  The two routes never share code.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .lattice import (
@@ -38,15 +38,12 @@ __all__ = [
     "FundamentalCoefficients",
     "Decomposition",
     "quadratic_value",
-    "genus_of",
     "phivector_from_coefficients",
     "coefficients_from_phivector",
-    "epsilon_normalize",
     "format_coefficients",
     "parse_coefficients",
     "iter_coefficient_tuples",
     "simple_decomposition_error",
-    "validate_simple_decomposition",
     "class_from_presentation",
     "rewrite_to_fundamental",
     "fundamental_presentation",
@@ -122,10 +119,6 @@ def quadratic_value(c: FundamentalCoefficients) -> int:
     return cross + c.a0 * (sum(c.head) + 2 * c.a9 + 2 * c.a10)
 
 
-def genus_of(c: FundamentalCoefficients) -> int:
-    return quadratic_value(c) + 1
-
-
 def phivector_from_coefficients(c: FundamentalCoefficients) -> PhiVector:
     """Minimal intersection profile, by formula: against its own
     presentation sequence, L meets member i in a - a_i (head), a (eighth),
@@ -150,17 +143,6 @@ def coefficients_from_phivector(p: PhiVector, eps: int = 0) -> FundamentalCoeffi
         a10=s - 2 * p8 - p.phis[9],
         eps=eps,
     )
-
-
-def epsilon_normalize(
-    c: FundamentalCoefficients, eps: int | None = None
-) -> FundamentalCoefficients:
-    """Apply the torsion rule to a requested bit (default: the stored one):
-    any odd coefficient forces eps = 0."""
-    wanted = c.eps if eps is None else eps
-    if wanted not in (0, 1):
-        raise ValueError("eps must be 0 or 1")
-    return replace(c, eps=wanted if c.all_even() else 0)
 
 
 def format_coefficients(c: FundamentalCoefficients) -> str:
@@ -221,12 +203,6 @@ class Decomposition:
         if self.eps not in (0, 1):
             raise ValueError("eps must be 0 or 1")
 
-    def num(self) -> NumClass:
-        total = NumClass((0,) * 10)
-        for mult, cls in self.terms:
-            total = total + mult * cls
-        return total
-
 
 def simple_decomposition_error(d: Decomposition) -> str | None:
     """None when d is a simple isotropic decomposition; otherwise the rule
@@ -266,10 +242,6 @@ def simple_decomposition_error(d: Decomposition) -> str | None:
     return "more than two pairings equal to 2"
 
 
-def validate_simple_decomposition(d: Decomposition) -> bool:
-    return simple_decomposition_error(d) is None
-
-
 def class_from_presentation(
     c: FundamentalCoefficients, seq: IsotropicSequence
 ) -> NumClass:
@@ -294,7 +266,7 @@ def rewrite_to_fundamental(
     """Rewrite a_1 E_1 + ... + a_10 E_10 + a_0 E_{9,10} (+ eps torsion) into
     fundamental form, tracking the sequence the output lives on.
 
-    Three moves, each an exact lattice identity (asserted on every pass):
+    Three moves, each an exact lattice identity (checked on every pass):
     absorb the eighth coefficient into the tail; when a_0 lags a_9, trade
     head and ninth-slot weight into the pair class on a reindexed
     sequence; when a_0 exceeds a_9 + a_10, swap the tail into the three
@@ -322,7 +294,8 @@ def rewrite_to_fundamental(
 
     def dseq() -> NumClass:
         total = sum(seq[1:], seq[0])
-        assert all(v % 3 == 0 for v in total.coords)
+        if any(v % 3 for v in total.coords):
+            raise AssertionError("sequence total is not three-divisible")
         return NumClass(tuple(v // 3 for v in total.coords))
 
     def current() -> NumClass:
@@ -345,7 +318,8 @@ def rewrite_to_fundamental(
             c[8] += 2 * m
             c[9] += 2 * m
             c0 += 3 * m
-        assert current() == goal, "rewriting move broke the class"
+        if current() != goal:
+            raise AssertionError("rewriting move broke the class")
         if c[8] + c[9] >= c0 >= c[8]:
             break
         if c0 < c[8]:
@@ -374,15 +348,18 @@ def rewrite_to_fundamental(
     else:
         raise AssertionError("rewriting did not terminate")
 
-    assert c[7] == 0
+    if c[7] != 0:
+        raise AssertionError("the eighth coefficient was not absorbed")
     out_vals = [c0] + c[0:7] + [c[8], c[9]]
     out_eps = eps if all(v % 2 == 0 for v in out_vals) else 0
-    assert is_two_divisible(goal) == all(v % 2 == 0 for v in out_vals)
+    if is_two_divisible(goal) != all(v % 2 == 0 for v in out_vals):
+        raise AssertionError("2-divisibility disagrees with the coefficient parity")
     fc = FundamentalCoefficients(
         a0=c0, head=tuple(c[0:7]), a9=c[8], a10=c[9], eps=out_eps
     )
     iso = IsotropicSequence(tuple(seq))
-    assert class_from_presentation(fc, iso) == goal
+    if class_from_presentation(fc, iso) != goal:
+        raise AssertionError("presentation failed to reconstruct the class")
     return fc, iso
 
 

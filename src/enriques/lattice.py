@@ -39,7 +39,6 @@ __all__ = [
     "K",
     "pair",
     "self_int",
-    "genus",
     "generator_e",
     "generator_pair",
     "standard_sequence",
@@ -64,10 +63,6 @@ class NumClass:
             raise ValueError(f"a class needs {RANK} coordinates, got {len(self.coords)}")
         if not all(isinstance(c, int) for c in self.coords):
             raise ValueError("coordinates must be integers")
-
-    @classmethod
-    def of(cls, *coords: int) -> "NumClass":
-        return cls(tuple(coords))
 
     def __add__(self, other: "NumClass") -> "NumClass":
         return NumClass(tuple(a + b for a, b in zip(self.coords, other.coords)))
@@ -134,17 +129,6 @@ def pair(a: NumClass, b: NumClass) -> int:
 
 def self_int(a: NumClass) -> int:
     return pair(a, a)
-
-
-def genus(a: NumClass) -> int:
-    """Arithmetic genus of the polarization: self-intersection = 2g - 2."""
-    s2 = self_int(a)
-    if s2 < 0:
-        raise ValueError("not a polarization candidate: negative self-intersection")
-    # the form is even, so s2 is never odd; guard against model corruption
-    if s2 % 2:
-        raise ArithmeticError("odd self-intersection on an even lattice")
-    return s2 // 2 + 1
 
 
 def generator_e(i: int) -> NumClass:

@@ -47,9 +47,7 @@ from .lattice import (
 __all__ = [
     "PhiVector",
     "IsotropicSequence",
-    "compare_tuples",
     "order_key",
-    "pairing_tuple",
     "enumerate_isotropics",
     "box_isotropics",
     "phi",
@@ -62,13 +60,6 @@ def order_key(t: Sequence[int]) -> tuple:
     """Sort key for the order on 10-tuples: total first, then the first
     differing entry among positions 1..9 (the tenth never decides)."""
     return (sum(t), tuple(t[:9]))
-
-
-def compare_tuples(a: Sequence[int], b: Sequence[int]) -> int:
-    """-1, 0, 1 under the tuple order.  Ties are exactly equal sums with
-    equal first nine entries (which forces equal tenth entries)."""
-    ka, kb = order_key(a), order_key(b)
-    return -1 if ka < kb else (1 if ka > kb else 0)
 
 
 @dataclass(frozen=True)
@@ -142,13 +133,6 @@ class IsotropicSequence:
 
     def values_against(self, cls: NumClass) -> tuple[int, ...]:
         return tuple(sorted(pair(f, cls) for f in self.members))
-
-
-def pairing_tuple(x: NumClass) -> tuple[int, ...]:
-    """(x.E_1, ..., x.E_10); linear, and sum = 3 x.D."""
-    c = x.coords
-    base = sum(c[:9]) + 3 * c[9]
-    return tuple(base - c[i] for i in range(9)) + (base,)
 
 
 def _from_pairing(m: Sequence[int], t: int) -> NumClass:

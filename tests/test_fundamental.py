@@ -10,17 +10,14 @@ from enriques.fundamental import (
     FundamentalCoefficients,
     class_from_presentation,
     coefficients_from_phivector,
-    epsilon_normalize,
     format_coefficients,
     fundamental_presentation,
-    genus_of,
     iter_coefficient_tuples,
     parse_coefficients,
     phivector_from_coefficients,
     quadratic_value,
     rewrite_to_fundamental,
     simple_decomposition_error,
-    validate_simple_decomposition,
 )
 from enriques.lattice import (
     D,
@@ -68,10 +65,10 @@ def test_eps_requires_even_profile():
 
 def test_quadratic_value_and_genus():
     assert quadratic_value(DOMINATING) == 620
-    assert genus_of(DOMINATING) == 621
+    assert phivector_from_coefficients(DOMINATING).genus() == 621
     simple = FundamentalCoefficients(a0=0, head=(1, 1, 0, 0, 0, 0, 0), a9=0, a10=0)
     assert quadratic_value(simple) == 1
-    assert genus_of(simple) == 2
+    assert phivector_from_coefficients(simple).genus() == 2
 
 
 def test_profile_of_dominating_class():
@@ -130,10 +127,13 @@ def test_eps_propagates_through_roundtrip():
 
 
 def test_epsilon_normalize():
-    odd = FundamentalCoefficients(a0=0, head=(1, 1, 0, 0, 0, 0, 0), a9=0, a10=0)
-    assert epsilon_normalize(odd, eps=1).eps == 0
-    even = FundamentalCoefficients(a0=0, head=(2, 2, 0, 0, 0, 0, 0), a9=0, a10=0)
-    assert epsilon_normalize(even, eps=1).eps == 1
+    # the torsion rule: any odd coefficient forces eps = 0
+    odd, _ = rewrite_to_fundamental([1, 1] + [0] * 8, eps=1)
+    assert odd.as_tuple() == (0, 1, 1, 0, 0, 0, 0, 0, 0, 0)
+    assert odd.eps == 0
+    even, _ = rewrite_to_fundamental([2, 2] + [0] * 8, eps=1)
+    assert even.as_tuple() == (0, 2, 2, 0, 0, 0, 0, 0, 0, 0)
+    assert even.eps == 1
 
 
 def test_format_parse_roundtrip():
@@ -161,14 +161,14 @@ def _dec(*classes, eps=0):
 
 
 def test_ten_terms_all_pairing_one_is_simple():
-    assert validate_simple_decomposition(_dec(*standard_sequence()))
+    assert simple_decomposition_error(_dec(*standard_sequence())) is None
 
 
 def test_nine_terms_need_a_two():
     bad = _dec(*[E[i] for i in range(1, 10)])
     assert simple_decomposition_error(bad) == "nine terms need a pairing equal to 2"
     good = _dec(*[E[i] for i in range(1, 9)], generator_pair(8, 9))
-    assert validate_simple_decomposition(good)
+    assert simple_decomposition_error(good) is None
 
 
 def test_ten_terms_reject_a_single_two():
@@ -178,7 +178,7 @@ def test_ten_terms_reject_a_single_two():
 
 def test_two_twos_must_share_a_class():
     good = _dec(*[E[i] for i in range(1, 9)], generator_pair(8, 9), generator_pair(8, 10))
-    assert validate_simple_decomposition(good)
+    assert simple_decomposition_error(good) is None
     bad = _dec(generator_pair(1, 2), generator_pair(3, 4), generator_pair(5, 6))
     assert simple_decomposition_error(bad) == "more than two pairings equal to 2"
 

@@ -15,7 +15,6 @@ from enriques.lattice import (
     from_decomposition,
     generator_e,
     generator_pair,
-    genus,
     gram_determinant,
     gram_matrix,
     gram_signature,
@@ -102,7 +101,7 @@ def test_numclass_validation():
 
 
 def test_numclass_arithmetic_and_json():
-    a = NumClass.of(1, 2, 3, 4, 5, 6, 7, 8, 9, 10)
+    a = NumClass((1, 2, 3, 4, 5, 6, 7, 8, 9, 10))
     b = generator_e(2)
     assert (a + b) - b == a
     assert -(-a) == a
@@ -123,11 +122,10 @@ def test_picclass_torsion_arithmetic():
 
 
 def test_genus_values():
-    assert genus(D) == 6
-    assert genus(3 * D) == 46
-    assert genus(generator_e(1) + generator_e(2)) == 2
-    with pytest.raises(ValueError):
-        genus(generator_e(1) - generator_e(2))  # square -2
+    # self-intersection 2g - 2
+    assert self_int(D) == 2 * 6 - 2
+    assert self_int(3 * D) == 2 * 46 - 2
+    assert self_int(generator_e(1) + generator_e(2)) == 2 * 2 - 2
 
 
 def test_primitivity():

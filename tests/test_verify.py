@@ -1,7 +1,11 @@
 """Cross-check suites and the second-route enumerators behind them."""
 
+from collections import Counter
+
 import pytest
 
+import enriques.components
+import enriques.verify
 from enriques.oracle import PhiVector
 from enriques.verify import (
     SUITES,
@@ -17,6 +21,24 @@ def test_every_suite_passes_at_default_scale():
         results = run_suite(name)
         assert results, name
         assert all(r.passed for r in results), [r for r in results if not r.passed]
+
+
+def test_sweeps_enumerate_each_genus_once(monkeypatch):
+    calls = Counter()
+    original = enriques.components.enumerate_components
+
+    def counting(g):
+        calls[g] += 1
+        return original(g)
+
+    monkeypatch.setattr(enriques.components, "enumerate_components", counting)
+    monkeypatch.setattr(enriques.verify, "enumerate_components", counting)
+    for name in ("roundtrip", "paper-tables", "bounds"):
+        calls.clear()
+        assert all(r.passed for r in run_suite(name)), name
+        # genera up to 7 also serve fixed spot checks
+        swept = {g: n for g, n in calls.items() if g > 7}
+        assert swept and set(swept.values()) == {1}, (name, swept)
 
 
 def test_run_suite_rejects_unknown_names():
