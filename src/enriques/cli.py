@@ -25,14 +25,13 @@ from .components import (
     unirationality_flag,
 )
 from .fundamental import (
-    FundamentalCoefficients,
     format_coefficients,
     fundamental_presentation,
     parse_coefficients,
     phivector_from_coefficients,
     quadratic_value,
 )
-from .lattice import NumClass, PicClass, RANK, is_positive, is_two_divisible, self_int
+from .lattice import NumClass, PicClass, is_positive, is_two_divisible, self_int
 from .oracle import phi_vector_oracle
 from .verify import SUITES, run_suite
 

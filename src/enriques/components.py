@@ -17,9 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Iterator, Sequence
 
-from .lattice import is_two_divisible, pair, self_int, standard_sequence
+from .lattice import generator_pair, self_int, standard_sequence
 from .oracle import (
-    IsotropicSequence,
     PhiVector,
     enumerate_isotropics,
     order_key,
@@ -30,9 +29,7 @@ from .fundamental import (
     FundamentalCoefficients,
     coefficients_from_phivector,
     phivector_from_coefficients,
-    quadratic_value,
 )
-from .lattice import generator_pair
 
 __all__ = [
     "ModuliComponent",

@@ -10,14 +10,18 @@ where D' is one third of the sum of the sequence.  The coefficients are
 in exact linear bijection with the minimal intersection profile
 (phi-vector) of L, which is what `components` enumerates.
 
-The conversion formulas here are the formula route; `oracle` recomputes
-the same profiles by exhaustive search.  The two routes never share code.
+Any class is brought to that form by one reduction: reflect the standard
+sequence by the simple roots of W(E10) until the sorted pairings of L
+satisfy the chain above, then read the coefficients off those pairings
+(Cossec-Dolgachev, Enriques Surfaces I).  This is the formula route;
+`oracle` recomputes the same profiles by exhaustive search and shares
+only the value types with it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .lattice import (
     D,
@@ -32,7 +36,7 @@ from .lattice import (
     self_int,
     standard_sequence,
 )
-from .oracle import IsotropicSequence, PhiVector, phi_vector_oracle
+from .oracle import IsotropicSequence, PhiVector
 
 __all__ = [
     "FundamentalCoefficients",
@@ -130,17 +134,22 @@ def phivector_from_coefficients(c: FundamentalCoefficients) -> PhiVector:
     return PhiVector(phis)
 
 
-def coefficients_from_phivector(p: PhiVector, eps: int = 0) -> FundamentalCoefficients:
+def coefficients_from_phivector(
+    p: PhiVector | Sequence[int], eps: int = 0
+) -> FundamentalCoefficients:
     """Exact inverse of phivector_from_coefficients (eps is passed through;
-    validation rejects an eps = 1 request on odd coefficients)."""
-    s = sum(p.phis) // 3
-    p8 = p.phis[7]
-    head = tuple(p8 - p.phis[i] for i in range(7))
+    validation rejects an eps = 1 request on odd coefficients).  Accepts
+    any sorted ten-entry pairing vector, including ones with a leading 0
+    that PhiVector rejects (square-0 classes)."""
+    p = tuple(p)
+    s = sum(p) // 3
+    p8 = p[7]
+    head = tuple(p8 - p[i] for i in range(7))
     return FundamentalCoefficients(
         a0=s - 3 * p8,
         head=head,
-        a9=s - 2 * p8 - p.phis[8],
-        a10=s - 2 * p8 - p.phis[9],
+        a9=s - 2 * p8 - p[8],
+        a10=s - 2 * p8 - p[9],
         eps=eps,
     )
 
@@ -260,18 +269,49 @@ def class_from_presentation(
     return out + c.a0 * (dseq - ms[8] - ms[9])
 
 
+def _reduce(goal: NumClass, eps: int) -> tuple[FundamentalCoefficients, IsotropicSequence]:
+    """Reflect the standard sequence into the fundamental chamber of goal.
+
+    Works on the pairing vector m_i = goal.S_i, kept sorted ascending with
+    its members (the reflections in alpha_1..alpha_9 only permute it).
+    While m_8 + m_9 + m_10 exceeds s = goal.D', reflect in
+    alpha_0 = D' - S_8 - S_9 - S_10: the three largest members x, y, z
+    become D' - y - z, D' - x - z, D' - x - y.  This moves s to
+    2s - (m_8 + m_9 + m_10) < s, and s stays positive on a nonzero class
+    in the closed positive cone, so the loop ends.  At the stop the
+    sorted pairings satisfy the tail chain and read off as coefficients.
+    """
+    pairs = [(pair(goal, f), f) for f in standard_sequence()]
+    dseq = D
+    while True:
+        pairs.sort(key=lambda mf: mf[0])
+        (m8, x), (m9, y), (m10, z) = pairs[7:]
+        s = sum(v for v, _ in pairs) // 3
+        if m8 + m9 + m10 <= s:
+            break
+        pairs[7:] = [
+            (s - m9 - m10, dseq - y - z),
+            (s - m8 - m10, dseq - x - z),
+            (s - m8 - m9, dseq - x - y),
+        ]
+        dseq = 2 * dseq - x - y - z
+
+    even = is_two_divisible(goal)
+    fc = coefficients_from_phivector([v for v, _ in pairs], eps=eps if even else 0)
+    if fc.all_even() != even:
+        raise AssertionError("2-divisibility disagrees with the coefficient parity")
+    iso = IsotropicSequence(tuple(f for _, f in pairs))
+    if class_from_presentation(fc, iso) != goal:
+        raise AssertionError("presentation failed to reconstruct the class")
+    return fc, iso
+
+
 def rewrite_to_fundamental(
     coeffs: Sequence[int], a0: int = 0, eps: int = 0
 ) -> tuple[FundamentalCoefficients, IsotropicSequence]:
     """Rewrite a_1 E_1 + ... + a_10 E_10 + a_0 E_{9,10} (+ eps torsion) into
-    fundamental form, tracking the sequence the output lives on.
-
-    Three moves, each an exact lattice identity (checked on every pass):
-    absorb the eighth coefficient into the tail; when a_0 lags a_9, trade
-    head and ninth-slot weight into the pair class on a reindexed
-    sequence; when a_0 exceeds a_9 + a_10, swap the tail into the three
-    pair classes of the eighth member.  The loop settles in a few passes.
-    """
+    fundamental form, tracking the sequence the output lives on.  The
+    input may have square 0; the reconstruction is verified exactly."""
     cs = list(coeffs)
     if len(cs) != 10:
         raise ValueError("expected ten sequence coefficients")
@@ -282,102 +322,28 @@ def rewrite_to_fundamental(
     if eps not in (0, 1):
         raise ValueError("eps must be 0 or 1")
 
-    seq = list(standard_sequence())
-    c = cs[:]
-    c0 = a0
-    goal = NumClass((0,) * 10)
-    for v, f in zip(c, seq):
+    goal = a0 * generator_pair(9, 10)
+    for v, f in zip(cs, standard_sequence()):
         goal = goal + v * f
-    goal = goal + c0 * generator_pair(9, 10)
     if goal.is_zero():
         raise ValueError("zero class")
-
-    def dseq() -> NumClass:
-        total = sum(seq[1:], seq[0])
-        if any(v % 3 for v in total.coords):
-            raise AssertionError("sequence total is not three-divisible")
-        return NumClass(tuple(v // 3 for v in total.coords))
-
-    def current() -> NumClass:
-        out = NumClass((0,) * 10)
-        for v, f in zip(c, seq):
-            out = out + v * f
-        return out + c0 * (dseq() - seq[8] - seq[9])
-
-    for _ in range(8):
-        order = sorted(range(8), key=lambda i: -c[i])
-        seq[0:8] = [seq[i] for i in order]
-        c[0:8] = [c[i] for i in order]
-        if c[8] < c[9]:
-            seq[8], seq[9] = seq[9], seq[8]
-            c[8], c[9] = c[9], c[8]
-        m = c[7]
-        if m:
-            for i in range(8):
-                c[i] -= m
-            c[8] += 2 * m
-            c[9] += 2 * m
-            c0 += 3 * m
-        if current() != goal:
-            raise AssertionError("rewriting move broke the class")
-        if c[8] + c[9] >= c0 >= c[8]:
-            break
-        if c0 < c[8]:
-            b = min(c[8] - c0, c[6])
-            seq[0:10] = seq[0:7] + [seq[8], seq[7], seq[9]]
-            c[0:10] = [c[i] - b for i in range(7)] + [
-                c[8] - c0 - b,
-                c0 + 2 * b,
-                c[9] + 2 * b,
-            ]
-            c0 += 3 * b
-        else:
-            d = dseq()
-            pair_cls = d - seq[8] - seq[9]
-            e_8_10 = d - seq[7] - seq[9]
-            e_8_9 = d - seq[7] - seq[8]
-            b = min(c[6], c0 - c[8] - c[9])
-            new_c0 = c[8] + c[9] + 3 * b  # before the list below clobbers c[8], c[9]
-            seq[0:10] = seq[0:7] + [pair_cls, e_8_10, e_8_9]
-            c[0:10] = [c[i] - b for i in range(7)] + [
-                c0 - c[8] - c[9] - b,
-                c[8] + 2 * b,
-                c[9] + 2 * b,
-            ]
-            c0 = new_c0
-    else:
-        raise AssertionError("rewriting did not terminate")
-
-    if c[7] != 0:
-        raise AssertionError("the eighth coefficient was not absorbed")
-    out_vals = [c0] + c[0:7] + [c[8], c[9]]
-    out_eps = eps if all(v % 2 == 0 for v in out_vals) else 0
-    if is_two_divisible(goal) != all(v % 2 == 0 for v in out_vals):
-        raise AssertionError("2-divisibility disagrees with the coefficient parity")
-    fc = FundamentalCoefficients(
-        a0=c0, head=tuple(c[0:7]), a9=c[8], a10=c[9], eps=out_eps
-    )
-    iso = IsotropicSequence(tuple(seq))
-    if class_from_presentation(fc, iso) != goal:
-        raise AssertionError("presentation failed to reconstruct the class")
-    return fc, iso
+    return _reduce(goal, eps)
 
 
 def fundamental_presentation(
     L: PicClass | NumClass,
 ) -> tuple[FundamentalCoefficients, IsotropicSequence]:
-    """Fundamental coefficients of an arbitrary big positive class, via the
-    search oracle: its minimal profile converts to coefficients, and the
-    computing sequence carries the presentation.  The reconstruction is
-    verified exactly before returning."""
+    """Fundamental coefficients of an arbitrary big positive class, by the
+    chamber reduction of `_reduce`, with the sequence that carries the
+    presentation.  The reconstruction is verified exactly before
+    returning; `oracle.phi_vector_oracle` certifies the profile."""
     if isinstance(L, NumClass):
         L = PicClass(L, 0)
     num = L.num
-    profile, seqs = phi_vector_oracle(num, max_sequences=1)
-    eps = L.eps if is_two_divisible(num) else 0
-    fc = coefficients_from_phivector(profile, eps=eps)
-    seq = seqs[0]
-    rebuilt = class_from_presentation(fc, seq)
-    if rebuilt != num:
-        raise AssertionError("presentation failed to reconstruct the class")
-    return fc, seq
+    if num.is_zero():
+        raise ValueError("zero class")
+    if self_int(num) <= 0:
+        raise ValueError("class is not big: self-intersection must be positive")
+    if not is_positive(num):
+        raise ValueError("class is not positive")
+    return _reduce(num, L.eps)

@@ -43,7 +43,6 @@ from .lattice import (
 )
 from .oracle import (
     PhiVector,
-    _enumerate_with_values,
     box_isotropics,
     eight_lowest,
     enumerate_isotropics,

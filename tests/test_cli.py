@@ -172,6 +172,15 @@ def test_identical_invocations_are_byte_identical(capsys):
     assert first == second
 
 
+def child_env():
+    """Environment for a child interpreter that imports this checkout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC_DIR), env.get("PYTHONPATH")) if p
+    )
+    return env
+
+
 def run_console_script(*argv):
     """Run the `[project.scripts]` entry the way an installed script does.
 
@@ -190,15 +199,11 @@ def run_console_script(*argv):
         f"entry = EntryPoint(name='enriques', value={target!r}, group='console_scripts')\n"
         "sys.exit(entry.load()())\n"
     )
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(SRC_DIR), env.get("PYTHONPATH")) if p
-    )
     return subprocess.run(
         [sys.executable, "-c", wrapper, *argv],
         capture_output=True,
         text=True,
-        env=env,
+        env=child_env(),
     )
 
 
@@ -222,3 +227,27 @@ def test_module_entry_matches_script():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["passed"] is True
+
+
+def test_phivector_class_of_low_genus_returns_promptly():
+    """This genus-3 class, coordinates at most 2, once ran for minutes."""
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-m",
+            "enriques.cli",
+            "phivector",
+            "--class=2,0,1,0,2,2,-2,1,2,-1",
+            "--format",
+            "json",
+        ],
+        capture_output=True,
+        text=True,
+        env=child_env(),
+        timeout=30,
+    )
+    assert proc.returncode == 0, proc.stderr
+    data = json.loads(proc.stdout)
+    assert data["phi"] == [2] * 9 + [3]
+    assert data["genus"] == 3
+    assert data["coefficients"] == {"a0": 1, "head": [0] * 7, "a9": 1, "a10": 0, "eps": 0}

@@ -1,9 +1,10 @@
 """Coefficient parametrization, presentations, and the rewrite algorithm."""
 
 import random
+from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from enriques.fundamental import (
     Decomposition,
@@ -31,7 +32,7 @@ from enriques.lattice import (
     self_int,
     standard_sequence,
 )
-from enriques.oracle import IsotropicSequence, PhiVector
+from enriques.oracle import IsotropicSequence, PhiVector, phi_vector_oracle
 from enriques.verify import iter_phi_profiles
 
 E = [None] + [generator_e(i) for i in range(1, 11)]
@@ -322,3 +323,53 @@ def test_fundamental_presentation_inverts_divisor_class():
         fc, seq = fundamental_presentation(c.divisor_class())
         assert fc.as_tuple() == c.as_tuple()
         assert class_from_presentation(fc, seq) == c.divisor_class().num
+
+
+@pytest.mark.parametrize(
+    "L",
+    [NumClass((0,) * 10), E[1], E[1] - E[2], -D],
+    ids=["zero", "square-0", "negative-square", "negative"],
+)
+def test_fundamental_presentation_rejects_classes_that_are_not_big_and_positive(L):
+    with pytest.raises(ValueError):
+        fundamental_presentation(L)
+
+
+# --- differential: reduction, oracle and rewrite agree ----------------------
+
+# simple roots of W(E10) in this basis: a_0 = d - e1 - e2 - e3, a_i = e_i - e_(i+1)
+SIMPLE_ROOTS = (D - E[1] - E[2] - E[3],) + tuple(E[i] - E[i + 1] for i in range(1, 10))
+
+
+def reflect(x, word):
+    for i in word:
+        alpha = SIMPLE_ROOTS[i]
+        x = x + pair(x, alpha) * alpha
+    return x
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(big_small_coeffs),
+    st.lists(st.integers(0, 9), max_size=30),
+    st.integers(0, 1),
+)
+def test_reduction_recovers_reflected_coefficients(c, word, eps):
+    L = reflect(c.divisor_class().num, word)
+    fc, seq = fundamental_presentation(PicClass(L, eps))
+    assert fc == replace(c, eps=eps if c.all_even() else 0)
+    assert class_from_presentation(fc, seq) == L
+    if pair(L, D) ** 2 < 12 * self_int(L):
+        profile, _ = phi_vector_oracle(L, max_sequences=1)
+        assert profile == phivector_from_coefficients(fc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(0, 4), min_size=10, max_size=10), st.integers(0, 4))
+def test_rewrite_agrees_with_the_presentation_of_its_class(cs, a0):
+    goal = a0 * generator_pair(9, 10)
+    for v, f in zip(cs, standard_sequence()):
+        goal = goal + v * f
+    assume(self_int(goal) > 0)
+    fc, _ = rewrite_to_fundamental(cs, a0=a0)
+    assert fc == fundamental_presentation(goal)[0]

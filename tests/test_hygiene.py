@@ -1,4 +1,6 @@
-"""Package hygiene: exact checks that survive `python -O`, one export list."""
+"""Package hygiene: exact checks that survive `python -O`, one export list,
+no dead imports, and a formula route that takes only value types from the
+search oracle."""
 
 import ast
 import importlib
@@ -31,6 +33,41 @@ def test_no_bare_assert_in_the_package():
         tree = ast.parse(path.read_text(), filename=str(path))
         found += [f"{path.name}:{n.lineno}" for n in ast.walk(tree) if isinstance(n, ast.Assert)]
     assert not found, f"assert vanishes under python -O: {found}"
+
+
+def test_no_unused_import_in_the_package():
+    found = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [a.asname or a.name.split(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                names = [a.asname or a.name for a in node.names]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {n}" for n in names if n not in used]
+    assert not found, f"imported but never used: {found}"
+
+
+def test_fundamental_takes_only_value_types_from_the_oracle():
+    """The closed-form route must not call the search that certifies it."""
+    path = PACKAGE_DIR / "fundamental.py"
+    taken = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom):
+            sources = [f"{node.module or ''}.{a.name}" for a in node.names]
+        elif isinstance(node, ast.Import):
+            sources = [a.name for a in node.names]
+        else:
+            continue
+        for parts in (src.split(".") for src in sources):
+            if "oracle" in parts:
+                taken.add(".".join(parts[parts.index("oracle") + 1 :]) or "the module")
+    assert taken <= {"IsotropicSequence", "PhiVector"}, sorted(taken)
 
 
 def test_submodule_exports_are_reexported():
