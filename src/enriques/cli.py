@@ -31,7 +31,7 @@ from .fundamental import (
     phivector_from_coefficients,
     quadratic_value,
 )
-from .lattice import NumClass, PicClass, is_positive, is_two_divisible, self_int
+from .lattice import NumClass, PicClass, is_two_divisible, require_big
 from .oracle import phi_vector_oracle
 from .verify import SUITES, run_suite
 
@@ -143,17 +143,10 @@ def _class_from_args(args: argparse.Namespace, parser: argparse.ArgumentParser):
         num = NumClass(coords)
     except ValueError as exc:
         parser.error(str(exc))
-    if num.is_zero():
-        print("class is not positive: it is zero", file=sys.stderr)
-        raise SystemExit(3)
-    if self_int(num) <= 0:
-        print(
-            "class is not big: the self-intersection is not positive",
-            file=sys.stderr,
-        )
-        raise SystemExit(3)
-    if not is_positive(num):
-        print("class is not positive: it pairs nonpositively with d", file=sys.stderr)
+    try:
+        require_big(num)
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
         raise SystemExit(3)
     fc, _seq = fundamental_presentation(PicClass(num, args.eps))
     return num, fc

@@ -8,8 +8,10 @@ twice the last three combined, eps = 0 unless every entry is even, and
 
 Enumeration runs over fundamental coefficient tuples of the right
 self-intersection (an elementary nonnegative quadratic, so partial-sum
-pruning is exact) and converts each to its profile.  An independent
-profile-side enumeration lives in `verify` and must agree.
+pruning is exact) and converts each to its profile.  This route never
+calls the search oracle; it takes only `PhiVector` and `order_key` from it.
+An independent profile-side enumeration and the search-backed
+certification of the dominating genus-621 class live in `verify`.
 """
 
 from __future__ import annotations
@@ -17,25 +19,13 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Iterator, Sequence
 
-from .lattice import generator_pair, self_int, standard_sequence
-from .oracle import (
-    PhiVector,
-    enumerate_isotropics,
-    order_key,
-    phi_vector_oracle,
-    _enumerate_with_values,
-)
-from .fundamental import (
-    FundamentalCoefficients,
-    coefficients_from_phivector,
-    phivector_from_coefficients,
-)
+from .oracle import PhiVector, order_key
+from .fundamental import FundamentalCoefficients, phivector_from_coefficients
 
 __all__ = [
     "ModuliComponent",
     "NumericalComponent",
     "RhoSummary",
-    "DominationReport",
     "BoundsReport",
     "component_name",
     "numerical_name",
@@ -44,7 +34,6 @@ __all__ = [
     "enumerate_components_by_phi",
     "numerical_components",
     "rho_fiber_structure",
-    "dominating_component_check",
     "classical_bounds_audit",
 ]
 
@@ -227,89 +216,6 @@ def rho_fiber_structure(g: int) -> RhoSummary:
     if summary.n_components != (summary.n_hat_components - n2) + 2 * n2:
         raise AssertionError("fiber count breaks the double-cover identity")
     return summary
-
-
-_DOMINATING = FundamentalCoefficients(a0=4, head=(7, 6, 5, 4, 3, 2, 1), a9=3, a10=2)
-
-
-@dataclass(frozen=True)
-class DominationReport:
-    genus: int
-    phi: tuple[int, ...]
-    genus_ok: bool
-    formula_phi_ok: bool
-    oracle_phi_ok: bool
-    unique_sequence: bool
-    thresholds_ok: bool
-    stability_ok: bool
-    target_phi: tuple[int, ...] | None
-    target_ok: bool | None
-
-    def checks(self) -> tuple[tuple[str, bool], ...]:
-        items = [
-            ("genus of the big class is 621", self.genus_ok),
-            ("formula profile is (30,...,39)", self.formula_phi_ok),
-            ("oracle profile agrees", self.oracle_phi_ok),
-            ("computing sequence is unique", self.unique_sequence),
-            ("isotropic thresholds 38/39/40 as stated", self.thresholds_ok),
-            ("search bound is stability-certified", self.stability_ok),
-        ]
-        if self.target_ok is not None:
-            items.append(("substitution map hits the target profile", self.target_ok))
-        return tuple(items)
-
-    @property
-    def passed(self) -> bool:
-        return all(ok for _, ok in self.checks())
-
-
-def dominating_component_check(
-    target_phi: Sequence[int] | None = None,
-) -> DominationReport:
-    """Certify the facts that make the genus-621 component dominate: its
-    profile is (30,...,39), computed by exactly one sequence, because all
-    non-member isotropic classes meet the class in at least 38 with the
-    two sub-40 values attained once each."""
-    L = _DOMINATING.divisor_class().num
-    g = self_int(L) // 2 + 1
-    formula_phi = phivector_from_coefficients(_DOMINATING)
-    oracle_phi, seqs = phi_vector_oracle(L, max_sequences=4)
-
-    std = standard_sequence()
-    pool = _enumerate_with_values(L, 40)
-    others = [(v, f) for v, f in pool if f not in std]
-    at38 = [f for v, f in others if v == 38]
-    at39 = [f for v, f in others if v == 39]
-    thresholds_ok = (
-        all(v >= 38 for v, _ in others)
-        and at38 == [generator_pair(9, 10)]
-        and at39 == [generator_pair(8, 10)]
-    )
-    stability_ok = (
-        enumerate_isotropics(L, 40) == enumerate_isotropics(L, 40, extra_layers=2)
-    )
-
-    target_tuple = None
-    target_ok = None
-    if target_phi is not None:
-        target_tuple = tuple(int(v) for v in target_phi)
-        target = PhiVector(target_tuple)
-        image = coefficients_from_phivector(target).divisor_class().num
-        image_phi, _ = phi_vector_oracle(image, max_sequences=1)
-        target_ok = image_phi.phis == target_tuple
-
-    return DominationReport(
-        genus=g,
-        phi=oracle_phi.phis,
-        genus_ok=g == 621,
-        formula_phi_ok=formula_phi.phis == tuple(range(30, 40)),
-        oracle_phi_ok=oracle_phi.phis == tuple(range(30, 40)),
-        unique_sequence=len(seqs) == 1 and set(seqs[0].members) == set(std),
-        thresholds_ok=thresholds_ok,
-        stability_ok=stability_ok,
-        target_phi=target_tuple,
-        target_ok=target_ok,
-    )
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,10 @@ sequence by the simple roots of W(E10) until the sorted pairings of L
 satisfy the chain above, then read the coefficients off those pairings
 (Cossec-Dolgachev, Enriques Surfaces I).  This is the formula route;
 `oracle` recomputes the same profiles by exhaustive search and shares
-only the value types with it.
+only the value types with it.  `FundamentalCoefficients.divisor_class`
+evaluates a presentation on the standard sequence through
+`lattice.sequence_combination`, and `lattice.require_big` screens every
+class that `fundamental_presentation` reduces.
 """
 
 from __future__ import annotations
@@ -27,13 +30,13 @@ from .lattice import (
     D,
     NumClass,
     PicClass,
-    from_decomposition,
-    generator_pair,
     is_positive,
     is_primitive,
     is_two_divisible,
     pair,
+    require_big,
     self_int,
+    sequence_combination,
     standard_sequence,
 )
 from .oracle import IsotropicSequence, PhiVector
@@ -98,7 +101,8 @@ class FundamentalCoefficients:
         return (self.a0, *self.head, self.a9, self.a10)
 
     def divisor_class(self) -> PicClass:
-        return from_decomposition(self.head, self.a9, self.a10, self.a0, self.eps)
+        coeffs = (*self.head, 0, self.a9, self.a10)
+        return PicClass(sequence_combination(coeffs, self.a0), self.eps)
 
     def to_json(self) -> dict:
         return {
@@ -139,10 +143,15 @@ def coefficients_from_phivector(
 ) -> FundamentalCoefficients:
     """Exact inverse of phivector_from_coefficients (eps is passed through;
     validation rejects an eps = 1 request on odd coefficients).  Accepts
-    any sorted ten-entry pairing vector, including ones with a leading 0
-    that PhiVector rejects (square-0 classes)."""
+    any sorted ten-entry pairing vector whose total is divisible by 3,
+    including ones with a leading 0 that PhiVector rejects (square-0
+    classes)."""
     p = tuple(p)
-    s = sum(p) // 3
+    if len(p) != 10:
+        raise ValueError("a pairing vector has ten entries")
+    s, rem = divmod(sum(p), 3)
+    if rem:
+        raise ValueError("pairing vector total must be divisible by 3")
     p8 = p[7]
     head = tuple(p8 - p[i] for i in range(7))
     return FundamentalCoefficients(
@@ -313,18 +322,13 @@ def rewrite_to_fundamental(
     fundamental form, tracking the sequence the output lives on.  The
     input may have square 0; the reconstruction is verified exactly."""
     cs = list(coeffs)
-    if len(cs) != 10:
-        raise ValueError("expected ten sequence coefficients")
     if not all(isinstance(v, int) for v in cs) or not isinstance(a0, int):
         raise ValueError("coefficients must be integers")
+    goal = sequence_combination(cs, a0)
     if min(cs) < 0 or a0 < 0:
         raise ValueError("coefficients must be nonnegative")
     if eps not in (0, 1):
         raise ValueError("eps must be 0 or 1")
-
-    goal = a0 * generator_pair(9, 10)
-    for v, f in zip(cs, standard_sequence()):
-        goal = goal + v * f
     if goal.is_zero():
         raise ValueError("zero class")
     return _reduce(goal, eps)
@@ -339,11 +343,5 @@ def fundamental_presentation(
     returning; `oracle.phi_vector_oracle` certifies the profile."""
     if isinstance(L, NumClass):
         L = PicClass(L, 0)
-    num = L.num
-    if num.is_zero():
-        raise ValueError("zero class")
-    if self_int(num) <= 0:
-        raise ValueError("class is not big: self-intersection must be positive")
-    if not is_positive(num):
-        raise ValueError("class is not positive")
-    return _reduce(num, L.eps)
+    require_big(L.num)
+    return _reduce(L.num, L.eps)

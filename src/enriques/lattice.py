@@ -19,6 +19,10 @@ Divisor classes modulo torsion are `NumClass`; full divisor classes are
 
 Positivity convention: a nonzero class with nonnegative square counts as
 positive (effective in the unnodal model) iff it pairs positively with D.
+
+`sequence_combination` is the one map from coefficients on the fixed
+sequence to coordinates, and `require_big` is the one check that a class
+is big and positive; every route into the package starts with them.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Sequence
 
 RANK = 10
 
@@ -45,7 +49,8 @@ __all__ = [
     "is_primitive",
     "is_positive",
     "is_two_divisible",
-    "from_decomposition",
+    "sequence_combination",
+    "require_big",
     "gram_matrix",
     "gram_determinant",
     "gram_signature",
@@ -177,30 +182,34 @@ def is_two_divisible(a: NumClass) -> bool:
     return all(c % 2 == 0 for c in a.coords)
 
 
-def from_decomposition(
-    head: Iterable[int],
-    a9: int,
-    a10: int,
-    a0: int,
-    eps: int = 0,
-) -> PicClass:
-    """Build a_1 E_1 + ... + a_7 E_7 + a9 E_9 + a10 E_10 + a0 E_{9,10} + eps K.
+def sequence_combination(coeffs: Sequence[int], a0: int = 0) -> NumClass:
+    """The class a_1 E_1 + ... + a_10 E_10 + a0 E_{9,10}, in closed form.
 
-    `head` supplies a_1..a_7 (shorter input is padded with zeros on the
-    right).  All coefficients must be nonnegative.
+    E_10 = 3D - (E_1 + ... + E_9) and E_{9,10} = E_1 + ... + E_8 - 2D, so
+    the coordinates are a_i - a_10 + a0 (i <= 8), a_9 - a_10 and
+    3 a_10 - 2 a0.
     """
-    hs = list(head)
-    if len(hs) > 7:
-        raise ValueError("head takes at most seven coefficients")
-    hs += [0] * (7 - len(hs))
-    if any(c < 0 for c in hs) or a9 < 0 or a10 < 0 or a0 < 0:
-        raise ValueError("negative coefficient in decomposition")
-    total = ZERO
-    for i, c in enumerate(hs, start=1):
-        total = total + c * generator_e(i)
-    total = total + a9 * generator_e(9) + a10 * generator_e(10)
-    total = total + a0 * generator_pair(9, 10)
-    return PicClass(total, eps)
+    if len(coeffs) != 10:
+        raise ValueError("expected ten sequence coefficients")
+    a10 = coeffs[9]
+    shift = a0 - a10
+    return NumClass(
+        tuple(v + shift for v in coeffs[:8]) + (coeffs[8] - a10, 3 * a10 - 2 * a0)
+    )
+
+
+def require_big(a: NumClass) -> tuple[int, int]:
+    """(a.D, a^2) of a big positive class; ValueError naming the first
+    condition a fails otherwise."""
+    if a.is_zero():
+        raise ValueError("class is not positive: it is zero")
+    q = self_int(a)
+    if q <= 0:
+        raise ValueError("class is not big: the self-intersection is not positive")
+    d = pair(a, D)
+    if d <= 0:
+        raise ValueError("class is not positive: it pairs nonpositively with d")
+    return d, q
 
 
 def gram_matrix() -> tuple[tuple[int, ...], ...]:

@@ -34,13 +34,13 @@ from typing import Sequence
 import numpy as np
 
 from .lattice import (
-    D,
     NumClass,
     generator_e,
     gram_matrix,
     is_positive,
     is_primitive,
     pair,
+    require_big,
     self_int,
 )
 
@@ -210,19 +210,8 @@ def _layer_solutions(t: int, weights: list[int], kappa: int, cap: int) -> list[t
     return out
 
 
-def _require_big(L: NumClass) -> tuple[int, int]:
-    if L.is_zero():
-        raise ValueError("zero class")
-    q = self_int(L)
-    if q <= 0:
-        raise ValueError("class is not big: self-intersection must be positive")
-    if not is_positive(L):
-        raise ValueError("class is not positive")
-    return pair(L, D), q
-
-
 def _enumerate_with_values(L: NumClass, cap: int, extra_layers: int = 0) -> list[tuple[int, NumClass]]:
-    d, q = _require_big(L)
+    d, q = require_big(L)
     y = L.coords
     raw = [y[i] for i in range(9)] + [0]
     order = sorted(range(10), key=lambda i: -raw[i])
@@ -258,7 +247,7 @@ def box_isotropics(L: NumClass, cap: int, box: int = 2) -> list[NumClass]:
     [-box, box].  Independent of the pairing-tuple machinery; used to
     cross-check it.  Cost grows like (2 box + 1)^10, so keep box <= 3.
     """
-    _require_big(L)
+    require_big(L)
     y = np.array(L.coords, dtype=np.int64)
     sy = int(y[:9].sum())
     vals = np.arange(-box, box + 1, dtype=np.int64)
@@ -306,7 +295,7 @@ def box_isotropics(L: NumClass, cap: int, box: int = 2) -> list[NumClass]:
 def phi(L: NumClass) -> int:
     """min F.L over positive isotropic F, by exhaustion below the best
     standard-sequence value (always attained, so one pass suffices)."""
-    _require_big(L)
+    require_big(L)
     cap = min(pair(L, generator_e(i)) for i in range(1, 11))
     found = _enumerate_with_values(L, cap)
     if not found:
@@ -317,7 +306,7 @@ def phi(L: NumClass) -> int:
 def eight_lowest(L: NumClass) -> tuple[int, ...]:
     """The eight smallest values F.L over distinct positive primitive
     isotropic classes."""
-    _require_big(L)
+    require_big(L)
     lam = sorted(pair(L, generator_e(i)) for i in range(1, 11))
     found = _enumerate_with_values(L, lam[7])
     if len(found) < 8:
@@ -411,7 +400,7 @@ def phi_vector_oracle(
     """
     if max_sequences < 1:
         raise ValueError("max_sequences must be at least 1")
-    _require_big(L)
+    require_big(L)
     lows = eight_lowest(L)
     slack = sum(lows) + lows[-1]
     lam = [pair(L, generator_e(i)) for i in range(1, 11)]

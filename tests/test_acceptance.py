@@ -12,9 +12,7 @@ import time
 from itertools import combinations
 
 from enriques.components import (
-    _DOMINATING,
     classical_bounds_audit,
-    dominating_component_check,
     enumerate_components,
     enumerate_components_by_phi,
     numerical_components,
@@ -38,7 +36,12 @@ from enriques.lattice import (
     standard_sequence,
 )
 from enriques.oracle import box_isotropics, enumerate_isotropics, phi_vector_oracle
-from enriques.verify import golden_low_phi, phi_profiles_direct
+from enriques.verify import (
+    _DOMINATING,
+    dominating_component_check,
+    golden_low_phi,
+    phi_profiles_direct,
+)
 
 
 def report(n: int, desc: str, ok: bool, detail: str) -> None:

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import enriques
+import enriques.cli
 from enriques.cli import main
 
 SRC_DIR = Path(enriques.__file__).resolve().parents[1]
@@ -151,19 +152,35 @@ def test_usage_errors_exit_two(argv):
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["phivector", "--class", "0,0,0,0,0,0,0,0,0,0"],
-        ["phivector", "--class", "0,0,0,0,0,0,0,0,0,-1"],
-        ["phivector", "--coeffs", "0;1,0,0,0,0,0,0;0,0"],
-    ],
-)
+NOT_BIG = "class is not big: the self-intersection is not positive"
+EXIT_THREE = {
+    ("phivector", "--class", "0,0,0,0,0,0,0,0,0,0"): "class is not positive: it is zero",
+    ("phivector", "--class", "0,0,0,0,0,0,0,0,0,-1"): (
+        "class is not positive: it pairs nonpositively with d"
+    ),
+    ("phivector", "--coeffs", "0;1,0,0,0,0,0,0;0,0"): NOT_BIG,
+    ("phivector", "--class", "1,0,0,0,0,0,0,0,0,0"): NOT_BIG,
+    ("phivector", "--class", "1,-1,0,0,0,0,0,0,0,0"): NOT_BIG,
+}
+
+
+@pytest.mark.parametrize("argv", [list(argv) for argv in EXIT_THREE])
 def test_domain_errors_exit_three(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 3
-    assert capsys.readouterr().err.strip()
+    assert capsys.readouterr().err == EXIT_THREE[tuple(argv)] + "\n"
+
+
+def test_only_the_big_class_check_exits_three(monkeypatch):
+    """A ValueError from past the big-class check is a fault, not exit 3."""
+
+    def broken(L):
+        raise ValueError("presentation failed")
+
+    monkeypatch.setattr(enriques.cli, "fundamental_presentation", broken)
+    with pytest.raises(ValueError, match="presentation failed"):
+        main(["phivector", "--class", "1,1,0,0,0,0,0,0,0,0"])
 
 
 def test_identical_invocations_are_byte_identical(capsys):

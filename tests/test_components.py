@@ -5,7 +5,6 @@ import pytest
 from enriques.components import (
     classical_bounds_audit,
     component_name,
-    dominating_component_check,
     enumerate_components,
     enumerate_components_by_phi,
     numerical_components,
@@ -15,7 +14,7 @@ from enriques.components import (
 )
 from enriques.fundamental import FundamentalCoefficients, quadratic_value
 from enriques.oracle import PhiVector, order_key
-from enriques.verify import golden_low_phi, phi_profiles_direct
+from enriques.verify import dominating_component_check, golden_low_phi, phi_profiles_direct
 
 
 def test_genus_two_is_a_single_component():

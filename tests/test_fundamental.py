@@ -24,12 +24,12 @@ from enriques.lattice import (
     D,
     NumClass,
     PicClass,
-    from_decomposition,
     generator_e,
     generator_pair,
     is_two_divisible,
     pair,
     self_int,
+    sequence_combination,
     standard_sequence,
 )
 from enriques.oracle import IsotropicSequence, PhiVector, phi_vector_oracle
@@ -119,6 +119,16 @@ def test_divisor_class_square_matches_quadratic_value_wide():
 @given(st.sampled_from(big_small_coeffs))
 def test_roundtrip_property(c):
     assert coefficients_from_phivector(phivector_from_coefficients(c)) == c
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [(1, 2, 3), (2,) * 9 + (3, 3), (3, 3, 5, 5, 5, 5, 5, 5, 5, 5)],
+    ids=["short", "long", "total-not-divisible-by-3"],
+)
+def test_coefficients_from_phivector_rejects_bad_raw_sequences(raw):
+    with pytest.raises(ValueError):
+        coefficients_from_phivector(raw)
 
 
 def test_eps_propagates_through_roundtrip():
@@ -212,7 +222,16 @@ def test_class_from_presentation_on_standard_sequence():
     seq = IsotropicSequence(standard_sequence())
     fc = FundamentalCoefficients(a0=2, head=(3, 1, 0, 0, 0, 0, 0), a9=2, a10=1)
     built = class_from_presentation(fc, seq)
-    assert built == from_decomposition((3, 1), a9=2, a10=1, a0=2).num
+    assert built == sequence_combination((3, 1, 0, 0, 0, 0, 0, 0, 2, 1), a0=2)
+
+
+def test_divisor_class_is_the_presentation_on_the_standard_sequence():
+    seq = IsotropicSequence(standard_sequence())
+    n = 0
+    for c in iter_coefficient_tuples(12):
+        assert c.divisor_class().num == class_from_presentation(c, seq)
+        n += 1
+    assert n == 881
 
 
 def test_rewrite_leaves_fundamental_input_alone():
@@ -325,14 +344,25 @@ def test_fundamental_presentation_inverts_divisor_class():
         assert class_from_presentation(fc, seq) == c.divisor_class().num
 
 
+NOT_BIG = "class is not big: the self-intersection is not positive"
+
+
 @pytest.mark.parametrize(
-    "L",
-    [NumClass((0,) * 10), E[1], E[1] - E[2], -D],
+    "L, text",
+    [
+        (NumClass((0,) * 10), "class is not positive: it is zero"),
+        (E[1], NOT_BIG),
+        (E[1] - E[2], NOT_BIG),
+        (-D, "class is not positive: it pairs nonpositively with d"),
+    ],
     ids=["zero", "square-0", "negative-square", "negative"],
 )
-def test_fundamental_presentation_rejects_classes_that_are_not_big_and_positive(L):
-    with pytest.raises(ValueError):
-        fundamental_presentation(L)
+def test_fundamental_presentation_rejects_classes_that_are_not_big_and_positive(L, text):
+    """The presentation and the oracle share one check, so one text."""
+    for route in (fundamental_presentation, phi_vector_oracle):
+        with pytest.raises(ValueError) as exc:
+            route(L)
+        assert str(exc.value) == text
 
 
 # --- differential: reduction, oracle and rewrite agree ----------------------

@@ -1,9 +1,10 @@
 """Package hygiene: exact checks that survive `python -O`, one export list,
-no dead imports, and a formula route that takes only value types from the
-search oracle."""
+no dead imports, formula routes that take only value types from the search
+oracle, and the names the benchmark traces still defined where it looks."""
 
 import ast
 import importlib
+import inspect
 import os
 import pkgutil
 import subprocess
@@ -16,13 +17,14 @@ from enriques.fundamental import Decomposition
 from enriques.lattice import NumClass
 
 PACKAGE_DIR = Path(enriques.__file__).resolve().parent
+BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
 
 # Names dropped from the API in favour of one surviving function each:
-# PhiVector.genus, order_key, pair over standard_sequence(),
-# rewrite_to_fundamental and simple_decomposition_error.
+# PhiVector.genus, sequence_combination, require_big, order_key, pair over
+# standard_sequence(), rewrite_to_fundamental and simple_decomposition_error.
 DROPPED = {
-    "lattice": ("genus",),
-    "oracle": ("compare_tuples", "pairing_tuple"),
+    "lattice": ("genus", "from_decomposition"),
+    "oracle": ("_require_big", "compare_tuples", "pairing_tuple"),
     "fundamental": ("genus_of", "epsilon_normalize", "validate_simple_decomposition"),
 }
 
@@ -53,9 +55,8 @@ def test_no_unused_import_in_the_package():
     assert not found, f"imported but never used: {found}"
 
 
-def test_fundamental_takes_only_value_types_from_the_oracle():
-    """The closed-form route must not call the search that certifies it."""
-    path = PACKAGE_DIR / "fundamental.py"
+def _taken_from_the_oracle(module_name):
+    path = PACKAGE_DIR / f"{module_name}.py"
     taken = set()
     for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
         if isinstance(node, ast.ImportFrom):
@@ -67,7 +68,56 @@ def test_fundamental_takes_only_value_types_from_the_oracle():
         for parts in (src.split(".") for src in sources):
             if "oracle" in parts:
                 taken.add(".".join(parts[parts.index("oracle") + 1 :]) or "the module")
+    return taken
+
+
+def test_fundamental_takes_only_value_types_from_the_oracle():
+    """The closed-form route must not call the search that certifies it."""
+    taken = _taken_from_the_oracle("fundamental")
     assert taken <= {"IsotropicSequence", "PhiVector"}, sorted(taken)
+
+
+def test_components_takes_only_the_profile_type_and_order_from_the_oracle():
+    """The enumeration must not call the search; `verify` certifies it."""
+    taken = _taken_from_the_oracle("components")
+    assert taken <= {"PhiVector", "order_key"}, sorted(taken)
+
+
+def _literal_assignment(path, name):
+    for node in ast.parse(path.read_text(), filename=str(path)).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == name for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise LookupError(f"{path.name} assigns no {name}")
+
+
+def test_names_the_benchmark_traces_are_plain_definitions():
+    """The benchmark in bench/ wraps and imports these by module and name;
+    a rename or a move breaks its per-layer metrics."""
+    run, spans = BENCH_DIR / "run.py", BENCH_DIR / "spans.py"
+    dotted = list(_literal_assignment(run, "FUNCTIONS").values())
+    dotted += [
+        f"{layer}.{name}"
+        for layer, names in _literal_assignment(spans, "EXTRA").items()
+        for name in names
+    ]
+    dotted += [".".join(pair) for pair in _literal_assignment(spans, "COUNTED").values()]
+    for path in sorted(BENCH_DIR.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("enriques."):
+                dotted += [f"{node.module[len('enriques.'):]}.{a.name}" for a in node.names]
+    assert dotted
+    for name in dotted:
+        module_name, *attrs = name.split(".")
+        module = importlib.import_module(f"enriques.{module_name}")
+        obj = module
+        for attr in attrs:
+            assert attr in vars(obj), name
+            obj = vars(obj)[attr]
+        assert inspect.isfunction(obj) or inspect.isclass(obj), name
+        assert obj.__module__ == module.__name__, name
+        assert obj.__qualname__ == ".".join(attrs), name
 
 
 def test_submodule_exports_are_reexported():

@@ -12,7 +12,6 @@ from enriques.lattice import (
     PicClass,
     RANK,
     ZERO,
-    from_decomposition,
     generator_e,
     generator_pair,
     gram_determinant,
@@ -22,7 +21,9 @@ from enriques.lattice import (
     is_primitive,
     is_two_divisible,
     pair,
+    require_big,
     self_int,
+    sequence_combination,
     standard_sequence,
 )
 
@@ -154,11 +155,10 @@ def test_two_divisibility():
     assert is_two_divisible(2 * D)
 
 
-def test_from_decomposition_matches_manual_sum():
-    built = from_decomposition((1, 1), 0, 0, 0)
-    assert built.num == generator_e(1) + generator_e(2)
-    assert built.eps == 0
-    rich = from_decomposition((3, 1), a9=2, a10=1, a0=2, eps=0)
+def test_sequence_combination_matches_manual_sum():
+    built = sequence_combination((1, 1, 0, 0, 0, 0, 0, 0, 0, 0))
+    assert built == generator_e(1) + generator_e(2)
+    rich = sequence_combination((3, 1, 0, 0, 0, 0, 0, 0, 2, 1), a0=2)
     manual = (
         3 * generator_e(1)
         + generator_e(2)
@@ -166,14 +166,28 @@ def test_from_decomposition_matches_manual_sum():
         + generator_e(10)
         + 2 * generator_pair(9, 10)
     )
-    assert rich.num == manual
+    assert rich == manual
 
 
-def test_from_decomposition_validation():
+def test_sequence_combination_validation():
     with pytest.raises(ValueError):
-        from_decomposition((1,) * 8, 0, 0, 0)
+        sequence_combination((1,) * 8)
     with pytest.raises(ValueError):
-        from_decomposition((1,), -1, 0, 0)
+        sequence_combination((1,) * 11)
+
+
+@given(st.lists(st.integers(0, 50), min_size=10, max_size=10), st.integers(0, 50))
+def test_sequence_combination_is_the_generator_sum(coeffs, a0):
+    total = a0 * generator_pair(9, 10)
+    for i, v in enumerate(coeffs, start=1):
+        total = total + v * generator_e(i)
+    assert sequence_combination(coeffs, a0) == total
+
+
+def test_require_big_returns_the_pairing_with_d_and_the_square():
+    assert require_big(D) == (10, 10)
+    assert require_big(generator_e(1) + generator_e(2)) == (6, 2)
+    assert require_big(3 * D) == (30, 90)
 
 
 @given(classes_st, classes_st)
