@@ -8,8 +8,12 @@ twice the last three combined, eps = 0 unless every entry is even, and
 
 Enumeration runs over fundamental coefficient tuples of the right
 self-intersection (an elementary nonnegative quadratic, so partial-sum
-pruning is exact) and converts each to its profile.  This route never
-calls the search oracle; it takes only `PhiVector` and `order_key` from it.
+pruning is exact) and converts each to its profile.  It is one walk over
+the heads a_1..a_7.  A head with sum s that leaves a remainder r > 0 needs
+r >= 2s + 2, the least that a nonzero tail adds, and is skipped otherwise.
+The tails (a0, a9, a10) of each (s, r) are solved once per call, in a
+table that lives only as long as that call.  This route never calls the
+search oracle; it takes only `PhiVector` and `order_key` from it.
 An independent profile-side enumeration and the search-backed
 certification of the dominating genus-621 class live in `verify`.
 """
@@ -54,11 +58,14 @@ def numerical_name(g: int, phi: PhiVector) -> str:
 def unirationality_flag(phi: PhiVector | Sequence[int]) -> bool:
     """True when the profile matches one of the six coefficient shapes with
     at most four distinct nonzero coefficients known to give unirational
-    components."""
+    components.
+
+    The argument is a profile, so it is sorted (nondecreasing), and a run
+    p[lo..hi] is constant exactly when its ends agree."""
     p = tuple(phi)
 
     def flat(lo: int, hi: int) -> bool:
-        return all(p[i] == p[lo] for i in range(lo, hi + 1))
+        return p[lo] == p[hi]
 
     if flat(0, 6) or flat(1, 7) or flat(2, 8) or flat(3, 9):
         return True
@@ -120,34 +127,56 @@ def _coefficient_tuples(q: int) -> Iterator[FundamentalCoefficients]:
     """All valid coefficient tuples with quadratic value exactly q >= 1.
 
     Every cross term of the quadratic is nonnegative, so partial sums
-    prune exactly; the pair coefficient is solved, not searched.
+    prune exactly.  A complete head (a_1..a_7) has value p = e2(head) and
+    sum s; the tail (a0, a9, a10) must add r = q - p, and that equation
+    depends on (s, r) alone.  r = 0 admits only the zero tail.  Any other
+    tail has a9 >= 1 and adds at least 2s + 2 (at a0 = a9 = 1, a10 = 0),
+    so a head with 0 < r < 2s + 2 is dead and is skipped.  The live tails
+    of each (s, r) are solved once per call and kept in a table local to
+    it: for each a10 <= a9, a0 = a9 + t with 0 <= t <= a10 is read off by
+    one division.  Heads come in decreasing lexicographic order, tails by
+    a9 then a10.
     """
-    def tails(head: tuple[int, ...], p: int, s: int) -> Iterator[FundamentalCoefficients]:
-        a9 = 0
-        while p + 2 * a9 * s + 2 * a9 * a9 <= q:
+    tail_table: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
+
+    def tails(s: int, r: int) -> list[tuple[int, int, int]]:
+        found = []
+        a9 = 1
+        while 2 * a9 * (s + a9) <= r:
             for a10 in range(a9 + 1):
-                base = p + (a9 + a10) * s + a9 * a10
-                if base + a9 * (s + 2 * a9 + 2 * a10) > q:
-                    break
                 w = s + 2 * (a9 + a10)
-                if w == 0:
-                    continue  # everything zero: value 0 < q
-                rem = q - base
-                if rem % w == 0 and a9 <= rem // w <= a9 + a10:
-                    yield FundamentalCoefficients(
-                        a0=rem // w, head=head, a9=a9, a10=a10
-                    )
+                rem = r - (a9 + a10) * s - a9 * a10 - a9 * w
+                if rem < 0:
+                    break
+                t, m = divmod(rem, w)
+                if m == 0 and t <= a10:
+                    found.append((a9 + t, a9, a10))
             a9 += 1
+        return found
 
     def heads(
         acc: tuple[int, ...], prev: int, p: int, s: int
     ) -> Iterator[FundamentalCoefficients]:
-        if len(acc) == 7:
-            yield from tails(acc, p, s)
-            return
         hi = min(prev, (q - p) // s) if s else prev
-        for v in range(hi, -1, -1):
-            yield from heads(acc + (v,), v, p + v * s, s + v)
+        if len(acc) < 6:
+            for v in range(hi, -1, -1):
+                yield from heads(acc + (v,), v, p + v * s, s + v)
+            return
+        # r = q - p - v*s falls as v grows: r = 0 at v = (q - p) / s, and
+        # r >= 2(s + v) + 2 exactly when v <= (q - p - 2s - 2) / (s + 2).
+        rest = q - p
+        if s and rest % s == 0 and rest // s <= hi:
+            yield FundamentalCoefficients(a0=0, head=acc + (rest // s,), a9=0, a10=0)
+        for v in range(min(hi, (rest - 2 * s - 2) // (s + 2)), -1, -1):
+            key = (s + v, rest - v * s)
+            found = tail_table.get(key)
+            if found is None:
+                found = tail_table[key] = tails(*key)
+            if not found:
+                continue
+            head = acc + (v,)
+            for a0, a9, a10 in found:
+                yield FundamentalCoefficients(a0=a0, head=head, a9=a9, a10=a10)
 
     if q >= 1:
         yield from heads((), q, 0, 0)

@@ -1,5 +1,6 @@
 """Command line behavior: formats, exit codes, determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -14,6 +15,7 @@ from enriques.cli import main
 
 SRC_DIR = Path(enriques.__file__).resolve().parents[1]
 PYPROJECT = SRC_DIR.parent / "pyproject.toml"
+DIGESTS = SRC_DIR.parent / "bench" / "digests.json"
 
 
 def run_cli(capsys, *argv):
@@ -29,6 +31,16 @@ def test_components_markdown(capsys):
     assert lines[0] == "# genus 5: 4 component(s)"
     assert lines[1].startswith("| component | profile |")
     assert any("E^-_{5;2,2,4,4,4,4,4,4,4,4}" in l for l in lines)
+
+
+@pytest.mark.parametrize("genus", ["266", "268"])
+def test_components_json_bytes_match_the_recorded_digest(capsys, genus):
+    """The two smallest genera whose `components --format json` SHA-256 the
+    benchmark recorded; the file is only read."""
+    want = json.loads(DIGESTS.read_text())[genus]
+    rc, out = run_cli(capsys, "components", "--genus", genus, "--format", "json")
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == want
 
 
 def test_components_json(capsys):

@@ -143,6 +143,87 @@ def test_unirationality_patterns():
     assert [m.phi.phis for m in bad12] == [(4, 4, 4, 5, 5, 5, 5, 5, 5, 6)]
 
 
+def _flag_by_runs(p):
+    """unirationality_flag as first written: a run is flat when every entry
+    in it equals its first."""
+
+    def flat(lo, hi):
+        return all(p[i] == p[lo] for i in range(lo, hi + 1))
+
+    if flat(0, 6) or flat(1, 7) or flat(2, 8) or flat(3, 9):
+        return True
+    if flat(2, 7) and 3 * p[2] == 2 * (p[8] + p[9]) - p[0] - p[1]:
+        return True
+    if flat(5, 9) and 4 * p[5] == p[0] + p[1] + p[2] + p[3] + p[4]:
+        return True
+    return False
+
+
+def test_unirationality_flag_matches_the_run_by_run_test():
+    profiles = set()
+    for g in range(2, 61):
+        for m in enumerate_components(g):
+            want = _flag_by_runs(m.phi.phis)
+            assert unirationality_flag(m.phi) == want, m.name
+            assert m.unirational == want, m.name
+            profiles.add(m.phi.phis)
+    assert len(profiles) == 975
+
+
+def _reference_tuples(q):
+    """Coefficient tuples of quadratic value q by a plain walk: nonincreasing
+    heads cut only by p <= q, then a9 >= a10 and a0 in [a9, a9 + a10]
+    looped directly, each candidate's value computed in full."""
+    found = []
+
+    def walk(head, p, s):
+        if len(head) < 7:
+            for v in range(head[-1] if head else q, -1, -1):
+                if p + v * s <= q:
+                    walk(head + (v,), p + v * s, s + v)
+            return
+        a9 = 0
+        while p + 2 * a9 * s + 2 * a9 * a9 <= q:
+            for a10 in range(a9 + 1):
+                for a0 in range(a9, a9 + a10 + 1):
+                    value = p + (a9 + a10) * s + a9 * a10 + a0 * (s + 2 * a9 + 2 * a10)
+                    if value == q:
+                        found.append((a0, *head, a9, a10))
+            a9 += 1
+
+    walk((), 0, 0)
+    return found
+
+
+@pytest.mark.parametrize("genera", [range(2, 121), (250, 397)], ids=["2-120", "250,397"])
+def test_walk_matches_a_plain_reference_walk(genera):
+    for g in genera:
+        got = [m.coefficients.as_tuple() for m in enumerate_components(g) if m.eps == 0]
+        want = _reference_tuples(g - 1)
+        assert len(set(want)) == len(want)
+        assert len(set(got)) == len(got), g
+        assert set(got) == set(want), g
+
+
+def test_least_nonzero_tail_survives_on_the_dead_head_boundary():
+    """The tail a0 = a9 = 1, a10 = 0 adds exactly 2s + 2 to a head of sum s."""
+    for head in ((0,) * 7, (1,) + (0,) * 6, (2, 1, 0, 0, 0, 0, 0), (3, 3, 2, 1, 1, 0, 0)):
+        s = sum(head)
+        p = sum(head[i] * head[j] for i in range(7) for j in range(i))
+        q = p + 2 * s + 2
+        rows = {m.coefficients.as_tuple() for m in enumerate_components(q + 1)}
+        assert (1, *head, 1, 0) in rows, head
+        assert quadratic_value(FundamentalCoefficients(a0=1, head=head, a9=1, a10=0)) == q
+        # one less and the head has no tail at all
+        below = {m.coefficients.head for m in enumerate_components(q)}
+        assert head not in below, head
+
+
+def test_genus_one_thousand_count():
+    """The component count at g = 1000 quoted in ROADMAP item 2."""
+    assert len(enumerate_components(1000)) == 13743
+
+
 def test_profiles_agree_with_quadratic_search():
     for g in range(2, 21):
         via = sorted({m.phi.phis for m in enumerate_components(g)}, key=order_key)
