@@ -89,6 +89,21 @@ class FundamentalCoefficients:
         if self.eps == 1 and not self.all_even():
             raise ValueError("eps = 1 requires all coefficients even")
 
+    @classmethod
+    def _trusted(
+        cls, a0: int, head: tuple[int, ...], a9: int, a10: int, eps: int = 0
+    ) -> FundamentalCoefficients:
+        """Build without the checks above, for a producer whose tuples
+        pass them by construction (the component walk)."""
+        c = object.__new__(cls)
+        setattr_ = object.__setattr__
+        setattr_(c, "a0", a0)
+        setattr_(c, "head", head)
+        setattr_(c, "a9", a9)
+        setattr_(c, "a10", a10)
+        setattr_(c, "eps", eps)
+        return c
+
     def total(self) -> int:
         return self.a0 + sum(self.head) + self.a9 + self.a10
 
@@ -128,14 +143,23 @@ def quadratic_value(c: FundamentalCoefficients) -> int:
 
 
 def phivector_from_coefficients(c: FundamentalCoefficients) -> PhiVector:
-    """Minimal intersection profile, by formula: against its own
-    presentation sequence, L meets member i in a - a_i (head), a (eighth),
-    and a + a_0 - a_9, a + a_0 - a_10 (tail)."""
+    """Minimal intersection profile, by formula (see `_profile_entries`)."""
     if quadratic_value(c) <= 0:
         raise ValueError("profile needs positive self-intersection")
-    a = c.total()
-    phis = tuple(a - v for v in c.head) + (a, a + c.a0 - c.a9, a + c.a0 - c.a10)
-    return PhiVector(phis)
+    return PhiVector(_profile_entries(c))
+
+
+def _profile_entries(c: FundamentalCoefficients) -> tuple[int, ...]:
+    """The profile entries of c, unchecked: against its own presentation
+    sequence, L meets member i in a - a_i (head), a (eighth), and
+    a + a_0 - a_9, a + a_0 - a_10 (tail), where a is the total."""
+    a0, a9, a10 = c.a0, c.a9, c.a10
+    h1, h2, h3, h4, h5, h6, h7 = c.head
+    a = a0 + h1 + h2 + h3 + h4 + h5 + h6 + h7 + a9 + a10
+    return (
+        a - h1, a - h2, a - h3, a - h4, a - h5, a - h6, a - h7,
+        a, a + a0 - a9, a + a0 - a10,
+    )
 
 
 def coefficients_from_phivector(

@@ -87,6 +87,14 @@ class PhiVector:
                 "phi_1+...+phi_7 >= 2(phi_8+phi_9+phi_10)"
             )
 
+    @classmethod
+    def _trusted(cls, phis: tuple[int, ...]) -> PhiVector:
+        """Build without the checks above, for a producer whose entries
+        pass them by construction (the component walk)."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "phis", phis)
+        return p
+
     def __iter__(self):
         return iter(self.phis)
 

@@ -18,6 +18,7 @@ from typing import Iterator, Sequence
 
 from .components import (
     classical_bounds_audit,
+    components_by_genus,
     enumerate_components,
     enumerate_components_by_phi,
 )
@@ -71,28 +72,37 @@ def _check(name: str, passed: bool, detail: str = "") -> CheckResult:
 # Second routes
 
 
-def phi_profiles_direct(g: int) -> list[tuple[int, ...]]:
-    """Profiles of genus g found by quadratic search, not via coefficients.
+def phi_profiles_by_genus(g_lo: int, g_hi: int) -> dict[int, list[tuple[int, ...]]]:
+    """Profiles of every genus g_lo <= g <= g_hi, found by quadratic search,
+    not via coefficients; each genus in profile order.
 
     A profile with entry sum 3s belongs to genus g iff its entry square
-    sum is s^2 - (2g - 2). Since s is the coefficient total plus the pair
-    weight, s <= 3g + sqrt(g/2) + 1, so a finite scan over s is complete.
+    sum is s^2 - (2g - 2). So one scan per s finds the profiles whose
+    square sum lies in the window [s^2 - (2g_hi - 2), s^2 - (2g_lo - 2)],
+    pruning partial profiles against both ends of it, and reads each
+    leaf's genus off its square sum. Since s is the coefficient total plus
+    the pair weight, s <= 3g + sqrt(g/2) + 1, so a finite scan over s is
+    complete. An empty window (g_hi < g_lo) gives an empty dict.
     """
-    if g < 2:
+    if g_lo < 2:
         raise ValueError("genus must be at least 2")
-    found = set()
-    s_hi = 3 * g + isqrt(g) + 2
+    if g_hi < g_lo:
+        return {}
+    found: dict[int, set[tuple[int, ...]]] = {g: set() for g in range(g_lo, g_hi + 1)}
+    width = 2 * (g_hi - g_lo)  # of the square-sum window
+    s_hi = 3 * g_hi + isqrt(g_hi) + 2
     for s in range(2, s_hi + 1):
         total = 3 * s
-        target = s * s - (2 * g - 2)
-        if target < total:  # entries are positive integers: sum of squares >= sum
+        top = s * s - (2 * g_lo - 2)
+        if top < total:  # entries are positive integers: sum of squares >= sum
             continue
         acc: list[int] = []  # built largest entry first
 
         def rec(k: int, hi: int, r: int, r2: int) -> None:
+            # r2 is what the remaining squares may add to reach the top
             if k == 0:
-                if r == 0 and r2 == 0:
-                    found.add(tuple(reversed(acc)))
+                if r == 0 and r2 <= width:
+                    found[g_lo + r2 // 2].add(tuple(reversed(acc)))
                 return
             if len(acc) == 3 and 3 * (total - r) > total:
                 return  # three largest entries exceed a third of the sum
@@ -106,8 +116,8 @@ def phi_profiles_direct(g: int) -> list[tuple[int, ...]]:
                 v = min(cap, rr - (k - slot - 1))
                 most += v * v
                 rr -= v
-            if r2 > most:
-                return
+            if r2 - width > most:
+                return  # even the greediest completion squares too low
             lo_v = -(-r // k)  # the largest remaining entry is at least the average
             hi_v = min(hi, r - (k - 1), isqrt(r2 - (k - 1)))
             for v in range(hi_v, lo_v - 1, -1):
@@ -115,8 +125,14 @@ def phi_profiles_direct(g: int) -> list[tuple[int, ...]]:
                 rec(k - 1, v, r - v, r2 - v * v)
                 acc.pop()
 
-        rec(RANK, total, total, target)
-    return sorted(found, key=order_key)
+        rec(RANK, total, total, top)
+    return {g: sorted(profiles, key=order_key) for g, profiles in found.items()}
+
+
+def phi_profiles_direct(g: int) -> list[tuple[int, ...]]:
+    """Profiles of genus g found by quadratic search, not via coefficients:
+    the width-zero window of `phi_profiles_by_genus`."""
+    return phi_profiles_by_genus(g, g)[g]
 
 
 def iter_phi_profiles(max_sum: int) -> Iterator[PhiVector]:
@@ -392,9 +408,9 @@ def suite_roundtrip(gmax: int | None = None) -> list[CheckResult]:
 
     profiles_ok = fibers_ok = True
     worst = ""
-    for g in range(2, gmax + 1):
-        comps = enumerate_components(g)
-        direct = phi_profiles_direct(g)
+    direct_by_genus = phi_profiles_by_genus(2, gmax)
+    for g, comps in components_by_genus(2, gmax):
+        direct = direct_by_genus[g]
         if profiles_ok and sorted({m.phi.phis for m in comps}, key=order_key) != direct:
             profiles_ok = False
             worst = f"g={g}"
@@ -425,8 +441,7 @@ def suite_paper_tables(gmax: int | None = None) -> list[CheckResult]:
     gmax = 30 if gmax is None else gmax
     checks = []
     failures: dict[int, str] = {}  # smallest entry -> detail of its first failing genus
-    for g in range(2, gmax + 1):
-        comps = enumerate_components(g)
+    for g, comps in components_by_genus(2, gmax):
         golden = golden_low_phi(g)
         for k in (1, 2, 3):
             if k in failures:

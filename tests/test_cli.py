@@ -12,6 +12,7 @@ import pytest
 import enriques
 import enriques.cli
 from enriques.cli import main
+from enriques.components import enumerate_components
 
 SRC_DIR = Path(enriques.__file__).resolve().parents[1]
 PYPROJECT = SRC_DIR.parent / "pyproject.toml"
@@ -142,6 +143,20 @@ def test_verify_json(capsys):
     data = json.loads(out)
     assert data["suite"] == "bounds" and data["passed"] is True
     assert all(c["passed"] for c in data["checks"])
+
+
+def test_verify_bounds_counts_every_component_of_the_window(capsys):
+    """The bounds sweep walks g = 2..100 as one window; its count must be
+    that of the genera enumerated one at a time."""
+    rc, out = run_cli(capsys, "verify", "--suite", "bounds", "--gmax", "100", "--format", "json")
+    assert rc == 0
+    n = sum(len(enumerate_components(g)) for g in range(2, 101))
+    first = json.loads(out)["checks"][0]
+    assert first["name"] == (
+        "no component with g <= 100 breaks the square bound or enters the gap"
+    )
+    assert first["passed"] is True
+    assert first["detail"] == f"{n} components"
 
 
 @pytest.mark.parametrize(

@@ -3,6 +3,7 @@
 import pytest
 
 from enriques.components import (
+    _coefficient_tuples,
     classical_bounds_audit,
     component_name,
     enumerate_components,
@@ -195,14 +196,33 @@ def _reference_tuples(q):
     return found
 
 
-@pytest.mark.parametrize("genera", [range(2, 121), (250, 397)], ids=["2-120", "250,397"])
-def test_walk_matches_a_plain_reference_walk(genera):
-    for g in genera:
-        got = [m.coefficients.as_tuple() for m in enumerate_components(g) if m.eps == 0]
-        want = _reference_tuples(g - 1)
+@pytest.mark.parametrize(
+    "kind, span",
+    [
+        ("genera", range(2, 121)),
+        ("genera", (250, 397)),
+        ("window", (1, 120)),
+        ("window", (249, 260)),
+    ],
+    ids=["2-120", "250,397", "window-1-120", "window-249-260"],
+)
+def test_walk_matches_a_plain_reference_walk(kind, span):
+    """Genera one at a time through `enumerate_components`, or one window
+    of quadratic values q through the walk itself, bucket by bucket."""
+    if kind == "genera":
+        got_by_q = {
+            g - 1: [m.coefficients.as_tuple() for m in enumerate_components(g) if m.eps == 0]
+            for g in span
+        }
+    else:
+        buckets = _coefficient_tuples(*span)
+        assert list(buckets) == list(range(span[0], span[1] + 1))
+        got_by_q = {q: [c.as_tuple() for c in cs] for q, cs in buckets.items()}
+    for q, got in got_by_q.items():
+        want = _reference_tuples(q)
         assert len(set(want)) == len(want)
-        assert len(set(got)) == len(got), g
-        assert set(got) == set(want), g
+        assert len(set(got)) == len(got), q
+        assert set(got) == set(want), q
 
 
 def test_least_nonzero_tail_survives_on_the_dead_head_boundary():

@@ -83,6 +83,26 @@ def test_components_takes_only_the_profile_type_and_order_from_the_oracle():
     assert taken <= {"PhiVector", "order_key"}, sorted(taken)
 
 
+def test_profile_search_takes_nothing_from_components():
+    """The quadratic profile search is the second route to the component
+    list, so it must not lean on the coefficient walk it checks."""
+    tree = ast.parse((PACKAGE_DIR / "verify.py").read_text())
+    from_components = {
+        a.asname or a.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.module == "components"
+        for a in node.names
+    }
+    assert from_components
+    search = next(
+        node
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "phi_profiles_by_genus"
+    )
+    used = {n.id for n in ast.walk(search) if isinstance(n, ast.Name)}
+    assert not used & from_components, sorted(used & from_components)
+
+
 def _literal_assignment(path, name):
     for node in ast.parse(path.read_text(), filename=str(path)).body:
         if isinstance(node, ast.Assign) and any(

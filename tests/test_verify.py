@@ -1,16 +1,16 @@
 """Cross-check suites and the second-route enumerators behind them."""
 
-from collections import Counter
-
 import pytest
 
 import enriques.components
 import enriques.verify
-from enriques.oracle import PhiVector
+from enriques.components import components_by_genus
+from enriques.oracle import PhiVector, order_key
 from enriques.verify import (
     SUITES,
     golden_low_phi,
     iter_phi_profiles,
+    phi_profiles_by_genus,
     phi_profiles_direct,
     run_suite,
 )
@@ -24,21 +24,41 @@ def test_every_suite_passes_at_default_scale():
 
 
 def test_sweeps_enumerate_each_genus_once(monkeypatch):
-    calls = Counter()
-    original = enriques.components.enumerate_components
+    """Each sweep walks the coefficients once over the window [2, gmax], and
+    roundtrip searches the profiles once over it; fixed spot checks at
+    g <= 7 may add width-zero windows."""
+    walks, searches = [], []
+    walk = enriques.components._coefficient_tuples
+    search = enriques.verify.phi_profiles_by_genus
 
-    def counting(g):
-        calls[g] += 1
-        return original(g)
+    def counting_walk(q_lo, q_hi):
+        walks.append((q_lo + 1, q_hi + 1))  # as genera
+        return walk(q_lo, q_hi)
 
-    monkeypatch.setattr(enriques.components, "enumerate_components", counting)
-    monkeypatch.setattr(enriques.verify, "enumerate_components", counting)
-    for name in ("roundtrip", "paper-tables", "bounds"):
-        calls.clear()
+    def counting_search(g_lo, g_hi):
+        searches.append((g_lo, g_hi))
+        return search(g_lo, g_hi)
+
+    monkeypatch.setattr(enriques.components, "_coefficient_tuples", counting_walk)
+    monkeypatch.setattr(enriques.verify, "phi_profiles_by_genus", counting_search)
+    for name, gmax in (("roundtrip", 15), ("paper-tables", 30), ("bounds", 40)):
+        walks.clear()
+        searches.clear()
         assert all(r.passed for r in run_suite(name)), name
-        # genera up to 7 also serve fixed spot checks
-        swept = {g: n for g, n in calls.items() if g > 7}
-        assert swept and set(swept.values()) == {1}, (name, swept)
+        assert [w for w in walks if w[1] > 7] == [(2, gmax)], (name, walks)
+        assert all(lo == hi for lo, hi in walks if hi <= 7), (name, walks)
+        assert searches == ([(2, gmax)] if name == "roundtrip" else []), (name, searches)
+
+
+def test_profile_window_matches_its_slice_and_the_coefficient_route():
+    inner = phi_profiles_by_genus(37, 45)
+    outer = phi_profiles_by_genus(2, 45)
+    comps = dict(components_by_genus(37, 45))
+    assert list(inner) == list(comps) == list(range(37, 46))
+    for g in range(37, 46):
+        assert inner[g] == outer[g], g
+        assert inner[g] == sorted({m.phi.phis for m in comps[g]}, key=order_key), g
+        assert inner[g] == phi_profiles_direct(g), g
 
 
 def test_run_suite_rejects_unknown_names():
