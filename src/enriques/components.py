@@ -19,7 +19,9 @@ lives only as long as that call.  The walk's tuples and profiles satisfy
 their invariants by construction, so its rows skip revalidation.  This
 route never calls the search oracle; it takes only `PhiVector` and
 `order_key` from it.
-An independent profile-side enumeration and the search-backed
+An independent profile-side enumeration, the per-row check that the
+eps = 1 rows (the second sheet of the double cover over a 2-divisible
+class) sit exactly on the all-even profiles, and the search-backed
 certification of the dominating genus-621 class live in `verify`.
 """
 
@@ -33,17 +35,12 @@ from .fundamental import FundamentalCoefficients, _profile_entries
 
 __all__ = [
     "ModuliComponent",
-    "NumericalComponent",
-    "RhoSummary",
     "BoundsReport",
     "component_name",
-    "numerical_name",
     "unirationality_flag",
     "components_by_genus",
     "enumerate_components",
     "enumerate_components_by_phi",
-    "numerical_components",
-    "rho_fiber_structure",
     "classical_bounds_audit",
 ]
 
@@ -54,11 +51,6 @@ def component_name(g: int, phi: PhiVector, eps: int) -> str:
         sign = "+" if eps == 0 else "-"
         return f"E^{sign}_{{{g};{body}}}"
     return f"E_{{{g};{body}}}"
-
-
-def numerical_name(g: int, phi: PhiVector) -> str:
-    body = ",".join(str(v) for v in phi.phis)
-    return f"Eh_{{{g};{body}}}"
 
 
 def unirationality_flag(phi: PhiVector | Sequence[int]) -> bool:
@@ -102,31 +94,6 @@ class ModuliComponent:
             "unirational": self.unirational,
             "coefficients": self.coefficients.to_json(),
         }
-
-
-@dataclass(frozen=True)
-class NumericalComponent:
-    genus: int
-    phi: PhiVector
-    two_divisible: bool
-    name: str
-    splits_under_rho: bool
-
-    def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "genus": self.genus,
-            "phi": list(self.phi.phis),
-            "two_divisible": self.two_divisible,
-            "splits_under_rho": self.splits_under_rho,
-        }
-
-
-@dataclass(frozen=True)
-class RhoSummary:
-    n_hat_components: int
-    n_components: int
-    n_two_divisible: int
 
 
 def _coefficient_tuples(
@@ -251,40 +218,6 @@ def enumerate_components_by_phi(g: int, phi1: int) -> tuple[ModuliComponent, ...
     if phi1 < 1:
         raise ValueError("phi must be a positive integer")
     return tuple(m for m in enumerate_components(g) if m.phi.phis[0] == phi1)
-
-
-def numerical_components(g: int) -> tuple[NumericalComponent, ...]:
-    """Components of the numerically polarized space: one per profile,
-    marked by whether its fiber under the forgetful double cover splits
-    (exactly the 2-divisible case)."""
-    out = []
-    for m in enumerate_components(g):
-        if m.eps:
-            continue
-        out.append(
-            NumericalComponent(
-                genus=g,
-                phi=m.phi,
-                two_divisible=m.two_divisible,
-                name=numerical_name(g, m.phi),
-                splits_under_rho=m.two_divisible,
-            )
-        )
-    return tuple(out)
-
-
-def rho_fiber_structure(g: int) -> RhoSummary:
-    comps = enumerate_components(g)
-    hats = [m for m in comps if m.eps == 0]
-    n2 = sum(1 for m in hats if m.two_divisible)
-    summary = RhoSummary(
-        n_hat_components=len(hats),
-        n_components=len(comps),
-        n_two_divisible=n2,
-    )
-    if summary.n_components != (summary.n_hat_components - n2) + 2 * n2:
-        raise AssertionError("fiber count breaks the double-cover identity")
-    return summary
 
 
 @dataclass(frozen=True)

@@ -30,12 +30,9 @@ from .lattice import (
     D,
     NumClass,
     PicClass,
-    is_positive,
-    is_primitive,
     is_two_divisible,
     pair,
     require_big,
-    self_int,
     sequence_combination,
     standard_sequence,
 )
@@ -43,14 +40,12 @@ from .oracle import IsotropicSequence, PhiVector
 
 __all__ = [
     "FundamentalCoefficients",
-    "Decomposition",
     "quadratic_value",
     "phivector_from_coefficients",
     "coefficients_from_phivector",
     "format_coefficients",
     "parse_coefficients",
     "iter_coefficient_tuples",
-    "simple_decomposition_error",
     "class_from_presentation",
     "rewrite_to_fundamental",
     "fundamental_presentation",
@@ -227,61 +222,6 @@ def iter_coefficient_tuples(max_total: int) -> Iterator[FundamentalCoefficients]
                 lo, hi = a9, min(a9 + a10, max_total - used - a9 - a10)
                 for a0 in range(lo, hi + 1):
                     yield FundamentalCoefficients(a0=a0, head=head, a9=a9, a10=a10)
-
-
-@dataclass(frozen=True)
-class Decomposition:
-    """A sum of weighted isotropic classes, with a torsion bit."""
-
-    terms: tuple[tuple[int, NumClass], ...]
-    eps: int = 0
-
-    def __post_init__(self):
-        for mult, cls in self.terms:
-            if not isinstance(mult, int) or mult < 1:
-                raise ValueError("term multiplicities must be positive integers")
-            if not isinstance(cls, NumClass):
-                raise ValueError("term classes must be NumClass values")
-        if self.eps not in (0, 1):
-            raise ValueError("eps must be 0 or 1")
-
-
-def simple_decomposition_error(d: Decomposition) -> str | None:
-    """None when d is a simple isotropic decomposition; otherwise the rule
-    it breaks.  Allowed pairing patterns among the n classes: all pairs 1
-    with n != 9; exactly one pair 2 with n != 10; exactly two pairs 2
-    sharing a common class."""
-    n = len(d.terms)
-    if n == 0:
-        return "empty decomposition"
-    if n > 10:
-        return "more than ten terms"
-    for _, cls in d.terms:
-        if self_int(cls) != 0:
-            return "a term class is not isotropic"
-        if not is_primitive(cls):
-            return "a term class is not primitive"
-        if not is_positive(cls):
-            return "a term class is not positive"
-    classes = [cls for _, cls in d.terms]
-    if len(set(classes)) != n:
-        return "repeated term class"
-    twos = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            v = pair(classes[i], classes[j])
-            if v == 2:
-                twos.append((i, j))
-            elif v != 1:
-                return f"pairing {v} outside the allowed patterns"
-    if not twos:
-        return "nine terms need a pairing equal to 2" if n == 9 else None
-    if len(twos) == 1:
-        return "ten terms allow no single pairing 2" if n == 10 else None
-    if len(twos) == 2:
-        shared = set(twos[0]) & set(twos[1])
-        return None if shared else "two pairings 2 must share a class"
-    return "more than two pairings equal to 2"
 
 
 def class_from_presentation(

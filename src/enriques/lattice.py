@@ -91,10 +91,6 @@ class NumClass:
     def to_json(self) -> list[int]:
         return list(self.coords)
 
-    @classmethod
-    def from_json(cls, data: Sequence[int]) -> "NumClass":
-        return cls(tuple(int(c) for c in data))
-
 
 @dataclass(frozen=True)
 class PicClass:
@@ -112,10 +108,6 @@ class PicClass:
 
     def to_json(self) -> dict:
         return {"coords": self.num.to_json(), "eps": self.eps}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "PicClass":
-        return cls(NumClass.from_json(data["coords"]), int(data["eps"]))
 
 
 ZERO = NumClass((0,) * RANK)

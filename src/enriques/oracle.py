@@ -139,9 +139,6 @@ class IsotropicSequence:
                 if pair(ms[i], ms[j]) != 1:
                     raise ValueError("sequence members must pairwise pair to 1")
 
-    def values_against(self, cls: NumClass) -> tuple[int, ...]:
-        return tuple(sorted(pair(f, cls) for f in self.members))
-
 
 def _from_pairing(m: Sequence[int], t: int) -> NumClass:
     m10 = m[9]
@@ -255,6 +252,8 @@ def box_isotropics(L: NumClass, cap: int, box: int = 2) -> list[NumClass]:
     [-box, box].  Independent of the pairing-tuple machinery; used to
     cross-check it.  Cost grows like (2 box + 1)^10, so keep box <= 3.
     """
+    if not isinstance(box, int) or box < 0:
+        raise ValueError(f"box must be a nonnegative integer, got {box!r}")
     require_big(L)
     y = np.array(L.coords, dtype=np.int64)
     sy = int(y[:9].sum())

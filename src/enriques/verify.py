@@ -2,11 +2,13 @@
 
 Every check here recomputes something the library already produces, but
 along a second route: profiles are re-derived by quadratic search instead
-of coefficient enumeration, the low-phi tables are rebuilt from closed
-formulas, pairing numbers are recomputed entry by entry, and the
-dominating genus-621 class is certified by the search oracle. A suite
-returns plain CheckResult records; the CLI turns them into PASS/FAIL lines
-and an exit code, and the test suite asserts on them at larger scales.
+of coefficient enumeration, the split of the double cover is tested on
+every component against the 2-divisibility of its lattice class, the
+low-phi tables are rebuilt from closed formulas, pairing numbers are
+recomputed entry by entry, and the dominating genus-621 class is
+certified by the search oracle. A suite returns plain CheckResult records;
+the CLI turns them into PASS/FAIL lines and an exit code, and the test
+suite asserts on them at larger scales.
 """
 
 from __future__ import annotations
@@ -418,6 +420,22 @@ def suite_roundtrip(gmax: int | None = None) -> list[CheckResult]:
         even = sum(1 for t in direct if all(v % 2 == 0 for v in t))
         if len(comps) != len(direct) + even:
             fibers_ok = False
+        # The double cover splits exactly over the 2-divisible classes: on
+        # every row the lattice side, the profile side and the row's flag
+        # agree, and the eps = 1 rows are the eps = 0 rows of even profile,
+        # with the same profile and coefficients.
+        split, even_rows = [], []
+        for m in comps:
+            two_div = is_two_divisible(m.coefficients.divisor_class().num)
+            if not (two_div == m.phi.all_even() == m.two_divisible):
+                fibers_ok = False
+            key = (m.phi.phis, m.coefficients.as_tuple())
+            if m.eps:
+                split.append(key)
+            elif two_div:
+                even_rows.append(key)
+        if sorted(split) != sorted(even_rows):
+            fibers_ok = False
     checks.append(
         _check(
             f"profile sets agree with quadratic search for g <= {gmax}",
@@ -547,6 +565,10 @@ def suite_bounds(gmax: int | None = None) -> list[CheckResult]:
 
 
 def run_suite(name: str, gmax: int | None = None) -> list[CheckResult]:
+    """Run the named suite; gmax, when given, must be an integer >= 2, so
+    that a scaling suite never passes over an empty range of genera."""
+    if gmax is not None and (not isinstance(gmax, int) or gmax < 2):
+        raise ValueError(f"gmax must be an integer >= 2, got {gmax!r}")
     if name == "lattice":
         return suite_lattice()
     if name == "roundtrip":

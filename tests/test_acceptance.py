@@ -15,8 +15,6 @@ from enriques.components import (
     classical_bounds_audit,
     enumerate_components,
     enumerate_components_by_phi,
-    numerical_components,
-    rho_fiber_structure,
 )
 from enriques.fundamental import (
     class_from_presentation,
@@ -104,7 +102,7 @@ def test_criterion_3_oracle_matches_formula():
         L = c.divisor_class().num
         got, seqs = phi_vector_oracle(L, max_sequences=1)
         ok &= got == phivector_from_coefficients(c)
-        ok &= tuple(sorted(seqs[0].values_against(L))) == got.phis
+        ok &= tuple(sorted(pair(f, L) for f in seqs[0].members)) == got.phis
     dt = time.perf_counter() - t0
     report(3, "search oracle equals closed form on every big tuple with total <= 8", ok, f"{n} classes, {dt:.1f}s")
 
@@ -148,14 +146,19 @@ def test_criterion_6_fiber_structure():
     t0 = time.perf_counter()
     ok = True
     for g in range(2, 41):
-        r = rho_fiber_structure(g)
+        comps = enumerate_components(g)
+        hats = [m for m in comps if m.eps == 0]
         direct = phi_profiles_direct(g)
         even = sum(1 for t in direct if all(v % 2 == 0 for v in t))
-        ok &= r.n_hat_components == len(direct)
-        ok &= r.n_two_divisible == even
-        ok &= r.n_components == len(direct) + even
-        ok &= len(numerical_components(g)) == len(direct)
-        ok &= len(enumerate_components(g)) == r.n_components
+        ok &= len(hats) == len(direct)
+        ok &= sum(1 for m in hats if m.two_divisible) == even
+        ok &= len(comps) == len(direct) + even
+        ok &= all(
+            is_two_divisible(m.coefficients.divisor_class().num)
+            == m.phi.all_even()
+            == m.two_divisible
+            for m in comps
+        )
     dt = time.perf_counter() - t0
     report(6, "double-cover fiber counts exact for g <= 40 against the quadratic search", ok, f"39 genera, {dt:.1f}s")
 

@@ -8,9 +8,6 @@ from enriques.components import (
     component_name,
     enumerate_components,
     enumerate_components_by_phi,
-    numerical_components,
-    numerical_name,
-    rho_fiber_structure,
     unirationality_flag,
 )
 from enriques.fundamental import FundamentalCoefficients, quadratic_value
@@ -101,32 +98,32 @@ def test_component_and_numerical_names():
     p = PhiVector((2, 2, 4, 4, 4, 4, 4, 4, 4, 4))
     assert component_name(5, p, 0) == "E^+_{5;2,2,4,4,4,4,4,4,4,4}"
     assert component_name(5, p, 1) == "E^-_{5;2,2,4,4,4,4,4,4,4,4}"
-    assert numerical_name(5, p) == "Eh_{5;2,2,4,4,4,4,4,4,4,4}"
     odd = PhiVector((1, 1, 2, 2, 2, 2, 2, 2, 2, 2))
     assert component_name(2, odd, 0) == "E_{2;1,1,2,2,2,2,2,2,2,2}"
 
 
 def test_numerical_components_collapse_the_split():
-    hats = numerical_components(5)
-    assert [h.name for h in hats] == [
-        "Eh_{5;2,3,3,3,3,3,3,3,3,4}",
-        "Eh_{5;2,2,4,4,4,4,4,4,4,4}",
-        "Eh_{5;1,4,5,5,5,5,5,5,5,5}",
+    """The eps = 0 rows are the numerical components, one per profile; the
+    double cover splits over exactly the 2-divisible one."""
+    hats = [m for m in enumerate_components(5) if m.eps == 0]
+    assert [h.phi.phis for h in hats] == [
+        (2, 3, 3, 3, 3, 3, 3, 3, 3, 4),
+        (2, 2, 4, 4, 4, 4, 4, 4, 4, 4),
+        (1, 4, 5, 5, 5, 5, 5, 5, 5, 5),
     ]
-    assert [h.splits_under_rho for h in hats] == [False, True, False]
+    assert [h.two_divisible for h in hats] == [False, True, False]
 
 
 def test_rho_fiber_structure_spots():
-    r5 = rho_fiber_structure(5)
-    assert (r5.n_hat_components, r5.n_components, r5.n_two_divisible) == (3, 4, 1)
-    r2 = rho_fiber_structure(2)
-    assert (r2.n_hat_components, r2.n_components, r2.n_two_divisible) == (1, 1, 0)
+    """(numerical components, components, 2-divisible ones) per genus."""
 
+    def counts(g):
+        comps = enumerate_components(g)
+        hats = [m for m in comps if m.eps == 0]
+        return len(hats), len(comps), sum(1 for m in hats if m.two_divisible)
 
-def test_rho_identity_holds_across_genera():
-    for g in range(2, 26):
-        r = rho_fiber_structure(g)
-        assert r.n_components == r.n_hat_components + r.n_two_divisible
+    assert counts(5) == (3, 4, 1)
+    assert counts(2) == (1, 1, 0)
 
 
 def test_unirationality_patterns():

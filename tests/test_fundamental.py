@@ -7,7 +7,6 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from enriques.fundamental import (
-    Decomposition,
     FundamentalCoefficients,
     class_from_presentation,
     coefficients_from_phivector,
@@ -18,7 +17,6 @@ from enriques.fundamental import (
     phivector_from_coefficients,
     quadratic_value,
     rewrite_to_fundamental,
-    simple_decomposition_error,
 )
 from enriques.lattice import (
     D,
@@ -162,57 +160,6 @@ def test_format_parse_roundtrip():
 def test_parse_rejects_malformed(text):
     with pytest.raises(ValueError):
         parse_coefficients(text)
-
-
-# --- simple decompositions -------------------------------------------------
-
-
-def _dec(*classes, eps=0):
-    return Decomposition(tuple((1, c) for c in classes), eps=eps)
-
-
-def test_ten_terms_all_pairing_one_is_simple():
-    assert simple_decomposition_error(_dec(*standard_sequence())) is None
-
-
-def test_nine_terms_need_a_two():
-    bad = _dec(*[E[i] for i in range(1, 10)])
-    assert simple_decomposition_error(bad) == "nine terms need a pairing equal to 2"
-    good = _dec(*[E[i] for i in range(1, 9)], generator_pair(8, 9))
-    assert simple_decomposition_error(good) is None
-
-
-def test_ten_terms_reject_a_single_two():
-    bad = _dec(*[E[i] for i in range(1, 10)], generator_pair(9, 10))
-    assert simple_decomposition_error(bad) == "ten terms allow no single pairing 2"
-
-
-def test_two_twos_must_share_a_class():
-    good = _dec(*[E[i] for i in range(1, 9)], generator_pair(8, 9), generator_pair(8, 10))
-    assert simple_decomposition_error(good) is None
-    bad = _dec(generator_pair(1, 2), generator_pair(3, 4), generator_pair(5, 6))
-    assert simple_decomposition_error(bad) == "more than two pairings equal to 2"
-
-
-def test_decomposition_term_screening():
-    assert simple_decomposition_error(_dec(D)) == "a term class is not isotropic"
-    assert (
-        simple_decomposition_error(_dec(2 * E[1], E[2]))
-        == "a term class is not primitive"
-    )
-    assert (
-        simple_decomposition_error(_dec(-E[1], E[2]))
-        == "a term class is not positive"
-    )
-    assert simple_decomposition_error(_dec(E[1], E[1])) == "repeated term class"
-    assert simple_decomposition_error(Decomposition(())) == "empty decomposition"
-    # these two meet in 3, which no allowed pattern admits
-    x = generator_pair(1, 2)
-    y = 2 * D - E[3] - E[4] - E[5] - E[6] - E[7]
-    assert pair(x, y) == 3
-    assert "outside the allowed patterns" in simple_decomposition_error(_dec(x, y))
-    with pytest.raises(ValueError):
-        Decomposition(((0, E[1]),))
 
 
 # --- presentations and rewriting -------------------------------------------

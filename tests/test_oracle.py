@@ -87,8 +87,12 @@ def test_isotropic_sequence_validation():
 
 def test_values_against():
     seq = IsotropicSequence(standard_sequence())
-    assert seq.values_against(3 * D) == (9,) * 10
-    assert seq.values_against(E[1] + E[2]) == (1, 1, 2, 2, 2, 2, 2, 2, 2, 2)
+
+    def values_against(x):
+        return tuple(sorted(pair(f, x) for f in seq.members))
+
+    assert values_against(3 * D) == (9,) * 10
+    assert values_against(E[1] + E[2]) == (1, 1, 2, 2, 2, 2, 2, 2, 2, 2)
 
 
 def test_pairing_tuple():
@@ -148,6 +152,13 @@ def test_box_scan_agrees_within_its_box():
     assert len(boxed) == 54  # e_10 has a coordinate 3 and falls outside
 
 
+@pytest.mark.parametrize("box", [-1, 1.5, "2"])
+def test_box_scan_rejects_a_box_that_is_not_a_nonnegative_integer(box):
+    """A negative box would scan nothing and return an empty reference set."""
+    with pytest.raises(ValueError, match="box"):
+        box_isotropics(3 * D, 12, box=box)
+
+
 @pytest.mark.slow
 def test_box_scan_with_wider_box_is_complete():
     assert set(box_isotropics(3 * D, 12, box=3)) == set(enumerate_isotropics(3 * D, 12))
@@ -191,7 +202,7 @@ def test_oracle_sequences_compute_the_profile():
     p, seqs = phi_vector_oracle(L, max_sequences=3)
     assert p.phis == (2, 2, 4, 4, 4, 4, 4, 4, 4, 4)
     for s in seqs:
-        assert tuple(sorted(s.values_against(L))) == p.phis
+        assert tuple(sorted(pair(f, L) for f in s.members)) == p.phis
 
 
 def test_oracle_matches_closed_form_on_small_tuples():

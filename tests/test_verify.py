@@ -1,5 +1,7 @@
 """Cross-check suites and the second-route enumerators behind them."""
 
+from dataclasses import replace
+
 import pytest
 
 import enriques.components
@@ -64,6 +66,58 @@ def test_profile_window_matches_its_slice_and_the_coefficient_route():
 def test_run_suite_rejects_unknown_names():
     with pytest.raises(ValueError):
         run_suite("everything")
+
+
+@pytest.mark.parametrize("gmax", [1, 0, -5, 2.5, "30"])
+@pytest.mark.parametrize("name", ["roundtrip", "paper-tables", "bounds"])
+def test_scaling_suites_reject_an_empty_or_malformed_genus_range(name, gmax):
+    """Below 2 the swept range 2..gmax is empty, and every check would pass
+    over no genus at all."""
+    with pytest.raises(ValueError, match="gmax"):
+        run_suite(name, gmax)
+
+
+# Each takes genus 5's eps = 1 row and its first odd row, and returns a row
+# to replace and its replacement.  None changes the genus's row count or its
+# set of profiles, so only a per-row check can see it.
+_SPLIT_ROW_MUTATIONS = {
+    "split-row-on-an-odd-profile": lambda split, odd: (
+        split,
+        replace(split, phi=odd.phi, coefficients=odd.coefficients, two_divisible=False),
+    ),
+    "split-row-with-odd-coefficients": lambda split, odd: (
+        split,
+        replace(split, coefficients=odd.coefficients),
+    ),
+    "odd-row-flagged-two-divisible": lambda split, odd: (
+        odd,
+        replace(odd, two_divisible=True),
+    ),
+}
+
+
+@pytest.mark.parametrize("mutation", list(_SPLIT_ROW_MUTATIONS))
+def test_double_cover_check_sees_a_misplaced_split_row(monkeypatch, mutation):
+    """A walk that keeps every genus's row count and profile set but breaks
+    the double cover on one row of genus 5 must fail the fiber check."""
+    rows_of = enriques.components._rows
+
+    def mutated_rows(g, coeffs):
+        rows = rows_of(g, coeffs)
+        if g != 5:
+            return rows
+        split = next(m for m in rows if m.eps == 1)
+        odd = next(m for m in rows if not m.two_divisible)
+        old, new = _SPLIT_ROW_MUTATIONS[mutation](split, odd)
+        return tuple(new if m is old else m for m in rows)
+
+    monkeypatch.setattr(enriques.components, "_rows", mutated_rows)
+    [(_, rows)] = components_by_genus(5, 5)
+    assert len(rows) == len(phi_profiles_direct(5)) + 1
+    assert {m.phi.phis for m in rows} == set(phi_profiles_direct(5))
+    results = {r.name: r.passed for r in run_suite("roundtrip")}
+    assert results["double-cover fiber count for g <= 15"] is False
+    assert results["profile sets agree with quadratic search for g <= 15"] is True
 
 
 def test_direct_profiles_for_small_genus():
