@@ -84,17 +84,6 @@ class ModuliComponent:
     unirational: bool
     coefficients: FundamentalCoefficients
 
-    def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "genus": self.genus,
-            "phi": list(self.phi.phis),
-            "eps": self.eps,
-            "two_divisible": self.two_divisible,
-            "unirational": self.unirational,
-            "coefficients": self.coefficients.to_json(),
-        }
-
 
 def _coefficient_tuples(
     q_lo: int, q_hi: int

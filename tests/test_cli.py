@@ -12,7 +12,7 @@ import pytest
 import enriques
 import enriques.cli
 from enriques.cli import main
-from enriques.components import enumerate_components
+from enriques.components import components_by_genus, enumerate_components
 
 SRC_DIR = Path(enriques.__file__).resolve().parents[1]
 PYPROJECT = SRC_DIR.parent / "pyproject.toml"
@@ -42,6 +42,59 @@ def test_components_json_bytes_match_the_recorded_digest(capsys, genus):
     rc, out = run_cli(capsys, "components", "--genus", genus, "--format", "json")
     assert rc == 0
     assert hashlib.sha256(out.encode()).hexdigest() == want
+
+
+def _indent_encoder_bytes(genus, rows):
+    """What `json.dumps(..., indent=2, sort_keys=True)` and `print` give
+    for the components payload, built here from each row's fields."""
+    payload = {
+        "genus": genus,
+        "count": len(rows),
+        "components": [
+            {
+                "name": m.name,
+                "genus": m.genus,
+                "phi": list(m.phi.phis),
+                "eps": m.eps,
+                "two_divisible": m.two_divisible,
+                "unirational": m.unirational,
+                "coefficients": {
+                    "a0": m.coefficients.a0,
+                    "head": list(m.coefficients.head),
+                    "a9": m.coefficients.a9,
+                    "a10": m.coefficients.a10,
+                    "eps": m.coefficients.eps,
+                },
+            }
+            for m in rows
+        ],
+    }
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def test_components_json_bytes_match_the_indent_encoder(capsys):
+    for g, rows in components_by_genus(2, 80):
+        rc, out = run_cli(capsys, "components", "--genus", str(g), "--format", "json")
+        assert rc == 0
+        assert out == _indent_encoder_bytes(g, rows), g
+
+
+@pytest.mark.parametrize(
+    "genus, phi, eps_one_rows",
+    [(5, 2, 1), (6, 3, 0), (17, 4, 2), (57, 8, 2), (57, 1, 0), (5, 9, 0)],
+)
+def test_components_phi_filter_json_bytes_match_the_indent_encoder(
+    capsys, genus, phi, eps_one_rows
+):
+    rows = [m for m in enumerate_components(genus) if m.phi.phis[0] == phi]
+    assert sum(m.eps for m in rows) == eps_one_rows
+    rc, out = run_cli(
+        capsys, "components", "--genus", str(genus), "--phi", str(phi), "--format", "json"
+    )
+    assert rc == 0
+    assert out == _indent_encoder_bytes(genus, rows)
+    if not rows:
+        assert '"components": [],' in out
 
 
 def test_components_json(capsys):
@@ -208,6 +261,35 @@ def test_only_the_big_class_check_exits_three(monkeypatch):
     monkeypatch.setattr(enriques.cli, "fundamental_presentation", broken)
     with pytest.raises(ValueError, match="presentation failed"):
         main(["phivector", "--class", "1,1,0,0,0,0,0,0,0,0"])
+
+
+def test_reused_parser_repeats_every_outcome(capsys):
+    """The parser is built once per process; a second round of calls must
+    match the first call of each kind byte for byte, exit code included."""
+    kinds = [
+        ["components", "--genus", "1"],
+        ["phivector", "--coeffs", "1;2,3"],
+        ["phivector", "--class", "1,0,0,0,0,0,0,0,0,0"],
+        ["phivector", "--coeffs", "4;7,6,5,4,3,2,1;3,2", "--format", "json"],
+        ["components", "--genus", "6", "--format", "json"],
+        ["verify", "--suite", "bounds", "--gmax", "10", "--format", "json"],
+    ]
+
+    def outcome(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return captured.out, captured.err, code
+
+    enriques.cli.build_parser.cache_clear()
+    first = [outcome(argv) for argv in kinds]
+    assert [code for _, _, code in first] == [2, 2, 3, 0, 0, 0]
+    assert all(err.startswith("usage: enriques") for _, err, _ in first[:2])
+    assert first[2][1] == NOT_BIG + "\n"
+    assert [outcome(argv) for argv in kinds] == first
+    assert enriques.cli.build_parser() is enriques.cli.build_parser()
 
 
 def test_identical_invocations_are_byte_identical(capsys):

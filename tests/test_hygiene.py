@@ -15,14 +15,16 @@ from pathlib import Path
 import enriques
 
 PACKAGE_DIR = Path(enriques.__file__).resolve().parent
-BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
+TESTS_DIR = Path(__file__).resolve().parent
+BENCH_DIR = TESTS_DIR.parent / "bench"
 
 # Names dropped from the API, dotted below their module.  Most gave way to
 # one surviving function each: PhiVector.genus, sequence_combination,
 # require_big, order_key, pair over standard_sequence() or a sequence's
 # members, and rewrite_to_fundamental.  The rest had no caller outside the
-# tests: the JSON readers, the simple-decomposition validator, and the
-# numerical-component layer, whose double-cover count held by construction.
+# tests: the JSON readers, the simple-decomposition validator, the
+# numerical-component layer, whose double-cover count held by construction,
+# and the component row's dict, which the CLI's row writer replaced.
 DROPPED = {
     "lattice": (
         "genus",
@@ -45,6 +47,7 @@ DROPPED = {
         "simple_decomposition_error",
     ),
     "components": (
+        "ModuliComponent.to_json",
         "numerical_name",
         "NumericalComponent",
         "RhoSummary",
@@ -62,11 +65,9 @@ def test_no_bare_assert_in_the_package():
     assert not found, f"assert vanishes under python -O: {found}"
 
 
-def test_no_unused_import_in_the_package():
+def _unused_imports(paths):
     found = []
-    for path in sorted(PACKAGE_DIR.glob("*.py")):
-        if path.name == "__init__.py":
-            continue
+    for path in paths:
         tree = ast.parse(path.read_text(), filename=str(path))
         used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
         for node in ast.walk(tree):
@@ -77,6 +78,17 @@ def test_no_unused_import_in_the_package():
             else:
                 continue
             found += [f"{path.name}:{node.lineno} {n}" for n in names if n not in used]
+    return found
+
+
+def test_no_unused_import_in_the_package():
+    paths = [p for p in sorted(PACKAGE_DIR.glob("*.py")) if p.name != "__init__.py"]
+    found = _unused_imports(paths)
+    assert not found, f"imported but never used: {found}"
+
+
+def test_no_unused_import_in_the_tests():
+    found = _unused_imports(sorted(TESTS_DIR.glob("*.py")))
     assert not found, f"imported but never used: {found}"
 
 
