@@ -9,11 +9,9 @@ genus-by-genus component enumeration, and cross-checking suites.
 
 from .lattice import (
     D,
-    K,
     NumClass,
     PicClass,
     RANK,
-    ZERO,
     generator_e,
     generator_pair,
     gram_determinant,
@@ -35,7 +33,6 @@ from .oracle import (
     eight_lowest,
     enumerate_isotropics,
     order_key,
-    phi,
     phi_vector_oracle,
 )
 from .fundamental import (
@@ -51,9 +48,7 @@ from .fundamental import (
     rewrite_to_fundamental,
 )
 from .components import (
-    BoundsReport,
     ModuliComponent,
-    classical_bounds_audit,
     component_name,
     components_by_genus,
     enumerate_components,
@@ -63,38 +58,29 @@ from .components import (
 from .verify import (
     SUITES,
     CheckResult,
-    DominationReport,
-    dominating_component_check,
     golden_low_phi,
     phi_profiles_by_genus,
-    phi_profiles_direct,
     run_suite,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundsReport",
     "CheckResult",
     "D",
-    "DominationReport",
     "FundamentalCoefficients",
     "IsotropicSequence",
-    "K",
     "ModuliComponent",
     "NumClass",
     "PhiVector",
     "PicClass",
     "RANK",
     "SUITES",
-    "ZERO",
     "box_isotropics",
     "class_from_presentation",
-    "classical_bounds_audit",
     "coefficients_from_phivector",
     "component_name",
     "components_by_genus",
-    "dominating_component_check",
     "eight_lowest",
     "enumerate_components",
     "enumerate_components_by_phi",
@@ -114,9 +100,7 @@ __all__ = [
     "order_key",
     "pair",
     "parse_coefficients",
-    "phi",
     "phi_profiles_by_genus",
-    "phi_profiles_direct",
     "phi_vector_oracle",
     "phivector_from_coefficients",
     "quadratic_value",

@@ -19,9 +19,10 @@ lives only as long as that call.  The walk's tuples and profiles satisfy
 their invariants by construction, so its rows skip revalidation.  This
 route never calls the search oracle; it takes only `PhiVector` and
 `order_key` from it.
-An independent profile-side enumeration, the per-row check that the
-eps = 1 rows (the second sheet of the double cover over a 2-divisible
-class) sit exactly on the all-even profiles, and the search-backed
+This module holds only that primary route.  An independent profile-side
+enumeration, the per-row check that the eps = 1 rows (the second sheet of
+the double cover over a 2-divisible class) sit exactly on the all-even
+profiles, the classical bounds on phi_1, and the search-backed
 certification of the dominating genus-621 class live in `verify`.
 """
 
@@ -35,13 +36,11 @@ from .fundamental import FundamentalCoefficients, _profile_entries
 
 __all__ = [
     "ModuliComponent",
-    "BoundsReport",
     "component_name",
     "unirationality_flag",
     "components_by_genus",
     "enumerate_components",
     "enumerate_components_by_phi",
-    "classical_bounds_audit",
 ]
 
 
@@ -204,42 +203,7 @@ def enumerate_components(g: int) -> tuple[ModuliComponent, ...]:
 
 
 def enumerate_components_by_phi(g: int, phi1: int) -> tuple[ModuliComponent, ...]:
-    if phi1 < 1:
+    if not isinstance(phi1, int) or phi1 < 1:
         raise ValueError("phi must be a positive integer")
     return tuple(m for m in enumerate_components(g) if m.phi.phis[0] == phi1)
 
-
-@dataclass(frozen=True)
-class BoundsReport:
-    counts: tuple[tuple[int, int], ...]  # (genus, number of components), ascending
-    violations: tuple[str, ...]
-
-    @property
-    def genera_checked(self) -> int:
-        return len(self.counts)
-
-    @property
-    def components_checked(self) -> int:
-        return sum(n for _, n in self.counts)
-
-    @property
-    def passed(self) -> bool:
-        return not self.violations
-
-
-def classical_bounds_audit(g_max: int) -> BoundsReport:
-    """phi_1^2 <= 2g - 2 on every component, and the window
-    phi_1^2 < 2g - 2 < phi_1^2 + phi_1 - 2 is never entered."""
-    if g_max < 2:
-        raise ValueError("g_max must be at least 2")
-    counts = []
-    violations = []
-    for g, comps in components_by_genus(2, g_max):
-        counts.append((g, len(comps)))
-        for m in comps:
-            p1 = m.phi.phis[0]
-            if p1 * p1 > 2 * g - 2:
-                violations.append(f"{m.name}: phi_1^2 exceeds 2g-2")
-            if p1 * p1 < 2 * g - 2 < p1 * p1 + p1 - 2:
-                violations.append(f"{m.name}: enters the forbidden gap")
-    return BoundsReport(counts=tuple(counts), violations=tuple(violations))

@@ -99,9 +99,6 @@ class FundamentalCoefficients:
         setattr_(c, "eps", eps)
         return c
 
-    def total(self) -> int:
-        return self.a0 + sum(self.head) + self.a9 + self.a10
-
     def all_even(self) -> bool:
         return all(
             v % 2 == 0 for v in (self.a0, *self.head, self.a9, self.a10)

@@ -38,9 +38,7 @@ __all__ = [
     "RANK",
     "NumClass",
     "PicClass",
-    "ZERO",
     "D",
-    "K",
     "pair",
     "self_int",
     "generator_e",
@@ -103,16 +101,8 @@ class PicClass:
         if self.eps not in (0, 1):
             raise ValueError("eps must be 0 or 1")
 
-    def __add__(self, other: "PicClass") -> "PicClass":
-        return PicClass(self.num + other.num, self.eps ^ other.eps)
 
-    def to_json(self) -> dict:
-        return {"coords": self.num.to_json(), "eps": self.eps}
-
-
-ZERO = NumClass((0,) * RANK)
 D = NumClass((0,) * 9 + (1,))
-K = PicClass(ZERO, 1)
 
 
 def pair(a: NumClass, b: NumClass) -> int:

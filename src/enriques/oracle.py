@@ -50,7 +50,6 @@ __all__ = [
     "order_key",
     "enumerate_isotropics",
     "box_isotropics",
-    "phi",
     "eight_lowest",
     "phi_vector_oracle",
 ]
@@ -297,17 +296,6 @@ def box_isotropics(L: NumClass, cap: int, box: int = 2) -> list[NumClass]:
                     hits.append((int(v), tuple(int(x) for x in row)))
     hits.sort()
     return [NumClass(coords) for _, coords in hits]
-
-
-def phi(L: NumClass) -> int:
-    """min F.L over positive isotropic F, by exhaustion below the best
-    standard-sequence value (always attained, so one pass suffices)."""
-    require_big(L)
-    cap = min(pair(L, generator_e(i)) for i in range(1, 11))
-    found = _enumerate_with_values(L, cap)
-    if not found:
-        raise AssertionError("search missed the standard sequence")
-    return found[0][0]
 
 
 def eight_lowest(L: NumClass) -> tuple[int, ...]:

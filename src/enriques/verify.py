@@ -5,10 +5,12 @@ along a second route: profiles are re-derived by quadratic search instead
 of coefficient enumeration, the split of the double cover is tested on
 every component against the 2-divisibility of its lattice class, the
 low-phi tables are rebuilt from closed formulas, pairing numbers are
-recomputed entry by entry, and the dominating genus-621 class is
-certified by the search oracle. A suite returns plain CheckResult records;
-the CLI turns them into PASS/FAIL lines and an exit code, and the test
-suite asserts on them at larger scales.
+recomputed entry by entry, the dominating genus-621 class is certified
+by the search oracle, and every component of a genus window is held to
+Cossec's classical bounds phi_1^2 <= 2g - 2 and the forbidden gap
+phi_1^2 < 2g - 2 < phi_1^2 + phi_1 - 2. Each suite builds its plain
+CheckResult records itself; the CLI turns them into PASS/FAIL lines and an
+exit code, and the test suite asserts on them at larger scales.
 """
 
 from __future__ import annotations
@@ -16,10 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from math import isqrt
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .components import (
-    classical_bounds_audit,
     components_by_genus,
     enumerate_components,
     enumerate_components_by_phi,
@@ -48,7 +49,6 @@ from .lattice import (
 )
 from .oracle import (
     PhiVector,
-    _enumerate_with_values,
     box_isotropics,
     eight_lowest,
     enumerate_isotropics,
@@ -86,8 +86,8 @@ def phi_profiles_by_genus(g_lo: int, g_hi: int) -> dict[int, list[tuple[int, ...
     the pair weight, s <= 3g + sqrt(g/2) + 1, so a finite scan over s is
     complete. An empty window (g_hi < g_lo) gives an empty dict.
     """
-    if g_lo < 2:
-        raise ValueError("genus must be at least 2")
+    if not (isinstance(g_lo, int) and isinstance(g_hi, int)) or g_lo < 2:
+        raise ValueError("genus must be an integer >= 2")
     if g_hi < g_lo:
         return {}
     found: dict[int, set[tuple[int, ...]]] = {g: set() for g in range(g_lo, g_hi + 1)}
@@ -131,12 +131,6 @@ def phi_profiles_by_genus(g_lo: int, g_hi: int) -> dict[int, list[tuple[int, ...
     return {g: sorted(profiles, key=order_key) for g, profiles in found.items()}
 
 
-def phi_profiles_direct(g: int) -> list[tuple[int, ...]]:
-    """Profiles of genus g found by quadratic search, not via coefficients:
-    the width-zero window of `phi_profiles_by_genus`."""
-    return phi_profiles_by_genus(g, g)[g]
-
-
 def iter_phi_profiles(max_sum: int) -> Iterator[PhiVector]:
     """All valid profiles with entry sum <= max_sum, in order of sum.
 
@@ -170,8 +164,8 @@ def golden_low_phi(g: int) -> dict[int, list[tuple[tuple[int, ...], int]]]:
     profile validity and the genus identity; entries that survive are the
     expected (profile, eps) rows for genus g.
     """
-    if g < 2:
-        raise ValueError("genus must be at least 2")
+    if not isinstance(g, int) or g < 2:
+        raise ValueError("genus must be an integer >= 2")
     cands: dict[int, set[tuple[int, ...]]] = {1: set(), 2: set(), 3: set()}
     cands[1].add((1, g - 1) + (g,) * 8)
     if g % 2 == 1:
@@ -204,86 +198,6 @@ def golden_low_phi(g: int) -> dict[int, list[tuple[tuple[int, ...], int]]]:
 
 
 _DOMINATING = FundamentalCoefficients(a0=4, head=(7, 6, 5, 4, 3, 2, 1), a9=3, a10=2)
-
-
-@dataclass(frozen=True)
-class DominationReport:
-    genus: int
-    phi: tuple[int, ...]
-    genus_ok: bool
-    formula_phi_ok: bool
-    oracle_phi_ok: bool
-    unique_sequence: bool
-    thresholds_ok: bool
-    stability_ok: bool
-    target_phi: tuple[int, ...] | None
-    target_ok: bool | None
-
-    def checks(self) -> tuple[tuple[str, bool], ...]:
-        items = [
-            ("genus of the big class is 621", self.genus_ok),
-            ("formula profile is (30,...,39)", self.formula_phi_ok),
-            ("oracle profile agrees", self.oracle_phi_ok),
-            ("computing sequence is unique", self.unique_sequence),
-            ("isotropic thresholds 38/39/40 as stated", self.thresholds_ok),
-            ("search bound is stability-certified", self.stability_ok),
-        ]
-        if self.target_ok is not None:
-            items.append(("substitution map hits the target profile", self.target_ok))
-        return tuple(items)
-
-    @property
-    def passed(self) -> bool:
-        return all(ok for _, ok in self.checks())
-
-
-def dominating_component_check(
-    target_phi: Sequence[int] | None = None,
-) -> DominationReport:
-    """Certify the facts that make the genus-621 component dominate: its
-    profile is (30,...,39), computed by exactly one sequence, because all
-    non-member isotropic classes meet the class in at least 38 with the
-    two sub-40 values attained once each."""
-    L = _DOMINATING.divisor_class().num
-    g = self_int(L) // 2 + 1
-    formula_phi = phivector_from_coefficients(_DOMINATING)
-    oracle_phi, seqs = phi_vector_oracle(L, max_sequences=4)
-
-    std = standard_sequence()
-    pool = _enumerate_with_values(L, 40)
-    others = [(v, f) for v, f in pool if f not in std]
-    at38 = [f for v, f in others if v == 38]
-    at39 = [f for v, f in others if v == 39]
-    thresholds_ok = (
-        all(v >= 38 for v, _ in others)
-        and at38 == [generator_pair(9, 10)]
-        and at39 == [generator_pair(8, 10)]
-    )
-    stability_ok = (
-        enumerate_isotropics(L, 40) == enumerate_isotropics(L, 40, extra_layers=2)
-    )
-
-    target_tuple = None
-    target_ok = None
-    if target_phi is not None:
-        target_tuple = tuple(int(v) for v in target_phi)
-        target = PhiVector(target_tuple)
-        image = coefficients_from_phivector(target).divisor_class().num
-        image_phi, _ = phi_vector_oracle(image, max_sequences=1)
-        target_ok = image_phi.phis == target_tuple
-
-    return DominationReport(
-        genus=g,
-        phi=oracle_phi.phis,
-        genus_ok=g == 621,
-        formula_phi_ok=formula_phi.phis == tuple(range(30, 40)),
-        oracle_phi_ok=oracle_phi.phis == tuple(range(30, 40)),
-        unique_sequence=len(seqs) == 1 and set(seqs[0].members) == set(std),
-        thresholds_ok=thresholds_ok,
-        stability_ok=stability_ok,
-        target_phi=target_tuple,
-        target_ok=target_ok,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -515,53 +429,90 @@ def suite_paper_tables(gmax: int | None = None) -> list[CheckResult]:
 
 
 def suite_dominating(gmax: int | None = None) -> list[CheckResult]:
-    report = dominating_component_check(target_phi=(1,) + (4,) + (5,) * 8)
-    checks = [_check(name, ok) for name, ok in report.checks()]
-
+    """Certify the facts that make the genus-621 component dominate: its
+    profile is (30,...,39), computed by exactly one sequence, because all
+    non-member isotropic classes meet the class in at least 38 with the
+    two sub-40 values attained once each.  Then the substitution map must
+    reach a chosen low profile, and on 3d the box scan must agree with the
+    search."""
+    L = _DOMINATING.divisor_class().num
+    top = tuple(range(30, 40))
+    oracle_phi, seqs = phi_vector_oracle(L, max_sequences=4)
+    std = standard_sequence()
+    pool = enumerate_isotropics(L, 40)
+    others = [(pair(f, L), f) for f in pool if f not in std]
+    at38 = [f for v, f in others if v == 38]
+    at39 = [f for v, f in others if v == 39]
+    target = (1, 4) + (5,) * 8
+    image = coefficients_from_phivector(PhiVector(target)).divisor_class().num
     big = 3 * D
     full = enumerate_isotropics(big, 12)
     boxed = box_isotropics(big, 12, box=2)
     within = [x for x in full if max(abs(c) for c in x.coords) <= 2]
-    checks.append(
+    lows = enumerate_isotropics(big, 9)
+    return [
+        _check("genus of the big class is 621", self_int(L) // 2 + 1 == 621),
+        _check(
+            "formula profile is (30,...,39)",
+            phivector_from_coefficients(_DOMINATING).phis == top,
+        ),
+        _check("oracle profile agrees", oracle_phi.phis == top),
+        _check(
+            "computing sequence is unique",
+            len(seqs) == 1 and set(seqs[0].members) == set(std),
+        ),
+        _check(
+            "isotropic thresholds 38/39/40 as stated",
+            all(v >= 38 for v, _ in others)
+            and at38 == [generator_pair(9, 10)]
+            and at39 == [generator_pair(8, 10)],
+        ),
+        _check(
+            "search bound is stability-certified",
+            pool == enumerate_isotropics(L, 40, extra_layers=2),
+        ),
+        _check(
+            "substitution map hits the target profile",
+            phi_vector_oracle(image, max_sequences=1)[0].phis == target,
+        ),
         _check(
             "box scan agrees with the value-profile scan",
             boxed == within and len(full) == 55,
             f"{len(boxed)} classes in the box, {len(full)} total",
-        )
-    )
-    lows = enumerate_isotropics(big, 9)
-    checks.append(
+        ),
         _check(
             "ten classes meet 3d in at most 9",
             len(lows) == 10 and all(pair(x, big) == 9 for x in lows),
-        )
-    )
-    return checks
+        ),
+    ]
 
 
 def suite_bounds(gmax: int | None = None) -> list[CheckResult]:
+    """Cossec's classical bounds on every component with g <= gmax:
+    phi_1^2 <= 2g - 2, and phi_1^2 < 2g - 2 < phi_1^2 + phi_1 - 2 never."""
     gmax = 40 if gmax is None else gmax
-    report = classical_bounds_audit(gmax)
-    checks = [
+    n, violations, every_genus = 0, [], True
+    for g, comps in components_by_genus(2, gmax):
+        n += len(comps)
+        every_genus &= bool(comps)
+        for m in comps:
+            p1 = m.phi.phis[0]
+            if p1 * p1 > 2 * g - 2:
+                violations.append(f"{m.name}: phi_1^2 exceeds 2g-2")
+            if p1 * p1 < 2 * g - 2 < p1 * p1 + p1 - 2:
+                violations.append(f"{m.name}: enters the forbidden gap")
+    return [
         _check(
             f"no component with g <= {gmax} breaks the square bound or enters the gap",
-            report.passed,
-            f"{report.components_checked} components"
-            if report.passed
-            else "; ".join(report.violations[:5]),
-        )
-    ]
-    checks.append(
-        _check("every genus has a component", all(n >= 1 for _, n in report.counts))
-    )
-    spot = {2: 1, 3: 2, 5: 4}
-    checks.append(
+            not violations,
+            "; ".join(violations[:5]) if violations else f"{n} components",
+        ),
+        _check("every genus has a component", every_genus),
         _check(
             "component counts at g = 2, 3, 5 are 1, 2, 4",
-            all(len(enumerate_components(g)) == n for g, n in spot.items()),
-        )
-    )
-    return checks
+            all(len(enumerate_components(g)) == k for g, k in {2: 1, 3: 2, 5: 4}.items()),
+        ),
+    ]
 
 
 def run_suite(name: str, gmax: int | None = None) -> list[CheckResult]:

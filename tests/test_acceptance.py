@@ -11,11 +11,7 @@ import random
 import time
 from itertools import combinations
 
-from enriques.components import (
-    classical_bounds_audit,
-    enumerate_components,
-    enumerate_components_by_phi,
-)
+from enriques.components import enumerate_components, enumerate_components_by_phi
 from enriques.fundamental import (
     class_from_presentation,
     iter_coefficient_tuples,
@@ -34,12 +30,7 @@ from enriques.lattice import (
     standard_sequence,
 )
 from enriques.oracle import box_isotropics, enumerate_isotropics, phi_vector_oracle
-from enriques.verify import (
-    _DOMINATING,
-    dominating_component_check,
-    golden_low_phi,
-    phi_profiles_direct,
-)
+from enriques.verify import _DOMINATING, golden_low_phi, phi_profiles_by_genus, run_suite
 
 
 def report(n: int, desc: str, ok: bool, detail: str) -> None:
@@ -128,8 +119,9 @@ def test_criterion_4_low_phi_tables():
 
 def test_criterion_5_dominating_component():
     t0 = time.perf_counter()
-    rep = dominating_component_check(target_phi=(1, 4, 5, 5, 5, 5, 5, 5, 5, 5))
-    ok = rep.passed and rep.genus == 621 and rep.phi == tuple(range(30, 40))
+    checks = {r.name: r.passed for r in run_suite("dominating")}
+    ok = all(checks.values())
+    ok &= checks["genus of the big class is 621"] and checks["oracle profile agrees"]
 
     L = _DOMINATING.divisor_class().num
     std = set(standard_sequence())
@@ -148,7 +140,7 @@ def test_criterion_6_fiber_structure():
     for g in range(2, 41):
         comps = enumerate_components(g)
         hats = [m for m in comps if m.eps == 0]
-        direct = phi_profiles_direct(g)
+        direct = phi_profiles_by_genus(g, g)[g]
         even = sum(1 for t in direct if all(v % 2 == 0 for v in t))
         ok &= len(hats) == len(direct)
         ok &= sum(1 for m in hats if m.two_divisible) == even
@@ -206,12 +198,17 @@ def test_criterion_7_randomized_rewriting():
 
 def test_criterion_8_classical_bounds():
     t0 = time.perf_counter()
-    rep = classical_bounds_audit(40)
-    ok = rep.passed and rep.genera_checked == 39
+    results = run_suite("bounds", 40)
+    ok = all(r.passed for r in results)
+    n = 0
     for g in range(2, 41):
-        for m in enumerate_components(g):
+        comps = enumerate_components(g)
+        ok &= len(comps) >= 1
+        for m in comps:
+            n += 1
             p1 = m.phi.phis[0]
             ok &= p1 * p1 <= 2 * g - 2
             ok &= not (p1 * p1 < 2 * g - 2 < p1 * p1 + p1 - 2)
+    ok &= results[0].detail == f"{n} components"
     dt = time.perf_counter() - t0
-    report(8, "square bound and gap avoidance on every component with g <= 40", ok, f"{rep.components_checked} components, {dt:.1f}s")
+    report(8, "square bound and gap avoidance on every component with g <= 40", ok, f"{n} components, {dt:.1f}s")

@@ -2,9 +2,9 @@
 
 import pytest
 
+import enriques.verify
 from enriques.components import (
     _coefficient_tuples,
-    classical_bounds_audit,
     component_name,
     enumerate_components,
     enumerate_components_by_phi,
@@ -12,7 +12,7 @@ from enriques.components import (
 )
 from enriques.fundamental import FundamentalCoefficients, quadratic_value
 from enriques.oracle import PhiVector, order_key
-from enriques.verify import dominating_component_check, golden_low_phi, phi_profiles_direct
+from enriques.verify import golden_low_phi, phi_profiles_by_genus, run_suite
 
 
 def test_genus_two_is_a_single_component():
@@ -244,22 +244,31 @@ def test_genus_one_thousand_count():
 def test_profiles_agree_with_quadratic_search():
     for g in range(2, 21):
         via = sorted({m.phi.phis for m in enumerate_components(g)}, key=order_key)
-        assert via == phi_profiles_direct(g)
+        assert via == phi_profiles_by_genus(g, g)[g]
 
 
 def test_dominating_component_report():
-    report = dominating_component_check(target_phi=(1, 4, 5, 5, 5, 5, 5, 5, 5, 5))
-    assert report.genus == 621
-    assert report.phi == tuple(range(30, 40))
-    assert report.passed
-    assert dict(report.checks())["substitution map hits the target profile"]
+    results = {r.name: r.passed for r in run_suite("dominating")}
+    assert results["genus of the big class is 621"]
+    assert results["oracle profile agrees"]  # with the profile (30,...,39)
+    assert all(results.values())
+    assert results["substitution map hits the target profile"]
 
 
-def test_bounds_audit():
-    report = classical_bounds_audit(40)
-    assert report.passed
-    assert report.genera_checked == 39
-    assert report.components_checked == 435
+def test_bounds_audit(monkeypatch):
+    genera = []
+    walk = enriques.verify.components_by_genus
+
+    def recording_walk(g_lo, g_hi):
+        for g, comps in walk(g_lo, g_hi):
+            genera.append(g)
+            yield g, comps
+
+    monkeypatch.setattr(enriques.verify, "components_by_genus", recording_walk)
+    results = run_suite("bounds", 40)
+    assert all(r.passed for r in results)
+    assert genera == list(range(2, 41))
+    assert results[0].detail == "435 components"
 
 
 def test_component_coefficients_carry_their_genus():

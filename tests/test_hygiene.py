@@ -24,7 +24,10 @@ BENCH_DIR = TESTS_DIR.parent / "bench"
 # members, and rewrite_to_fundamental.  The rest had no caller outside the
 # tests: the JSON readers, the simple-decomposition validator, the
 # numerical-component layer, whose double-cover count held by construction,
-# and the component row's dict, which the CLI's row writer replaced.
+# the component row's dict, which the CLI's row writer replaced, the report
+# types that restated the dominating and bounds suites' checks, and the
+# helpers that only tests called: phi is eight_lowest(L)[0], and
+# phi_profiles_direct(g) is phi_profiles_by_genus(g, g)[g].
 DROPPED = {
     "lattice": (
         "genus",
@@ -32,12 +35,17 @@ DROPPED = {
         "NumClass.of",
         "NumClass.from_json",
         "PicClass.from_json",
+        "K",
+        "ZERO",
+        "PicClass.__add__",
+        "PicClass.to_json",
     ),
     "oracle": (
         "_require_big",
         "compare_tuples",
         "pairing_tuple",
         "IsotropicSequence.values_against",
+        "phi",
     ),
     "fundamental": (
         "genus_of",
@@ -45,6 +53,7 @@ DROPPED = {
         "validate_simple_decomposition",
         "Decomposition",
         "simple_decomposition_error",
+        "FundamentalCoefficients.total",
     ),
     "components": (
         "ModuliComponent.to_json",
@@ -53,6 +62,13 @@ DROPPED = {
         "RhoSummary",
         "numerical_components",
         "rho_fiber_structure",
+        "BoundsReport",
+        "classical_bounds_audit",
+    ),
+    "verify": (
+        "DominationReport",
+        "dominating_component_check",
+        "phi_profiles_direct",
     ),
 }
 
@@ -186,6 +202,62 @@ def test_submodule_exports_are_reexported():
     assert len(set(enriques.__all__)) == len(enriques.__all__)
     for name in enriques.__all__:
         assert hasattr(enriques, name), name
+
+
+def _dotted(node):
+    """'a.b.c' for a chain of attribute reads on a name, else None."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    return ".".join([node.id, *reversed(parts)]) if isinstance(node, ast.Name) else None
+
+
+def _defines(stmt, name):
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        return stmt.name == name
+    targets = stmt.targets if isinstance(stmt, ast.Assign) else [getattr(stmt, "target", None)]
+    return any(isinstance(t, ast.Name) and t.id == name for t in targets)
+
+
+def test_every_export_has_a_caller_outside_the_tests():
+    """An export is called from outside the tests when another package
+    module or a benchmark file imports it or reads it as <module>.<name>,
+    or when its own module reads it outside its own definition.  Names are
+    matched with their module, since a bare name such as phi is also a
+    parameter elsewhere."""
+    owner = {
+        a.name: node.module
+        for node in ast.parse((PACKAGE_DIR / "__init__.py").read_text()).body
+        if isinstance(node, ast.ImportFrom)
+        for a in node.names
+    }
+    assert set(owner) == set(enriques.__all__)
+    called = set()  # (module, name); module None for `from enriques import name`
+    others = [p for p in sorted(PACKAGE_DIR.glob("*.py")) if p.name != "__init__.py"]
+    for path in others + sorted(BENCH_DIR.glob("*.py")):
+        here = path.stem if path.parent == PACKAGE_DIR else None
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom):
+                module = (node.module or "").removeprefix("enriques").lstrip(".") or None
+                called.update((module, a.name) for a in node.names if module != here)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read_on = _dotted(node.value)
+                if read_on and read_on.split(".")[-1] != here:
+                    called.add((read_on.split(".")[-1], node.attr))
+    trees = {p.stem: ast.parse(p.read_text(), filename=str(p)) for p in others}
+    uncalled = []
+    for name, module in sorted(owner.items()):
+        if (module, name) in called or (None, name) in called:
+            continue
+        rest = [stmt for stmt in trees[module].body if not _defines(stmt, name)]
+        if not any(
+            isinstance(n, ast.Name) and n.id == name and isinstance(n.ctx, ast.Load)
+            for stmt in rest
+            for n in ast.walk(stmt)
+        ):
+            uncalled.append(f"{module}.{name}")
+    assert not uncalled, f"exported but called only from the tests: {uncalled}"
 
 
 def test_dropped_names_are_gone():

@@ -12,7 +12,6 @@ from enriques.lattice import (
     D,
     NumClass,
     RANK,
-    ZERO,
     generator_e,
     generator_pair,
     pair,
@@ -26,7 +25,6 @@ from enriques.oracle import (
     eight_lowest,
     enumerate_isotropics,
     order_key,
-    phi,
     phi_vector_oracle,
 )
 
@@ -132,7 +130,7 @@ def test_isotropics_sorted_and_positive():
 
 def test_enumeration_is_layer_stable():
     for L in (3 * D, E[1] + E[2], 2 * E[1] + generator_pair(1, 2)):
-        cap = phi(L) + 3
+        cap = eight_lowest(L)[0] + 3
         assert enumerate_isotropics(L, cap) == enumerate_isotropics(
             L, cap, extra_layers=2
         )
@@ -140,7 +138,7 @@ def test_enumeration_is_layer_stable():
 
 def test_enumerate_rejects_degenerate_input():
     with pytest.raises(ValueError):
-        enumerate_isotropics(ZERO, 5)
+        enumerate_isotropics(NumClass((0,) * RANK), 5)
     with pytest.raises(ValueError):
         enumerate_isotropics(E[1], 5)  # isotropic, not big
 
@@ -165,10 +163,10 @@ def test_box_scan_with_wider_box_is_complete():
 
 
 def test_phi_values():
-    assert phi(D) == 3
-    assert phi(3 * D) == 9
-    assert phi(E[1] + E[2]) == 1
-    assert phi(2 * E[1] + generator_pair(1, 2)) == 2
+    assert eight_lowest(D)[0] == 3
+    assert eight_lowest(3 * D)[0] == 9
+    assert eight_lowest(E[1] + E[2])[0] == 1
+    assert eight_lowest(2 * E[1] + generator_pair(1, 2))[0] == 2
 
 
 def test_eight_lowest():

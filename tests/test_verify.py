@@ -6,14 +6,13 @@ import pytest
 
 import enriques.components
 import enriques.verify
-from enriques.components import components_by_genus
+from enriques.components import components_by_genus, enumerate_components_by_phi
 from enriques.oracle import PhiVector, order_key
 from enriques.verify import (
     SUITES,
     golden_low_phi,
     iter_phi_profiles,
     phi_profiles_by_genus,
-    phi_profiles_direct,
     run_suite,
 )
 
@@ -60,7 +59,68 @@ def test_profile_window_matches_its_slice_and_the_coefficient_route():
     for g in range(37, 46):
         assert inner[g] == outer[g], g
         assert inner[g] == sorted({m.phi.phis for m in comps[g]}, key=order_key), g
-        assert inner[g] == phi_profiles_direct(g), g
+        assert inner[g] == phi_profiles_by_genus(g, g)[g], g
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: golden_low_phi(5.0),
+        lambda: enumerate_components_by_phi(5, 2.5),
+        lambda: phi_profiles_by_genus(2, 3.0),
+        lambda: phi_profiles_by_genus(2.0, 3),
+    ],
+    ids=["golden-genus", "smallest-entry", "search-top", "search-bottom"],
+)
+def test_a_non_integer_genus_or_smallest_entry_is_rejected(call):
+    """A float would otherwise fail every candidate's integer check and give
+    an empty answer, or reach `range` as a bare TypeError."""
+    with pytest.raises(ValueError, match="integer"):
+        call()
+
+
+def _bounds_over(monkeypatch, edit):
+    """Run the bounds suite over the real window of g <= 15 with the rows of
+    each genus passed through edit(g, rows)."""
+    walk = enriques.verify.components_by_genus
+    monkeypatch.setattr(
+        enriques.verify,
+        "components_by_genus",
+        lambda g_lo, g_hi: ((g, edit(g, rows)) for g, rows in walk(g_lo, g_hi)),
+    )
+    return run_suite("bounds", 15)
+
+
+@pytest.mark.parametrize(
+    "genus, source, phi1, words",
+    [(2, 5, 2, "phi_1^2 exceeds 2g-2"), (14, 15, 5, "enters the forbidden gap")],
+    ids=["square-bound", "gap"],
+)
+def test_bounds_check_names_a_row_that_breaks_a_bound(monkeypatch, genus, source, phi1, words):
+    """A genus-5 row with phi_1 = 2 moved to genus 2 has 4 > 2g - 2 = 2; a
+    genus-15 row with phi_1 = 5 moved to genus 14 has 25 < 26 < 28."""
+    [row, *_] = enumerate_components_by_phi(source, phi1)
+    results = _bounds_over(monkeypatch, lambda g, rows: rows + (row,) if g == genus else rows)
+    assert [r.passed for r in results] == [False, True, True]
+    assert results[0].detail == f"{row.name}: {words}"
+
+
+def test_bounds_check_sees_a_genus_without_components(monkeypatch):
+    results = _bounds_over(monkeypatch, lambda g, rows: () if g == 7 else rows)
+    assert [r.passed for r in results] == [True, False, True]
+    assert results[1].name == "every genus has a component"
+
+
+def test_dominating_checks_fail_on_a_wrong_oracle_profile(monkeypatch):
+    oracle = enriques.verify.phi_vector_oracle
+
+    def wrong_profile(L, max_sequences=1000):
+        _, sequences = oracle(L, max_sequences)
+        return PhiVector((3,) * 10), sequences
+
+    monkeypatch.setattr(enriques.verify, "phi_vector_oracle", wrong_profile)
+    failed = [r.name for r in run_suite("dominating") if not r.passed]
+    assert failed == ["oracle profile agrees", "substitution map hits the target profile"]
 
 
 def test_run_suite_rejects_unknown_names():
@@ -113,25 +173,26 @@ def test_double_cover_check_sees_a_misplaced_split_row(monkeypatch, mutation):
 
     monkeypatch.setattr(enriques.components, "_rows", mutated_rows)
     [(_, rows)] = components_by_genus(5, 5)
-    assert len(rows) == len(phi_profiles_direct(5)) + 1
-    assert {m.phi.phis for m in rows} == set(phi_profiles_direct(5))
+    direct = phi_profiles_by_genus(5, 5)[5]
+    assert len(rows) == len(direct) + 1
+    assert {m.phi.phis for m in rows} == set(direct)
     results = {r.name: r.passed for r in run_suite("roundtrip")}
     assert results["double-cover fiber count for g <= 15"] is False
     assert results["profile sets agree with quadratic search for g <= 15"] is True
 
 
 def test_direct_profiles_for_small_genus():
-    assert phi_profiles_direct(2) == [(1, 1, 2, 2, 2, 2, 2, 2, 2, 2)]
-    got = phi_profiles_direct(5)
+    assert phi_profiles_by_genus(2, 2)[2] == [(1, 1, 2, 2, 2, 2, 2, 2, 2, 2)]
+    got = phi_profiles_by_genus(5, 5)[5]
     assert (2, 2, 4, 4, 4, 4, 4, 4, 4, 4) in got
     assert len(got) == 3
     with pytest.raises(ValueError):
-        phi_profiles_direct(1)
+        phi_profiles_by_genus(1, 1)
 
 
 def test_direct_profiles_all_have_the_right_genus():
     for g in (7, 13, 22):
-        for t in phi_profiles_direct(g):
+        for t in phi_profiles_by_genus(g, g)[g]:
             assert PhiVector(t).genus() == g
 
 
