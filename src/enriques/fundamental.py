@@ -89,7 +89,8 @@ class FundamentalCoefficients:
         cls, a0: int, head: tuple[int, ...], a9: int, a10: int, eps: int = 0
     ) -> FundamentalCoefficients:
         """Build without the checks above, for a producer whose tuples
-        pass them by construction (the component walk)."""
+        pass them by construction (the component walk and
+        `iter_coefficient_tuples`)."""
         c = object.__new__(cls)
         setattr_ = object.__setattr__
         setattr_(c, "a0", a0)
@@ -203,7 +204,11 @@ def parse_coefficients(text: str, eps: int = 0) -> FundamentalCoefficients:
 
 def iter_coefficient_tuples(max_total: int) -> Iterator[FundamentalCoefficients]:
     """All valid coefficient tuples (eps = 0) with total at most max_total,
-    in deterministic order.  Sweep driver for tests and verification."""
+    in deterministic order.  Sweep driver for tests and verification.
+
+    The loops below keep the head nonincreasing and a9 + a10 >= a0 >=
+    a9 >= a10 >= 0, so each tuple is valid by construction and skips the
+    constructor's checks."""
     def heads(budget: int, slots: int, cap: int) -> Iterator[tuple[int, ...]]:
         if slots == 0:
             yield ()
@@ -218,7 +223,7 @@ def iter_coefficient_tuples(max_total: int) -> Iterator[FundamentalCoefficients]
             for a10 in range(min(a9, max_total - used - a9) + 1):
                 lo, hi = a9, min(a9 + a10, max_total - used - a9 - a10)
                 for a0 in range(lo, hi + 1):
-                    yield FundamentalCoefficients(a0=a0, head=head, a9=a9, a10=a10)
+                    yield FundamentalCoefficients._trusted(a0, head, a9, a10)
 
 
 def class_from_presentation(

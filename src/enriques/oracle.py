@@ -247,53 +247,72 @@ def enumerate_isotropics(L: NumClass, cap: int, extra_layers: int = 0) -> list[N
 
 
 def box_isotropics(L: NumClass, cap: int, box: int = 2) -> list[NumClass]:
-    """Naive reference search: scan every coordinate vector with entries in
-    [-box, box].  Independent of the pairing-tuple machinery; used to
-    cross-check it.  Cost grows like (2 box + 1)^10, so keep box <= 3.
+    """Naive reference search: every positive primitive isotropic class
+    with coordinates in [-box, box] and F.L <= cap, sorted by the value
+    F.L and then by coordinates.  Independent of the pairing-tuple
+    machinery; used to cross-check it.
+
+    With c_1..c_9 the E-coordinates and x the D-coordinate,
+    F^2 = s^2 - q + 6 s x + 10 x^2 for s = sum(c_i) and q = sum(c_i^2),
+    so the first nine coordinates leave a quadratic in x with at most two
+    roots.  One pass over x in [-box, box] tabulates the in-box roots of
+    every (s, q) in two tables: the smaller root in the first, the larger
+    one, if both lie in the box, in the second, and box + 1 where there is
+    no such root.  The scan reads x off the tables instead of trying each
+    value, so its cost grows like (2 box + 1)^9; keep box <= 3.
     """
     if not isinstance(box, int) or box < 0:
         raise ValueError(f"box must be a nonnegative integer, got {box!r}")
     require_big(L)
     y = np.array(L.coords, dtype=np.int64)
+    y10 = int(y[9])
     sy = int(y[:9].sum())
+
+    # root tables, flat, indexed by (s + 9 box) * n_q + q
+    no_root = box + 1
+    n_q = 9 * box * box + 1
+    s_grid = np.arange(-9 * box, 9 * box + 1, dtype=np.int64)[:, None]
+    q_grid = np.arange(n_q, dtype=np.int64)[None, :]
+    lower = np.full((s_grid.shape[0], n_q), no_root, dtype=np.int64)
+    upper = lower.copy()
+    for x in range(-box, box + 1):
+        root = s_grid * s_grid - q_grid + 6 * x * s_grid + 10 * x * x == 0
+        first = root & (lower == no_root)
+        upper[root & ~first] = x
+        lower[first] = x
+    tables = (lower.ravel(), upper.ravel())
+
+    # coordinates 3..9 vectorised over the C-order flat index of their
+    # block, coordinates 1 and 2 looped over; a row's coordinates are
+    # unravelled from its index only once its root is known
+    shape = (2 * box + 1,) * 7
     vals = np.arange(-box, box + 1, dtype=np.int64)
-    inner = np.stack(np.meshgrid(*([vals] * 7), indexing="ij"), axis=-1).reshape(-1, 7)
-    s6 = inner[:, :6].sum(axis=1)
-    q6 = (inner[:, :6] ** 2).sum(axis=1)
-    xd = inner[:, 6]
+    s7 = q7 = np.zeros((), dtype=np.int64)
+    for _ in shape:
+        s7, q7 = np.add.outer(s7, vals), np.add.outer(q7, vals * vals)
+    s7 = s7.ravel()
+    key7 = (s7 + 9 * box) * n_q + q7.ravel()
+    del q7
     hits: list[tuple[int, tuple[int, ...]]] = []
-    for a in vals:
-        for b in vals:
-            for c in vals:
-                s9 = int(a + b + c) + s6
-                q9 = int(a * a + b * b + c * c) + q6
-                sq = s9 * s9 - q9 + 6 * xd * s9 + 10 * xd * xd
-                mask = sq == 0
-                if not mask.any():
+    for a in range(-box, box + 1):
+        for b in range(-box, box + 1):
+            key = key7 + ((a + b) * n_q + a * a + b * b)
+            for table in tables:
+                xs = table[key]
+                sel = np.flatnonzero(xs != no_root)
+                x, s9 = xs[sel], s7[sel] + (a + b)
+                positive = 3 * s9 + 10 * x > 0
+                sel, x, s9 = sel[positive], x[positive], s9[positive]
+                if sel.size == 0:
                     continue
-                rows = inner[mask]
-                s9m = s9[mask]
-                xdm = xd[mask]
-                positive = 3 * s9m + 10 * xdm > 0
-                rows = rows[positive]
-                s9m = s9m[positive]
-                xdm = xdm[positive]
-                if rows.shape[0] == 0:
-                    continue
-                head = np.array([a, b, c], dtype=np.int64)
-                full = np.hstack([np.broadcast_to(head, (rows.shape[0], 3)), rows])
-                g = np.gcd.reduce(np.abs(full), axis=1)
-                prim = g == 1
-                full = full[prim]
-                s9m = s9m[prim]
-                xdm = xdm[prim]
-                if full.shape[0] == 0:
-                    continue
-                dot9 = full[:, :9] @ y[:9]
-                values = s9m * sy - dot9 + 3 * (xdm * sy + int(y[9]) * s9m) + 10 * xdm * int(y[9])
+                full = np.empty((sel.size, 10), dtype=np.int64)
+                full[:, 0], full[:, 1], full[:, 9] = a, b, x
+                full[:, 2:9] = np.column_stack(np.unravel_index(sel, shape)) - box
+                values = s9 * sy - full[:, :9] @ y[:9] + 3 * (x * sy + y10 * s9) + 10 * x * y10
                 keep = values <= cap
-                for row, v in zip(full[keep], values[keep]):
-                    hits.append((int(v), tuple(int(x) for x in row)))
+                full, values = full[keep], values[keep]
+                prim = np.gcd.reduce(np.abs(full), axis=1) == 1
+                hits += zip(values[prim].tolist(), map(tuple, full[prim].tolist()))
     hits.sort()
     return [NumClass(coords) for _, coords in hits]
 

@@ -85,6 +85,16 @@ def phi_profiles_by_genus(g_lo: int, g_hi: int) -> dict[int, list[tuple[int, ...
     leaf's genus off its square sum. Since s is the coefficient total plus
     the pair weight, s <= 3g + sqrt(g/2) + 1, so a finite scan over s is
     complete. An empty window (g_hi < g_lo) gives an empty dict.
+
+    The head/tail inequality phi_1 + ... + phi_7 >= 2(phi_8 + phi_9 +
+    phi_10) says the three largest entries sum to at most s. Entries are
+    placed largest first, so it prunes from the top: when the entry at
+    depth j < 3 takes the value v, the three largest entries are the j
+    placed ones, v, and the largest 2 - j of the k - 1 entries still to
+    come. Those sum to at least (2 - j)/(k - 1) of the remainder r - v,
+    since the largest m of n numbers sum to at least m times their
+    average. So v is capped where placed + v + (2 - j)(r - v)/(k - 1)
+    reaches s, which is increasing in v.
     """
     if not (isinstance(g_lo, int) and isinstance(g_hi, int)) or g_lo < 2:
         raise ValueError("genus must be an integer >= 2")
@@ -106,8 +116,6 @@ def phi_profiles_by_genus(g_lo: int, g_hi: int) -> dict[int, list[tuple[int, ...
                 if r == 0 and r2 <= width:
                     found[g_lo + r2 // 2].add(tuple(reversed(acc)))
                 return
-            if len(acc) == 3 and 3 * (total - r) > total:
-                return  # three largest entries exceed a third of the sum
             if r > k * hi or r < k:
                 return
             q, rem = divmod(r, k)
@@ -122,6 +130,12 @@ def phi_profiles_by_genus(g_lo: int, g_hi: int) -> dict[int, list[tuple[int, ...
                 return  # even the greediest completion squares too low
             lo_v = -(-r // k)  # the largest remaining entry is at least the average
             hi_v = min(hi, r - (k - 1), isqrt(r2 - (k - 1)))
+            j = RANK - k  # entries placed so far
+            if j < 3:
+                # placed + v + (2 - j)(r - v)/(k - 1) <= s solved for v; the
+                # coefficient of v is (k - 1 - (2 - j))/(k - 1) = 7/(k - 1)
+                room = s - (total - r)
+                hi_v = min(hi_v, ((k - 1) * room - (2 - j) * r) // 7)
             for v in range(hi_v, lo_v - 1, -1):
                 acc.append(v)
                 rec(k - 1, v, r - v, r2 - v * v)

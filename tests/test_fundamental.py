@@ -101,6 +101,19 @@ def test_divisor_class_square_matches_quadratic_value():
         assert self_int(c.divisor_class().num) == 2 * quadratic_value(c)
 
 
+def test_sweep_tuples_equal_their_checked_construction():
+    """The sweep builds its tuples unchecked; each must be one the public
+    constructor accepts, and equal to what it builds.  A smaller sweep
+    yields exactly the tuples of the largest one within its total."""
+    every = list(iter_coefficient_tuples(12))
+    for c in every:
+        assert c == FundamentalCoefficients(a0=c.a0, head=c.head, a9=c.a9, a10=c.a10, eps=c.eps)
+    assert len(set(every)) == len(every)
+    for max_total in range(12):
+        within = {c for c in every if sum(c.as_tuple()) <= max_total}
+        assert set(iter_coefficient_tuples(max_total)) == within, max_total
+
+
 @pytest.mark.slow
 def test_divisor_class_square_matches_quadratic_value_wide():
     n = 0

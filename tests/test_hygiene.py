@@ -12,6 +12,8 @@ import sys
 import textwrap
 from pathlib import Path
 
+import pytest
+
 import enriques
 
 PACKAGE_DIR = Path(enriques.__file__).resolve().parent
@@ -304,3 +306,32 @@ def test_rewrite_identity_checks_run_under_optimize():
     )
     assert proc.returncode == 0, proc.stderr
     assert "failed to reconstruct the class" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--suite", "dominating"], ["--suite", "roundtrip", "--gmax", "20"]],
+    ids=["dominating", "roundtrip"],
+)
+def test_suites_give_the_same_report_under_optimize(argv):
+    """Every identity check in a suite is a plain comparison, so stripping
+    asserts with -O must change neither the report nor the exit code."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(PACKAGE_DIR.parent), env.get("PYTHONPATH")) if p
+    )
+    runs = [
+        subprocess.run(
+            [sys.executable, *flags, "-m", "enriques.cli", "verify", *argv],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        for flags in ([], ["-O"])
+    ]
+    for proc in runs:
+        assert proc.returncode == 0, proc.stderr
+    plain, optimized = runs
+    assert '"passed": true' in plain.stdout
+    assert optimized.stdout == plain.stdout

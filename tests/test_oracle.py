@@ -1,5 +1,7 @@
 """Search oracle: isotropic enumeration, profile minima, sequences."""
 
+from itertools import product
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -14,6 +16,8 @@ from enriques.lattice import (
     RANK,
     generator_e,
     generator_pair,
+    is_positive,
+    is_primitive,
     pair,
     self_int,
     standard_sequence,
@@ -27,6 +31,7 @@ from enriques.oracle import (
     order_key,
     phi_vector_oracle,
 )
+from enriques.verify import _DOMINATING
 
 coords_st = st.tuples(*([st.integers(-9, 9)] * RANK))
 classes_st = coords_st.map(NumClass)
@@ -148,6 +153,63 @@ def test_box_scan_agrees_within_its_box():
     boxed = box_isotropics(3 * D, 12, box=2)
     assert boxed == [x for x in full if max(abs(c) for c in x.coords) <= 2]
     assert len(boxed) == 54  # e_10 has a coordinate 3 and falls outside
+
+
+@pytest.fixture(scope="module")
+def isotropic_in_box():
+    """For box 0 and 1, every positive primitive isotropic vector in
+    [-box, box]^10, found by trying each vector with the lattice's own
+    pairing."""
+    found = {}
+    for box in (0, 1):
+        found[box] = []
+        for coords in product(range(-box, box + 1), repeat=RANK):
+            if not any(coords):
+                continue
+            f = NumClass(coords)
+            if self_int(f) == 0 and is_positive(f) and is_primitive(f):
+                found[box].append(f)
+    return found
+
+
+BOX_CLASSES = {
+    "triple-d": (3 * D, 12),
+    "genus-621": (_DOMINATING.divisor_class().num, 40),
+    "genus-3": (NumClass((2, 0, 1, 0, 2, 2, -2, 1, 2, -1)), 30),
+    "e1-plus-3d": (NumClass((1, 0, 0, 0, 0, 0, 0, 0, 0, 3)), 20),
+}
+
+
+@pytest.mark.parametrize("box", [0, 1])
+@pytest.mark.parametrize("name", list(BOX_CLASSES))
+def test_box_scan_matches_a_scan_of_every_vector(isotropic_in_box, name, box):
+    L, cap = BOX_CLASSES[name]
+    valued = [(pair(f, L), f.coords) for f in isotropic_in_box[box]]
+    expected = [NumClass(c) for v, c in sorted(valued) if v <= cap]
+    assert box_isotropics(L, cap, box=box) == expected
+    if box == 1 and name == "genus-3":
+        assert len(expected) == 2019
+
+
+def test_box_scan_takes_the_roots_of_the_d_quadratic():
+    """With the E-coordinates fixed, F^2 = 0 is a quadratic in the
+    D-coordinate.  For E-coordinates 0 it has the double root 0, the zero
+    class, which is not positive.  For E-coordinates (1^5, 0^4) its roots
+    are -1 and -2; at box 1 the second falls outside.  For (-1^5, 0^4)
+    they are 1 and 2: the root 1 gives a negative class, and only at
+    box 2 does the root 2, which gives 2D - E_1 - ... - E_5, lie inside."""
+    assert box_isotropics(D, 5, box=0) == []
+    one_inside = NumClass((1,) * 5 + (0,) * 4 + (-1,))
+    assert self_int(one_inside) == self_int(one_inside - D) == 0
+    assert one_inside in box_isotropics(D, 5, box=1)
+    prefix = (-1,) * 5 + (0,) * 4
+    negative, larger = NumClass(prefix + (1,)), NumClass(prefix + (2,))
+    assert self_int(negative) == self_int(larger) == 0
+    assert pair(negative, D) == -5 and pair(larger, D) == 5
+    assert larger not in box_isotropics(D, 5, box=1)
+    boxed = box_isotropics(D, 6, box=2)
+    assert larger in boxed
+    assert boxed == [x for x in enumerate_isotropics(D, 6) if max(abs(c) for c in x.coords) <= 2]
 
 
 @pytest.mark.parametrize("box", [-1, 1.5, "2"])

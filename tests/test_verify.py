@@ -1,6 +1,7 @@
 """Cross-check suites and the second-route enumerators behind them."""
 
 from dataclasses import replace
+from math import isqrt
 
 import pytest
 
@@ -60,6 +61,21 @@ def test_profile_window_matches_its_slice_and_the_coefficient_route():
         assert inner[g] == outer[g], g
         assert inner[g] == sorted({m.phi.phis for m in comps[g]}, key=order_key), g
         assert inner[g] == phi_profiles_by_genus(g, g)[g], g
+
+
+def test_profile_search_matches_the_plain_profile_walk():
+    """Against iter_phi_profiles, which walks every valid profile up to a
+    total and knows nothing of the square-sum window or the prunes.  One
+    walk to the bound of g = 10 covers the bound of every smaller genus."""
+    window = phi_profiles_by_genus(2, 10)
+    walked = {g: [] for g in range(2, 11)}
+    for p in iter_phi_profiles(3 * (3 * 10 + isqrt(10) + 2)):
+        if p.genus() in walked:
+            walked[p.genus()].append(p.phis)
+    assert list(window) == list(walked)
+    for g, profiles in walked.items():
+        assert profiles
+        assert window[g] == sorted(profiles, key=order_key), g
 
 
 @pytest.mark.parametrize(
