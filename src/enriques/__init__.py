@@ -20,6 +20,7 @@ from .lattice import (
     is_positive,
     is_primitive,
     is_two_divisible,
+    linear_form,
     pair,
     require_big,
     self_int,
@@ -97,6 +98,7 @@ __all__ = [
     "is_primitive",
     "is_two_divisible",
     "iter_coefficient_tuples",
+    "linear_form",
     "order_key",
     "pair",
     "parse_coefficients",

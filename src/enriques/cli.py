@@ -11,12 +11,14 @@ that encoder, whose indent mode runs in pure Python.  The argument parser
 is built once per process, on first use.
 
 Exit codes: 0 success, 1 a verification or agreement check failed,
-2 unusable arguments, 3 the class fails a mathematical precondition.
+2 unusable arguments, 3 the class fails a mathematical precondition.  A
+reader that closes stdout early changes neither the exit code nor stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import json
@@ -73,6 +75,21 @@ def _colorize(word: str, code: str) -> str:
     if sys.stdout.isatty() and not os.environ.get("NO_COLOR"):
         return f"\x1b[{code}m{word}\x1b[0m"
     return word
+
+
+@contextlib.contextmanager
+def _output():
+    """Scope of a command's writes to stdout.  When the reader closes the
+    pipe early (`| head -1`), the rest of the output is dropped: stdout is
+    pointed at devnull, so the flush at shutdown cannot fail either, and
+    the command still returns the exit code it computed."""
+    try:
+        yield
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _emit_json(payload: dict) -> None:
@@ -150,36 +167,37 @@ def cmd_components(args: argparse.Namespace) -> int:
     else:
         comps = enumerate_components(args.genus)
     fmt = _pick_format(args.format)
-    if fmt == "json":
-        _emit_components_json(args.genus, comps)
-    elif fmt == "csv":
-        w = csv.writer(sys.stdout, lineterminator="\n")
-        w.writerow(
-            ["name", "genus", "phi", "eps", "two_divisible", "coefficients", "unirational"]
-        )
-        for m in comps:
+    with _output():
+        if fmt == "json":
+            _emit_components_json(args.genus, comps)
+        elif fmt == "csv":
+            w = csv.writer(sys.stdout, lineterminator="\n")
             w.writerow(
-                [
-                    m.name,
-                    m.genus,
-                    _phi_str(m.phi.phis),
-                    m.eps,
-                    int(m.two_divisible),
-                    format_coefficients(m.coefficients),
-                    int(m.unirational),
-                ]
+                ["name", "genus", "phi", "eps", "two_divisible", "coefficients", "unirational"]
             )
-    else:
-        print(f"# genus {args.genus}: {len(comps)} component(s)")
-        print("| component | profile | eps | 2-divisible | coefficients | unirational |")
-        print("|---|---|---|---|---|---|")
-        for m in comps:
-            print(
-                f"| {m.name} | ({_phi_str(m.phi.phis)}) | {m.eps} "
-                f"| {'yes' if m.two_divisible else 'no'} "
-                f"| {format_coefficients(m.coefficients)} "
-                f"| {'yes' if m.unirational else 'no'} |"
-            )
+            for m in comps:
+                w.writerow(
+                    [
+                        m.name,
+                        m.genus,
+                        _phi_str(m.phi.phis),
+                        m.eps,
+                        int(m.two_divisible),
+                        format_coefficients(m.coefficients),
+                        int(m.unirational),
+                    ]
+                )
+        else:
+            print(f"# genus {args.genus}: {len(comps)} component(s)")
+            print("| component | profile | eps | 2-divisible | coefficients | unirational |")
+            print("|---|---|---|---|---|---|")
+            for m in comps:
+                print(
+                    f"| {m.name} | ({_phi_str(m.phi.phis)}) | {m.eps} "
+                    f"| {'yes' if m.two_divisible else 'no'} "
+                    f"| {format_coefficients(m.coefficients)} "
+                    f"| {'yes' if m.unirational else 'no'} |"
+                )
     return 0
 
 
@@ -241,29 +259,30 @@ def cmd_phivector(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
         rows.append(("oracle_phi", _phi_str(oracle_profile.phis)))
         rows.append(("oracle_agrees", "yes" if agrees else "no"))
 
-    if fmt == "json":
-        payload = {
-            "class": num.to_json(),
-            "phi": list(profile.phis),
-            "genus": g,
-            "coefficients": fc.to_json(),
-            "eps": eps,
-            "two_divisible": two_div,
-            "component": name,
-            "unirational": unirationality_flag(profile),
-        }
-        if agrees is not None:
-            payload["oracle_phi"] = list(oracle_profile.phis)
-            payload["oracle_agrees"] = agrees
-        _emit_json(payload)
-    elif fmt == "csv":
-        w = csv.writer(sys.stdout, lineterminator="\n")
-        w.writerow(["field", "value"])
-        w.writerows(rows)
-    else:
-        width = max(len(k) for k, _ in rows)
-        for k, v in rows:
-            print(f"{k.ljust(width)}  {v}")
+    with _output():
+        if fmt == "json":
+            payload = {
+                "class": num.to_json(),
+                "phi": list(profile.phis),
+                "genus": g,
+                "coefficients": fc.to_json(),
+                "eps": eps,
+                "two_divisible": two_div,
+                "component": name,
+                "unirational": unirationality_flag(profile),
+            }
+            if agrees is not None:
+                payload["oracle_phi"] = list(oracle_profile.phis)
+                payload["oracle_agrees"] = agrees
+            _emit_json(payload)
+        elif fmt == "csv":
+            w = csv.writer(sys.stdout, lineterminator="\n")
+            w.writerow(["field", "value"])
+            w.writerows(rows)
+        else:
+            width = max(len(k) for k, _ in rows)
+            for k, v in rows:
+                print(f"{k.ljust(width)}  {v}")
     return 1 if agrees is False else 0
 
 
@@ -271,30 +290,31 @@ def cmd_verify(args: argparse.Namespace) -> int:
     results = run_suite(args.suite, args.gmax)
     ok = all(r.passed for r in results)
     fmt = _pick_format(args.format)
-    if fmt == "json":
-        _emit_json(
-            {
-                "suite": args.suite,
-                "gmax": args.gmax,
-                "passed": ok,
-                "checks": [
-                    {"name": r.name, "passed": r.passed, "detail": r.detail}
-                    for r in results
-                ],
-            }
-        )
-    elif fmt == "csv":
-        w = csv.writer(sys.stdout, lineterminator="\n")
-        w.writerow(["suite", "check", "passed", "detail"])
-        for r in results:
-            w.writerow([args.suite, r.name, int(r.passed), r.detail])
-    else:
-        for r in results:
-            mark = _colorize("PASS", "32") if r.passed else _colorize("FAIL", "31")
-            tail = f"  ({r.detail})" if (r.detail and not r.passed) else ""
-            print(f"{mark}  {r.name}{tail}")
-        n_fail = sum(1 for r in results if not r.passed)
-        print(f"{len(results)} check(s), {n_fail} failed")
+    with _output():
+        if fmt == "json":
+            _emit_json(
+                {
+                    "suite": args.suite,
+                    "gmax": args.gmax,
+                    "passed": ok,
+                    "checks": [
+                        {"name": r.name, "passed": r.passed, "detail": r.detail}
+                        for r in results
+                    ],
+                }
+            )
+        elif fmt == "csv":
+            w = csv.writer(sys.stdout, lineterminator="\n")
+            w.writerow(["suite", "check", "passed", "detail"])
+            for r in results:
+                w.writerow([args.suite, r.name, int(r.passed), r.detail])
+        else:
+            for r in results:
+                mark = _colorize("PASS", "32") if r.passed else _colorize("FAIL", "31")
+                tail = f"  ({r.detail})" if (r.detail and not r.passed) else ""
+                print(f"{mark}  {r.name}{tail}")
+            n_fail = sum(1 for r in results if not r.passed)
+            print(f"{len(results)} check(s), {n_fail} failed")
     return 0 if ok else 1
 
 

@@ -24,6 +24,7 @@ class that `fundamental_presentation` reduces.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from typing import Iterator, Sequence
 
 from .lattice import (
@@ -31,7 +32,7 @@ from .lattice import (
     NumClass,
     PicClass,
     is_two_divisible,
-    pair,
+    linear_form,
     require_big,
     sequence_combination,
     standard_sequence,
@@ -231,17 +232,18 @@ def class_from_presentation(
 ) -> NumClass:
     """Evaluate the presentation on a concrete sequence: head coefficients
     on members 1..7, a9 and a10 on members 9 and 10, a0 on the pair class
-    of the last two members."""
-    ms = seq.members
-    total = sum(ms[1:], ms[0])
-    if any(v % 3 for v in total.coords):
-        raise ValueError("sequence total is not three-divisible")
-    dseq = NumClass(tuple(v // 3 for v in total.coords))
-    out = NumClass((0,) * 10)
-    for v, f in zip(c.head, ms[:7]):
-        out = out + v * f
-    out = out + c.a9 * ms[8] + c.a10 * ms[9]
-    return out + c.a0 * (dseq - ms[8] - ms[9])
+    D' - S_9 - S_10 of the last two members, where D' is a third of the
+    sequence total.  Each coordinate is one weighted sum down its column
+    of member coordinates."""
+    weights = (*c.head, 0, c.a9 - c.a0, c.a10 - c.a0)
+    a0 = c.a0
+    out = []
+    for column in zip(*(f.coords for f in seq.members)):
+        third, rem = divmod(sum(column), 3)
+        if rem:
+            raise ValueError("sequence total is not three-divisible")
+        out.append(sum(map(mul, weights, column)) + a0 * third)
+    return NumClass(tuple(out))
 
 
 def _reduce(goal: NumClass, eps: int) -> tuple[FundamentalCoefficients, IsotropicSequence]:
@@ -256,7 +258,8 @@ def _reduce(goal: NumClass, eps: int) -> tuple[FundamentalCoefficients, Isotropi
     in the closed positive cone, so the loop ends.  At the stop the
     sorted pairings satisfy the tail chain and read off as coefficients.
     """
-    pairs = [(pair(goal, f), f) for f in standard_sequence()]
+    form = linear_form(goal)
+    pairs = [(sum(map(mul, form, f.coords)), f) for f in standard_sequence()]
     dseq = D
     while True:
         pairs.sort(key=lambda mf: mf[0])

@@ -23,6 +23,12 @@ positive (effective in the unnodal model) iff it pairs positively with D.
 `sequence_combination` is the one map from coefficients on the fixed
 sequence to coordinates, and `require_big` is the one check that a class
 is big and positive; every route into the package starts with them.
+
+Validation happens at that boundary: the `NumClass(...)` constructor
+checks the coordinates and `require_big` checks bigness and positivity.
+Arithmetic on valid classes gives valid classes, so `+`, `-` and `*`
+build their results through `NumClass._trusted` without re-checking.
+`pair` and `linear_form` evaluate the Gram matrix in closed form.
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import add, mul, neg, sub
 from typing import Sequence
 
 RANK = 10
@@ -40,6 +47,7 @@ __all__ = [
     "PicClass",
     "D",
     "pair",
+    "linear_form",
     "self_int",
     "generator_e",
     "generator_pair",
@@ -67,19 +75,27 @@ class NumClass:
         if not all(isinstance(c, int) for c in self.coords):
             raise ValueError("coordinates must be integers")
 
+    @classmethod
+    def _trusted(cls, coords: tuple[int, ...]) -> NumClass:
+        """Build without the checks above, for coordinates that are ten
+        integers by construction (arithmetic on valid classes)."""
+        c = object.__new__(cls)
+        object.__setattr__(c, "coords", coords)
+        return c
+
     def __add__(self, other: "NumClass") -> "NumClass":
-        return NumClass(tuple(a + b for a, b in zip(self.coords, other.coords)))
+        return NumClass._trusted(tuple(map(add, self.coords, other.coords)))
 
     def __sub__(self, other: "NumClass") -> "NumClass":
-        return NumClass(tuple(a - b for a, b in zip(self.coords, other.coords)))
+        return NumClass._trusted(tuple(map(sub, self.coords, other.coords)))
 
     def __neg__(self) -> "NumClass":
-        return NumClass(tuple(-a for a in self.coords))
+        return NumClass._trusted(tuple(map(neg, self.coords)))
 
     def __mul__(self, n: int) -> "NumClass":
         if not isinstance(n, int):
             return NotImplemented
-        return NumClass(tuple(n * a for a in self.coords))
+        return NumClass._trusted(tuple(n * a for a in self.coords))
 
     __rmul__ = __mul__
 
@@ -106,25 +122,44 @@ D = NumClass((0,) * 9 + (1,))
 
 
 def pair(a: NumClass, b: NumClass) -> int:
-    """Intersection pairing, evaluated by the closed form of the Gram matrix."""
+    """Intersection pairing, evaluated by the closed form of the Gram matrix:
+    with s the sum of the first nine coordinates and d the last,
+    a.b = s_a s_b - (a_1 b_1 + ... + a_9 b_9) + 3 (d_a s_b + d_b s_a)
+    + 10 d_a d_b."""
     xa, xb = a.coords, b.coords
-    sa = sum(xa[:9])
-    sb = sum(xb[:9])
-    dot = sum(p * q for p, q in zip(xa, xb)) - xa[9] * xb[9]
-    return sa * sb - dot + 3 * (xa[9] * sb + xb[9] * sa) + 10 * xa[9] * xb[9]
+    da, db = xa[9], xb[9]
+    sa = sum(xa) - da
+    sb = sum(xb) - db
+    return sa * sb - sum(map(mul, xa, xb)) + 3 * (da * sb + db * sa) + 11 * da * db
+
+
+def linear_form(a: NumClass) -> tuple[int, ...]:
+    """The ten integers l with a.x = l_1 x_1 + ... + l_10 x_10 for every
+    class x: the Gram matrix times the coordinates of a.  The last entry
+    is a.D."""
+    x = a.coords
+    d = x[9]
+    s = sum(x) - d
+    base = s + 3 * d
+    return (*[base - v for v in x[:9]], 3 * s + 10 * d)
 
 
 def self_int(a: NumClass) -> int:
     return pair(a, a)
 
 
+# The fixed sequence E_1, ..., E_10 in the basis B; classes are immutable,
+# so every caller shares these.
+_STANDARD = tuple(
+    NumClass(tuple(1 if k == i else 0 for k in range(RANK))) for i in range(9)
+) + (NumClass((-1,) * 9 + (3,)),)
+
+
 def generator_e(i: int) -> NumClass:
     """The i-th member of the fixed isotropic sequence, 1 <= i <= 10."""
     if not 1 <= i <= 10:
         raise ValueError(f"index out of range: {i}")
-    if i <= 9:
-        return NumClass(tuple(1 if k == i - 1 else 0 for k in range(RANK)))
-    return NumClass((-1,) * 9 + (3,))
+    return _STANDARD[i - 1]
 
 
 def generator_pair(i: int, j: int) -> NumClass:
@@ -135,7 +170,7 @@ def generator_pair(i: int, j: int) -> NumClass:
 
 
 def standard_sequence() -> tuple[NumClass, ...]:
-    return tuple(generator_e(i) for i in range(1, 11))
+    return _STANDARD
 
 
 def is_primitive(a: NumClass) -> bool:

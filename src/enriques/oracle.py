@@ -28,7 +28,8 @@ naive coordinate-box search `box_isotropics` (the oracle's oracle).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt
+from math import gcd, isqrt
+from operator import mul
 from typing import Sequence
 
 import numpy as np
@@ -37,11 +38,10 @@ from .lattice import (
     NumClass,
     generator_e,
     gram_matrix,
-    is_positive,
     is_primitive,
+    linear_form,
     pair,
     require_big,
-    self_int,
 )
 
 __all__ = [
@@ -125,17 +125,25 @@ class IsotropicSequence:
     members: tuple[NumClass, ...]
 
     def __post_init__(self):
+        """Member by member: isotropic, primitive, positive; then every
+        pair.  Each member's linear form is computed once, so every check
+        is a dot product (its D-entry is the member's pairing with D)."""
         ms = self.members
         if len(ms) != 10:
             raise ValueError("an isotropic sequence has ten members")
-        for f in ms:
-            if self_int(f) != 0:
+        forms = [linear_form(f) for f in ms]
+        for f, lf in zip(ms, forms):
+            if sum(map(mul, f.coords, lf)) != 0:
                 raise ValueError("sequence member is not isotropic")
-            if not is_primitive(f) or not is_positive(f):
+            g = gcd(*f.coords)
+            if g == 0:
+                raise ValueError("the zero class is neither primitive nor imprimitive")
+            if g != 1 or lf[9] <= 0:
                 raise ValueError("sequence member is not positive primitive")
-        for i in range(10):
-            for j in range(i + 1, 10):
-                if pair(ms[i], ms[j]) != 1:
+        for i in range(9):
+            lf = forms[i]
+            for f in ms[i + 1 :]:
+                if sum(map(mul, lf, f.coords)) != 1:
                     raise ValueError("sequence members must pairwise pair to 1")
 
 

@@ -355,6 +355,40 @@ def test_module_entry_matches_script():
     assert json.loads(proc.stdout)["passed"] is True
 
 
+def run_into_closed_reader(argv, lines):
+    """Run the module entry with stdout on a pipe whose reader takes
+    `lines` lines and then closes it; returns (exit code, stderr)."""
+    read_fd, write_fd = os.pipe()
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "enriques.cli", *argv],
+        stdout=write_fd,
+        stderr=subprocess.PIPE,
+        env=child_env(),
+    )
+    os.close(write_fd)
+    with os.fdopen(read_fd, "rb") as reader:
+        for _ in range(lines):
+            assert reader.readline()
+    _, err = proc.communicate(timeout=120)
+    return proc.returncode, err.decode()
+
+
+@pytest.mark.parametrize(
+    "argv, lines",
+    [
+        # 230 kB of rows: the reader closes while the CLI is still writing
+        (["components", "--genus", "250", "--format", "json"], 1),
+        # a few hundred bytes: the reader is gone before the final flush
+        (["verify", "--suite", "lattice", "--format", "json"], 0),
+    ],
+    ids=["mid-write", "at-flush"],
+)
+def test_a_reader_that_closes_early_keeps_the_exit_code(argv, lines):
+    """Exit code 1 means a check failed; `| head -1` must not fake one."""
+    code, err = run_into_closed_reader(argv, lines)
+    assert (code, err) == (0, "")
+
+
 def test_phivector_class_of_low_genus_returns_promptly():
     """This genus-3 class, coordinates at most 2, once ran for minutes."""
     proc = subprocess.run(

@@ -24,6 +24,7 @@ from enriques.lattice import (
     PicClass,
     generator_e,
     generator_pair,
+    gram_matrix,
     is_two_divisible,
     pair,
     self_int,
@@ -363,3 +364,96 @@ def test_rewrite_agrees_with_the_presentation_of_its_class(cs, a0):
     assume(self_int(goal) > 0)
     fc, _ = rewrite_to_fundamental(cs, a0=a0)
     assert fc == fundamental_presentation(goal)[0]
+
+
+# --- deep classes: hyperbolic words -----------------------------------------
+
+
+def hyperbolic_word(x, letters):
+    """Reflect x `letters` times, each time in the root D - E_i - E_j - E_k
+    of the three standard members it pairs lowest with (ties by index).
+    Each letter costs the reduction one alpha_0 step, and the coordinates
+    gain about one digit per 6 letters."""
+    for _ in range(letters):
+        i, j, k = sorted(range(1, 11), key=lambda n: (pair(x, E[n]), n))[:3]
+        alpha = D - E[i] - E[j] - E[k]
+        x = x + pair(x, alpha) * alpha
+    return x
+
+
+def evaluate_with_class_arithmetic(c, seq):
+    """A presentation on a sequence, summed term by term with NumClass + and
+    *; D' is a third of the member total."""
+    ms = seq.members
+    total = sum(ms[1:], ms[0])
+    dseq = NumClass(tuple(v // 3 for v in total.coords))
+    out = NumClass((0,) * 10)
+    for v, f in zip(c.head, ms[:7]):
+        out = out + v * f
+    out = out + c.a9 * ms[8] + c.a10 * ms[9]
+    return out + c.a0 * (dseq - ms[8] - ms[9])
+
+
+def gram_form(a, b):
+    gm = gram_matrix()
+    return sum(x * gm[i][j] * y for i, x in enumerate(a.coords) for j, y in enumerate(b.coords))
+
+
+@pytest.fixture(scope="module")
+def deep_classes():
+    """(known coefficients, 300-letter image of their class) per seed."""
+    out = []
+    for seed in range(4):
+        rng = random.Random(f"deep:{seed}")
+        c = rng.choice(big_small_coeffs)
+        out.append((c, hyperbolic_word(c.divisor_class().num, 300)))
+    return out
+
+
+def test_deep_classes_reduce_to_their_known_coefficients(deep_classes):
+    for c, L in deep_classes:
+        assert max(len(str(abs(v))) for v in L.coords) >= 45
+        for eps in (0, 1):
+            fc, seq = fundamental_presentation(PicClass(L, eps))
+            assert fc == replace(c, eps=eps if c.all_even() else 0)
+            assert class_from_presentation(fc, seq) == L
+
+
+def test_presentations_on_deep_sequences_match_class_arithmetic(deep_classes):
+    rng = random.Random(11)
+    for c, L in deep_classes:
+        fc, seq = fundamental_presentation(L)
+        assert evaluate_with_class_arithmetic(fc, seq) == L
+        for other in rng.sample(small_coeffs, 20):
+            got = class_from_presentation(other, seq)
+            assert got == evaluate_with_class_arithmetic(other, seq)
+
+
+def test_pair_matches_the_gram_form_on_deep_classes(deep_classes):
+    for _, L in deep_classes:
+        _, seq = fundamental_presentation(L)
+        for x in (L, D, *seq.members):
+            assert pair(L, x) == gram_form(L, x)
+        assert pair(seq.members[0], seq.members[1]) == gram_form(seq.members[0], seq.members[1]) == 1
+
+
+def test_rewrite_returns_the_known_coefficients_of_large_inputs():
+    """rewrite_to_fundamental takes nonnegative coefficients on the standard
+    sequence, and a hyperbolic word leaves that cone at its first letter.
+    Its 48-digit inputs are fundamental tuples instead, with the first
+    eight members and the last two permuted (isometries that fix E_(9,10))."""
+    rng = random.Random(5)
+    big = 10**47
+    for _ in range(20):
+        head = tuple(sorted((rng.randrange(big, 10 * big) for _ in range(7)), reverse=True))
+        a10 = rng.randrange(big, 10 * big)
+        a9 = rng.randrange(a10, 10 * big)
+        a0 = rng.randrange(a9, a9 + a10 + 1)
+        c = FundamentalCoefficients(a0=a0, head=head, a9=a9, a10=a10)
+        first = list(head) + [0]
+        rng.shuffle(first)
+        last = [a9, a10] if rng.random() < 0.5 else [a10, a9]
+        eps = rng.randint(0, 1)
+        fc, seq = rewrite_to_fundamental(first + last, a0=a0, eps=eps)
+        assert fc == replace(c, eps=eps if c.all_even() else 0)
+        assert class_from_presentation(fc, seq) == sequence_combination(first + last, a0)

@@ -308,6 +308,24 @@ def test_rewrite_identity_checks_run_under_optimize():
     assert "failed to reconstruct the class" in proc.stdout
 
 
+def run_with_and_without_optimize(argv):
+    """The CLI run twice in child interpreters, plain and under -O."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(PACKAGE_DIR.parent), env.get("PYTHONPATH")) if p
+    )
+    return [
+        subprocess.run(
+            [sys.executable, *flags, "-m", "enriques.cli", *argv],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        for flags in ([], ["-O"])
+    ]
+
+
 @pytest.mark.parametrize(
     "argv",
     [["--suite", "dominating"], ["--suite", "roundtrip", "--gmax", "20"]],
@@ -316,22 +334,20 @@ def test_rewrite_identity_checks_run_under_optimize():
 def test_suites_give_the_same_report_under_optimize(argv):
     """Every identity check in a suite is a plain comparison, so stripping
     asserts with -O must change neither the report nor the exit code."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(PACKAGE_DIR.parent), env.get("PYTHONPATH")) if p
-    )
-    runs = [
-        subprocess.run(
-            [sys.executable, *flags, "-m", "enriques.cli", "verify", *argv],
-            capture_output=True,
-            text=True,
-            env=env,
-            timeout=120,
-        )
-        for flags in ([], ["-O"])
-    ]
+    runs = run_with_and_without_optimize(["verify", *argv])
     for proc in runs:
         assert proc.returncode == 0, proc.stderr
     plain, optimized = runs
     assert '"passed": true' in plain.stdout
+    assert optimized.stdout == plain.stdout
+
+
+def test_phivector_gives_the_same_output_under_optimize():
+    """The reduction's identity checks raise explicitly, so -O changes
+    neither the phivector report nor its exit code."""
+    plain, optimized = run_with_and_without_optimize(
+        ["phivector", "--class=2,0,1,0,2,2,-2,1,2,-1", "--format", "json"]
+    )
+    assert plain.returncode == optimized.returncode == 0, plain.stderr + optimized.stderr
+    assert '"genus": 3' in plain.stdout
     assert optimized.stdout == plain.stdout

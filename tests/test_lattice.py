@@ -18,6 +18,7 @@ from enriques.lattice import (
     is_positive,
     is_primitive,
     is_two_divisible,
+    linear_form,
     pair,
     require_big,
     self_int,
@@ -86,7 +87,10 @@ def test_three_d_is_the_basis_sum():
 def test_standard_sequence():
     seq = standard_sequence()
     assert len(seq) == 10
-    assert seq[0] == generator_e(1)
+    assert seq is standard_sequence()  # one shared constant
+    assert seq == tuple(generator_e(i) for i in range(1, 11))
+    with pytest.raises(ValueError):
+        generator_e(11)
     for i, j in combinations(range(10), 2):
         assert pair(seq[i], seq[j]) == 1
     for f in seq:
@@ -109,6 +113,23 @@ def test_numclass_arithmetic_and_json():
     assert a * 2 == a + a
     assert a.to_json() == [1, 2, 3, 4, 5, 6, 7, 8, 9, 10]
     assert ZERO.is_zero() and not a.is_zero()
+
+
+@given(classes_st, classes_st, st.integers(-5, 5))
+def test_arithmetic_results_equal_checked_classes(a, b, n):
+    """+, -, unary - and * skip the constructor's checks; their results
+    are still ten-integer classes equal (and hashing equal) to the checked
+    construction of the same coordinates."""
+    for got, want in (
+        (a + b, [x + y for x, y in zip(a.coords, b.coords)]),
+        (a - b, [x - y for x, y in zip(a.coords, b.coords)]),
+        (-a, [-x for x in a.coords]),
+        (n * a, [n * x for x in a.coords]),
+        (a * n, [n * x for x in a.coords]),
+    ):
+        checked = NumClass(tuple(want))
+        assert type(got) is NumClass and got == checked and hash(got) == hash(checked)
+        assert len(got.coords) == RANK and all(type(v) is int for v in got.coords)
 
 
 def test_picclass_torsion_arithmetic():
@@ -198,6 +219,16 @@ def test_pair_is_symmetric(a, b):
 @given(classes_st, classes_st, classes_st)
 def test_pair_is_bilinear(a, b, c):
     assert pair(a + b, c) == pair(a, c) + pair(b, c)
+
+
+@given(classes_st, classes_st)
+def test_pair_and_linear_form_match_the_gram_matrix(a, b):
+    gm = gram_matrix()
+    want = sum(x * gm[i][j] * y for i, x in enumerate(a.coords) for j, y in enumerate(b.coords))
+    assert pair(a, b) == want
+    form = linear_form(a)
+    assert sum(l * y for l, y in zip(form, b.coords)) == want
+    assert form[9] == pair(a, D)
 
 
 @given(classes_st)

@@ -1,5 +1,6 @@
 """Search oracle: isotropic enumeration, profile minima, sequences."""
 
+import random
 from itertools import product
 
 import pytest
@@ -86,6 +87,94 @@ def test_isotropic_sequence_validation():
         IsotropicSequence((E[1],) * 10)  # pairings 0
     with pytest.raises(ValueError):
         IsotropicSequence(standard_sequence()[:9] + (-E[10],))  # not positive
+
+
+def reference_sequence_error(ms):
+    """IsotropicSequence's checks written with the lattice predicates, in
+    their order: the message of the first check ms fails, or None."""
+    try:
+        if len(ms) != 10:
+            raise ValueError("an isotropic sequence has ten members")
+        for f in ms:
+            if self_int(f) != 0:
+                raise ValueError("sequence member is not isotropic")
+            if not is_primitive(f) or not is_positive(f):
+                raise ValueError("sequence member is not positive primitive")
+        for i in range(10):
+            for j in range(i + 1, 10):
+                if pair(ms[i], ms[j]) != 1:
+                    raise ValueError("sequence members must pairwise pair to 1")
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def sequence_error(ms):
+    try:
+        IsotropicSequence(tuple(ms))
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+# simple roots of W(E10): D - E_1 - E_2 - E_3 and E_i - E_(i+1)
+SIMPLE_ROOTS = (D - E[1] - E[2] - E[3],) + tuple(E[i] - E[i + 1] for i in range(1, 10))
+
+
+def reflected_sequences(seed, count=12, length=40):
+    """The standard sequence, then `count` seeded images of it under words
+    of up to `length` simple reflections (isometries that keep the
+    positive cone, so each image is again an isotropic sequence)."""
+    rng = random.Random(seed)
+    out = [standard_sequence()]
+    for _ in range(count):
+        ms = standard_sequence()
+        for _ in range(rng.randint(1, length)):
+            alpha = rng.choice(SIMPLE_ROOTS)
+            ms = tuple(f + pair(f, alpha) * alpha for f in ms)
+        out.append(ms)
+    return out
+
+
+def mutations(ms, rng):
+    """Broken copies of ms, one per kind of failure."""
+    k = rng.randrange(10)
+    other = rng.choice([j for j in range(10) if j != k])
+
+    def put(f):
+        return ms[:k] + (f,) + ms[k + 1 :]
+
+    return {
+        "D": put(D),
+        "doubled": put(2 * ms[k]),
+        "negated": put(-ms[k]),
+        "zero": put(NumClass((0,) * 10)),
+        "repeated": put(ms[other]),
+        "nine": ms[:k] + ms[k + 1 :],
+    }
+
+
+MUTATION_ERRORS = {
+    "D": "sequence member is not isotropic",
+    "doubled": "sequence member is not positive primitive",
+    "negated": "sequence member is not positive primitive",
+    "zero": "the zero class is neither primitive nor imprimitive",
+    "repeated": "sequence members must pairwise pair to 1",
+    "nine": "an isotropic sequence has ten members",
+}
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_sequence_checks_match_the_predicate_reference(seed):
+    """The linear-form checks accept and reject exactly what the predicate
+    reference does, with the same message."""
+    rng = random.Random(1000 + seed)
+    for ms in reflected_sequences(seed):
+        assert reference_sequence_error(ms) is None
+        assert sequence_error(ms) is None
+        for kind, bad in mutations(ms, rng).items():
+            assert reference_sequence_error(bad) == MUTATION_ERRORS[kind]
+            assert sequence_error(bad) == MUTATION_ERRORS[kind]
 
 
 def test_values_against():
