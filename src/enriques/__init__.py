@@ -9,6 +9,7 @@ genus-by-genus component enumeration, and cross-checking suites.
 
 from .lattice import (
     D,
+    NotBigError,
     NumClass,
     PicClass,
     RANK,
@@ -72,6 +73,7 @@ __all__ = [
     "FundamentalCoefficients",
     "IsotropicSequence",
     "ModuliComponent",
+    "NotBigError",
     "NumClass",
     "PhiVector",
     "PicClass",

@@ -38,7 +38,7 @@ from .fundamental import (
     phivector_from_coefficients,
     quadratic_value,
 )
-from .lattice import NumClass, PicClass, is_two_divisible, require_big
+from .lattice import NotBigError, NumClass, PicClass, is_two_divisible
 from .oracle import phi_vector_oracle
 from .verify import SUITES, run_suite
 
@@ -221,12 +221,13 @@ def _class_from_args(args: argparse.Namespace, parser: argparse.ArgumentParser):
         num = NumClass(coords)
     except ValueError as exc:
         parser.error(str(exc))
+    # `fundamental_presentation` checks the class once; only that check
+    # exits 3, any other ValueError past it is a fault.
     try:
-        require_big(num)
-    except ValueError as exc:
+        fc, _seq = fundamental_presentation(PicClass(num, args.eps))
+    except NotBigError as exc:
         print(exc, file=sys.stderr)
         raise SystemExit(3)
-    fc, _seq = fundamental_presentation(PicClass(num, args.eps))
     return num, fc
 
 

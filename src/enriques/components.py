@@ -11,11 +11,14 @@ self-intersection (an elementary nonnegative quadratic, so partial-sum
 pruning is exact) and converts each to its profile.  It is one walk over
 the heads a_1..a_7 for a whole window of genera, its tuples grouped by
 quadratic value g - 1; a single genus is the window of width zero, and
-every sweep over 2..gmax is one window.  A head of value p and sum s
-that leaves r = q_hi - p > 0 below the window's top needs r >= 2s + 2,
-the least that a nonzero tail adds, and is skipped otherwise.  The tails
-(a0, a9, a10) of each (s, r) are solved once per call, in a table that
-lives only as long as that call.  The walk's tuples and profiles satisfy
+every sweep over 2..gmax is one window.  The walk branches only on
+entries v >= 1: each prefix takes its all-zero completion (the prefix
+padded with zeros) where its branch starts.  A tail (a0 = a9 + t, a9,
+a10) other than zero adds alpha*s + beta to a head of sum s, with
+alpha = 2a9 + a10 + t and beta = 2a9^2 + 3a9*a10 + 2t(a9 + a10), so at
+least 2s + 2.  These tails are listed once per call, in a table keyed by
+head sum and added value that lives only as long as that call, and each
+live head reads its tails off it.  The walk's tuples and profiles satisfy
 their invariants by construction, so its rows skip revalidation.  This
 route never calls the search oracle; it takes only `PhiVector` and
 `order_key` from it.
@@ -28,6 +31,7 @@ certification of the dominating genus-621 class live in `verify`.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -45,8 +49,13 @@ __all__ = [
 
 
 def component_name(g: int, phi: PhiVector, eps: int) -> str:
-    body = ",".join(str(v) for v in phi.phis)
-    if phi.all_even():
+    return _name(g, ",".join(map(str, phi.phis)), phi.all_even(), eps)
+
+
+def _name(g: int, body: str, even: bool, eps: int) -> str:
+    """The name of a genus-g row from its profile body "phi_1,...,phi_10"
+    and its parity: the eps sign shows only on an all-even profile."""
+    if even:
         sign = "+" if eps == 0 else "-"
         return f"E^{sign}_{{{g};{body}}}"
     return f"E_{{{g};{body}}}"
@@ -94,72 +103,101 @@ def _coefficient_tuples(
     prune exactly, here against q_hi.  A complete head (a_1..a_7) has
     value p = e2(head) and sum s; the tail (a0, a9, a10) adds q - p.  The
     zero tail is kept when q_lo <= p <= q_hi.  Any other tail has a9 >= 1
-    and adds at least 2s + 2 (at a0 = a9 = 1, a10 = 0), so a head with
-    q_hi - p < 2s + 2 has no other tail and is skipped.  The tails of a
-    live head depend on (s, r = q_hi - p) alone, since the window width
-    is fixed for the call: they are the tails that add r - d for
-    0 <= d <= q_hi - q_lo, and they are solved once per call into a table
-    local to it.  For each a10 <= a9, the tail adds base + t*w with
-    a0 = a9 + t and 0 <= t <= a10; one division of r - base by w gives
-    the largest t that fits under r and its shortfall d, and each smaller
-    t adds w to d while d stays within the width.  Each bucket holds its
-    tuples in walk order.
+    and, with a0 = a9 + t (0 <= t <= a10), adds T = alpha*s + beta, where
+
+        alpha = 2a9 + a10 + t,  beta = 2a9^2 + 3a9*a10 + 2t(a9 + a10),
+
+    so at least 2s + 2 (at a0 = a9 = 1, a10 = 0), and a head with
+    r = q_hi - p < 2s + 2 has no such tail.  The nonzero tails are listed
+    once per call, in a table local to it: for each head sum s, every
+    value T <= q_hi that some tail adds, with those tails.  The a9 bound
+    is 2a9^2 <= q_hi, so the all-zero head (s = 0) keeps its tails.  A
+    live head then reads its tails off the table: the entry T = r for a
+    single q, and the entries r - (q_hi - q_lo) <= T <= r, found by
+    bisection in the sorted T of its s, for a window.
+
+    The walk recurses into the entries v >= 1 only.  Each prefix emits
+    its all-zero completion (the prefix padded with zeros, same p and s)
+    with its zero tail and its nonzero tails where its branch starts, so
+    no chain of zero entries is walked.  Each bucket holds its tuples in
+    walk order.
     """
     q_lo = max(q_lo, 1)
     width = q_hi - q_lo
     buckets: dict[int, list[FundamentalCoefficients]] = {
         q: [] for q in range(q_lo, q_hi + 1)
     }
+    if width < 0:
+        return buckets
     make = FundamentalCoefficients._trusted
-    tail_table: dict[tuple[int, int], list[tuple[int, int, int, int]]] = {}
+    # by_sum[s][T]: the tails (a0, a9, a10) that add T to a head of sum s.
+    by_sum: list[dict[int, list[tuple[int, int, int]]]] = [
+        {} for _ in range(q_hi // 2 + 1)
+    ]
+    a9 = 1
+    while 2 * a9 * a9 <= q_hi:
+        for a10 in range(a9 + 1):
+            for t in range(a10 + 1):
+                alpha = 2 * a9 + a10 + t
+                beta = 2 * a9 * a9 + 3 * a9 * a10 + 2 * t * (a9 + a10)
+                for s in range((q_hi - beta) // alpha + 1):
+                    by_sum[s].setdefault(alpha * s + beta, []).append((a9 + t, a9, a10))
+        a9 += 1
+    sorted_sums = [sorted(found) for found in by_sum] if width else []
+    pads = [(0,) * (7 - n) for n in range(8)]
 
-    def tails(s: int, r: int) -> list[tuple[int, int, int, int]]:
-        found = []  # (d, a0, a9, a10): the tail adds r - d
-        a9 = 1
-        while 2 * a9 * (s + a9) <= r:
-            for a10 in range(a9 + 1):
-                w = s + 2 * (a9 + a10)
-                rem = r - (a9 + a10) * s - a9 * a10 - a9 * w
-                if rem < 0:
-                    break
-                t, m = divmod(rem, w)
-                if m > width:
-                    continue
-                lo = t - (width - m) // w
-                if lo > a10:
-                    continue
-                for u in range(min(t, a10), max(lo, 0) - 1, -1):
-                    found.append((m + (t - u) * w, a9 + u, a9, a10))
-            a9 += 1
-        return found
+    def tails(head: tuple[int, ...], s: int, r: int) -> None:
+        found = by_sum[s]
+        if not width:
+            for a0, a9, a10 in found.get(r, ()):
+                buckets[q_hi].append(make(a0, head, a9, a10))
+            return
+        ts = sorted_sums[s]
+        for t in ts[bisect_left(ts, r - width) : bisect_right(ts, r)]:
+            bucket = buckets[q_hi - r + t]
+            for a0, a9, a10 in found[t]:
+                bucket.append(make(a0, head, a9, a10))
 
     def heads(acc: tuple[int, ...], prev: int, p: int, s: int) -> None:
-        hi = min(prev, (q_hi - p) // s) if s else prev
+        rest = q_hi - p
+        if p >= q_lo:
+            buckets[p].append(make(0, acc + pads[len(acc)], 0, 0))
+        if rest >= 2 * s + 2 and (width or rest in by_sum[s]):
+            tails(acc + pads[len(acc)], s, rest)
+        hi = prev
+        if s:
+            hi = rest // s
+            if hi > prev:
+                hi = prev
         if len(acc) < 6:
-            for v in range(hi, -1, -1):
+            for v in range(hi, 0, -1):
                 heads(acc + (v,), v, p + v * s, s + v)
             return
-        # The zero tail needs q_lo <= p + v*s <= q_hi.  A nonzero tail needs
-        # r = q_hi - p - v*s >= 2(s + v) + 2, i.e. v <= (r - 2s - 2) / (s + 2).
-        rest = q_hi - p
+        # The last entry v >= 1, inline.  The zero tail needs
+        # q_lo <= p + v*s; a nonzero tail needs rest - v*s >= 2(s + v) + 2.
         if s:
             v, lowest = hi, -((p - q_lo) // s)
-            while v >= lowest and v >= 0:
+            if lowest < 1:
+                lowest = 1
+            while v >= lowest:
                 buckets[p + v * s].append(make(0, acc + (v,), 0, 0))
                 v -= 1
-        for v in range(min(hi, (rest - 2 * s - 2) // (s + 2)), -1, -1):
-            key = (s + v, rest - v * s)
-            found = tail_table.get(key)
-            if found is None:
-                found = tail_table[key] = tails(*key)
-            if not found:
-                continue
-            head = acc + (v,)
-            for d, a0, a9, a10 in found:
-                buckets[q_hi - d].append(make(a0, head, a9, a10))
+        top = (rest - 2 * s - 2) // (s + 2)
+        if top > hi:
+            top = hi
+        if width:
+            for v in range(top, 0, -1):
+                tails(acc + (v,), s + v, rest - v * s)
+            return
+        bucket = buckets[q_hi]
+        for v in range(top, 0, -1):
+            found = by_sum[s + v].get(rest - v * s)
+            if found:
+                head = acc + (v,)
+                for a0, a9, a10 in found:
+                    bucket.append(make(a0, head, a9, a10))
 
-    if q_lo <= q_hi:
-        heads((), q_hi, 0, 0)
+    heads((), q_hi, 0, 0)
     return buckets
 
 
@@ -180,16 +218,18 @@ def components_by_genus(
 def _rows(g: int, coeffs: list[FundamentalCoefficients]) -> tuple[ModuliComponent, ...]:
     rows = []
     for c in coeffs:
-        p = PhiVector._trusted(_profile_entries(c))
+        phis = _profile_entries(c)
+        p = PhiVector._trusted(phis)
+        body = ",".join(map(str, phis))
         two_div = p.all_even()
         unirational = unirationality_flag(p)
         rows.append(
-            ModuliComponent(g, p, 0, two_div, component_name(g, p, 0), unirational, c)
+            ModuliComponent(g, p, 0, two_div, _name(g, body, two_div, 0), unirational, c)
         )
         if two_div:
             c1 = FundamentalCoefficients._trusted(c.a0, c.head, c.a9, c.a10, eps=1)
             rows.append(
-                ModuliComponent(g, p, 1, two_div, component_name(g, p, 1), unirational, c1)
+                ModuliComponent(g, p, 1, two_div, _name(g, body, True, 1), unirational, c1)
             )
     rows.sort(key=lambda m: (order_key(m.phi.phis), m.eps))
     return tuple(rows)

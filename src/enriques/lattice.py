@@ -25,7 +25,8 @@ sequence to coordinates, and `require_big` is the one check that a class
 is big and positive; every route into the package starts with them.
 
 Validation happens at that boundary: the `NumClass(...)` constructor
-checks the coordinates and `require_big` checks bigness and positivity.
+checks the coordinates and `require_big` checks bigness and positivity,
+raising `NotBigError` (a `ValueError`) on a class that fails them.
 Arithmetic on valid classes gives valid classes, so `+`, `-` and `*`
 build their results through `NumClass._trusted` without re-checking.
 `pair` and `linear_form` evaluate the Gram matrix in closed form.
@@ -56,6 +57,7 @@ __all__ = [
     "is_positive",
     "is_two_divisible",
     "sequence_combination",
+    "NotBigError",
     "require_big",
     "gram_matrix",
     "gram_determinant",
@@ -215,17 +217,22 @@ def sequence_combination(coeffs: Sequence[int], a0: int = 0) -> NumClass:
     )
 
 
+class NotBigError(ValueError):
+    """A class that is zero, not big or not positive, as `require_big`
+    finds it; the message names the first condition that fails."""
+
+
 def require_big(a: NumClass) -> tuple[int, int]:
-    """(a.D, a^2) of a big positive class; ValueError naming the first
+    """(a.D, a^2) of a big positive class; NotBigError naming the first
     condition a fails otherwise."""
     if a.is_zero():
-        raise ValueError("class is not positive: it is zero")
+        raise NotBigError("class is not positive: it is zero")
     q = self_int(a)
     if q <= 0:
-        raise ValueError("class is not big: the self-intersection is not positive")
+        raise NotBigError("class is not big: the self-intersection is not positive")
     d = pair(a, D)
     if d <= 0:
-        raise ValueError("class is not positive: it pairs nonpositively with d")
+        raise NotBigError("class is not positive: it pairs nonpositively with d")
     return d, q
 
 

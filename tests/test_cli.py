@@ -11,6 +11,7 @@ import pytest
 
 import enriques
 import enriques.cli
+import enriques.fundamental
 from enriques.cli import main
 from enriques.components import components_by_genus, enumerate_components
 
@@ -261,6 +262,26 @@ def test_only_the_big_class_check_exits_three(monkeypatch):
     monkeypatch.setattr(enriques.cli, "fundamental_presentation", broken)
     with pytest.raises(ValueError, match="presentation failed"):
         main(["phivector", "--class", "1,1,0,0,0,0,0,0,0,0"])
+
+
+def test_phivector_class_checks_bigness_once(monkeypatch, capsys):
+    """`phivector --class` leaves the big-class check to the reduction."""
+    calls = []
+    check = enriques.fundamental.require_big
+
+    def counting(a):
+        calls.append(a)
+        return check(a)
+
+    for module in (enriques.cli, enriques.fundamental):
+        if hasattr(module, "require_big"):
+            monkeypatch.setattr(module, "require_big", counting)
+    assert main(["phivector", "--class", "1,1,0,0,0,0,0,0,0,0", "--format", "json"]) == 0
+    assert len(calls) == 1
+    with pytest.raises(SystemExit) as exc:
+        main(["phivector", "--class", "1,0,0,0,0,0,0,0,0,0"])
+    assert exc.value.code == 3 and len(calls) == 2
+    assert capsys.readouterr().err == NOT_BIG + "\n"
 
 
 def test_reused_parser_repeats_every_outcome(capsys):

@@ -198,10 +198,11 @@ def _reference_tuples(q):
     [
         ("genera", range(2, 121)),
         ("genera", (250, 397)),
+        ("genera", (571, 750)),
         ("window", (1, 120)),
         ("window", (249, 260)),
     ],
-    ids=["2-120", "250,397", "window-1-120", "window-249-260"],
+    ids=["2-120", "250,397", "571,750", "window-1-120", "window-249-260"],
 )
 def test_walk_matches_a_plain_reference_walk(kind, span):
     """Genera one at a time through `enumerate_components`, or one window
@@ -234,6 +235,51 @@ def test_least_nonzero_tail_survives_on_the_dead_head_boundary():
         # one less and the head has no tail at all
         below = {m.coefficients.head for m in enumerate_components(q)}
         assert head not in below, head
+
+
+def test_zero_head_keeps_its_tails():
+    """(k;0,...,0;k,0) adds beta = 2k^2 to the all-zero head: the tail table
+    must reach a9 = k at q = 2k^2, where a bound of 2a9(a9 + 1) stops short."""
+    for k in range(1, 8):
+        q = 2 * k * k
+        zero_head = (k, *(0,) * 7, k, 0)
+        assert quadratic_value(FundamentalCoefficients(k, (0,) * 7, k, 0)) == q
+        assert zero_head in {c.as_tuple() for c in _coefficient_tuples(q, q)[q]}, k
+        assert zero_head in {c.as_tuple() for c in _coefficient_tuples(1, q)[q]}, k
+        assert zero_head in {
+            m.coefficients.as_tuple() for m in enumerate_components(q + 1)
+        }, k
+
+
+@pytest.mark.parametrize("window", [(1, 400), (249, 260), (500, 520)])
+def test_window_matches_its_single_genus_walks(window):
+    """A window reads the tails of each head from a range [r - width, r] of
+    the tail table; bucket by bucket it must give what the walk of each q
+    alone gives.  (1, 400) is the widest window the verify sweeps come
+    near, where one probe per d would cost width + 1 lookups a head."""
+    q_lo, q_hi = window
+    buckets = _coefficient_tuples(q_lo, q_hi)
+    assert list(buckets) == list(range(q_lo, q_hi + 1))
+    for q, cs in buckets.items():
+        got = [c.as_tuple() for c in cs]
+        assert len(set(got)) == len(got), q
+        assert set(got) == {c.as_tuple() for c in _coefficient_tuples(q, q)[q]}, q
+
+
+@pytest.mark.parametrize("window", [(249, 260), (500, 520)])
+def test_window_ends_keep_their_nonzero_tails(window):
+    """Nonzero tails land on both ends of a head's range: on q = q_hi
+    (d = 0) and on q = q_lo (d = width), for heads whose last entry is set
+    and for all-zero completions alike."""
+    q_lo, q_hi = window
+    buckets = _coefficient_tuples(q_lo, q_hi)
+    for q in (q_lo, q_hi):
+        tails = [c for c in buckets[q] if c.a9]
+        assert any(c.head[6] for c in tails), q
+        assert any(not c.head[6] for c in tails), q
+        assert {c.as_tuple() for c in tails} == {
+            c.as_tuple() for c in _coefficient_tuples(q, q)[q] if c.a9
+        }, q
 
 
 def test_genus_one_thousand_count():
