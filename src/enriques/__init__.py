@@ -11,7 +11,6 @@ from .lattice import (
     D,
     NotBigError,
     NumClass,
-    PicClass,
     RANK,
     generator_e,
     generator_pair,
@@ -51,7 +50,7 @@ from .fundamental import (
 )
 from .components import (
     ModuliComponent,
-    component_name,
+    component_of,
     components_by_genus,
     enumerate_components,
     enumerate_components_by_phi,
@@ -76,13 +75,12 @@ __all__ = [
     "NotBigError",
     "NumClass",
     "PhiVector",
-    "PicClass",
     "RANK",
     "SUITES",
     "box_isotropics",
     "class_from_presentation",
     "coefficients_from_phivector",
-    "component_name",
+    "component_of",
     "components_by_genus",
     "eight_lowest",
     "enumerate_components",

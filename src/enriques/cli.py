@@ -25,20 +25,14 @@ import json
 import os
 import sys
 
-from .components import (
-    component_name,
-    enumerate_components,
-    enumerate_components_by_phi,
-    unirationality_flag,
-)
+from .components import component_of, enumerate_components, enumerate_components_by_phi
 from .fundamental import (
     format_coefficients,
     fundamental_presentation,
     parse_coefficients,
-    phivector_from_coefficients,
     quadratic_value,
 )
-from .lattice import NotBigError, NumClass, PicClass, is_two_divisible
+from .lattice import NotBigError, NumClass
 from .oracle import phi_vector_oracle
 from .verify import SUITES, run_suite
 
@@ -214,7 +208,7 @@ def _class_from_args(args: argparse.Namespace, parser: argparse.ArgumentParser):
                 file=sys.stderr,
             )
             raise SystemExit(3)
-        return fc.divisor_class().num, fc
+        return fc.divisor_class(), fc
 
     try:
         coords = tuple(int(v) for v in args.cls.split(","))
@@ -224,7 +218,7 @@ def _class_from_args(args: argparse.Namespace, parser: argparse.ArgumentParser):
     # `fundamental_presentation` checks the class once; only that check
     # exits 3, any other ValueError past it is a fault.
     try:
-        fc, _seq = fundamental_presentation(PicClass(num, args.eps))
+        fc, _seq = fundamental_presentation(num, args.eps)
     except NotBigError as exc:
         print(exc, file=sys.stderr)
         raise SystemExit(3)
@@ -233,28 +227,27 @@ def _class_from_args(args: argparse.Namespace, parser: argparse.ArgumentParser):
 
 def cmd_phivector(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     num, fc = _class_from_args(args, parser)
-    profile = phivector_from_coefficients(fc)
-    g = profile.genus()
-    two_div = is_two_divisible(num)
-    eps = fc.eps
-    name = component_name(g, profile, eps)
+    # The row's two_divisible is the parity of the coefficients, which is
+    # that of the class: `_reduce` checks it on --class, and
+    # `sequence_combination` preserves it on --coeffs.
+    m = component_of(fc)
 
     oracle_profile = None
     agrees = None
     if args.oracle:
         oracle_profile, _ = phi_vector_oracle(num, max_sequences=1)
-        agrees = oracle_profile == profile
+        agrees = oracle_profile == m.phi
 
     fmt = _pick_format(args.format)
     rows = [
         ("class", _phi_str(num.coords)),
-        ("phi", _phi_str(profile.phis)),
-        ("genus", str(g)),
+        ("phi", _phi_str(m.phi.phis)),
+        ("genus", str(m.genus)),
         ("coefficients", format_coefficients(fc)),
-        ("eps", str(eps)),
-        ("two_divisible", "yes" if two_div else "no"),
-        ("component", name),
-        ("unirational", "yes" if unirationality_flag(profile) else "no"),
+        ("eps", str(m.eps)),
+        ("two_divisible", "yes" if m.two_divisible else "no"),
+        ("component", m.name),
+        ("unirational", "yes" if m.unirational else "no"),
     ]
     if agrees is not None:
         rows.append(("oracle_phi", _phi_str(oracle_profile.phis)))
@@ -264,13 +257,13 @@ def cmd_phivector(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
         if fmt == "json":
             payload = {
                 "class": num.to_json(),
-                "phi": list(profile.phis),
-                "genus": g,
+                "phi": list(m.phi.phis),
+                "genus": m.genus,
                 "coefficients": fc.to_json(),
-                "eps": eps,
-                "two_divisible": two_div,
-                "component": name,
-                "unirational": unirationality_flag(profile),
+                "eps": m.eps,
+                "two_divisible": m.two_divisible,
+                "component": m.name,
+                "unirational": m.unirational,
             }
             if agrees is not None:
                 payload["oracle_phi"] = list(oracle_profile.phis)

@@ -36,29 +36,20 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .oracle import PhiVector, order_key
-from .fundamental import FundamentalCoefficients, _profile_entries
+from .fundamental import (
+    FundamentalCoefficients,
+    _profile_entries,
+    phivector_from_coefficients,
+)
 
 __all__ = [
     "ModuliComponent",
-    "component_name",
+    "component_of",
     "unirationality_flag",
     "components_by_genus",
     "enumerate_components",
     "enumerate_components_by_phi",
 ]
-
-
-def component_name(g: int, phi: PhiVector, eps: int) -> str:
-    return _name(g, ",".join(map(str, phi.phis)), phi.all_even(), eps)
-
-
-def _name(g: int, body: str, even: bool, eps: int) -> str:
-    """The name of a genus-g row from its profile body "phi_1,...,phi_10"
-    and its parity: the eps sign shows only on an all-even profile."""
-    if even:
-        sign = "+" if eps == 0 else "-"
-        return f"E^{sign}_{{{g};{body}}}"
-    return f"E_{{{g};{body}}}"
 
 
 def unirationality_flag(phi: PhiVector | Sequence[int]) -> bool:
@@ -91,6 +82,27 @@ class ModuliComponent:
     name: str
     unirational: bool
     coefficients: FundamentalCoefficients
+
+
+def _component(g: int, c: FundamentalCoefficients) -> ModuliComponent:
+    """The genus-g row of valid coefficients c with quadratic value g - 1.
+    Its eps is c.eps; the eps sign shows in the name only on an all-even
+    profile."""
+    phis = _profile_entries(c)
+    p = PhiVector._trusted(phis)
+    even = p.all_even()
+    body = ",".join(map(str, phis))
+    if even:
+        name = f"E^{'-' if c.eps else '+'}_{{{g};{body}}}"
+    else:
+        name = f"E_{{{g};{body}}}"
+    return ModuliComponent(g, p, c.eps, even, name, unirationality_flag(p), c)
+
+
+def component_of(c: FundamentalCoefficients) -> ModuliComponent:
+    """The component row of a coefficient tuple, as `enumerate_components`
+    lists it; ValueError when its self-intersection is not positive."""
+    return _component(phivector_from_coefficients(c).genus(), c)
 
 
 def _coefficient_tuples(
@@ -216,21 +228,15 @@ def components_by_genus(
 
 
 def _rows(g: int, coeffs: list[FundamentalCoefficients]) -> tuple[ModuliComponent, ...]:
+    """The rows of the walk's tuples, plus the eps = 1 twin of each
+    2-divisible one."""
     rows = []
     for c in coeffs:
-        phis = _profile_entries(c)
-        p = PhiVector._trusted(phis)
-        body = ",".join(map(str, phis))
-        two_div = p.all_even()
-        unirational = unirationality_flag(p)
-        rows.append(
-            ModuliComponent(g, p, 0, two_div, _name(g, body, two_div, 0), unirational, c)
-        )
-        if two_div:
+        m = _component(g, c)
+        rows.append(m)
+        if m.two_divisible:
             c1 = FundamentalCoefficients._trusted(c.a0, c.head, c.a9, c.a10, eps=1)
-            rows.append(
-                ModuliComponent(g, p, 1, two_div, _name(g, body, True, 1), unirational, c1)
-            )
+            rows.append(_component(g, c1))
     rows.sort(key=lambda m: (order_key(m.phi.phis), m.eps))
     return tuple(rows)
 

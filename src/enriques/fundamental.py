@@ -30,7 +30,6 @@ from typing import Iterator, Sequence
 from .lattice import (
     D,
     NumClass,
-    PicClass,
     is_two_divisible,
     linear_form,
     require_big,
@@ -57,9 +56,10 @@ __all__ = [
 class FundamentalCoefficients:
     """Coefficients of a fundamental presentation.
 
-    head holds a_1..a_7 (nonincreasing); the torsion bit eps may be set
-    only when every coefficient is even, since an odd term absorbs the
-    torsion class.
+    head holds a_1..a_7 (nonincreasing).  eps is the torsion bit that
+    picks a sheet of the double cover over the 2-divisible classes; this
+    is the one place the package stores it.  It may be set only when every
+    coefficient is even, since an odd term absorbs the torsion class.
     """
 
     a0: int
@@ -109,9 +109,10 @@ class FundamentalCoefficients:
     def as_tuple(self) -> tuple[int, ...]:
         return (self.a0, *self.head, self.a9, self.a10)
 
-    def divisor_class(self) -> PicClass:
-        coeffs = (*self.head, 0, self.a9, self.a10)
-        return PicClass(sequence_combination(coeffs, self.a0), self.eps)
+    def divisor_class(self) -> NumClass:
+        """The presented class on the standard sequence, modulo torsion;
+        the torsion bit stays on the coefficients."""
+        return sequence_combination((*self.head, 0, self.a9, self.a10), self.a0)
 
     def to_json(self) -> dict:
         return {
@@ -137,10 +138,20 @@ def quadratic_value(c: FundamentalCoefficients) -> int:
 
 
 def phivector_from_coefficients(c: FundamentalCoefficients) -> PhiVector:
-    """Minimal intersection profile, by formula (see `_profile_entries`)."""
+    """Minimal intersection profile, by formula (see `_profile_entries`).
+
+    Valid coefficients with q >= 1 give a valid profile, so it is built
+    without `PhiVector`'s checks.  With a the coefficient total, the
+    entries a - a_1, ..., a - a_7, a, a + a_0 - a_9, a + a_0 - a_10 are:
+    nondecreasing, since the head is nonincreasing and a_7 >= 0 and
+    a_0 >= a_9 >= a_10; positive, since phi_1 = a - a_1 is the smallest
+    and is 0 only when every coefficient but a_1 is 0, where q = 0; of
+    total 9a + 3a_0; and the head/tail inequality
+    phi_1 + ... + phi_7 >= 2(phi_8 + phi_9 + phi_10) reduces to
+    a_9 + a_10 >= a_0."""
     if quadratic_value(c) <= 0:
         raise ValueError("profile needs positive self-intersection")
-    return PhiVector(_profile_entries(c))
+    return PhiVector._trusted(_profile_entries(c))
 
 
 def _profile_entries(c: FundamentalCoefficients) -> tuple[int, ...]:
@@ -304,13 +315,14 @@ def rewrite_to_fundamental(
 
 
 def fundamental_presentation(
-    L: PicClass | NumClass,
+    L: NumClass, eps: int = 0
 ) -> tuple[FundamentalCoefficients, IsotropicSequence]:
     """Fundamental coefficients of an arbitrary big positive class, by the
     chamber reduction of `_reduce`, with the sequence that carries the
-    presentation.  The reconstruction is verified exactly before
+    presentation.  The torsion bit eps is kept on a 2-divisible class and
+    dropped on any other.  The reconstruction is verified exactly before
     returning; `oracle.phi_vector_oracle` certifies the profile."""
-    if isinstance(L, NumClass):
-        L = PicClass(L, 0)
-    require_big(L.num)
-    return _reduce(L.num, L.eps)
+    if eps not in (0, 1):
+        raise ValueError("eps must be 0 or 1")
+    require_big(L)
+    return _reduce(L, eps)

@@ -13,9 +13,10 @@ E_{i,j} = D - E_i - E_j all have integer coordinates.  Unimodularity
 (det = -1) and the signature are not assumed; `gram_determinant` and
 `gram_signature` compute both exactly and the test suite pins them.
 
-Divisor classes modulo torsion are `NumClass`; full divisor classes are
-`PicClass`, a numerical class plus one bit for the canonical class K
-(2K = 0, K numerically trivial).
+Divisor classes modulo torsion are `NumClass`.  The one bit for the
+canonical class K (2K = 0, K numerically trivial) that tells the two
+halves of a 2-divisible family apart lives on the coefficients, as
+`fundamental.FundamentalCoefficients.eps`.
 
 Positivity convention: a nonzero class with nonnegative square counts as
 positive (effective in the unnodal model) iff it pairs positively with D.
@@ -45,7 +46,6 @@ RANK = 10
 __all__ = [
     "RANK",
     "NumClass",
-    "PicClass",
     "D",
     "pair",
     "linear_form",
@@ -108,18 +108,6 @@ class NumClass:
         return list(self.coords)
 
 
-@dataclass(frozen=True)
-class PicClass:
-    """A divisor class: numerical part plus the 2-torsion bit for K."""
-
-    num: NumClass
-    eps: int = 0
-
-    def __post_init__(self):
-        if self.eps not in (0, 1):
-            raise ValueError("eps must be 0 or 1")
-
-
 D = NumClass((0,) * 9 + (1,))
 
 
@@ -179,10 +167,7 @@ def is_primitive(a: NumClass) -> bool:
     """True iff the coordinate gcd is 1 (a is not a proper multiple)."""
     if a.is_zero():
         raise ValueError("the zero class is neither primitive nor imprimitive")
-    g = 0
-    for c in a.coords:
-        g = gcd(g, c)
-    return g == 1
+    return gcd(*a.coords) == 1
 
 
 def is_positive(a: NumClass) -> bool:

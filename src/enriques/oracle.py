@@ -89,7 +89,8 @@ class PhiVector:
     @classmethod
     def _trusted(cls, phis: tuple[int, ...]) -> PhiVector:
         """Build without the checks above, for a producer whose entries
-        pass them by construction (the component walk)."""
+        pass them by construction (`fundamental.phivector_from_coefficients`
+        and the component rows)."""
         p = object.__new__(cls)
         object.__setattr__(p, "phis", phis)
         return p
@@ -362,7 +363,7 @@ def _best_sequences(
         k = len(chosen)
         if k == 10:
             tup = tuple(chosen_vals)
-            key = (sum(tup), tup[:9])
+            key = order_key(tup)
             if key < best_key:
                 best_key, best_tuple, best_sets = key, tup, [tuple(chosen)]
             elif key == best_key and len(best_sets) < max_sets:
@@ -381,7 +382,7 @@ def _best_sequences(
             b &= b - 1
         if len(opt) < 10:
             return
-        opt_key = (sum(opt), tuple(opt[:9]))
+        opt_key = order_key(opt)
         if opt_key > best_key:
             return
         if opt_key == best_key and len(best_sets) >= max_sets:
@@ -426,7 +427,7 @@ def phi_vector_oracle(
     lows = eight_lowest(L)
     slack = sum(lows) + lows[-1]
     lam = [pair(L, generator_e(i)) for i in range(1, 11)]
-    seed = (sum(lam), tuple(sorted(lam)[:9]))
+    seed = order_key(sorted(lam))
     cap = max(lam)
     for _ in range(12):
         pool = _enumerate_with_values(L, cap)

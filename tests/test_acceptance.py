@@ -71,7 +71,7 @@ def test_criterion_2_genus_identity():
     for c in iter_coefficient_tuples(12):
         n += 1
         q = quadratic_value(c)
-        square = self_int(c.divisor_class().num)
+        square = self_int(c.divisor_class())
         ok &= square == 2 * q
         if q >= 1:
             p = phivector_from_coefficients(c)
@@ -90,7 +90,7 @@ def test_criterion_3_oracle_matches_formula():
         if quadratic_value(c) < 1:
             continue
         n += 1
-        L = c.divisor_class().num
+        L = c.divisor_class()
         got, seqs = phi_vector_oracle(L, max_sequences=1)
         ok &= got == phivector_from_coefficients(c)
         ok &= tuple(sorted(pair(f, L) for f in seqs[0].members)) == got.phis
@@ -123,7 +123,7 @@ def test_criterion_5_dominating_component():
     ok = all(checks.values())
     ok &= checks["genus of the big class is 621"] and checks["oracle profile agrees"]
 
-    L = _DOMINATING.divisor_class().num
+    L = _DOMINATING.divisor_class()
     std = set(standard_sequence())
     pool = enumerate_isotropics(L, 40)
     others = [f for f in pool if f not in std]
@@ -146,7 +146,7 @@ def test_criterion_6_fiber_structure():
         ok &= sum(1 for m in hats if m.two_divisible) == even
         ok &= len(comps) == len(direct) + even
         ok &= all(
-            is_two_divisible(m.coefficients.divisor_class().num)
+            is_two_divisible(m.coefficients.divisor_class())
             == m.phi.all_even()
             == m.two_divisible
             for m in comps

@@ -256,7 +256,7 @@ def test_domain_errors_exit_three(argv, capsys):
 def test_only_the_big_class_check_exits_three(monkeypatch):
     """A ValueError from past the big-class check is a fault, not exit 3."""
 
-    def broken(L):
+    def broken(L, eps=0):
         raise ValueError("presentation failed")
 
     monkeypatch.setattr(enriques.cli, "fundamental_presentation", broken)

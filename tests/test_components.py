@@ -1,17 +1,19 @@
 """Genus-by-genus component enumeration and its published spot values."""
 
+from dataclasses import replace
+
 import pytest
 
 import enriques.verify
 from enriques.components import (
     _coefficient_tuples,
-    component_name,
+    component_of,
     enumerate_components,
     enumerate_components_by_phi,
     unirationality_flag,
 )
 from enriques.fundamental import FundamentalCoefficients, quadratic_value
-from enriques.oracle import PhiVector, order_key
+from enriques.oracle import order_key
 from enriques.verify import golden_low_phi, phi_profiles_by_genus, run_suite
 
 
@@ -95,11 +97,11 @@ def test_eps_split_exactly_on_even_profiles():
 
 
 def test_component_and_numerical_names():
-    p = PhiVector((2, 2, 4, 4, 4, 4, 4, 4, 4, 4))
-    assert component_name(5, p, 0) == "E^+_{5;2,2,4,4,4,4,4,4,4,4}"
-    assert component_name(5, p, 1) == "E^-_{5;2,2,4,4,4,4,4,4,4,4}"
-    odd = PhiVector((1, 1, 2, 2, 2, 2, 2, 2, 2, 2))
-    assert component_name(2, odd, 0) == "E_{2;1,1,2,2,2,2,2,2,2,2}"
+    even = FundamentalCoefficients(a0=0, head=(2, 2, 0, 0, 0, 0, 0), a9=0, a10=0)
+    assert component_of(even).name == "E^+_{5;2,2,4,4,4,4,4,4,4,4}"
+    assert component_of(replace(even, eps=1)).name == "E^-_{5;2,2,4,4,4,4,4,4,4,4}"
+    odd = FundamentalCoefficients(a0=0, head=(1, 1, 0, 0, 0, 0, 0), a9=0, a10=0)
+    assert component_of(odd).name == "E_{2;1,1,2,2,2,2,2,2,2,2}"
 
 
 def test_numerical_components_collapse_the_split():

@@ -21,7 +21,6 @@ from enriques.fundamental import (
 from enriques.lattice import (
     D,
     NumClass,
-    PicClass,
     generator_e,
     generator_pair,
     gram_matrix,
@@ -31,7 +30,7 @@ from enriques.lattice import (
     sequence_combination,
     standard_sequence,
 )
-from enriques.oracle import IsotropicSequence, phi_vector_oracle
+from enriques.oracle import IsotropicSequence, PhiVector, phi_vector_oracle
 from enriques.verify import iter_phi_profiles
 
 E = [None] + [generator_e(i) for i in range(1, 11)]
@@ -99,7 +98,7 @@ def test_roundtrip_profiles():
 
 def test_divisor_class_square_matches_quadratic_value():
     for c in small_coeffs:
-        assert self_int(c.divisor_class().num) == 2 * quadratic_value(c)
+        assert self_int(c.divisor_class()) == 2 * quadratic_value(c)
 
 
 def test_sweep_tuples_equal_their_checked_construction():
@@ -115,12 +114,24 @@ def test_sweep_tuples_equal_their_checked_construction():
         assert set(iter_coefficient_tuples(max_total)) == within, max_total
 
 
+def test_formula_profiles_pass_the_checked_constructor():
+    """`phivector_from_coefficients` builds unchecked; every profile it
+    returns must be one `PhiVector(...)` accepts."""
+    n = 0
+    for c in iter_coefficient_tuples(12):
+        if quadratic_value(c) >= 1:
+            p = phivector_from_coefficients(c)
+            assert PhiVector(p.phis) == p
+            n += 1
+    assert n > 800
+
+
 @pytest.mark.slow
 def test_divisor_class_square_matches_quadratic_value_wide():
     n = 0
     for c in iter_coefficient_tuples(40):
         q = quadratic_value(c)
-        assert self_int(c.divisor_class().num) == 2 * q
+        assert self_int(c.divisor_class()) == 2 * q
         if q >= 1:
             p = phivector_from_coefficients(c)
             assert 2 * q == (p.total() ** 2 - 9 * sum(v * v for v in p.phis)) // 9
@@ -190,7 +201,7 @@ def test_divisor_class_is_the_presentation_on_the_standard_sequence():
     seq = IsotropicSequence(standard_sequence())
     n = 0
     for c in iter_coefficient_tuples(12):
-        assert c.divisor_class().num == class_from_presentation(c, seq)
+        assert c.divisor_class() == class_from_presentation(c, seq)
         n += 1
     assert n == 881
 
@@ -285,15 +296,21 @@ def test_fundamental_presentation_of_triple_d():
     assert fc.as_tuple() == (3, 0, 0, 0, 0, 0, 0, 0, 3, 3)
     assert class_from_presentation(fc, seq) == 3 * D
     # 3d is not 2-divisible, so a torsion bit on the input dies
-    fc2, _ = fundamental_presentation(PicClass(3 * D, 1))
+    fc2, _ = fundamental_presentation(3 * D, 1)
     assert fc2.eps == 0
 
 
 def test_fundamental_presentation_keeps_torsion_on_even_classes():
     L = 2 * E[1] + 2 * E[2]
-    fc, _ = fundamental_presentation(PicClass(L, 1))
+    fc, _ = fundamental_presentation(L, 1)
     assert fc.eps == 1
     assert fc.as_tuple() == (0, 2, 2, 0, 0, 0, 0, 0, 0, 0)
+
+
+def test_fundamental_presentation_takes_a_torsion_bit_of_0_or_1():
+    for eps in (2, -1):
+        with pytest.raises(ValueError, match="eps must be 0 or 1"):
+            fundamental_presentation(D, eps)
 
 
 def test_fundamental_presentation_inverts_divisor_class():
@@ -302,7 +319,7 @@ def test_fundamental_presentation_inverts_divisor_class():
             continue
         fc, seq = fundamental_presentation(c.divisor_class())
         assert fc.as_tuple() == c.as_tuple()
-        assert class_from_presentation(fc, seq) == c.divisor_class().num
+        assert class_from_presentation(fc, seq) == c.divisor_class()
 
 
 NOT_BIG = "class is not big: the self-intersection is not positive"
@@ -346,8 +363,8 @@ def reflect(x, word):
     st.integers(0, 1),
 )
 def test_reduction_recovers_reflected_coefficients(c, word, eps):
-    L = reflect(c.divisor_class().num, word)
-    fc, seq = fundamental_presentation(PicClass(L, eps))
+    L = reflect(c.divisor_class(), word)
+    fc, seq = fundamental_presentation(L, eps)
     assert fc == replace(c, eps=eps if c.all_even() else 0)
     assert class_from_presentation(fc, seq) == L
     if pair(L, D) ** 2 < 12 * self_int(L):
@@ -406,7 +423,7 @@ def deep_classes():
     for seed in range(4):
         rng = random.Random(f"deep:{seed}")
         c = rng.choice(big_small_coeffs)
-        out.append((c, hyperbolic_word(c.divisor_class().num, 300)))
+        out.append((c, hyperbolic_word(c.divisor_class(), 300)))
     return out
 
 
@@ -414,7 +431,7 @@ def test_deep_classes_reduce_to_their_known_coefficients(deep_classes):
     for c, L in deep_classes:
         assert max(len(str(abs(v))) for v in L.coords) >= 45
         for eps in (0, 1):
-            fc, seq = fundamental_presentation(PicClass(L, eps))
+            fc, seq = fundamental_presentation(L, eps)
             assert fc == replace(c, eps=eps if c.all_even() else 0)
             assert class_from_presentation(fc, seq) == L
 

@@ -23,7 +23,9 @@ BENCH_DIR = TESTS_DIR.parent / "bench"
 # Names dropped from the API, dotted below their module.  Most gave way to
 # one surviving function each: PhiVector.genus, sequence_combination,
 # require_big, order_key, pair over standard_sequence() or a sequence's
-# members, and rewrite_to_fundamental.  The rest had no caller outside the
+# members, rewrite_to_fundamental, and component_of(c).name for
+# component_name.  PicClass went because its torsion bit is stored on
+# FundamentalCoefficients alone.  The rest had no caller outside the
 # tests: the JSON readers, the simple-decomposition validator, the
 # numerical-component layer, whose double-cover count held by construction,
 # the component row's dict, which the CLI's row writer replaced, the report
@@ -36,11 +38,9 @@ DROPPED = {
         "from_decomposition",
         "NumClass.of",
         "NumClass.from_json",
-        "PicClass.from_json",
         "K",
         "ZERO",
-        "PicClass.__add__",
-        "PicClass.to_json",
+        "PicClass",
     ),
     "oracle": (
         "_require_big",
@@ -58,6 +58,7 @@ DROPPED = {
         "FundamentalCoefficients.total",
     ),
     "components": (
+        "component_name",
         "ModuliComponent.to_json",
         "numerical_name",
         "NumericalComponent",

@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 from enriques.lattice import (
     D,
     NumClass,
-    PicClass,
     RANK,
     generator_e,
     generator_pair,
@@ -130,17 +129,6 @@ def test_arithmetic_results_equal_checked_classes(a, b, n):
         checked = NumClass(tuple(want))
         assert type(got) is NumClass and got == checked and hash(got) == hash(checked)
         assert len(got.coords) == RANK and all(type(v) is int for v in got.coords)
-
-
-def test_picclass_torsion_arithmetic():
-    """The torsion bit is 0 or 1 and rides along with the numerical part;
-    K is the zero numerical class with the bit set."""
-    L = PicClass(D, 1)
-    assert L.num == D and L.eps == 1
-    K = PicClass(ZERO, 1)
-    assert K.eps == 1 and K.num.is_zero()
-    with pytest.raises(ValueError):
-        PicClass(D, 2)
 
 
 def test_genus_values():

@@ -263,7 +263,7 @@ def isotropic_in_box():
 
 BOX_CLASSES = {
     "triple-d": (3 * D, 12),
-    "genus-621": (_DOMINATING.divisor_class().num, 40),
+    "genus-621": (_DOMINATING.divisor_class(), 40),
     "genus-3": (NumClass((2, 0, 1, 0, 2, 2, -2, 1, 2, -1)), 30),
     "e1-plus-3d": (NumClass((1, 0, 0, 0, 0, 0, 0, 0, 0, 3)), 20),
 }
@@ -358,6 +358,6 @@ def test_oracle_matches_closed_form_on_small_tuples():
     for c in iter_coefficient_tuples(5):
         if quadratic_value(c) < 1:
             continue
-        L = c.divisor_class().num
+        L = c.divisor_class()
         got, _ = phi_vector_oracle(L, max_sequences=1)
         assert got == phivector_from_coefficients(c), c

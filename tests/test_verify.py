@@ -18,11 +18,30 @@ from enriques.verify import (
 )
 
 
+# One check that only the named suite runs.
+_SUITE_MARKS = {
+    "lattice": "gram determinant is -1",
+    "roundtrip": "coefficients -> profile -> coefficients",
+    "paper-tables": "small-genus component names",
+    "dominating": "genus of the big class is 621",
+    "bounds": "every genus has a component",
+}
+
+
 def test_every_suite_passes_at_default_scale():
+    """Every name in SUITES dispatches to its own suite, and it passes."""
+    assert list(SUITES) == list(_SUITE_MARKS)
     for name in SUITES:
         results = run_suite(name)
-        assert results, name
+        assert _SUITE_MARKS[name] in [r.name for r in results], name
         assert all(r.passed for r in results), [r for r in results if not r.passed]
+
+
+@pytest.mark.parametrize("name", ["lattice", "dominating"])
+def test_fixed_class_suites_ignore_gmax(name):
+    """`verify --gmax` is accepted for every suite; these two check fixed
+    classes and ignore it."""
+    assert run_suite(name, 100) == run_suite(name)
 
 
 def test_sweeps_enumerate_each_genus_once(monkeypatch):
@@ -140,8 +159,12 @@ def test_dominating_checks_fail_on_a_wrong_oracle_profile(monkeypatch):
 
 
 def test_run_suite_rejects_unknown_names():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as exc:
         run_suite("everything")
+    assert str(exc.value) == (
+        "unknown suite 'everything'; choose from "
+        "lattice, roundtrip, paper-tables, dominating, bounds"
+    )
 
 
 @pytest.mark.parametrize("gmax", [1, 0, -5, 2.5, "30"])
