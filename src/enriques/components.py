@@ -84,14 +84,11 @@ class ModuliComponent:
     coefficients: FundamentalCoefficients
 
 
-def _component(g: int, c: FundamentalCoefficients) -> ModuliComponent:
-    """The genus-g row of valid coefficients c with quadratic value g - 1.
-    Its eps is c.eps; the eps sign shows in the name only on an all-even
-    profile."""
-    phis = _profile_entries(c)
-    p = PhiVector._trusted(phis)
+def _component(g: int, c: FundamentalCoefficients, p: PhiVector) -> ModuliComponent:
+    """The genus-g row of coefficients c with profile p.  Its eps is c.eps;
+    the eps sign shows in the name only on an all-even profile."""
     even = p.all_even()
-    body = ",".join(map(str, phis))
+    body = ",".join(map(str, p.phis))
     if even:
         name = f"E^{'-' if c.eps else '+'}_{{{g};{body}}}"
     else:
@@ -102,7 +99,8 @@ def _component(g: int, c: FundamentalCoefficients) -> ModuliComponent:
 def component_of(c: FundamentalCoefficients) -> ModuliComponent:
     """The component row of a coefficient tuple, as `enumerate_components`
     lists it; ValueError when its self-intersection is not positive."""
-    return _component(phivector_from_coefficients(c).genus(), c)
+    p = phivector_from_coefficients(c)
+    return _component(p.genus(), c, p)
 
 
 def _coefficient_tuples(
@@ -232,11 +230,11 @@ def _rows(g: int, coeffs: list[FundamentalCoefficients]) -> tuple[ModuliComponen
     2-divisible one."""
     rows = []
     for c in coeffs:
-        m = _component(g, c)
+        m = _component(g, c, PhiVector._trusted(_profile_entries(c)))
         rows.append(m)
         if m.two_divisible:
             c1 = FundamentalCoefficients._trusted(c.a0, c.head, c.a9, c.a10, eps=1)
-            rows.append(_component(g, c1))
+            rows.append(_component(g, c1, m.phi))
     rows.sort(key=lambda m: (order_key(m.phi.phis), m.eps))
     return tuple(rows)
 

@@ -138,20 +138,10 @@ def quadratic_value(c: FundamentalCoefficients) -> int:
 
 
 def phivector_from_coefficients(c: FundamentalCoefficients) -> PhiVector:
-    """Minimal intersection profile, by formula (see `_profile_entries`).
-
-    Valid coefficients with q >= 1 give a valid profile, so it is built
-    without `PhiVector`'s checks.  With a the coefficient total, the
-    entries a - a_1, ..., a - a_7, a, a + a_0 - a_9, a + a_0 - a_10 are:
-    nondecreasing, since the head is nonincreasing and a_7 >= 0 and
-    a_0 >= a_9 >= a_10; positive, since phi_1 = a - a_1 is the smallest
-    and is 0 only when every coefficient but a_1 is 0, where q = 0; of
-    total 9a + 3a_0; and the head/tail inequality
-    phi_1 + ... + phi_7 >= 2(phi_8 + phi_9 + phi_10) reduces to
-    a_9 + a_10 >= a_0."""
+    """Minimal intersection profile, by formula (see `_profile_entries`)."""
     if quadratic_value(c) <= 0:
         raise ValueError("profile needs positive self-intersection")
-    return PhiVector._trusted(_profile_entries(c))
+    return PhiVector(_profile_entries(c))
 
 
 def _profile_entries(c: FundamentalCoefficients) -> tuple[int, ...]:

@@ -328,6 +328,27 @@ def child_env():
     return env
 
 
+def script_target():
+    """The `enriques` entry of `[project.scripts]` in pyproject.toml, read
+    with tomllib, or on Python 3.10 (no tomllib) by a scan of that table's
+    `key = "value"` lines."""
+    if sys.version_info >= (3, 11):
+        import tomllib
+
+        with PYPROJECT.open("rb") as fh:
+            return tomllib.load(fh)["project"]["scripts"].get("enriques")
+    table = None
+    for line in PYPROJECT.read_text().splitlines():
+        line = line.strip()
+        if line.startswith("["):
+            table = line
+        elif table == "[project.scripts]":
+            key, sep, value = line.partition("=")
+            if sep and key.strip() == "enriques":
+                return value.strip().strip('"')
+    return None
+
+
 def run_console_script(*argv):
     """Run the `[project.scripts]` entry the way an installed script does.
 
@@ -336,9 +357,7 @@ def run_console_script(*argv):
     `sys.exit(target())`, stdout piped. Its PYTHONPATH starts with the src/
     directory of the imported package, so it runs this checkout.
     """
-    tomllib = pytest.importorskip("tomllib")
-    with PYPROJECT.open("rb") as fh:
-        target = tomllib.load(fh)["project"]["scripts"].get("enriques")
+    target = script_target()
     assert target == "enriques.cli:main"
     wrapper = (
         "import sys\n"

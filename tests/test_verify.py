@@ -37,6 +37,15 @@ def test_every_suite_passes_at_default_scale():
         assert all(r.passed for r in results), [r for r in results if not r.passed]
 
 
+def test_suites_dispatch_through_the_module_attributes(monkeypatch):
+    """run_suite calls whatever each `suite_*` name holds when it runs, so
+    a wrapper put on the module attribute sees every suite."""
+    for name in SUITES:
+        attr = "suite_" + name.replace("-", "_")
+        monkeypatch.setattr(enriques.verify, attr, lambda *a, attr=attr: [attr])
+        assert run_suite(name, 3) == [attr], name
+
+
 @pytest.mark.parametrize("name", ["lattice", "dominating"])
 def test_fixed_class_suites_ignore_gmax(name):
     """`verify --gmax` is accepted for every suite; these two check fixed
