@@ -77,11 +77,15 @@ def unirationality_flag(phi: PhiVector | Sequence[int]) -> bool:
 class ModuliComponent:
     genus: int
     phi: PhiVector
-    eps: int
     two_divisible: bool
     name: str
     unirational: bool
     coefficients: FundamentalCoefficients
+
+    @property
+    def eps(self) -> int:
+        """The torsion bit, which lives on the coefficients."""
+        return self.coefficients.eps
 
 
 def _component(g: int, c: FundamentalCoefficients, p: PhiVector) -> ModuliComponent:
@@ -93,7 +97,7 @@ def _component(g: int, c: FundamentalCoefficients, p: PhiVector) -> ModuliCompon
         name = f"E^{'-' if c.eps else '+'}_{{{g};{body}}}"
     else:
         name = f"E_{{{g};{body}}}"
-    return ModuliComponent(g, p, c.eps, even, name, unirationality_flag(p), c)
+    return ModuliComponent(g, p, even, name, unirationality_flag(p), c)
 
 
 def component_of(c: FundamentalCoefficients) -> ModuliComponent:

@@ -52,6 +52,12 @@ __all__ = [
 ]
 
 
+def _check_eps(eps: int) -> None:
+    """The torsion bit is the int 0 or 1; a bool, although an int, is not."""
+    if type(eps) is not int or eps not in (0, 1):
+        raise ValueError("eps must be 0 or 1")
+
+
 @dataclass(frozen=True)
 class FundamentalCoefficients:
     """Coefficients of a fundamental presentation.
@@ -80,8 +86,7 @@ class FundamentalCoefficients:
             raise ValueError(
                 "tail chain violated: need a9 + a10 >= a0 >= a9 >= a10"
             )
-        if self.eps not in (0, 1):
-            raise ValueError("eps must be 0 or 1")
+        _check_eps(self.eps)
         if self.eps == 1 and not self.all_even():
             raise ValueError("eps = 1 requires all coefficients even")
 
@@ -297,8 +302,7 @@ def rewrite_to_fundamental(
     goal = sequence_combination(cs, a0)
     if min(cs) < 0 or a0 < 0:
         raise ValueError("coefficients must be nonnegative")
-    if eps not in (0, 1):
-        raise ValueError("eps must be 0 or 1")
+    _check_eps(eps)
     if goal.is_zero():
         raise ValueError("zero class")
     return _reduce(goal, eps)
@@ -312,7 +316,6 @@ def fundamental_presentation(
     presentation.  The torsion bit eps is kept on a 2-divisible class and
     dropped on any other.  The reconstruction is verified exactly before
     returning; `oracle.phi_vector_oracle` certifies the profile."""
-    if eps not in (0, 1):
-        raise ValueError("eps must be 0 or 1")
+    _check_eps(eps)
     require_big(L)
     return _reduce(L, eps)

@@ -89,8 +89,7 @@ class PhiVector:
     @classmethod
     def _trusted(cls, phis: tuple[int, ...]) -> PhiVector:
         """Build without the checks above, for a producer whose entries
-        pass them by construction (`fundamental.phivector_from_coefficients`
-        and the component rows)."""
+        pass them by construction (the component rows)."""
         p = object.__new__(cls)
         object.__setattr__(p, "phis", phis)
         return p
@@ -150,7 +149,7 @@ class IsotropicSequence:
 
 def _from_pairing(m: Sequence[int], t: int) -> NumClass:
     m10 = m[9]
-    return NumClass(tuple(m10 - m[i] for i in range(9)) + (t - 3 * m10,))
+    return NumClass._trusted(tuple(m10 - m[i] for i in range(9)) + (t - 3 * m10,))
 
 
 def _t_limit(cap: int, d: int, q: int) -> int:
@@ -412,8 +411,10 @@ def phi_vector_oracle(
     Self-certifying pool growth: any sequence whose tuple could compete has
     all members below C* = sum(best) - sum(eight lowest) - (eighth lowest),
     because nine distinct members account for at least the eight lowest
-    values plus the eighth again.  The pool cap is grown until it covers
-    its own C*.
+    values plus the eighth again.  The first pool is searched at the
+    largest standard pairing, so it holds the ten standard members, and
+    its first eight values are the eight lowest.  The pool cap is grown
+    until it covers its own C*, and each cap is searched once.
 
     The minimal tuple is always exact.  Degenerate classes can admit
     astronomically many computing sequences (millions already at genus 2),
@@ -424,13 +425,14 @@ def phi_vector_oracle(
     if max_sequences < 1:
         raise ValueError("max_sequences must be at least 1")
     require_big(L)
-    lows = eight_lowest(L)
-    slack = sum(lows) + lows[-1]
     lam = [pair(L, generator_e(i)) for i in range(1, 11)]
     seed = order_key(sorted(lam))
     cap = max(lam)
     for _ in range(12):
         pool = _enumerate_with_values(L, cap)
+        if len(pool) < 10:
+            raise AssertionError("search missed part of the standard sequence")
+        slack = sum(v for v, _ in pool[:8]) + pool[7][0]
         tup, sets = _best_sequences(pool, seed, max_sequences)
         needed = sum(tup) - slack
         if cap >= needed:

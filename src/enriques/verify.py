@@ -288,50 +288,36 @@ def suite_roundtrip(gmax: int | None = None) -> list[CheckResult]:
     gmax = 15 if gmax is None else gmax
     checks = []
 
-    n = 0
-    ok = True
-    for c in iter_coefficient_tuples(10):
-        if quadratic_value(c) < 1:
-            continue
-        n += 1
-        p = phivector_from_coefficients(c)
-        if coefficients_from_phivector(p, eps=c.eps).as_tuple() != c.as_tuple():
-            ok = False
-            break
-    checks.append(_check("coefficients -> profile -> coefficients", ok, f"{n} tuples"))
-
-    n = 0
-    ok = True
-    for p in iter_phi_profiles(45):
-        n += 1
-        if phivector_from_coefficients(coefficients_from_phivector(p)) != p:
-            ok = False
-            break
-    checks.append(_check("profile -> coefficients -> profile", ok, f"{n} profiles"))
-
-    n = 0
-    ok = True
+    # one pass over the coefficient tuples feeds the three coefficient
+    # checks; the positive-square ones have a profile
+    n = n_big = 0
+    back_ok = square_ok = parity_ok = True
     for c in iter_coefficient_tuples(10):
         n += 1
         L = c.divisor_class()
         lhs = self_int(L)
-        if lhs != 2 * quadratic_value(c):
+        q = quadratic_value(c)
+        square_ok &= lhs == 2 * q
+        if q < 1:
+            continue
+        n_big += 1
+        p = phivector_from_coefficients(c)
+        back_ok &= coefficients_from_phivector(p, eps=c.eps).as_tuple() == c.as_tuple()
+        square_ok &= lhs == p.self_intersection()
+        parity_ok &= is_two_divisible(L) == p.all_even()
+
+    checks.append(_check("coefficients -> profile -> coefficients", back_ok, f"{n_big} tuples"))
+
+    n_profiles = 0
+    ok = True
+    for p in iter_phi_profiles(45):
+        n_profiles += 1
+        if phivector_from_coefficients(coefficients_from_phivector(p)) != p:
             ok = False
             break
-        if quadratic_value(c) >= 1:
-            p = phivector_from_coefficients(c)
-            if lhs != (sum(p.phis) ** 2 - 9 * sum(v * v for v in p.phis)) // 9:
-                ok = False
-                break
-    checks.append(_check("square equals twice the quadratic value", ok, f"{n} tuples"))
-
-    ok = all(
-        is_two_divisible(c.divisor_class())
-        == (quadratic_value(c) >= 1 and phivector_from_coefficients(c).all_even())
-        for c in iter_coefficient_tuples(8)
-        if quadratic_value(c) >= 1
-    )
-    checks.append(_check("2-divisible exactly when the profile is even", ok))
+    checks.append(_check("profile -> coefficients -> profile", ok, f"{n_profiles} profiles"))
+    checks.append(_check("square equals twice the quadratic value", square_ok, f"{n} tuples"))
+    checks.append(_check("2-divisible exactly when the profile is even", parity_ok))
 
     profiles_ok = fibers_ok = True
     worst = ""
@@ -384,8 +370,11 @@ def suite_paper_tables(gmax: int | None = None) -> list[CheckResult]:
     gmax = 30 if gmax is None else gmax
     checks = []
     failures: dict[int, str] = {}  # smallest entry -> detail of its first failing genus
+    split_ok = True
     for g, comps in components_by_genus(2, gmax):
         golden = golden_low_phi(g)
+        if g % 2:
+            split_ok &= any(eps == 1 for _, eps in golden[2]) == (g % 4 == 1)
         for k in (1, 2, 3):
             if k in failures:
                 continue
@@ -401,15 +390,8 @@ def suite_paper_tables(gmax: int | None = None) -> list[CheckResult]:
                 failures.get(k, ""),
             )
         )
-
-    ok = True
-    for g in range(3, gmax + 1, 2):
-        rows = golden_low_phi(g)[2]
-        has_split = any(eps == 1 for _, eps in rows)
-        if has_split != (g % 4 == 1):
-            ok = False
     checks.append(
-        _check("odd-genus smallest-entry-2 rows split exactly when g = 1 mod 4", ok)
+        _check("odd-genus smallest-entry-2 rows split exactly when g = 1 mod 4", split_ok)
     )
 
     literal = {

@@ -301,6 +301,22 @@ def test_fundamental_presentation_takes_a_torsion_bit_of_0_or_1():
             fundamental_presentation(D, eps)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda eps: FundamentalCoefficients(a0=0, head=(2, 2, 0, 0, 0, 0, 0), a9=0, a10=0, eps=eps),
+        lambda eps: fundamental_presentation(NumClass((2, 2, 0, 0, 0, 0, 0, 0, 0, 0)), eps),
+        lambda eps: rewrite_to_fundamental([2, 2] + [0] * 8, eps=eps),
+    ],
+    ids=["coefficients", "presentation", "rewrite"],
+)
+def test_a_bool_torsion_bit_is_rejected(call):
+    """A bool is an int, but would leak out as JSON true or false."""
+    for eps in (True, False):
+        with pytest.raises(ValueError, match="eps must be 0 or 1"):
+            call(eps)
+
+
 def test_fundamental_presentation_inverts_divisor_class():
     for c in iter_coefficient_tuples(6):
         if quadratic_value(c) < 1:

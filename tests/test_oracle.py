@@ -6,7 +6,9 @@ from itertools import product
 import pytest
 from hypothesis import given, strategies as st
 
+import enriques.oracle
 from enriques.fundamental import (
+    FundamentalCoefficients,
     iter_coefficient_tuples,
     phivector_from_coefficients,
     quadratic_value,
@@ -352,6 +354,43 @@ def test_oracle_sequences_compute_the_profile():
     assert p.phis == (2, 2, 4, 4, 4, 4, 4, 4, 4, 4)
     for s in seqs:
         assert tuple(sorted(pair(f, L) for f in s.members)) == p.phis
+
+
+def seeded_class(seed, letters=10):
+    """Seeded small coefficients moved by a seeded word of simple
+    reflections."""
+    rng = random.Random(seed)
+    head = tuple(sorted((rng.randint(0, 3) for _ in range(7)), reverse=True))
+    a10 = rng.randint(0, 2)
+    a9 = rng.randint(a10, 2 + a10)
+    L = FundamentalCoefficients(rng.randint(a9, a9 + a10), head, a9, a10).divisor_class()
+    for _ in range(letters):
+        alpha = rng.choice(SIMPLE_ROOTS)
+        L = L + pair(L, alpha) * alpha
+    return L
+
+
+def test_oracle_searches_each_cap_once(monkeypatch):
+    """The first pool, at the largest standard pairing, already holds the
+    eight lowest values, so no separate search finds them and every later
+    round searches a strictly larger cap."""
+    search = enriques.oracle._enumerate_with_values
+    caps = []
+
+    def recording(L, cap, extra_layers=0):
+        caps.append(cap)
+        return search(L, cap, extra_layers)
+
+    def forbidden(L):
+        raise AssertionError("eight_lowest searched its own pool")
+
+    monkeypatch.setattr(enriques.oracle, "_enumerate_with_values", recording)
+    monkeypatch.setattr(enriques.oracle, "eight_lowest", forbidden)
+    for L in (D, 2 * D + E[1], _DOMINATING.divisor_class(), seeded_class(21)):
+        caps.clear()
+        phi_vector_oracle(L, max_sequences=4)
+        assert caps and caps[0] == max(pairings(L)), (L, caps)
+        assert all(a < b for a, b in zip(caps, caps[1:])), (L, caps)
 
 
 def test_oracle_matches_closed_form_on_small_tuples():

@@ -8,6 +8,7 @@ import pytest
 import enriques.components
 import enriques.verify
 from enriques.components import components_by_genus, enumerate_components_by_phi
+from enriques.fundamental import iter_coefficient_tuples, quadratic_value
 from enriques.oracle import PhiVector, order_key
 from enriques.verify import (
     SUITES,
@@ -78,6 +79,38 @@ def test_sweeps_enumerate_each_genus_once(monkeypatch):
         assert [w for w in walks if w[1] > 7] == [(2, gmax)], (name, walks)
         assert all(lo == hi for lo, hi in walks if hi <= 7), (name, walks)
         assert searches == ([(2, gmax)] if name == "roundtrip" else []), (name, searches)
+
+
+def test_roundtrip_details_count_one_pass_over_the_tuples():
+    """The three coefficient checks share one pass over the tuples of total
+    at most 10; the profile check walks every profile of sum at most 45."""
+    tuples = list(iter_coefficient_tuples(10))
+    big = sum(1 for c in tuples if quadratic_value(c) >= 1)
+    details = {r.name: r.detail for r in run_suite("roundtrip", 2)}
+    assert details["coefficients -> profile -> coefficients"] == f"{big} tuples"
+    assert details["square equals twice the quadratic value"] == f"{len(tuples)} tuples"
+    profiles = len(list(iter_phi_profiles(45)))
+    assert details["profile -> coefficients -> profile"] == f"{profiles} profiles"
+
+
+def test_split_check_sees_a_missing_split_row(monkeypatch):
+    """Closed-form tables that drop the eps = 1 row at g = 9 (= 1 mod 4)
+    fail the odd-genus split check inside the sweep."""
+    golden = enriques.verify.golden_low_phi
+
+    def without_split(g):
+        rows = golden(g)
+        if g == 9:
+            assert any(eps == 1 for _, eps in rows[2])
+            rows[2] = [row for row in rows[2] if row[1] == 0]
+        return rows
+
+    monkeypatch.setattr(enriques.verify, "golden_low_phi", without_split)
+    failed = [r.name for r in run_suite("paper-tables", 15) if not r.passed]
+    assert failed == [
+        "smallest-entry-2 table matches closed formulas for g <= 15",
+        "odd-genus smallest-entry-2 rows split exactly when g = 1 mod 4",
+    ]
 
 
 def test_profile_window_matches_its_slice_and_the_coefficient_route():
