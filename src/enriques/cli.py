@@ -6,9 +6,12 @@ and `verify` runs one of the cross-checking suites. Output is a markdown
 table on a terminal and json when piped (override with --format); identical
 invocations print identical bytes.  JSON output is byte-identical to
 `json.dumps(payload, indent=2, sort_keys=True)` plus a newline; the
-`components` rows are written from a fixed template rather than through
-that encoder, whose indent mode runs in pure Python.  The argument parser
-is built once per process, on first use.
+`components` rows and the `phivector` payload are written from fixed
+templates rather than through that encoder, whose indent mode runs in pure
+Python.  `components` writes every format straight from the listing's
+plain records; only `--phi` goes through the public rows, which carry the
+same attribute names.  The argument parser is built once per process, on
+first use.
 
 Exit codes: 0 success, 1 a verification or agreement check failed,
 2 unusable arguments, 3 the class fails a mathematical precondition.  A
@@ -25,7 +28,7 @@ import json
 import os
 import sys
 
-from .components import component_of, enumerate_components, enumerate_components_by_phi
+from .components import _genus_records, component_of, enumerate_components_by_phi
 from .fundamental import (
     format_coefficients,
     fundamental_presentation,
@@ -94,33 +97,71 @@ def _phi_str(phis) -> str:
     return ",".join(str(v) for v in phis)
 
 
+def _slots(n: int, indent: int) -> str:
+    """n %-slots laid out as the items of a JSON list at this indent."""
+    return (",\n" + " " * indent).join(["%s"] * n)
+
+
 # One `components` row as `json.dumps(..., indent=2, sort_keys=True)` lays it
 # out at list depth 2: keys sorted, each nested level 2 spaces deeper.  The
-# first slot takes the separator from the previous row.
-_HEAD_SLOTS = ",\n          ".join(["{}"] * 7)
-_PHI_SLOTS = ",\n        ".join(["{}"] * 10)
+# first slot takes the separator from the previous row.  A component name
+# holds only digits and `E^+-_{};,`, so it needs no JSON escapes.
 _ROW = (
-    "{}    {{\n"
-    '      "coefficients": {{\n'
-    '        "a0": {},\n'
-    '        "a10": {},\n'
-    '        "a9": {},\n'
-    '        "eps": {},\n'
+    "%s    {\n"
+    '      "coefficients": {\n'
+    '        "a0": %s,\n'
+    '        "a10": %s,\n'
+    '        "a9": %s,\n'
+    '        "eps": %s,\n'
     '        "head": [\n'
-    f"          {_HEAD_SLOTS}\n"
+    f"          {_slots(7, 10)}\n"
     "        ]\n"
-    "      }},\n"
-    '      "eps": {},\n'
-    '      "genus": {},\n'
-    '      "name": {},\n'
+    "      },\n"
+    '      "eps": %s,\n'
+    '      "genus": %s,\n'
+    '      "name": "%s",\n'
     '      "phi": [\n'
-    f"        {_PHI_SLOTS}\n"
+    f"        {_slots(10, 8)}\n"
     "      ],\n"
-    '      "two_divisible": {},\n'
-    '      "unirational": {}\n'
-    "    }}"
+    '      "two_divisible": %s,\n'
+    '      "unirational": %s\n'
+    "    }"
 )
 _JSON_BOOL = ("false", "true")
+# The `phivector` payload in the same layout at depth 0.  The slot after
+# "genus" takes the two oracle keys, which sort between it and "phi", when
+# --oracle is given.
+_PHIVECTOR = (
+    "{\n"
+    '  "class": [\n'
+    f"    {_slots(10, 4)}\n"
+    "  ],\n"
+    '  "coefficients": {\n'
+    '    "a0": %s,\n'
+    '    "a10": %s,\n'
+    '    "a9": %s,\n'
+    '    "eps": %s,\n'
+    '    "head": [\n'
+    f"      {_slots(7, 6)}\n"
+    "    ]\n"
+    "  },\n"
+    '  "component": "%s",\n'
+    '  "eps": %s,\n'
+    '  "genus": %s,\n'
+    "%s"
+    '  "phi": [\n'
+    f"    {_slots(10, 4)}\n"
+    "  ],\n"
+    '  "two_divisible": %s,\n'
+    '  "unirational": %s\n'
+    "}\n"
+)
+_PHIVECTOR_ORACLE = (
+    '  "oracle_agrees": %s,\n'
+    '  "oracle_phi": [\n'
+    f"    {_slots(10, 4)}\n"
+    "  ],\n"
+)
 
 
 def _emit_components_json(genus: int, comps) -> None:
@@ -134,19 +175,23 @@ def _emit_components_json(genus: int, comps) -> None:
     write('{\n  "components": [\n')
     sep = ""
     for m in comps:
+        # An eps = 1 record shares its twin's coefficients, so both "eps"
+        # keys take the row's own eps.
         c = m.coefficients
+        eps = m.eps
         write(
-            _ROW.format(
+            _ROW
+            % (
                 sep,
                 c.a0,
                 c.a10,
                 c.a9,
-                c.eps,
+                eps,
                 *c.head,
-                m.eps,
-                m.genus,
-                json.dumps(m.name),
-                *m.phi.phis,
+                eps,
+                genus,
+                m.name,
+                *m.phi,
                 _JSON_BOOL[m.two_divisible],
                 _JSON_BOOL[m.unirational],
             )
@@ -156,41 +201,46 @@ def _emit_components_json(genus: int, comps) -> None:
 
 
 def cmd_components(args: argparse.Namespace) -> int:
+    """Write the listing of a genus.  Its records feed the writers
+    directly; `--phi K` writes the rows of `enumerate_components_by_phi`,
+    which carry the same attribute names."""
+    genus = args.genus
     if args.phi is not None:
-        comps = enumerate_components_by_phi(args.genus, args.phi)
+        comps = enumerate_components_by_phi(genus, args.phi)
     else:
-        comps = enumerate_components(args.genus)
+        comps = _genus_records(genus)
     fmt = _pick_format(args.format)
     with _output():
         if fmt == "json":
-            _emit_components_json(args.genus, comps)
+            _emit_components_json(genus, comps)
         elif fmt == "csv":
             w = csv.writer(sys.stdout, lineterminator="\n")
             w.writerow(
                 ["name", "genus", "phi", "eps", "two_divisible", "coefficients", "unirational"]
             )
-            for m in comps:
-                w.writerow(
-                    [
-                        m.name,
-                        m.genus,
-                        _phi_str(m.phi.phis),
-                        m.eps,
-                        int(m.two_divisible),
-                        format_coefficients(m.coefficients),
-                        int(m.unirational),
-                    ]
-                )
+            w.writerows(
+                [
+                    m.name,
+                    genus,
+                    _phi_str(m.phi),
+                    m.eps,
+                    int(m.two_divisible),
+                    format_coefficients(m.coefficients),
+                    int(m.unirational),
+                ]
+                for m in comps
+            )
         else:
-            print(f"# genus {args.genus}: {len(comps)} component(s)")
-            print("| component | profile | eps | 2-divisible | coefficients | unirational |")
-            print("|---|---|---|---|---|---|")
+            write = sys.stdout.write
+            write(f"# genus {genus}: {len(comps)} component(s)\n")
+            write("| component | profile | eps | 2-divisible | coefficients | unirational |\n")
+            write("|---|---|---|---|---|---|\n")
             for m in comps:
-                print(
-                    f"| {m.name} | ({_phi_str(m.phi.phis)}) | {m.eps} "
+                write(
+                    f"| {m.name} | ({_phi_str(m.phi)}) | {m.eps} "
                     f"| {'yes' if m.two_divisible else 'no'} "
                     f"| {format_coefficients(m.coefficients)} "
-                    f"| {'yes' if m.unirational else 'no'} |"
+                    f"| {'yes' if m.unirational else 'no'} |\n"
                 )
     return 0
 
@@ -239,44 +289,51 @@ def cmd_phivector(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
         agrees = oracle_profile == m.phi
 
     fmt = _pick_format(args.format)
-    rows = [
-        ("class", _phi_str(num.coords)),
-        ("phi", _phi_str(m.phi.phis)),
-        ("genus", str(m.genus)),
-        ("coefficients", format_coefficients(fc)),
-        ("eps", str(m.eps)),
-        ("two_divisible", "yes" if m.two_divisible else "no"),
-        ("component", m.name),
-        ("unirational", "yes" if m.unirational else "no"),
-    ]
-    if agrees is not None:
-        rows.append(("oracle_phi", _phi_str(oracle_profile.phis)))
-        rows.append(("oracle_agrees", "yes" if agrees else "no"))
-
     with _output():
         if fmt == "json":
-            payload = {
-                "class": num.to_json(),
-                "phi": list(m.phi.phis),
-                "genus": m.genus,
-                "coefficients": fc.to_json(),
-                "eps": m.eps,
-                "two_divisible": m.two_divisible,
-                "component": m.name,
-                "unirational": m.unirational,
-            }
+            oracle = ""
             if agrees is not None:
-                payload["oracle_phi"] = list(oracle_profile.phis)
-                payload["oracle_agrees"] = agrees
-            _emit_json(payload)
-        elif fmt == "csv":
-            w = csv.writer(sys.stdout, lineterminator="\n")
-            w.writerow(["field", "value"])
-            w.writerows(rows)
+                oracle = _PHIVECTOR_ORACLE % (_JSON_BOOL[agrees], *oracle_profile.phis)
+            sys.stdout.write(
+                _PHIVECTOR
+                % (
+                    *num.coords,
+                    fc.a0,
+                    fc.a10,
+                    fc.a9,
+                    fc.eps,
+                    *fc.head,
+                    m.name,
+                    m.eps,
+                    m.genus,
+                    oracle,
+                    *m.phi.phis,
+                    _JSON_BOOL[m.two_divisible],
+                    _JSON_BOOL[m.unirational],
+                )
+            )
         else:
-            width = max(len(k) for k, _ in rows)
-            for k, v in rows:
-                print(f"{k.ljust(width)}  {v}")
+            rows = [
+                ("class", _phi_str(num.coords)),
+                ("phi", _phi_str(m.phi.phis)),
+                ("genus", str(m.genus)),
+                ("coefficients", format_coefficients(fc)),
+                ("eps", str(m.eps)),
+                ("two_divisible", "yes" if m.two_divisible else "no"),
+                ("component", m.name),
+                ("unirational", "yes" if m.unirational else "no"),
+            ]
+            if agrees is not None:
+                rows.append(("oracle_phi", _phi_str(oracle_profile.phis)))
+                rows.append(("oracle_agrees", "yes" if agrees else "no"))
+            if fmt == "csv":
+                w = csv.writer(sys.stdout, lineterminator="\n")
+                w.writerow(["field", "value"])
+                w.writerows(rows)
+            else:
+                width = max(len(k) for k, _ in rows)
+                for k, v in rows:
+                    print(f"{k.ljust(width)}  {v}")
     return 1 if agrees is False else 0
 
 

@@ -18,10 +18,16 @@ a10) other than zero adds alpha*s + beta to a head of sum s, with
 alpha = 2a9 + a10 + t and beta = 2a9^2 + 3a9*a10 + 2t(a9 + a10), so at
 least 2s + 2.  These tails are listed once per call, in a table keyed by
 head sum and added value that lives only as long as that call, and each
-live head reads its tails off it.  The walk's tuples and profiles satisfy
-their invariants by construction, so its rows skip revalidation.  This
-route never calls the search oracle; it takes only `PhiVector` and
-`order_key` from it.
+live head reads its tails off it.
+
+A genus's tuples become sorted plain records (name, profile tuple, eps,
+parity, unirational flag, coefficients) in one pass of integer arithmetic,
+and those records feed the `components` writers directly.  A
+`ModuliComponent` is built from a record only for the API: the rows of
+`components_by_genus`, `enumerate_components`, `enumerate_components_by_phi`
+and `component_of`.  The walk's tuples and profiles satisfy their
+invariants by construction, so records and rows skip revalidation.  This
+route never calls the search oracle; it takes only `PhiVector` from it.
 This module holds only that primary route.  An independent profile-side
 enumeration, the per-row check that the eps = 1 rows (the second sheet of
 the double cover over a 2-divisible class) sit exactly on the all-even
@@ -33,14 +39,10 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .oracle import PhiVector, order_key
-from .fundamental import (
-    FundamentalCoefficients,
-    _profile_entries,
-    phivector_from_coefficients,
-)
+from .oracle import PhiVector
+from .fundamental import FundamentalCoefficients, phivector_from_coefficients
 
 __all__ = [
     "ModuliComponent",
@@ -58,19 +60,13 @@ def unirationality_flag(phi: PhiVector | Sequence[int]) -> bool:
     components.
 
     The argument is a profile, so it is sorted (nondecreasing), and a run
-    p[lo..hi] is constant exactly when its ends agree."""
-    p = tuple(phi)
-
-    def flat(lo: int, hi: int) -> bool:
-        return p[lo] == p[hi]
-
-    if flat(0, 6) or flat(1, 7) or flat(2, 8) or flat(3, 9):
+    p_lo..p_hi is constant exactly when its ends agree."""
+    p1, p2, p3, p4, p5, p6, p7, p8, p9, p10 = phi
+    if p1 == p7 or p2 == p8 or p3 == p9 or p4 == p10:
         return True
-    if flat(2, 7) and 3 * p[2] == 2 * (p[8] + p[9]) - p[0] - p[1]:
+    if p3 == p8 and 3 * p3 == 2 * (p9 + p10) - p1 - p2:
         return True
-    if flat(5, 9) and 4 * p[5] == p[0] + p[1] + p[2] + p[3] + p[4]:
-        return True
-    return False
+    return p6 == p10 and 4 * p6 == p1 + p2 + p3 + p4 + p5
 
 
 @dataclass(frozen=True)
@@ -88,23 +84,72 @@ class ModuliComponent:
         return self.coefficients.eps
 
 
-def _component(g: int, c: FundamentalCoefficients, p: PhiVector) -> ModuliComponent:
-    """The genus-g row of coefficients c with profile p.  Its eps is c.eps;
-    the eps sign shows in the name only on an all-even profile."""
-    even = p.all_even()
-    body = ",".join(map(str, p.phis))
-    if even:
-        name = f"E^{'-' if c.eps else '+'}_{{{g};{body}}}"
-    else:
-        name = f"E_{{{g};{body}}}"
-    return ModuliComponent(g, p, even, name, unirationality_flag(p), c)
+# The profile part of a component name, as a %-format of the ten entries.
+_BODY = ",".join(["%d"] * 10) + "}"
+
+
+class _Record(NamedTuple):
+    """One listing row as plain values.  The leading fields (profile total,
+    profile, eps) are the listing order and never tie within a genus, so
+    records sort as tuples.  An eps = 1 record shares the coefficients of
+    its eps = 0 twin; the row built from it carries its own eps."""
+
+    total: int
+    phi: tuple[int, ...]
+    eps: int
+    name: str
+    two_divisible: bool
+    unirational: bool
+    coefficients: FundamentalCoefficients
+
+
+def _records(g: int, coeffs: Iterable[FundamentalCoefficients]) -> list[_Record]:
+    """The genus-g records of the tuples coeffs, plus the eps = 1 twin of
+    each 2-divisible one, sorted by profile order then eps.
+
+    The profile is `_profile_entries` inlined, and its total is 9a + 3a0
+    (a the coefficient total).  The profile is even exactly when every
+    coefficient is.  The eps sign shows in the name only on an even
+    profile."""
+    odd_name, plus_name, minus_name = (f"E{sign}_{{{g};{_BODY}" for sign in ("", "^+", "^-"))
+    new = tuple.__new__
+    out: list[_Record] = []
+    append = out.append
+    for c in coeffs:
+        a0, a9, a10 = c.a0, c.a9, c.a10
+        h1, h2, h3, h4, h5, h6, h7 = c.head
+        a = a0 + h1 + h2 + h3 + h4 + h5 + h6 + h7 + a9 + a10
+        phi = (
+            a - h1, a - h2, a - h3, a - h4, a - h5, a - h6, a - h7,
+            a, a + a0 - a9, a + a0 - a10,
+        )
+        total = 9 * a + 3 * a0
+        flag = unirationality_flag(phi)
+        if (a0 | h1 | h2 | h3 | h4 | h5 | h6 | h7 | a9 | a10) & 1:
+            append(new(_Record, (total, phi, 0, odd_name % phi, False, flag, c)))
+        else:
+            append(new(_Record, (total, phi, 0, plus_name % phi, True, flag, c)))
+            append(new(_Record, (total, phi, 1, minus_name % phi, True, flag, c)))
+    out.sort()
+    return out
+
+
+def _row(g: int, r: _Record) -> ModuliComponent:
+    """The public row of a genus-g record, built without re-validation; an
+    eps = 1 record gets its own eps = 1 coefficients."""
+    c = r.coefficients
+    if r.eps != c.eps:
+        c = FundamentalCoefficients._trusted(c.a0, c.head, c.a9, c.a10, eps=r.eps)
+    return ModuliComponent(
+        g, PhiVector._trusted(r.phi), r.two_divisible, r.name, r.unirational, c
+    )
 
 
 def component_of(c: FundamentalCoefficients) -> ModuliComponent:
     """The component row of a coefficient tuple, as `enumerate_components`
     lists it; ValueError when its self-intersection is not positive."""
-    p = phivector_from_coefficients(c)
-    return _component(p.genus(), c, p)
+    g = phivector_from_coefficients(c).genus()
+    return _row(g, next(r for r in _records(g, (c,)) if r.eps == c.eps))
 
 
 def _coefficient_tuples(
@@ -215,6 +260,18 @@ def _coefficient_tuples(
     return buckets
 
 
+def _walk(g_lo: int, g_hi: int) -> dict[int, list[FundamentalCoefficients]]:
+    """The walk's tuples of genus g_lo..g_hi, keyed by quadratic value g - 1."""
+    if not (isinstance(g_lo, int) and isinstance(g_hi, int)) or g_lo < 2:
+        raise ValueError("genus must be an integer >= 2")
+    return _coefficient_tuples(g_lo - 1, g_hi - 1)
+
+
+def _genus_records(g: int) -> list[_Record]:
+    """The sorted records of genus g: what `components --genus` writes."""
+    return _records(g, _walk(g, g)[g - 1])
+
+
 def components_by_genus(
     g_lo: int, g_hi: int
 ) -> Iterator[tuple[int, tuple[ModuliComponent, ...]]]:
@@ -223,24 +280,14 @@ def components_by_genus(
     genus sorted by profile order then eps.  The walk runs at the call;
     the rows of a genus are built when it is reached, so a sweep holds one
     genus's rows at a time.  An empty window (g_hi < g_lo) yields nothing."""
-    if not (isinstance(g_lo, int) and isinstance(g_hi, int)) or g_lo < 2:
-        raise ValueError("genus must be an integer >= 2")
-    buckets = _coefficient_tuples(g_lo - 1, g_hi - 1)
+    buckets = _walk(g_lo, g_hi)
     return ((q + 1, _rows(q + 1, buckets.pop(q))) for q in list(buckets))
 
 
 def _rows(g: int, coeffs: list[FundamentalCoefficients]) -> tuple[ModuliComponent, ...]:
     """The rows of the walk's tuples, plus the eps = 1 twin of each
-    2-divisible one."""
-    rows = []
-    for c in coeffs:
-        m = _component(g, c, PhiVector._trusted(_profile_entries(c)))
-        rows.append(m)
-        if m.two_divisible:
-            c1 = FundamentalCoefficients._trusted(c.a0, c.head, c.a9, c.a10, eps=1)
-            rows.append(_component(g, c1, m.phi))
-    rows.sort(key=lambda m: (order_key(m.phi.phis), m.eps))
-    return tuple(rows)
+    2-divisible one, in listing order."""
+    return tuple(_row(g, r) for r in _records(g, coeffs))
 
 
 def enumerate_components(g: int) -> tuple[ModuliComponent, ...]:
@@ -251,7 +298,8 @@ def enumerate_components(g: int) -> tuple[ModuliComponent, ...]:
 
 
 def enumerate_components_by_phi(g: int, phi1: int) -> tuple[ModuliComponent, ...]:
+    """The components of genus g with smallest profile entry phi1; only
+    those records become rows."""
     if not isinstance(phi1, int) or phi1 < 1:
         raise ValueError("phi must be a positive integer")
-    return tuple(m for m in enumerate_components(g) if m.phi.phis[0] == phi1)
-
+    return tuple(_row(g, r) for r in _genus_records(g) if r.phi[0] == phi1)

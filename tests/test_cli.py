@@ -1,6 +1,8 @@
 """Command line behavior: formats, exit codes, determinism."""
 
+import csv
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -13,7 +15,19 @@ import enriques
 import enriques.cli
 import enriques.fundamental
 from enriques.cli import main
-from enriques.components import components_by_genus, enumerate_components
+from enriques.components import (
+    component_of,
+    components_by_genus,
+    enumerate_components,
+    enumerate_components_by_phi,
+)
+from enriques.fundamental import (
+    format_coefficients,
+    fundamental_presentation,
+    parse_coefficients,
+)
+from enriques.lattice import NumClass
+from enriques.oracle import phi_vector_oracle
 
 SRC_DIR = Path(enriques.__file__).resolve().parents[1]
 PYPROJECT = SRC_DIR.parent / "pyproject.toml"
@@ -96,6 +110,59 @@ def test_components_phi_filter_json_bytes_match_the_indent_encoder(
     assert out == _indent_encoder_bytes(genus, rows)
     if not rows:
         assert '"components": [],' in out
+
+
+def _reference_listing(fmt, genus, rows):
+    """`components` csv or markdown for these rows, written here from each
+    public row's fields."""
+    if fmt == "csv":
+        buf = io.StringIO()
+        w = csv.writer(buf, lineterminator="\n")
+        w.writerow(["name", "genus", "phi", "eps", "two_divisible", "coefficients", "unirational"])
+        for m in rows:
+            w.writerow(
+                [
+                    m.name,
+                    m.genus,
+                    ",".join(str(v) for v in m.phi.phis),
+                    m.eps,
+                    int(m.two_divisible),
+                    format_coefficients(m.coefficients),
+                    int(m.unirational),
+                ]
+            )
+        return buf.getvalue()
+    lines = [
+        f"# genus {genus}: {len(rows)} component(s)",
+        "| component | profile | eps | 2-divisible | coefficients | unirational |",
+        "|---|---|---|---|---|---|",
+    ]
+    for m in rows:
+        lines.append(
+            f"| {m.name} | ({','.join(str(v) for v in m.phi.phis)}) | {m.eps} "
+            f"| {'yes' if m.two_divisible else 'no'} "
+            f"| {format_coefficients(m.coefficients)} "
+            f"| {'yes' if m.unirational else 'no'} |"
+        )
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "markdown"])
+def test_components_csv_and_markdown_bytes_match_the_public_rows(capsys, fmt):
+    """The listing is written from plain records; its bytes must be those
+    of the public `enumerate_components` rows, and `--phi` writes those
+    rows through the same writer."""
+    for g in (*range(2, 121), 405, 934):
+        rc, out = run_cli(capsys, "components", "--genus", str(g), "--format", fmt)
+        assert rc == 0
+        assert out == _reference_listing(fmt, g, enumerate_components(g)), g
+    for g, phi in ((5, 2), (17, 4), (57, 8), (5, 9)):
+        rows = enumerate_components_by_phi(g, phi)
+        rc, out = run_cli(
+            capsys, "components", "--genus", str(g), "--phi", str(phi), "--format", fmt
+        )
+        assert rc == 0
+        assert out == _reference_listing(fmt, g, rows), (g, phi)
 
 
 def test_components_json(capsys):
@@ -181,6 +248,51 @@ def test_phivector_eps_needs_even_class(capsys):
     data = json.loads(out)
     assert data["two_divisible"] is True and data["eps"] == 1
     assert data["component"].startswith("E^-_{5;")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--class=-1,-1,-2,0,0,0,0,0,0,2"],
+        ["--class=5,6,4,3,5,3,3,3,3,-6"],
+        ["--class=40,12,11,10,9,8,7,6,5,4"],
+        ["--class=10,12,8,6,10,6,6,6,6,-12", "--eps", "1"],
+        ["--class=5,6,4,3,5,3,3,3,3,-6", "--eps", "1"],
+        ["--coeffs", "4;7,6,5,4,3,2,1;3,2"],
+        ["--coeffs", "2;2,2,2,0,0,0,0;2,0", "--eps", "1"],
+        ["--class=2,1,1,1,1,1,1,1,1,4", "--oracle"],
+        ["--class=10,12,8,6,10,6,6,6,6,-12", "--eps", "1", "--oracle"],
+        ["--coeffs", "4;7,6,5,4,3,2,1;3,2", "--oracle"],
+    ],
+)
+def test_phivector_json_bytes_match_the_indent_encoder(capsys, argv):
+    """The payload is written from a template; its bytes must be what the
+    indent encoder gives the same fields, read off the public API."""
+    eps = int(argv[argv.index("--eps") + 1]) if "--eps" in argv else 0
+    if argv[0] == "--coeffs":
+        fc = parse_coefficients(argv[1], eps=eps)
+        num = fc.divisor_class()
+    else:
+        num = NumClass(tuple(int(v) for v in argv[0].partition("=")[2].split(",")))
+        fc, _ = fundamental_presentation(num, eps)
+    m = component_of(fc)
+    payload = {
+        "class": num.to_json(),
+        "phi": list(m.phi.phis),
+        "genus": m.genus,
+        "coefficients": fc.to_json(),
+        "eps": m.eps,
+        "two_divisible": m.two_divisible,
+        "component": m.name,
+        "unirational": m.unirational,
+    }
+    if "--oracle" in argv:
+        profile, _ = phi_vector_oracle(num, max_sequences=1)
+        payload["oracle_phi"] = list(profile.phis)
+        payload["oracle_agrees"] = profile == m.phi
+    rc, out = run_cli(capsys, "phivector", *argv, "--format", "json")
+    assert rc == 0
+    assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def test_verify_markdown_and_exit(capsys):

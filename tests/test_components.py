@@ -4,9 +4,11 @@ from dataclasses import replace
 
 import pytest
 
+import enriques.components
 import enriques.verify
 from enriques.components import (
     _coefficient_tuples,
+    _genus_records,
     component_of,
     enumerate_components,
     enumerate_components_by_phi,
@@ -14,7 +16,7 @@ from enriques.components import (
 )
 from enriques.fundamental import FundamentalCoefficients, quadratic_value
 from enriques.oracle import order_key
-from enriques.verify import golden_low_phi, phi_profiles_by_genus, run_suite
+from enriques.verify import golden_low_phi, iter_phi_profiles, phi_profiles_by_genus, run_suite
 
 
 def test_genus_two_is_a_single_component():
@@ -51,6 +53,46 @@ def test_components_sorted_by_profile_order_then_eps():
         comps = enumerate_components(g)
         keys = [(order_key(m.phi.phis), m.eps) for m in comps]
         assert keys == sorted(keys)
+
+
+def test_records_list_the_public_rows_in_profile_order_then_eps():
+    """The listing sorts plain records by (9a + 3a0, profile, eps); that
+    must be the public rows sorted by (order_key, eps), field for field,
+    with each eps = 1 row right after its eps = 0 twin."""
+    for g in (*range(2, 121), 405, 934):
+        rows = enumerate_components(g)
+        by_order_key = sorted(rows, key=lambda m: (order_key(m.phi.phis), m.eps))
+        records = _genus_records(g)
+        assert len(records) == len(rows)
+        for r, m in zip(records, by_order_key):
+            assert (r.name, r.phi, r.eps, r.two_divisible, r.unirational) == (
+                m.name,
+                m.phi.phis,
+                m.eps,
+                m.two_divisible,
+                m.unirational,
+            ), g
+            assert r.coefficients.as_tuple() == m.coefficients.as_tuple()
+        assert list(rows) == by_order_key
+        for before, m in zip(rows, rows[1:]):
+            if m.eps:
+                assert before.eps == 0 and before.phi == m.phi
+                assert before.coefficients.as_tuple() == m.coefficients.as_tuple()
+                assert m.coefficients.eps == 1
+
+
+def test_phi_filter_builds_rows_for_its_records_alone(monkeypatch):
+    built = []
+    row_of = enriques.components._row
+
+    def counting_row(g, r):
+        built.append(r.phi)
+        return row_of(g, r)
+
+    monkeypatch.setattr(enriques.components, "_row", counting_row)
+    rows = enumerate_components_by_phi(57, 8)
+    assert rows and len(built) == len(rows)
+    assert all(phi[0] == 8 for phi in built)
 
 
 def test_enumeration_rejects_small_genus():
@@ -168,6 +210,33 @@ def test_unirationality_flag_matches_the_run_by_run_test():
             assert m.unirational == want, m.name
             profiles.add(m.phi.phis)
     assert len(profiles) == 975
+
+
+def _flag_by_closure(phi):
+    """unirationality_flag in its closure form: a run of the sorted profile
+    is flat when its ends agree."""
+    p = tuple(phi)
+
+    def flat(lo, hi):
+        return p[lo] == p[hi]
+
+    if flat(0, 6) or flat(1, 7) or flat(2, 8) or flat(3, 9):
+        return True
+    if flat(2, 7) and 3 * p[2] == 2 * (p[8] + p[9]) - p[0] - p[1]:
+        return True
+    if flat(5, 9) and 4 * p[5] == p[0] + p[1] + p[2] + p[3] + p[4]:
+        return True
+    return False
+
+
+def test_flat_unirationality_flag_matches_the_closure_form():
+    flags = set()
+    for p in iter_phi_profiles(90):
+        want = _flag_by_closure(p)
+        assert unirationality_flag(p) is want, p.phis
+        assert unirationality_flag(p.phis) is want, p.phis
+        flags.add(want)
+    assert flags == {True, False}
 
 
 def _reference_tuples(q):
