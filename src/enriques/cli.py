@@ -8,10 +8,9 @@ invocations print identical bytes.  JSON output is byte-identical to
 `json.dumps(payload, indent=2, sort_keys=True)` plus a newline; the
 `components` rows and the `phivector` payload are written from fixed
 templates rather than through that encoder, whose indent mode runs in pure
-Python.  `components` writes every format straight from the listing's
-plain records; only `--phi` goes through the public rows, which carry the
-same attribute names.  The argument parser is built once per process, on
-first use.
+Python.  `components` writes every format from the sorted rows of
+`enumerate_components`, or of `enumerate_components_by_phi` under `--phi`.
+The argument parser is built once per process, on first use.
 
 Exit codes: 0 success, 1 a verification or agreement check failed,
 2 unusable arguments, 3 the class fails a mathematical precondition.  A
@@ -28,7 +27,7 @@ import json
 import os
 import sys
 
-from .components import _genus_records, component_of, enumerate_components_by_phi
+from .components import component_of, enumerate_components, enumerate_components_by_phi
 from .fundamental import (
     format_coefficients,
     fundamental_presentation,
@@ -175,10 +174,7 @@ def _emit_components_json(genus: int, comps) -> None:
     write('{\n  "components": [\n')
     sep = ""
     for m in comps:
-        # An eps = 1 record shares its twin's coefficients, so both "eps"
-        # keys take the row's own eps.
         c = m.coefficients
-        eps = m.eps
         write(
             _ROW
             % (
@@ -186,9 +182,9 @@ def _emit_components_json(genus: int, comps) -> None:
                 c.a0,
                 c.a10,
                 c.a9,
-                eps,
+                c.eps,
                 *c.head,
-                eps,
+                m.eps,
                 genus,
                 m.name,
                 *m.phi,
@@ -201,14 +197,13 @@ def _emit_components_json(genus: int, comps) -> None:
 
 
 def cmd_components(args: argparse.Namespace) -> int:
-    """Write the listing of a genus.  Its records feed the writers
-    directly; `--phi K` writes the rows of `enumerate_components_by_phi`,
-    which carry the same attribute names."""
+    """Write the rows of a genus, or under `--phi K` those with smallest
+    profile entry K."""
     genus = args.genus
     if args.phi is not None:
         comps = enumerate_components_by_phi(genus, args.phi)
     else:
-        comps = _genus_records(genus)
+        comps = enumerate_components(genus)
     fmt = _pick_format(args.format)
     with _output():
         if fmt == "json":
@@ -286,7 +281,7 @@ def cmd_phivector(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
     agrees = None
     if args.oracle:
         oracle_profile, _ = phi_vector_oracle(num, max_sequences=1)
-        agrees = oracle_profile == m.phi
+        agrees = oracle_profile.phis == m.phi
 
     fmt = _pick_format(args.format)
     with _output():
@@ -307,7 +302,7 @@ def cmd_phivector(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
                     m.eps,
                     m.genus,
                     oracle,
-                    *m.phi.phis,
+                    *m.phi,
                     _JSON_BOOL[m.two_divisible],
                     _JSON_BOOL[m.unirational],
                 )
@@ -315,7 +310,7 @@ def cmd_phivector(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
         else:
             rows = [
                 ("class", _phi_str(num.coords)),
-                ("phi", _phi_str(m.phi.phis)),
+                ("phi", _phi_str(m.phi)),
                 ("genus", str(m.genus)),
                 ("coefficients", format_coefficients(fc)),
                 ("eps", str(m.eps)),

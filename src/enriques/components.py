@@ -20,28 +20,26 @@ least 2s + 2.  These tails are listed once per call, in a table keyed by
 head sum and added value that lives only as long as that call, and each
 live head reads its tails off it.
 
-A genus's tuples become sorted plain records (name, profile tuple, eps,
-parity, unirational flag, coefficients) in one pass of integer arithmetic,
-and those records feed the `components` writers directly.  A
-`ModuliComponent` is built from a record only for the API: the rows of
-`components_by_genus`, `enumerate_components`, `enumerate_components_by_phi`
-and `component_of`.  The walk's tuples and profiles satisfy their
-invariants by construction, so records and rows skip revalidation.  This
-route never calls the search oracle; it takes only `PhiVector` from it.
-This module holds only that primary route.  An independent profile-side
-enumeration, the per-row check that the eps = 1 rows (the second sheet of
-the double cover over a 2-divisible class) sit exactly on the all-even
-profiles, the classical bounds on phi_1, and the search-backed
-certification of the dominating genus-621 class live in `verify`.
+A genus's tuples become its sorted rows in one pass of integer
+arithmetic.  A `ModuliComponent` is a named tuple whose leading fields
+(profile total, profile, eps) are the listing order, so rows sort as plain
+tuples, and the `components` writers read those same rows.  The walk's
+tuples and profiles satisfy their invariants by construction, so rows skip
+revalidation; each eps = 1 row carries its own eps = 1 coefficients.
+
+This route takes nothing from the search oracle, and this module holds
+only that primary route.  An independent profile-side enumeration, the
+per-row check that the eps = 1 rows (the second sheet of the double cover
+over a 2-divisible class) sit exactly on the all-even profiles, the
+classical bounds on phi_1, and the search-backed certification of the
+dominating genus-621 class live in `verify`.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .oracle import PhiVector
 from .fundamental import FundamentalCoefficients, phivector_from_coefficients
 
 __all__ = [
@@ -54,7 +52,7 @@ __all__ = [
 ]
 
 
-def unirationality_flag(phi: PhiVector | Sequence[int]) -> bool:
+def unirationality_flag(phi: Sequence[int]) -> bool:
     """True when the profile matches one of the six coefficient shapes with
     at most four distinct nonzero coefficients known to give unirational
     components.
@@ -69,43 +67,29 @@ def unirationality_flag(phi: PhiVector | Sequence[int]) -> bool:
     return p6 == p10 and 4 * p6 == p1 + p2 + p3 + p4 + p5
 
 
-@dataclass(frozen=True)
-class ModuliComponent:
+class ModuliComponent(NamedTuple):
+    """One component row.  The leading fields (profile total, profile, eps)
+    are the listing order and never tie within a genus, so rows sort as
+    plain tuples.  phi is the sorted profile, and eps is the torsion bit of
+    the coefficients."""
+
+    total: int
+    phi: tuple[int, ...]
+    eps: int
     genus: int
-    phi: PhiVector
-    two_divisible: bool
     name: str
+    two_divisible: bool
     unirational: bool
     coefficients: FundamentalCoefficients
-
-    @property
-    def eps(self) -> int:
-        """The torsion bit, which lives on the coefficients."""
-        return self.coefficients.eps
 
 
 # The profile part of a component name, as a %-format of the ten entries.
 _BODY = ",".join(["%d"] * 10) + "}"
 
 
-class _Record(NamedTuple):
-    """One listing row as plain values.  The leading fields (profile total,
-    profile, eps) are the listing order and never tie within a genus, so
-    records sort as tuples.  An eps = 1 record shares the coefficients of
-    its eps = 0 twin; the row built from it carries its own eps."""
-
-    total: int
-    phi: tuple[int, ...]
-    eps: int
-    name: str
-    two_divisible: bool
-    unirational: bool
-    coefficients: FundamentalCoefficients
-
-
-def _records(g: int, coeffs: Iterable[FundamentalCoefficients]) -> list[_Record]:
-    """The genus-g records of the tuples coeffs, plus the eps = 1 twin of
-    each 2-divisible one, sorted by profile order then eps.
+def _rows(g: int, coeffs: Iterable[FundamentalCoefficients]) -> list[ModuliComponent]:
+    """The genus-g rows of the tuples coeffs, plus the eps = 1 twin of each
+    2-divisible one, sorted by profile order then eps.
 
     The profile is `_profile_entries` inlined, and its total is 9a + 3a0
     (a the coefficient total).  The profile is even exactly when every
@@ -113,11 +97,13 @@ def _records(g: int, coeffs: Iterable[FundamentalCoefficients]) -> list[_Record]
     profile."""
     odd_name, plus_name, minus_name = (f"E{sign}_{{{g};{_BODY}" for sign in ("", "^+", "^-"))
     new = tuple.__new__
-    out: list[_Record] = []
+    twin = FundamentalCoefficients._trusted
+    out: list[ModuliComponent] = []
     append = out.append
     for c in coeffs:
         a0, a9, a10 = c.a0, c.a9, c.a10
-        h1, h2, h3, h4, h5, h6, h7 = c.head
+        head = c.head
+        h1, h2, h3, h4, h5, h6, h7 = head
         a = a0 + h1 + h2 + h3 + h4 + h5 + h6 + h7 + a9 + a10
         phi = (
             a - h1, a - h2, a - h3, a - h4, a - h5, a - h6, a - h7,
@@ -126,30 +112,20 @@ def _records(g: int, coeffs: Iterable[FundamentalCoefficients]) -> list[_Record]
         total = 9 * a + 3 * a0
         flag = unirationality_flag(phi)
         if (a0 | h1 | h2 | h3 | h4 | h5 | h6 | h7 | a9 | a10) & 1:
-            append(new(_Record, (total, phi, 0, odd_name % phi, False, flag, c)))
+            append(new(ModuliComponent, (total, phi, 0, g, odd_name % phi, False, flag, c)))
         else:
-            append(new(_Record, (total, phi, 0, plus_name % phi, True, flag, c)))
-            append(new(_Record, (total, phi, 1, minus_name % phi, True, flag, c)))
+            append(new(ModuliComponent, (total, phi, 0, g, plus_name % phi, True, flag, c)))
+            c1 = twin(a0, head, a9, a10, eps=1)
+            append(new(ModuliComponent, (total, phi, 1, g, minus_name % phi, True, flag, c1)))
     out.sort()
     return out
-
-
-def _row(g: int, r: _Record) -> ModuliComponent:
-    """The public row of a genus-g record, built without re-validation; an
-    eps = 1 record gets its own eps = 1 coefficients."""
-    c = r.coefficients
-    if r.eps != c.eps:
-        c = FundamentalCoefficients._trusted(c.a0, c.head, c.a9, c.a10, eps=r.eps)
-    return ModuliComponent(
-        g, PhiVector._trusted(r.phi), r.two_divisible, r.name, r.unirational, c
-    )
 
 
 def component_of(c: FundamentalCoefficients) -> ModuliComponent:
     """The component row of a coefficient tuple, as `enumerate_components`
     lists it; ValueError when its self-intersection is not positive."""
     g = phivector_from_coefficients(c).genus()
-    return _row(g, next(r for r in _records(g, (c,)) if r.eps == c.eps))
+    return next(m for m in _rows(g, (c,)) if m.eps == c.eps)
 
 
 def _coefficient_tuples(
@@ -267,11 +243,6 @@ def _walk(g_lo: int, g_hi: int) -> dict[int, list[FundamentalCoefficients]]:
     return _coefficient_tuples(g_lo - 1, g_hi - 1)
 
 
-def _genus_records(g: int) -> list[_Record]:
-    """The sorted records of genus g: what `components --genus` writes."""
-    return _records(g, _walk(g, g)[g - 1])
-
-
 def components_by_genus(
     g_lo: int, g_hi: int
 ) -> Iterator[tuple[int, tuple[ModuliComponent, ...]]]:
@@ -281,25 +252,17 @@ def components_by_genus(
     the rows of a genus are built when it is reached, so a sweep holds one
     genus's rows at a time.  An empty window (g_hi < g_lo) yields nothing."""
     buckets = _walk(g_lo, g_hi)
-    return ((q + 1, _rows(q + 1, buckets.pop(q))) for q in list(buckets))
-
-
-def _rows(g: int, coeffs: list[FundamentalCoefficients]) -> tuple[ModuliComponent, ...]:
-    """The rows of the walk's tuples, plus the eps = 1 twin of each
-    2-divisible one, in listing order."""
-    return tuple(_row(g, r) for r in _records(g, coeffs))
+    return ((q + 1, tuple(_rows(q + 1, buckets.pop(q)))) for q in list(buckets))
 
 
 def enumerate_components(g: int) -> tuple[ModuliComponent, ...]:
     """All components of the genus-g polarized moduli space, sorted by
-    profile order then eps: the width-zero window of `components_by_genus`."""
-    [(_, rows)] = components_by_genus(g, g)
-    return rows
+    profile order then eps."""
+    return tuple(_rows(g, _walk(g, g)[g - 1]))
 
 
 def enumerate_components_by_phi(g: int, phi1: int) -> tuple[ModuliComponent, ...]:
-    """The components of genus g with smallest profile entry phi1; only
-    those records become rows."""
+    """The components of genus g with smallest profile entry phi1."""
     if not isinstance(phi1, int) or phi1 < 1:
         raise ValueError("phi must be a positive integer")
-    return tuple(_row(g, r) for r in _genus_records(g) if r.phi[0] == phi1)
+    return tuple(m for m in enumerate_components(g) if m.phi[0] == phi1)

@@ -95,8 +95,8 @@ class FundamentalCoefficients:
         cls, a0: int, head: tuple[int, ...], a9: int, a10: int, eps: int = 0
     ) -> FundamentalCoefficients:
         """Build without the checks above, for a producer whose tuples
-        pass them by construction (the component walk and
-        `iter_coefficient_tuples`)."""
+        pass them by construction (the component walk, the eps = 1 twins
+        of its rows, and `iter_coefficient_tuples`)."""
         c = object.__new__(cls)
         setattr_ = object.__setattr__
         setattr_(c, "a0", a0)
@@ -118,15 +118,6 @@ class FundamentalCoefficients:
         """The presented class on the standard sequence, modulo torsion;
         the torsion bit stays on the coefficients."""
         return sequence_combination((*self.head, 0, self.a9, self.a10), self.a0)
-
-    def to_json(self) -> dict:
-        return {
-            "a0": self.a0,
-            "head": list(self.head),
-            "a9": self.a9,
-            "a10": self.a10,
-            "eps": self.eps,
-        }
 
 
 def quadratic_value(c: FundamentalCoefficients) -> int:

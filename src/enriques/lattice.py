@@ -104,9 +104,6 @@ class NumClass:
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coords)
 
-    def to_json(self) -> list[int]:
-        return list(self.coords)
-
 
 D = NumClass((0,) * 9 + (1,))
 

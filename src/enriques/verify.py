@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from math import isqrt
-from typing import Callable, Iterator
+from typing import Callable
 
 from .components import (
     components_by_genus,
@@ -140,32 +140,6 @@ def phi_profiles_by_genus(g_lo: int, g_hi: int) -> dict[int, list[tuple[int, ...
 
         rec(RANK, total, total, top)
     return {g: sorted(profiles, key=order_key) for g, profiles in found.items()}
-
-
-def iter_phi_profiles(max_sum: int) -> Iterator[PhiVector]:
-    """All valid profiles with entry sum <= max_sum, in order of sum.
-
-    Walks nondecreasing positive tuples directly against the profile
-    invariants, independent of the coefficient parametrization.
-    """
-    for total in range(12, max_sum + 1, 3):
-        acc: list[int] = []
-
-        def rec(k: int, lo: int, r: int) -> Iterator[PhiVector]:
-            if k == 0:
-                if r == 0:
-                    yield PhiVector(tuple(acc))
-                return
-            if k == 3 and 3 * (total - r) < 2 * total:
-                return
-            if r < k * lo:
-                return
-            for v in range(lo, r // k + 1):
-                acc.append(v)
-                yield from rec(k - 1, v, r - v)
-                acc.pop()
-
-        yield from rec(RANK, 1, total)
 
 
 def golden_low_phi(g: int) -> dict[int, list[tuple[tuple[int, ...], int]]]:
@@ -308,11 +282,14 @@ def suite_roundtrip(gmax: int | None = None) -> list[CheckResult]:
 
     checks.append(_check("coefficients -> profile -> coefficients", back_ok, f"{n_big} tuples"))
 
+    # one profile search feeds the profile round trip and the genus checks;
+    # every profile of total at most 45 has genus at most 11
+    direct_by_genus = phi_profiles_by_genus(2, max(gmax, 11))
     n_profiles = 0
     ok = True
-    for p in iter_phi_profiles(45):
+    for t in (t for direct in direct_by_genus.values() for t in direct if sum(t) <= 45):
         n_profiles += 1
-        if phivector_from_coefficients(coefficients_from_phivector(p)) != p:
+        if phivector_from_coefficients(coefficients_from_phivector(t)).phis != t:
             ok = False
             break
     checks.append(_check("profile -> coefficients -> profile", ok, f"{n_profiles} profiles"))
@@ -321,10 +298,9 @@ def suite_roundtrip(gmax: int | None = None) -> list[CheckResult]:
 
     profiles_ok = fibers_ok = True
     worst = ""
-    direct_by_genus = phi_profiles_by_genus(2, gmax)
     for g, comps in components_by_genus(2, gmax):
         direct = direct_by_genus[g]
-        if profiles_ok and sorted({m.phi.phis for m in comps}, key=order_key) != direct:
+        if profiles_ok and sorted({m.phi for m in comps}, key=order_key) != direct:
             profiles_ok = False
             worst = f"g={g}"
         # one component per profile, plus one more per all-even profile
@@ -338,9 +314,9 @@ def suite_roundtrip(gmax: int | None = None) -> list[CheckResult]:
         split, even_rows = [], []
         for m in comps:
             two_div = is_two_divisible(m.coefficients.divisor_class())
-            if not (two_div == m.phi.all_even() == m.two_divisible):
+            if not (two_div == all(v % 2 == 0 for v in m.phi) == m.two_divisible):
                 fibers_ok = False
-            key = (m.phi.phis, m.coefficients.as_tuple())
+            key = (m.phi, m.coefficients.as_tuple())
             if m.eps:
                 split.append(key)
             elif two_div:
@@ -360,7 +336,7 @@ def suite_roundtrip(gmax: int | None = None) -> list[CheckResult]:
     for g in (5, 7):
         for m in enumerate_components(g):
             L = m.coefficients.divisor_class()
-            if eight_lowest(L) != m.phi.phis[:8]:
+            if eight_lowest(L) != m.phi[:8]:
                 ok = False
     checks.append(_check("lowest eight values match the profile head", ok))
     return checks
@@ -379,7 +355,7 @@ def suite_paper_tables(gmax: int | None = None) -> list[CheckResult]:
             if k in failures:
                 continue
             expected = golden[k]
-            got = [(m.phi.phis, m.eps) for m in comps if m.phi.phis[0] == k]
+            got = [(m.phi, m.eps) for m in comps if m.phi[0] == k]
             if sorted(got) != sorted(expected):
                 failures[k] = f"g={g}: expected {expected}, got {got}"
     for k in (1, 2, 3):
@@ -489,7 +465,7 @@ def suite_bounds(gmax: int | None = None) -> list[CheckResult]:
         n += len(comps)
         every_genus &= bool(comps)
         for m in comps:
-            p1 = m.phi.phis[0]
+            p1 = m.phi[0]
             if p1 * p1 > 2 * g - 2:
                 violations.append(f"{m.name}: phi_1^2 exceeds 2g-2")
             if p1 * p1 < 2 * g - 2 < p1 * p1 + p1 - 2:

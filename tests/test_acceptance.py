@@ -29,7 +29,7 @@ from enriques.lattice import (
     self_int,
     standard_sequence,
 )
-from enriques.oracle import box_isotropics, enumerate_isotropics, phi_vector_oracle
+from enriques.oracle import PhiVector, box_isotropics, enumerate_isotropics, phi_vector_oracle
 from enriques.verify import _DOMINATING, golden_low_phi, phi_profiles_by_genus, run_suite
 
 
@@ -106,7 +106,7 @@ def test_criterion_4_low_phi_tables():
     for g in genera:
         expected = golden_low_phi(g)
         for k in (1, 2, 3):
-            got = [(m.phi.phis, m.eps) for m in enumerate_components_by_phi(g, k)]
+            got = [(m.phi, m.eps) for m in enumerate_components_by_phi(g, k)]
             ok &= sorted(got) == sorted(expected[k])
             n += len(got)
     # congruence shape: odd genus splits the second family exactly when g = 1 mod 4
@@ -147,7 +147,7 @@ def test_criterion_6_fiber_structure():
         ok &= len(comps) == len(direct) + even
         ok &= all(
             is_two_divisible(m.coefficients.divisor_class())
-            == m.phi.all_even()
+            == PhiVector(m.phi).all_even()
             == m.two_divisible
             for m in comps
         )
@@ -206,7 +206,7 @@ def test_criterion_8_classical_bounds():
         ok &= len(comps) >= 1
         for m in comps:
             n += 1
-            p1 = m.phi.phis[0]
+            p1 = m.phi[0]
             ok &= p1 * p1 <= 2 * g - 2
             ok &= not (p1 * p1 < 2 * g - 2 < p1 * p1 + p1 - 2)
     ok &= results[0].detail == f"{n} components"

@@ -69,7 +69,7 @@ def _indent_encoder_bytes(genus, rows):
             {
                 "name": m.name,
                 "genus": m.genus,
-                "phi": list(m.phi.phis),
+                "phi": list(m.phi),
                 "eps": m.eps,
                 "two_divisible": m.two_divisible,
                 "unirational": m.unirational,
@@ -101,7 +101,7 @@ def test_components_json_bytes_match_the_indent_encoder(capsys):
 def test_components_phi_filter_json_bytes_match_the_indent_encoder(
     capsys, genus, phi, eps_one_rows
 ):
-    rows = [m for m in enumerate_components(genus) if m.phi.phis[0] == phi]
+    rows = [m for m in enumerate_components(genus) if m.phi[0] == phi]
     assert sum(m.eps for m in rows) == eps_one_rows
     rc, out = run_cli(
         capsys, "components", "--genus", str(genus), "--phi", str(phi), "--format", "json"
@@ -124,7 +124,7 @@ def _reference_listing(fmt, genus, rows):
                 [
                     m.name,
                     m.genus,
-                    ",".join(str(v) for v in m.phi.phis),
+                    ",".join(str(v) for v in m.phi),
                     m.eps,
                     int(m.two_divisible),
                     format_coefficients(m.coefficients),
@@ -139,7 +139,7 @@ def _reference_listing(fmt, genus, rows):
     ]
     for m in rows:
         lines.append(
-            f"| {m.name} | ({','.join(str(v) for v in m.phi.phis)}) | {m.eps} "
+            f"| {m.name} | ({','.join(str(v) for v in m.phi)}) | {m.eps} "
             f"| {'yes' if m.two_divisible else 'no'} "
             f"| {format_coefficients(m.coefficients)} "
             f"| {'yes' if m.unirational else 'no'} |"
@@ -149,9 +149,9 @@ def _reference_listing(fmt, genus, rows):
 
 @pytest.mark.parametrize("fmt", ["csv", "markdown"])
 def test_components_csv_and_markdown_bytes_match_the_public_rows(capsys, fmt):
-    """The listing is written from plain records; its bytes must be those
-    of the public `enumerate_components` rows, and `--phi` writes those
-    rows through the same writer."""
+    """The listing's bytes must be those written here from the fields of
+    the public `enumerate_components` rows, and `--phi` writes its rows
+    through the same writer."""
     for g in (*range(2, 121), 405, 934):
         rc, out = run_cli(capsys, "components", "--genus", str(g), "--format", fmt)
         assert rc == 0
@@ -277,10 +277,16 @@ def test_phivector_json_bytes_match_the_indent_encoder(capsys, argv):
         fc, _ = fundamental_presentation(num, eps)
     m = component_of(fc)
     payload = {
-        "class": num.to_json(),
-        "phi": list(m.phi.phis),
+        "class": list(num.coords),
+        "phi": list(m.phi),
         "genus": m.genus,
-        "coefficients": fc.to_json(),
+        "coefficients": {
+            "a0": fc.a0,
+            "head": list(fc.head),
+            "a9": fc.a9,
+            "a10": fc.a10,
+            "eps": fc.eps,
+        },
         "eps": m.eps,
         "two_divisible": m.two_divisible,
         "component": m.name,
@@ -289,7 +295,7 @@ def test_phivector_json_bytes_match_the_indent_encoder(capsys, argv):
     if "--oracle" in argv:
         profile, _ = phi_vector_oracle(num, max_sequences=1)
         payload["oracle_phi"] = list(profile.phis)
-        payload["oracle_agrees"] = profile == m.phi
+        payload["oracle_agrees"] = profile.phis == m.phi
     rc, out = run_cli(capsys, "phivector", *argv, "--format", "json")
     assert rc == 0
     assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n"

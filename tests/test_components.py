@@ -4,19 +4,23 @@ from dataclasses import replace
 
 import pytest
 
-import enriques.components
 import enriques.verify
 from enriques.components import (
     _coefficient_tuples,
-    _genus_records,
     component_of,
+    components_by_genus,
     enumerate_components,
     enumerate_components_by_phi,
     unirationality_flag,
 )
-from enriques.fundamental import FundamentalCoefficients, quadratic_value
+from enriques.fundamental import (
+    FundamentalCoefficients,
+    phivector_from_coefficients,
+    quadratic_value,
+)
 from enriques.oracle import order_key
-from enriques.verify import golden_low_phi, iter_phi_profiles, phi_profiles_by_genus, run_suite
+from enriques.verify import golden_low_phi, phi_profiles_by_genus, run_suite
+from reference import iter_phi_profiles
 
 
 def test_genus_two_is_a_single_component():
@@ -51,29 +55,17 @@ def test_genus_five_table_with_torsion_split():
 def test_components_sorted_by_profile_order_then_eps():
     for g in (5, 9, 13):
         comps = enumerate_components(g)
-        keys = [(order_key(m.phi.phis), m.eps) for m in comps]
+        keys = [(order_key(m.phi), m.eps) for m in comps]
         assert keys == sorted(keys)
 
 
-def test_records_list_the_public_rows_in_profile_order_then_eps():
-    """The listing sorts plain records by (9a + 3a0, profile, eps); that
-    must be the public rows sorted by (order_key, eps), field for field,
-    with each eps = 1 row right after its eps = 0 twin."""
+def test_rows_sort_as_tuples_in_profile_order_then_eps():
+    """Rows sort as plain tuples on (9a + 3a0, profile, eps); that must be
+    the order of (order_key, eps), with each eps = 1 row right after its
+    eps = 0 twin."""
     for g in (*range(2, 121), 405, 934):
         rows = enumerate_components(g)
-        by_order_key = sorted(rows, key=lambda m: (order_key(m.phi.phis), m.eps))
-        records = _genus_records(g)
-        assert len(records) == len(rows)
-        for r, m in zip(records, by_order_key):
-            assert (r.name, r.phi, r.eps, r.two_divisible, r.unirational) == (
-                m.name,
-                m.phi.phis,
-                m.eps,
-                m.two_divisible,
-                m.unirational,
-            ), g
-            assert r.coefficients.as_tuple() == m.coefficients.as_tuple()
-        assert list(rows) == by_order_key
+        assert list(rows) == sorted(rows, key=lambda m: (order_key(m.phi), m.eps)), g
         for before, m in zip(rows, rows[1:]):
             if m.eps:
                 assert before.eps == 0 and before.phi == m.phi
@@ -81,18 +73,20 @@ def test_records_list_the_public_rows_in_profile_order_then_eps():
                 assert m.coefficients.eps == 1
 
 
-def test_phi_filter_builds_rows_for_its_records_alone(monkeypatch):
-    built = []
-    row_of = enriques.components._row
-
-    def counting_row(g, r):
-        built.append(r.phi)
-        return row_of(g, r)
-
-    monkeypatch.setattr(enriques.components, "_row", counting_row)
-    rows = enumerate_components_by_phi(57, 8)
-    assert rows and len(built) == len(rows)
-    assert all(phi[0] == 8 for phi in built)
+def test_every_row_agrees_with_its_coefficients():
+    """Each field of a row is what the checked routes give its coefficients,
+    one genus at a time and across a window."""
+    window = components_by_genus(249, 260)
+    for g, rows in (*((g, enumerate_components(g)) for g in range(2, 61)), *window):
+        assert rows, g
+        for m in rows:
+            assert m.genus == g
+            assert m.total == sum(m.phi)
+            assert m.eps == m.coefficients.eps
+            assert m.phi == phivector_from_coefficients(m.coefficients).phis
+            assert m.two_divisible == m.coefficients.all_even()
+            assert m.unirational == unirationality_flag(m.phi)
+            assert component_of(m.coefficients) == m
 
 
 def test_enumeration_rejects_small_genus():
@@ -104,7 +98,7 @@ def test_enumeration_rejects_small_genus():
 
 def test_phi_filter():
     # g = 9 is 1 mod 4: the even profile splits, so three rows not two
-    assert [m.phi.phis[0] for m in enumerate_components_by_phi(9, 2)] == [2, 2, 2]
+    assert [m.phi[0] for m in enumerate_components_by_phi(9, 2)] == [2, 2, 2]
     assert enumerate_components_by_phi(2, 3) == ()
 
 
@@ -114,7 +108,7 @@ def test_genus_six_all_threes():
 
 
 def test_genus_seven_phi_three_profile():
-    profs = [m.phi.phis for m in enumerate_components_by_phi(7, 3)]
+    profs = [m.phi for m in enumerate_components_by_phi(7, 3)]
     assert (3, 3, 3, 3, 4, 4, 4, 4, 4, 4) in profs
 
 
@@ -122,7 +116,7 @@ def test_low_phi_families_match_closed_formulas():
     for g in range(2, 19):
         expected = golden_low_phi(g)
         for k in (1, 2, 3):
-            got = [(m.phi.phis, m.eps) for m in enumerate_components_by_phi(g, k)]
+            got = [(m.phi, m.eps) for m in enumerate_components_by_phi(g, k)]
             assert sorted(got) == sorted(expected[k]), (g, k)
 
 
@@ -130,7 +124,7 @@ def test_eps_split_exactly_on_even_profiles():
     for g in range(2, 21):
         by_profile = {}
         for m in enumerate_components(g):
-            by_profile.setdefault(m.phi.phis, []).append(m.eps)
+            by_profile.setdefault(m.phi, []).append(m.eps)
         for prof, epss in by_profile.items():
             if all(v % 2 == 0 for v in prof):
                 assert sorted(epss) == [0, 1]
@@ -150,7 +144,7 @@ def test_numerical_components_collapse_the_split():
     """The eps = 0 rows are the numerical components, one per profile; the
     double cover splits over exactly the 2-divisible one."""
     hats = [m for m in enumerate_components(5) if m.eps == 0]
-    assert [h.phi.phis for h in hats] == [
+    assert [h.phi for h in hats] == [
         (2, 3, 3, 3, 3, 3, 3, 3, 3, 4),
         (2, 2, 4, 4, 4, 4, 4, 4, 4, 4),
         (1, 4, 5, 5, 5, 5, 5, 5, 5, 5),
@@ -174,7 +168,7 @@ def test_unirationality_patterns():
     # each closed-form low-phi family lands in some flat pattern
     for g in range(2, 26):
         for m in enumerate_components(g):
-            if m.phi.phis[0] <= 3:
+            if m.phi[0] <= 3:
                 assert m.unirational, m.name
     assert unirationality_flag((1, 1, 2, 2, 2, 2, 2, 2, 2, 2))
     assert unirationality_flag((3, 3, 3, 3, 4, 4, 4, 4, 4, 4))
@@ -182,7 +176,7 @@ def test_unirationality_patterns():
     # first profile outside every pattern shows up at genus 12
     assert not unirationality_flag((4, 4, 4, 5, 5, 5, 5, 5, 5, 6))
     bad12 = [m for m in enumerate_components(12) if not m.unirational]
-    assert [m.phi.phis for m in bad12] == [(4, 4, 4, 5, 5, 5, 5, 5, 5, 6)]
+    assert [m.phi for m in bad12] == [(4, 4, 4, 5, 5, 5, 5, 5, 5, 6)]
 
 
 def _flag_by_runs(p):
@@ -205,10 +199,10 @@ def test_unirationality_flag_matches_the_run_by_run_test():
     profiles = set()
     for g in range(2, 61):
         for m in enumerate_components(g):
-            want = _flag_by_runs(m.phi.phis)
+            want = _flag_by_runs(m.phi)
             assert unirationality_flag(m.phi) == want, m.name
             assert m.unirational == want, m.name
-            profiles.add(m.phi.phis)
+            profiles.add(m.phi)
     assert len(profiles) == 975
 
 
@@ -360,7 +354,7 @@ def test_genus_one_thousand_count():
 
 def test_profiles_agree_with_quadratic_search():
     for g in range(2, 21):
-        via = sorted({m.phi.phis for m in enumerate_components(g)}, key=order_key)
+        via = sorted({m.phi for m in enumerate_components(g)}, key=order_key)
         assert via == phi_profiles_by_genus(g, g)[g]
 
 

@@ -31,7 +31,7 @@ from enriques.lattice import (
     standard_sequence,
 )
 from enriques.oracle import IsotropicSequence, phi_vector_oracle
-from enriques.verify import iter_phi_profiles
+from reference import iter_phi_profiles
 
 E = [None] + [generator_e(i) for i in range(1, 11)]
 

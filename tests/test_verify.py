@@ -1,6 +1,5 @@
 """Cross-check suites and the second-route enumerators behind them."""
 
-from dataclasses import replace
 from math import isqrt
 
 import pytest
@@ -10,13 +9,8 @@ import enriques.verify
 from enriques.components import components_by_genus, enumerate_components_by_phi
 from enriques.fundamental import iter_coefficient_tuples, quadratic_value
 from enriques.oracle import PhiVector, order_key
-from enriques.verify import (
-    SUITES,
-    golden_low_phi,
-    iter_phi_profiles,
-    phi_profiles_by_genus,
-    run_suite,
-)
+from enriques.verify import SUITES, golden_low_phi, phi_profiles_by_genus, run_suite
+from reference import iter_phi_profiles
 
 
 # One check that only the named suite runs.
@@ -93,6 +87,27 @@ def test_roundtrip_details_count_one_pass_over_the_tuples():
     assert details["profile -> coefficients -> profile"] == f"{profiles} profiles"
 
 
+@pytest.mark.parametrize("gmax", [2, 15])
+def test_profile_round_trip_converts_the_profiles_of_the_plain_walk(monkeypatch, gmax):
+    """The profile round trip takes the profiles of total at most 45 from
+    the suite's one profile search, at any gmax: each profile that the
+    plain reference walk finds, once."""
+    converted = []
+    convert = enriques.verify.coefficients_from_phivector
+
+    def recording(p, eps=0):
+        if isinstance(p, tuple):  # the coefficient pass converts PhiVectors
+            converted.append(p)
+        return convert(p, eps)
+
+    monkeypatch.setattr(enriques.verify, "coefficients_from_phivector", recording)
+    details = {r.name: r.detail for r in run_suite("roundtrip", gmax)}
+    assert details["profile -> coefficients -> profile"] == "21 profiles"
+    walked = [p.phis for p in iter_phi_profiles(45)]
+    assert len(walked) == 21
+    assert sorted(converted) == sorted(walked)
+
+
 def test_split_check_sees_a_missing_split_row(monkeypatch):
     """Closed-form tables that drop the eps = 1 row at g = 9 (= 1 mod 4)
     fail the odd-genus split check inside the sweep."""
@@ -120,7 +135,7 @@ def test_profile_window_matches_its_slice_and_the_coefficient_route():
     assert list(inner) == list(comps) == list(range(37, 46))
     for g in range(37, 46):
         assert inner[g] == outer[g], g
-        assert inner[g] == sorted({m.phi.phis for m in comps[g]}, key=order_key), g
+        assert inner[g] == sorted({m.phi for m in comps[g]}, key=order_key), g
         assert inner[g] == phi_profiles_by_genus(g, g)[g], g
 
 
@@ -224,15 +239,15 @@ def test_scaling_suites_reject_an_empty_or_malformed_genus_range(name, gmax):
 _SPLIT_ROW_MUTATIONS = {
     "split-row-on-an-odd-profile": lambda split, odd: (
         split,
-        replace(split, phi=odd.phi, coefficients=odd.coefficients, two_divisible=False),
+        split._replace(phi=odd.phi, coefficients=odd.coefficients, two_divisible=False),
     ),
     "split-row-with-odd-coefficients": lambda split, odd: (
         split,
-        replace(split, coefficients=odd.coefficients),
+        split._replace(coefficients=odd.coefficients),
     ),
     "odd-row-flagged-two-divisible": lambda split, odd: (
         odd,
-        replace(odd, two_divisible=True),
+        odd._replace(two_divisible=True),
     ),
 }
 
@@ -256,7 +271,7 @@ def test_double_cover_check_sees_a_misplaced_split_row(monkeypatch, mutation):
     [(_, rows)] = components_by_genus(5, 5)
     direct = phi_profiles_by_genus(5, 5)[5]
     assert len(rows) == len(direct) + 1
-    assert {m.phi.phis for m in rows} == set(direct)
+    assert {m.phi for m in rows} == set(direct)
     results = {r.name: r.passed for r in run_suite("roundtrip")}
     assert results["double-cover fiber count for g <= 15"] is False
     assert results["profile sets agree with quadratic search for g <= 15"] is True
