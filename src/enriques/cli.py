@@ -5,10 +5,10 @@ genus, `phivector` reports the invariants of a single polarization class,
 and `verify` runs one of the cross-checking suites. Output is a markdown
 table on a terminal and json when piped (override with --format); identical
 invocations print identical bytes.  JSON output is byte-identical to
-`json.dumps(payload, indent=2, sort_keys=True)` plus a newline; the
-`components` rows and the `phivector` payload are written from fixed
-templates rather than through that encoder, whose indent mode runs in pure
-Python.  `components` writes every format from the sorted rows of
+`json.dumps(payload, indent=2, sort_keys=True)` plus a newline; that
+encoder lays out the `components` row and the `phivector` payload once, at
+import, as %-templates, since its indent mode runs in pure Python.
+`components` writes every format from the sorted rows of
 `enumerate_components`, or of `enumerate_components_by_phi` under `--phi`.
 The argument parser is built once per process, on first use.
 
@@ -88,90 +88,58 @@ def _output():
         os.close(devnull)
 
 
-def _emit_json(payload: dict) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True))
+# The one JSON layout: `verify` writes through it, and the templates below
+# are laid out by it.
+_dumps = functools.partial(json.dumps, indent=2, sort_keys=True)
 
 
 def _phi_str(phis) -> str:
     return ",".join(str(v) for v in phis)
 
 
-def _slots(n: int, indent: int) -> str:
-    """n %-slots laid out as the items of a JSON list at this indent."""
-    return (",\n" + " " * indent).join(["%s"] * n)
+def _layout(skeleton: dict, depth: int = 0) -> str:
+    """`_dumps(skeleton)` as it sits inside `depth` nested containers, each
+    "@" leaf a %s slot.  The slots take their values in sorted key order."""
+    text = _dumps(skeleton)
+    return text.replace("\n", "\n" + "  " * depth).replace('"@"', "%s")
 
 
-# One `components` row as `json.dumps(..., indent=2, sort_keys=True)` lays it
-# out at list depth 2: keys sorted, each nested level 2 spaces deeper.  The
-# first slot takes the separator from the previous row.  A component name
-# holds only digits and `E^+-_{};,`, so it needs no JSON escapes.
-_ROW = (
-    "%s    {\n"
-    '      "coefficients": {\n'
-    '        "a0": %s,\n'
-    '        "a10": %s,\n'
-    '        "a9": %s,\n'
-    '        "eps": %s,\n'
-    '        "head": [\n'
-    f"          {_slots(7, 10)}\n"
-    "        ]\n"
-    "      },\n"
-    '      "eps": %s,\n'
-    '      "genus": %s,\n'
-    '      "name": "%s",\n'
-    '      "phi": [\n'
-    f"        {_slots(10, 8)}\n"
-    "      ],\n"
-    '      "two_divisible": %s,\n'
-    '      "unirational": %s\n'
-    "    }"
+# The fields a `components` row and the `phivector` payload share.  A
+# component name holds only digits and `E^+-_{};,`, so its quoted "%s"
+# leaf needs no JSON escapes.
+_FIELDS = {
+    "coefficients": {"a0": "@", "a10": "@", "a9": "@", "eps": "@", "head": ["@"] * 7},
+    "eps": "@",
+    "genus": "@",
+    "phi": ["@"] * 10,
+    "two_divisible": "@",
+    "unirational": "@",
+}
+# A row sits two containers deep in the listing, whose two items split it
+# into head, separator and tail; a row's first slot takes the separator.
+_ROW = "%s" + _layout({**_FIELDS, "name": "%s"}, depth=2)
+_LISTING = {"components": ["@", "@"], "count": "@", "genus": "@"}
+_HEAD, _SEP, _TAIL = (_layout(_LISTING) + "\n").split("%s", 2)
+_EMPTY = _layout({**_LISTING, "components": [], "count": 0}) + "\n"
+# The `phivector` payload, indexed by --oracle; the two oracle keys sort
+# between "genus" and "phi".
+_PAYLOAD = {**_FIELDS, "class": ["@"] * 10, "component": "%s"}
+_PHIVECTOR = (
+    _layout(_PAYLOAD) + "\n",
+    _layout({**_PAYLOAD, "oracle_agrees": "@", "oracle_phi": ["@"] * 10}) + "\n",
 )
 _JSON_BOOL = ("false", "true")
-# The `phivector` payload in the same layout at depth 0.  The slot after
-# "genus" takes the two oracle keys, which sort between it and "phi", when
-# --oracle is given.
-_PHIVECTOR = (
-    "{\n"
-    '  "class": [\n'
-    f"    {_slots(10, 4)}\n"
-    "  ],\n"
-    '  "coefficients": {\n'
-    '    "a0": %s,\n'
-    '    "a10": %s,\n'
-    '    "a9": %s,\n'
-    '    "eps": %s,\n'
-    '    "head": [\n'
-    f"      {_slots(7, 6)}\n"
-    "    ]\n"
-    "  },\n"
-    '  "component": "%s",\n'
-    '  "eps": %s,\n'
-    '  "genus": %s,\n'
-    "%s"
-    '  "phi": [\n'
-    f"    {_slots(10, 4)}\n"
-    "  ],\n"
-    '  "two_divisible": %s,\n'
-    '  "unirational": %s\n'
-    "}\n"
-)
-_PHIVECTOR_ORACLE = (
-    '  "oracle_agrees": %s,\n'
-    '  "oracle_phi": [\n'
-    f"    {_slots(10, 4)}\n"
-    "  ],\n"
-)
 
 
 def _emit_components_json(genus: int, comps) -> None:
-    """Write {"genus", "count", "components"} with the bytes that
-    `_emit_json` gives it, one row at a time from `_ROW` rather than
-    through json's pure-Python indent encoder."""
+    """Write {"genus", "count", "components"} as `_dumps` lays it out, one
+    row at a time from `_ROW` rather than through json's pure-Python indent
+    encoder."""
     write = sys.stdout.write
     if not comps:
-        write(f'{{\n  "components": [],\n  "count": 0,\n  "genus": {genus}\n}}\n')
+        write(_EMPTY % genus)
         return
-    write('{\n  "components": [\n')
+    write(_HEAD)
     sep = ""
     for m in comps:
         c = m.coefficients
@@ -192,8 +160,8 @@ def _emit_components_json(genus: int, comps) -> None:
                 _JSON_BOOL[m.unirational],
             )
         )
-        sep = ",\n"
-    write(f'\n  ],\n  "count": {len(comps)},\n  "genus": {genus}\n}}\n')
+        sep = _SEP
+    write(_TAIL % (len(comps), genus))
 
 
 def cmd_components(args: argparse.Namespace) -> int:
@@ -286,11 +254,9 @@ def cmd_phivector(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
     fmt = _pick_format(args.format)
     with _output():
         if fmt == "json":
-            oracle = ""
-            if agrees is not None:
-                oracle = _PHIVECTOR_ORACLE % (_JSON_BOOL[agrees], *oracle_profile.phis)
+            oracle = (_JSON_BOOL[agrees], *oracle_profile.phis) if args.oracle else ()
             sys.stdout.write(
-                _PHIVECTOR
+                _PHIVECTOR[args.oracle]
                 % (
                     *num.coords,
                     fc.a0,
@@ -301,7 +267,7 @@ def cmd_phivector(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
                     m.name,
                     m.eps,
                     m.genus,
-                    oracle,
+                    *oracle,
                     *m.phi,
                     _JSON_BOOL[m.two_divisible],
                     _JSON_BOOL[m.unirational],
@@ -338,17 +304,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     fmt = _pick_format(args.format)
     with _output():
         if fmt == "json":
-            _emit_json(
-                {
-                    "suite": args.suite,
-                    "gmax": args.gmax,
-                    "passed": ok,
-                    "checks": [
-                        {"name": r.name, "passed": r.passed, "detail": r.detail}
-                        for r in results
-                    ],
-                }
-            )
+            payload = {"suite": args.suite, "gmax": args.gmax, "passed": ok}
+            payload["checks"] = [
+                {"name": r.name, "passed": r.passed, "detail": r.detail} for r in results
+            ]
+            print(_dumps(payload))
         elif fmt == "csv":
             w = csv.writer(sys.stdout, lineterminator="\n")
             w.writerow(["suite", "check", "passed", "detail"])

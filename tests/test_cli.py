@@ -27,7 +27,7 @@ from enriques.fundamental import (
     parse_coefficients,
 )
 from enriques.lattice import NumClass
-from enriques.oracle import phi_vector_oracle
+from enriques.oracle import PhiVector, phi_vector_oracle
 
 SRC_DIR = Path(enriques.__file__).resolve().parents[1]
 PYPROJECT = SRC_DIR.parent / "pyproject.toml"
@@ -250,24 +250,23 @@ def test_phivector_eps_needs_even_class(capsys):
     assert data["component"].startswith("E^-_{5;")
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["--class=-1,-1,-2,0,0,0,0,0,0,2"],
-        ["--class=5,6,4,3,5,3,3,3,3,-6"],
-        ["--class=40,12,11,10,9,8,7,6,5,4"],
-        ["--class=10,12,8,6,10,6,6,6,6,-12", "--eps", "1"],
-        ["--class=5,6,4,3,5,3,3,3,3,-6", "--eps", "1"],
-        ["--coeffs", "4;7,6,5,4,3,2,1;3,2"],
-        ["--coeffs", "2;2,2,2,0,0,0,0;2,0", "--eps", "1"],
-        ["--class=2,1,1,1,1,1,1,1,1,4", "--oracle"],
-        ["--class=10,12,8,6,10,6,6,6,6,-12", "--eps", "1", "--oracle"],
-        ["--coeffs", "4;7,6,5,4,3,2,1;3,2", "--oracle"],
-    ],
-)
-def test_phivector_json_bytes_match_the_indent_encoder(capsys, argv):
-    """The payload is written from a template; its bytes must be what the
-    indent encoder gives the same fields, read off the public API."""
+PHIVECTOR_CASES = [
+    ["--class=-1,-1,-2,0,0,0,0,0,0,2"],
+    ["--class=5,6,4,3,5,3,3,3,3,-6"],
+    ["--class=40,12,11,10,9,8,7,6,5,4"],
+    ["--class=10,12,8,6,10,6,6,6,6,-12", "--eps", "1"],
+    ["--class=5,6,4,3,5,3,3,3,3,-6", "--eps", "1"],
+    ["--coeffs", "4;7,6,5,4,3,2,1;3,2"],
+    ["--coeffs", "2;2,2,2,0,0,0,0;2,0", "--eps", "1"],
+    ["--class=2,1,1,1,1,1,1,1,1,4", "--oracle"],
+    ["--class=10,12,8,6,10,6,6,6,6,-12", "--eps", "1", "--oracle"],
+    ["--coeffs", "4;7,6,5,4,3,2,1;3,2", "--oracle"],
+]
+
+
+def _phivector_fields(argv, oracle=phi_vector_oracle):
+    """(class, coefficients, row, oracle profile or None) for these
+    `phivector` arguments, read off the public API."""
     eps = int(argv[argv.index("--eps") + 1]) if "--eps" in argv else 0
     if argv[0] == "--coeffs":
         fc = parse_coefficients(argv[1], eps=eps)
@@ -275,30 +274,96 @@ def test_phivector_json_bytes_match_the_indent_encoder(capsys, argv):
     else:
         num = NumClass(tuple(int(v) for v in argv[0].partition("=")[2].split(",")))
         fc, _ = fundamental_presentation(num, eps)
-    m = component_of(fc)
-    payload = {
-        "class": list(num.coords),
-        "phi": list(m.phi),
-        "genus": m.genus,
-        "coefficients": {
-            "a0": fc.a0,
-            "head": list(fc.head),
-            "a9": fc.a9,
-            "a10": fc.a10,
-            "eps": fc.eps,
-        },
-        "eps": m.eps,
-        "two_divisible": m.two_divisible,
-        "component": m.name,
-        "unirational": m.unirational,
-    }
-    if "--oracle" in argv:
-        profile, _ = phi_vector_oracle(num, max_sequences=1)
-        payload["oracle_phi"] = list(profile.phis)
-        payload["oracle_agrees"] = profile.phis == m.phi
+    profile = oracle(num, max_sequences=1)[0] if "--oracle" in argv else None
+    return num, fc, component_of(fc), profile
+
+
+def _reference_phivector(fmt, num, fc, m, profile):
+    """`phivector` output in this format, written here from the fields;
+    json through the indent encoder."""
+    agrees = None if profile is None else profile.phis == m.phi
+    if fmt == "json":
+        payload = {
+            "class": list(num.coords),
+            "phi": list(m.phi),
+            "genus": m.genus,
+            "coefficients": {
+                "a0": fc.a0,
+                "head": list(fc.head),
+                "a9": fc.a9,
+                "a10": fc.a10,
+                "eps": fc.eps,
+            },
+            "eps": m.eps,
+            "two_divisible": m.two_divisible,
+            "component": m.name,
+            "unirational": m.unirational,
+        }
+        if profile is not None:
+            payload["oracle_phi"] = list(profile.phis)
+            payload["oracle_agrees"] = agrees
+        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    yes_no = {True: "yes", False: "no"}
+    rows = [
+        ("class", ",".join(str(v) for v in num.coords)),
+        ("phi", ",".join(str(v) for v in m.phi)),
+        ("genus", str(m.genus)),
+        ("coefficients", format_coefficients(fc)),
+        ("eps", str(m.eps)),
+        ("two_divisible", yes_no[m.two_divisible]),
+        ("component", m.name),
+        ("unirational", yes_no[m.unirational]),
+    ]
+    if profile is not None:
+        rows.append(("oracle_phi", ",".join(str(v) for v in profile.phis)))
+        rows.append(("oracle_agrees", yes_no[agrees]))
+    if fmt == "csv":
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows([("field", "value"), *rows])
+        return buf.getvalue()
+    # the longest labels, two_divisible and oracle_agrees, have 13 letters
+    return "".join(f"{k:<13}  {v}\n" for k, v in rows)
+
+
+@pytest.mark.parametrize("argv", PHIVECTOR_CASES)
+def test_phivector_json_bytes_match_the_indent_encoder(capsys, argv):
+    """The payload is written from a template that `json.dumps` laid out
+    at import; its bytes must be what the indent encoder gives the same
+    fields, read off the public API."""
     rc, out = run_cli(capsys, "phivector", *argv, "--format", "json")
     assert rc == 0
-    assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    assert out == _reference_phivector("json", *_phivector_fields(argv))
+
+
+@pytest.mark.parametrize("fmt", ["csv", "markdown"])
+@pytest.mark.parametrize("argv", PHIVECTOR_CASES)
+def test_phivector_csv_and_markdown_bytes_match_the_public_fields(capsys, argv, fmt):
+    rc, out = run_cli(capsys, "phivector", *argv, "--format", fmt)
+    assert rc == 0
+    assert out == _reference_phivector(fmt, *_phivector_fields(argv))
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "markdown"])
+def test_phivector_oracle_disagreement_exits_one(monkeypatch, capsys, fmt):
+    """An oracle profile other than the closed form's is reported, with
+    `oracle_agrees` false, and the command exits 1."""
+
+    def other_profile(num, max_sequences=None):
+        return PhiVector((1, 4) + (5,) * 8), None
+
+    monkeypatch.setattr(enriques.cli, "phi_vector_oracle", other_profile)
+    argv = ["--class=0,0,0,0,0,0,0,0,0,1", "--oracle"]
+    fields = _phivector_fields(argv, oracle=other_profile)
+    assert fields[3].phis != fields[2].phi
+    rc, out = run_cli(capsys, "phivector", *argv, "--format", fmt)
+    assert rc == 1
+    assert out == _reference_phivector(fmt, *fields)
+    verdict = {
+        "json": '  "oracle_agrees": false,',
+        "csv": "oracle_agrees,no",
+        "markdown": "oracle_agrees  no",
+    }[fmt]
+    assert verdict in out.splitlines()
 
 
 def test_verify_markdown_and_exit(capsys):
