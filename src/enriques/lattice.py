@@ -10,8 +10,9 @@ Coordinates of every class are taken in the basis
 
 which is integral: E_10 = 3D - (E_1 + ... + E_9) and the isotropic classes
 E_{i,j} = D - E_i - E_j all have integer coordinates.  Unimodularity
-(det = -1) and the signature are not assumed; `gram_determinant` and
-`gram_signature` compute both exactly and the test suite pins them.
+(det = -1) and the signature are not assumed: `gram_determinant` and
+`gram_signature` read both off the leading minors of one exact
+fraction-free elimination, and the test suite pins them.
 
 Divisor classes modulo torsion are `NumClass`.  The one bit for the
 canonical class K (2K = 0, K numerically trivial) that tells the two
@@ -36,7 +37,6 @@ build their results through `NumClass._trusted` without re-checking.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 from operator import add, mul, neg, sub
 from typing import Sequence
@@ -117,6 +117,8 @@ def pair(a: NumClass, b: NumClass) -> int:
     da, db = xa[9], xb[9]
     sa = sum(xa) - da
     sb = sum(xb) - db
+    # 11, not 10: the dot product runs over all ten coordinates, so it
+    # also subtracts d_a d_b.
     return sa * sb - sum(map(mul, xa, xb)) + 3 * (da * sb + db * sa) + 11 * da * db
 
 
@@ -224,65 +226,42 @@ def gram_matrix() -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(pair(x, y) for y in basis) for x in basis)
 
 
-def gram_determinant() -> int:
-    """Exact determinant via fraction-free Bareiss elimination."""
-    m = [list(row) for row in gram_matrix()]
-    n = len(m)
-    sign = 1
+def _leading_minors() -> list[int]:
+    """Leading principal minors of the Gram matrix in the basis order
+    (D, E_1, ..., E_9), by fraction-free (Bareiss) elimination without
+    pivoting: the k-th pivot is the k-th minor and every division is exact.
+
+    D comes first because each E_i has square 0, so in the order of B the
+    first pivot would vanish; in this order the minors are 10, -9, 8, ...,
+    -1.  Reordering the basis is a congruence by a permutation, so neither
+    invariant changes.  A zero minor raises ArithmeticError.
+    """
+    g = gram_matrix()
+    order = (RANK - 1, *range(RANK - 1))
+    m = [[g[i][j] for j in order] for i in order]
+    minors = []
     prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for r in range(k + 1, n):
-                if m[r][k] != 0:
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+    for k in range(RANK):
+        piv = m[k][k]
+        if piv == 0:
+            raise ArithmeticError(f"leading minor {k + 1} of the Gram matrix is zero")
+        minors.append(piv)
+        for i in range(k + 1, RANK):
+            for j in range(k + 1, RANK):
+                m[i][j] = (m[i][j] * piv - m[i][k] * m[k][j]) // prev
+        prev = piv
+    return minors
+
+
+def gram_determinant() -> int:
+    """Exact determinant: the last leading minor."""
+    return _leading_minors()[-1]
 
 
 def gram_signature() -> tuple[int, int]:
-    """(positive, negative) inertia of the form, by exact congruence
-    diagonalization over the rationals."""
-    n = RANK
-    m = [[Fraction(x) for x in row] for row in gram_matrix()]
-
-    def add_row_col(dst: int, src: int, factor: Fraction) -> None:
-        for j in range(n):
-            m[dst][j] += factor * m[src][j]
-        for i in range(n):
-            m[i][dst] += factor * m[i][src]
-
-    pos = neg = 0
-    for k in range(n):
-        if m[k][k] == 0:
-            swapped = False
-            for r in range(k + 1, n):
-                if m[r][r] != 0:
-                    m[k], m[r] = m[r], m[k]
-                    for row in m:
-                        row[k], row[r] = row[r], row[k]
-                    swapped = True
-                    break
-            if not swapped:
-                for r in range(k + 1, n):
-                    if m[k][r] != 0:
-                        add_row_col(k, r, Fraction(1))
-                        break
-                else:
-                    continue  # zero row: contributes nothing
-        piv = m[k][k]
-        if piv > 0:
-            pos += 1
-        else:
-            neg += 1
-        for i in range(k + 1, n):
-            if m[i][k] != 0:
-                add_row_col(i, k, -m[i][k] / piv)
-    return pos, neg
+    """(positive, negative) inertia of the form by Jacobi's rule: with no
+    leading minor zero, the negative inertia is the number of sign changes
+    in 1, minor_1, ..., minor_10."""
+    minors = [1, *_leading_minors()]
+    neg = sum((a < 0) != (b < 0) for a, b in zip(minors, minors[1:]))
+    return RANK - neg, neg

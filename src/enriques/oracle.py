@@ -408,6 +408,11 @@ def phi_vector_oracle(
     its first eight values are the eight lowest.  The pool cap is grown
     until it covers its own C*, and each cap is searched once.
 
+    Two rounds always suffice.  Round 1's pool fixes the eight lowest
+    values and so the slack subtracted from sum(best).  The best key
+    orders by sum first, so round 2, on a larger pool, finds a sum at most
+    round 1's, and its C* is at most the cap it searched.
+
     The minimal tuple is always exact.  Degenerate classes can admit
     astronomically many computing sequences (millions already at genus 2),
     so collection stops at max_sequences; a result strictly shorter than
@@ -420,7 +425,7 @@ def phi_vector_oracle(
     lam = [pair(L, generator_e(i)) for i in range(1, 11)]
     seed = order_key(sorted(lam))
     cap = max(lam)
-    for _ in range(12):
+    for _ in range(2):
         pool = _enumerate_with_values(L, cap)
         if len(pool) < 10:
             raise AssertionError("search missed part of the standard sequence")

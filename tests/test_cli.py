@@ -374,6 +374,26 @@ def test_verify_markdown_and_exit(capsys):
     assert "\x1b[" not in out  # piped: never colored
 
 
+@pytest.mark.parametrize("no_color", [None, "1"])
+def test_verify_on_a_terminal_colors_unless_no_color(capsys, monkeypatch, no_color):
+    """On a terminal, verify defaults to markdown and colors PASS green;
+    NO_COLOR turns the color off."""
+    monkeypatch.setattr(sys.stdout, "isatty", lambda: True)
+    if no_color is None:
+        monkeypatch.delenv("NO_COLOR", raising=False)
+    else:
+        monkeypatch.setenv("NO_COLOR", no_color)
+    rc, out = run_cli(capsys, "verify", "--suite", "lattice")
+    assert rc == 0
+    lines = out.splitlines()
+    assert lines[-1].endswith("check(s), 0 failed")
+    if no_color is None:
+        assert all(line.startswith("\x1b[32mPASS\x1b[0m  ") for line in lines[:-1])
+    else:
+        assert "\x1b[" not in out
+        assert all(line.startswith("PASS  ") for line in lines[:-1])
+
+
 def test_verify_json(capsys):
     rc, out = run_cli(capsys, "verify", "--suite", "bounds", "--format", "json")
     assert rc == 0

@@ -1,10 +1,13 @@
 """Integer lattice layer: pairing arithmetic, generators, predicates."""
 
+import random
 from itertools import combinations
+from math import prod
 
 import pytest
 from hypothesis import given, strategies as st
 
+import enriques.lattice
 from enriques.lattice import (
     D,
     NumClass,
@@ -42,6 +45,62 @@ def test_gram_determinant_is_minus_one():
 
 def test_gram_signature():
     assert gram_signature() == (1, 9)
+
+
+def use_gram(monkeypatch, g):
+    monkeypatch.setattr(enriques.lattice, "gram_matrix", lambda: tuple(map(tuple, g)))
+
+
+def identity():
+    return [[int(i == j) for j in range(RANK)] for i in range(RANK)]
+
+
+def matmul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_invariants_of_diagonal_matrices(monkeypatch, seed):
+    rng = random.Random(seed)
+    diag = [rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(RANK)]
+    assert min(diag) < 0 < max(diag)
+    use_gram(monkeypatch, [[d * x for x in row] for d, row in zip(diag, identity())])
+    assert gram_determinant() == prod(diag)
+    assert gram_signature() == (sum(d > 0 for d in diag), sum(d < 0 for d in diag))
+
+
+def test_zero_first_pivot_raises(monkeypatch):
+    g = [list(row) for row in gram_matrix()]
+    g[RANK - 1][RANK - 1] = 0
+    use_gram(monkeypatch, g)
+    with pytest.raises(ArithmeticError, match="leading minor 1 "):
+        gram_determinant()
+    with pytest.raises(ArithmeticError, match="leading minor 1 "):
+        gram_signature()
+
+
+def test_invariants_survive_unimodular_congruences(monkeypatch):
+    """P^T G P, with P a seeded product of elementary integer matrices
+    (det P = 1), is the Gram matrix of another basis: every one whose
+    leading minors are nonzero keeps det -1 and signature (1, 9)."""
+    gram = gram_matrix()
+    computed = 0
+    for seed in range(60):
+        rng = random.Random(seed)
+        p = identity()
+        for _ in range(8):
+            step = identity()
+            i, j = rng.sample(range(RANK), 2)
+            step[i][j] = rng.choice((-2, -1, 1, 2))
+            p = matmul(p, step)
+        use_gram(monkeypatch, matmul(matmul([list(c) for c in zip(*p)], gram), p))
+        try:
+            got = gram_determinant(), gram_signature()
+        except ArithmeticError:
+            continue
+        assert got == (-1, (1, 9)), seed
+        computed += 1
+    assert computed >= 50
 
 
 def test_basis_pairings():
