@@ -91,9 +91,9 @@ def _rows(g: int, coeffs: Iterable[FundamentalCoefficients]) -> list[ModuliCompo
     """The genus-g rows of the tuples coeffs, plus the eps = 1 twin of each
     2-divisible one, sorted by profile order then eps.
 
-    The profile is `_profile_entries` inlined, and its total is 9a + 3a0
-    (a the coefficient total).  The profile is even exactly when every
-    coefficient is.  The eps sign shows in the name only on an even
+    The profile is `phivector_from_coefficients` inlined, and its total is
+    9a + 3a0 (a the coefficient total).  The profile is even exactly when
+    every coefficient is.  The eps sign shows in the name only on an even
     profile."""
     odd_name, plus_name, minus_name = (f"E{sign}_{{{g};{_BODY}" for sign in ("", "^+", "^-"))
     new = tuple.__new__
@@ -154,8 +154,9 @@ def _coefficient_tuples(
     The walk recurses into the entries v >= 1 only.  Each prefix emits
     its all-zero completion (the prefix padded with zeros, same p and s)
     with its zero tail and its nonzero tails where its branch starts, so
-    no chain of zero entries is walked.  Each bucket holds its tuples in
-    walk order.
+    no chain of zero entries is walked.  Every head entry, the seventh
+    included, takes this same step.  Each bucket holds its tuples in walk
+    order.
     """
     q_lo = max(q_lo, 1)
     width = q_hi - q_lo
@@ -199,38 +200,15 @@ def _coefficient_tuples(
             buckets[p].append(make(0, acc + pads[len(acc)], 0, 0))
         if rest >= 2 * s + 2 and (width or rest in by_sum[s]):
             tails(acc + pads[len(acc)], s, rest)
+        if len(acc) == 7:
+            return
         hi = prev
         if s:
             hi = rest // s
             if hi > prev:
                 hi = prev
-        if len(acc) < 6:
-            for v in range(hi, 0, -1):
-                heads(acc + (v,), v, p + v * s, s + v)
-            return
-        # The last entry v >= 1, inline.  The zero tail needs
-        # q_lo <= p + v*s; a nonzero tail needs rest - v*s >= 2(s + v) + 2.
-        if s:
-            v, lowest = hi, -((p - q_lo) // s)
-            if lowest < 1:
-                lowest = 1
-            while v >= lowest:
-                buckets[p + v * s].append(make(0, acc + (v,), 0, 0))
-                v -= 1
-        top = (rest - 2 * s - 2) // (s + 2)
-        if top > hi:
-            top = hi
-        if width:
-            for v in range(top, 0, -1):
-                tails(acc + (v,), s + v, rest - v * s)
-            return
-        bucket = buckets[q_hi]
-        for v in range(top, 0, -1):
-            found = by_sum[s + v].get(rest - v * s)
-            if found:
-                head = acc + (v,)
-                for a0, a9, a10 in found:
-                    bucket.append(make(a0, head, a9, a10))
+        for v in range(hi, 0, -1):
+            heads(acc + (v,), v, p + v * s, s + v)
 
     heads((), q_hi, 0, 0)
     return buckets

@@ -134,23 +134,18 @@ def quadratic_value(c: FundamentalCoefficients) -> int:
 
 
 def phivector_from_coefficients(c: FundamentalCoefficients) -> PhiVector:
-    """Minimal intersection profile, by formula (see `_profile_entries`)."""
+    """Minimal intersection profile, by formula: against its own
+    presentation sequence, L meets member i in a - a_i (head), a (eighth),
+    and a + a_0 - a_9, a + a_0 - a_10 (tail), where a is the total."""
     if quadratic_value(c) <= 0:
         raise ValueError("profile needs positive self-intersection")
-    return PhiVector(_profile_entries(c))
-
-
-def _profile_entries(c: FundamentalCoefficients) -> tuple[int, ...]:
-    """The profile entries of c, unchecked: against its own presentation
-    sequence, L meets member i in a - a_i (head), a (eighth), and
-    a + a_0 - a_9, a + a_0 - a_10 (tail), where a is the total."""
     a0, a9, a10 = c.a0, c.a9, c.a10
     h1, h2, h3, h4, h5, h6, h7 = c.head
     a = a0 + h1 + h2 + h3 + h4 + h5 + h6 + h7 + a9 + a10
-    return (
+    return PhiVector((
         a - h1, a - h2, a - h3, a - h4, a - h5, a - h6, a - h7,
         a, a + a0 - a9, a + a0 - a10,
-    )
+    ))
 
 
 def coefficients_from_phivector(

@@ -145,23 +145,21 @@ def _from_pairing(m: Sequence[int], t: int) -> NumClass:
 
 
 def _t_limit(cap: int, d: int, q: int) -> int:
-    """Largest t with a possible solution of F.L <= cap (reverse
-    Cauchy-Schwarz bound); exact integer arithmetic."""
+    """Largest t >= 0 with a possible solution of F.L <= cap (reverse
+    Cauchy-Schwarz bound), in exact integer arithmetic.
+
+    At t = 10 cap / d the quadratic q t^2 - 2 cap d t + 10 cap^2 takes
+    10 cap^2 (10 q - d^2) / d^2 <= 0, so that point lies between its two
+    roots and the branch t d <= 10 cap admits nothing more.  The admissible
+    t are those up to the larger root (cap d + sqrt(cap^2 disc)) / q, that
+    is, those with q t - cap d <= sqrt(cap^2 disc).  The left side is an
+    integer, so the bound holds with isqrt in place of sqrt."""
     if cap <= 0:
         return 0
-
-    def ok(t: int) -> bool:
-        return t * d <= 10 * cap or q * t * t - 2 * cap * d * t + 10 * cap * cap <= 0
-
     disc = d * d - 10 * q
     if disc < 0:
         raise ArithmeticError("pairing with D violates the cone inequality")
-    tm = cap * (d + isqrt(disc)) // q
-    while ok(tm + 1):
-        tm += 1
-    while tm > 0 and not ok(tm):
-        tm -= 1
-    return tm
+    return (cap * d + isqrt(cap * cap * disc)) // q
 
 
 def _layer_solutions(t: int, weights: list[int], kappa: int, cap: int) -> list[tuple[int, tuple[int, ...]]]:

@@ -49,10 +49,10 @@ def test_components_markdown(capsys):
     assert any("E^-_{5;2,2,4,4,4,4,4,4,4,4}" in l for l in lines)
 
 
-@pytest.mark.parametrize("genus", ["266", "268"])
+@pytest.mark.parametrize("genus", ["266", "268", "943"])
 def test_components_json_bytes_match_the_recorded_digest(capsys, genus):
-    """The two smallest genera whose `components --format json` SHA-256 the
-    benchmark recorded; the file is only read."""
+    """The two smallest and the largest genera whose `components --format
+    json` SHA-256 the benchmark recorded; the file is only read."""
     want = json.loads(DIGESTS.read_text())[genus]
     rc, out = run_cli(capsys, "components", "--genus", genus, "--format", "json")
     assert rc == 0

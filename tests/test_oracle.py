@@ -2,6 +2,7 @@
 
 import random
 from itertools import product
+from math import isqrt
 
 import pytest
 from hypothesis import given, strategies as st
@@ -237,6 +238,42 @@ def test_enumerate_rejects_degenerate_input():
         enumerate_isotropics(NumClass((0,) * RANK), 5)
     with pytest.raises(ValueError):
         enumerate_isotropics(E[1], 5)  # isotropic, not big
+
+
+def _layer_admissible(t, cap, d, q):
+    """The reverse Cauchy-Schwarz condition on a layer t given F.L <= cap."""
+    return t * d <= 10 * cap or q * t * t - 2 * cap * d * t + 10 * cap * cap <= 0
+
+
+def _t_limit_inputs():
+    """A grid of small inputs (d from the cone bound d^2 >= 10 q up) and
+    seeded large ones."""
+    for q in range(1, 121):
+        d0 = isqrt(10 * q - 1) + 1
+        for d in range(d0, d0 + 25):
+            for cap in range(1, 41):
+                yield cap, d, q
+    rng = random.Random(20)
+    for _ in range(2000):
+        q = rng.randint(1, 10 ** rng.randint(1, 30))
+        d = isqrt(10 * q - 1) + 1 + rng.randint(0, 10 ** rng.randint(0, 15))
+        yield rng.randint(1, 10 ** rng.randint(1, 30)), d, q
+
+
+def test_t_limit_is_the_largest_admissible_layer():
+    t_limit = enriques.oracle._t_limit
+    for cap, d, q in _t_limit_inputs():
+        t = t_limit(cap, d, q)
+        assert t >= 0 and _layer_admissible(t, cap, d, q), (cap, d, q)
+        assert not _layer_admissible(t + 1, cap, d, q), (cap, d, q)
+
+
+def test_t_limit_edge_cases():
+    t_limit = enriques.oracle._t_limit
+    assert t_limit(0, 10, 10) == 0
+    assert t_limit(-3, 10, 10) == 0
+    with pytest.raises(ArithmeticError):
+        t_limit(5, 9, 9)  # d^2 = 81 < 10 q = 90
 
 
 def test_box_scan_agrees_within_its_box():
