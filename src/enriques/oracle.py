@@ -22,11 +22,12 @@ orthogonal complement of D:
 so admissible layers satisfy q t^2 - 2 cap d t + 10 cap^2 <= 0 or
 t d <= 10 cap.  The layer-by-layer search is therefore complete; the test
 suite re-certifies completeness by re-running with extra layers and by the
-naive coordinate-box search `box_isotropics` (the oracle's oracle).
+coordinate-box search `box_isotropics` (the oracle's oracle).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from math import gcd, isqrt
 from operator import mul
@@ -245,74 +246,73 @@ def enumerate_isotropics(L: NumClass, cap: int, extra_layers: int = 0) -> list[N
 
 
 def box_isotropics(L: NumClass, cap: int, box: int = 2) -> list[NumClass]:
-    """Naive reference search: every positive primitive isotropic class
-    with coordinates in [-box, box] and F.L <= cap, sorted by the value
-    F.L and then by coordinates.  Independent of the pairing-tuple
+    """Reference search by coordinates: every positive primitive isotropic
+    class with coordinates in [-box, box] and F.L <= cap, sorted by the
+    value F.L and then by coordinates.  Independent of the pairing-tuple
     machinery; used to cross-check it.
 
     With c_1..c_9 the E-coordinates and x the D-coordinate,
     F^2 = s^2 - q + 6 s x + 10 x^2 for s = sum(c_i) and q = sum(c_i^2),
-    so the first nine coordinates leave a quadratic in x with at most two
-    roots.  One pass over x in [-box, box] tabulates the in-box roots of
-    every (s, q) in two tables: the smaller root in the first, the larger
-    one, if both lie in the box, in the second, and box + 1 where there is
-    no such root.  The scan reads x off the tables instead of trying each
-    value, so its cost grows like (2 box + 1)^9; keep box <= 3.
+    and F.D = 3 s + 10 x.  The scan meets in the middle: it splits the
+    E-coordinates into c_1..c_4 and c_5..c_9 and groups each half by its
+    (s, q), listing the members by their share of F.L.  For each first
+    half group, second half s and x with 3 s + 10 x > 0 (F positive, so
+    not zero), isotropy fixes the second half's q, and bisection on that
+    group's list keeps the members within the cap.  The cost is about
+    (2 box + 1)^5 plus the hits, and all arithmetic is on exact Python
+    integers, so no class is too large to scan.
     """
     if not isinstance(box, int) or box < 0:
         raise ValueError(f"box must be a nonnegative integer, got {box!r}")
     require_big(L)
-    y = np.array(L.coords, dtype=np.int64)
-    y10 = int(y[9])
-    sy = int(y[:9].sum())
+    lf = linear_form(L)
+    l10 = lf[9]
+    vals = range(-box, box + 1)
 
-    # root tables, flat, indexed by (s + 9 box) * n_q + q
-    no_root = box + 1
-    n_q = 9 * box * box + 1
-    s_grid = np.arange(-9 * box, 9 * box + 1, dtype=np.int64)[:, None]
-    q_grid = np.arange(n_q, dtype=np.int64)[None, :]
-    lower = np.full((s_grid.shape[0], n_q), no_root, dtype=np.int64)
-    upper = lower.copy()
-    for x in range(-box, box + 1):
-        root = s_grid * s_grid - q_grid + 6 * x * s_grid + 10 * x * x == 0
-        first = root & (lower == no_root)
-        upper[root & ~first] = x
-        lower[first] = x
-    tables = (lower.ravel(), upper.ravel())
+    def halves(weights: Sequence[int]) -> dict[tuple[int, int], list]:
+        """(s, q) -> [(share of F.L, gcd, coordinates)] over the box in
+        these coordinates, sorted; built one coordinate at a time."""
+        rows = [(0, 0, 0, 0, ())]
+        for w in weights:
+            rows = [
+                (s + v, q + v * v, dot + w * v, gcd(g, v), c + (v,))
+                for s, q, dot, g, c in rows
+                for v in vals
+            ]
+        groups: dict[tuple[int, int], list] = {}
+        for s, q, dot, g, c in rows:
+            groups.setdefault((s, q), []).append((dot, g, c))
+        for members in groups.values():
+            members.sort()
+        return groups
 
-    # coordinates 3..9 vectorised over the C-order flat index of their
-    # block, coordinates 1 and 2 looped over; a row's coordinates are
-    # unravelled from its index only once its root is known
-    shape = (2 * box + 1,) * 7
-    vals = np.arange(-box, box + 1, dtype=np.int64)
-    s7 = q7 = np.zeros((), dtype=np.int64)
-    for _ in shape:
-        s7, q7 = np.add.outer(s7, vals), np.add.outer(q7, vals * vals)
-    s7 = s7.ravel()
-    key7 = (s7 + 9 * box) * n_q + q7.ravel()
-    del q7
+    firsts = halves(lf[:4])
+    seconds = {
+        key: ([dot for dot, _, _ in members], members) for key, members in halves(lf[4:9]).items()
+    }
     hits: list[tuple[int, tuple[int, ...]]] = []
-    for a in range(-box, box + 1):
-        for b in range(-box, box + 1):
-            key = key7 + ((a + b) * n_q + a * a + b * b)
-            for table in tables:
-                xs = table[key]
-                sel = np.flatnonzero(xs != no_root)
-                x, s9 = xs[sel], s7[sel] + (a + b)
-                positive = 3 * s9 + 10 * x > 0
-                sel, x, s9 = sel[positive], x[positive], s9[positive]
-                if sel.size == 0:
+    for (s_a, q_a), members_a in firsts.items():
+        for s_b in range(-5 * box, 5 * box + 1):
+            s = s_a + s_b
+            for x in vals:
+                if 3 * s + 10 * x <= 0:
                     continue
-                full = np.empty((sel.size, 10), dtype=np.int64)
-                full[:, 0], full[:, 1], full[:, 9] = a, b, x
-                full[:, 2:9] = np.column_stack(np.unravel_index(sel, shape)) - box
-                values = s9 * sy - full[:, :9] @ y[:9] + 3 * (x * sy + y10 * s9) + 10 * x * y10
-                keep = values <= cap
-                full, values = full[keep], values[keep]
-                prim = np.gcd.reduce(np.abs(full), axis=1) == 1
-                hits += zip(values[prim].tolist(), map(tuple, full[prim].tolist()))
+                group = seconds.get((s_b, s * s + 6 * s * x + 10 * x * x - q_a))
+                if group is None:
+                    continue
+                dots, members_b = group
+                base = x * l10
+                for dot_a, g_a, c_a in members_a:
+                    value_a = dot_a + base
+                    top = bisect_right(dots, cap - value_a)
+                    if not top:
+                        break  # members_a is sorted by dot_a
+                    g = gcd(g_a, x)
+                    for dot_b, g_b, c_b in members_b[:top]:
+                        if gcd(g, g_b) == 1:
+                            hits.append((value_a + dot_b, c_a + c_b + (x,)))
     hits.sort()
-    return [NumClass(coords) for _, coords in hits]
+    return [NumClass._trusted(coords) for _, coords in hits]
 
 
 def eight_lowest(L: NumClass) -> tuple[int, ...]:
@@ -340,8 +340,10 @@ def _best_sequences(
     coords = np.array([f.coords for f in classes], dtype=np.int64)
     g = np.array(gram_matrix(), dtype=np.int64)
     ones = (coords @ g @ coords.T) == 1
-    # bitmasks need arbitrary precision: shift with Python ints, never int64
-    adj = [sum(1 << int(j) for j in np.nonzero(ones[i])[0]) for i in range(n)]
+    # bitmasks need arbitrary precision: pack each row into bytes, lowest
+    # bit first, and read the bytes as one little-endian Python int
+    packed = np.packbits(ones, axis=1, bitorder="little")
+    adj = [int.from_bytes(row.tobytes(), "little") for row in packed]
 
     best_key = seed_key
     best_tuple: tuple[int, ...] | None = None

@@ -71,6 +71,18 @@ def _check(name: str, passed: bool, detail: str = "") -> CheckResult:
 # Second routes
 
 
+def _most_squares(k: int, hi: int, r: int) -> int:
+    """The largest sum of squares of k integers in [1, hi] that sum to r,
+    for k <= r <= k hi.  Concentration maximizes it: the r - k units above
+    the floor of 1 fill entries up to hi in turn, so `full` entries are
+    hi, one is 1 + rem and the rest are 1.  At r = k hi that one entry is
+    an hi as well (full = k, rem = 0, and the formula gives k hi^2)."""
+    if hi == 1:
+        return k
+    full, rem = divmod(r - k, hi - 1)
+    return full * hi * hi + (1 + rem) * (1 + rem) + (k - full - 1)
+
+
 def phi_profiles_by_genus(g_lo: int, g_hi: int) -> dict[int, list[tuple[int, ...]]]:
     """Profiles of every genus g_lo <= g <= g_hi, found by quadratic search,
     not via coefficients; each genus in profile order.
@@ -118,12 +130,7 @@ def phi_profiles_by_genus(g_lo: int, g_hi: int) -> dict[int, list[tuple[int, ...
             q, rem = divmod(r, k)
             if r2 < (k - rem) * q * q + rem * (q + 1) * (q + 1):
                 return  # even the most balanced completion squares too high
-            cap, rr, most = hi, r, 0
-            for slot in range(k):  # greedy concentration maximizes the square sum
-                v = min(cap, rr - (k - slot - 1))
-                most += v * v
-                rr -= v
-            if r2 - width > most:
+            if r2 - width > _most_squares(k, hi, r):
                 return  # even the greediest completion squares too low
             lo_v = -(-r // k)  # the largest remaining entry is at least the average
             hi_v = min(hi, r - (k - 1), isqrt(r2 - (k - 1)))

@@ -1,5 +1,6 @@
 """Search oracle: isotropic enumeration, profile minima, sequences."""
 
+import hashlib
 import random
 from itertools import product
 from math import isqrt
@@ -10,6 +11,7 @@ from hypothesis import given, strategies as st
 import enriques.oracle
 from enriques.fundamental import (
     FundamentalCoefficients,
+    coefficients_from_phivector,
     iter_coefficient_tuples,
     phivector_from_coefficients,
     quadratic_value,
@@ -347,9 +349,88 @@ def test_box_scan_rejects_a_box_that_is_not_a_nonnegative_integer(box):
         box_isotropics(3 * D, 12, box=box)
 
 
-@pytest.mark.slow
 def test_box_scan_with_wider_box_is_complete():
     assert set(box_isotropics(3 * D, 12, box=3)) == set(enumerate_isotropics(3 * D, 12))
+
+
+def test_box_scan_at_box_four_is_the_whole_search():
+    """At box 4 every class of 3d with value at most 12 lies in the box,
+    e_10 = 3d - e_1 - ... - e_9 included, so the two lists agree in order."""
+    full = enumerate_isotropics(3 * D, 12)
+    assert len(full) == 55 and generator_e(10) in full
+    assert box_isotropics(3 * D, 12, box=4) == full
+
+
+def test_box_scan_is_exact_on_huge_classes():
+    """Scaling L by n scales every value by n, so the scan of n L at cap
+    n c is the scan of L at cap c.  At n = 10^18 products of coordinates
+    and pairings leave the int64 range, and at 10^19 the pairings do."""
+    assert box_isotropics(10**18 * D, 9 * 10**18, box=2) == box_isotropics(D, 9, box=2)
+    assert len(box_isotropics(D, 9, box=2)) == 13818
+    small = box_isotropics(D, 3, box=1)
+    assert len(small) == 9
+    assert box_isotropics(10**19 * D, 3 * 10**19, box=1) == small
+
+
+# (seed, cap) -> (count, sha256 of the repr of the coordinate list) of
+# box_isotropics(seeded_class(seed, letters=0), cap, box=2), as the scan
+# with numpy's int64 arithmetic returned them.
+BOX_SCAN_DIGESTS = {
+    (0, 8): (0, "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
+    (0, 20): (6, "ac3067c8ec9b4633d422cadb506361f0088c39d00abf20c5a60cd9c8129b670a"),
+    (0, 40): (906, "3002899df2a46b315ec810c27d43c3872c4fc9fbc23f5f4332024a0e4731e610"),
+    (1, 8): (0, "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
+    (1, 20): (9, "ebe9bcd459397d62193ec288862e03221f2d49463e0b0c770515237ca1e9f778"),
+    (1, 40): (1133, "bc57dd5ef27baf4584ba91119b86e209ce23bc280cfde2dc77928c2f89d418af"),
+    (2, 8): (0, "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
+    (2, 20): (46, "29d49b1c2046ef0ef33b6289a17a9bb7c4e46d532722156f1bfc226960b75953"),
+    (2, 40): (7984, "d4af76e335c89fcfcf7413a9bb7ec18adacaef261f06fe2cced281349b4f32e4"),
+    (3, 8): (0, "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
+    (3, 20): (22, "45f18767475afee6d3d20c895776c9578da5c2a47b01c83ecabaed2ee99ee47e"),
+    (3, 40): (3946, "7451af7d693ddeb662cf9394200a27b254fab993a700e951afc24df607657f30"),
+    (4, 8): (3, "493eaea8cea57f54d72c7ee8c424da6be5e32eaa1562187d04c98e22a417ef8f"),
+    (4, 20): (2763, "6b83a5d670f14b0c69bc07baffd3514f860b2fa8c74ba9c4ed2b116abf04f092"),
+    (4, 40): (97198, "1c0e8eaae0b08b29e5a17f800aa862b5d1a913a8a1c46cd9c9ef2bac33ae41f5"),
+    (5, 8): (1, "db8f631652d8ded2534b59e8a37c0dd4e96467df1d9001e75ee67057e5e8ecce"),
+    (5, 20): (936, "4470cdf7806d2cb10d14de5ac01d9a4ca74c81756a0e5cdb7ae6ced0389d6253"),
+    (5, 40): (64716, "ef22c6b1ed6e1b14ebcbcc7b215421324d760eac8ce69a5585b94660278cbd77"),
+    (6, 8): (0, "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
+    (6, 20): (14, "fd4b1711c5be9bb9037d2990ec6a51d4064778211efa0bf191e7071718947052"),
+    (6, 40): (2375, "dab01ca7391cb39e27dd6125ec6c28513d25030967ef51a24e3873c5031b2329"),
+    (7, 8): (0, "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
+    (7, 20): (34, "24874bff98c2bed73603d4ef7ad0c4b843d3c6166ce6050d90841fc2ded86d9b"),
+    (7, 40): (5483, "ae7d2e6c68d72bc8dad4ea4902c7464d16768a76f5652104ba9e51a2aa9be647"),
+    (8, 8): (20, "e8726c3092c74a0019973a8c82fb5617cbb355c712b202f7f64ebdd75800bad4"),
+    (8, 20): (12371, "9302e70a84ce1a3a1ee2a8a7aa338df44a3627a821c2ddff0ef5c6eceea85e2c"),
+    (8, 40): (134357, "b9a9e511154682356bc2bbb24f3287b9df2e46300005ef46b9c686b9e9d50568"),
+    (9, 8): (0, "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
+    (9, 20): (6, "74bae208175d8857ef6e15947251a3bfe010d6ed140b49f864a81bb562dd9854"),
+    (9, 40): (682, "230175c19200ae0d8aac002664246cd7b27bd39f260d02a86afe06717ee6099e"),
+    (10, 8): (0, "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
+    (10, 20): (9, "49711cb54f89e3148c452c0671c623029daac675e86df9757f6dedf8c57b8347"),
+    (10, 40): (1252, "ebe22564448f2abff1a37dab2179ea938841b7c4ecdb8cc58f64932225ebaf94"),
+    (11, 8): (0, "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
+    (11, 20): (31, "0a286b50327c8c5eaf51aa29ddd4ac9a700654b83a9046e3d94bdf410cbc9ca0"),
+    (11, 40): (5251, "f95cd78ca48f209879470a4225fdefd5517bc148d18316f94c6aecba09b8a8a5"),
+    (12, 8): (0, "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
+    (12, 20): (12, "1c4a0104ac3769bc2df98eff44eab214bb3a17b96ed9b95f1473f71f5daab571"),
+    (12, 40): (1842, "531a27034310977dd81f4d84cef40b4a104c973d59479c4d859c2faaede6361a"),
+    (13, 8): (7, "3d7c3dcae65b7d7a975c6b4e89b18485496633f08e411e6a4d26efd4f4e586d4"),
+    (13, 20): (4374, "e2ce33925be7c866b6cf84f9afe0f019130142433039078e3452212649bb4af3"),
+    (13, 40): (124544, "870246b7d4106280ef6ffa73027ad05f14fa762876a1109aefde92dfead185d8"),
+    (14, 8): (0, "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
+    (14, 20): (35, "01bf571c36a07487e7b9a8373a1a9e92c43e32dc061e0272c0b93365aee4f786"),
+    (14, 40): (6041, "e3b7210dbce0a2c8078ffde1aef56d9b956a9256d2e9da9f5558017c70655ca1"),
+}
+
+
+@pytest.mark.parametrize("seed", range(15))
+def test_box_scan_matches_its_recorded_outputs(seed):
+    L = seeded_class(seed, letters=0)
+    for cap in (8, 20, 40):
+        got = box_isotropics(L, cap, box=2)
+        digest = hashlib.sha256(repr([f.coords for f in got]).encode()).hexdigest()
+        assert (len(got), digest) == BOX_SCAN_DIGESTS[seed, cap], (seed, cap)
 
 
 def test_phi_values():
@@ -383,6 +464,30 @@ def test_oracle_respects_sequence_limit():
     L = 6 * E[1] + E[2]
     p, _ = phi_vector_oracle(L, max_sequences=1)
     assert p.phis == (1, 6, 7, 7, 7, 7, 7, 7, 7, 7)
+
+
+def test_oracle_on_a_pool_wider_than_a_word():
+    """The substitution image of (1, 4, 5, ..., 5) searches a first pool of
+    242 members, more than 64 and not a multiple of 8, so its adjacency
+    rows span several bytes with a partial last one."""
+    L = coefficients_from_phivector(PhiVector((1, 4) + (5,) * 8)).divisor_class()
+    assert L.coords == (4, 1) + (0,) * 8
+    assert len(enriques.oracle._enumerate_with_values(L, max(pairings(L)))) == 242
+    p, seqs = phi_vector_oracle(L, max_sequences=1000)
+    assert p.phis == (1, 4) + (5,) * 8
+    assert len(seqs) == 1000
+    assert [f.coords for f in seqs[0].members] == [
+        (1, 0, 0, 0, 0, 0, 0, 0, 0, 0),
+        (0, 1, 0, 0, 0, 0, 0, 0, 0, 0),
+        (-1, -1, -1, -1, -1, -1, -1, -1, -1, 3),
+        (0, 0, -2, -1, -1, -1, -1, -1, -1, 3),
+        (0, 0, -1, -2, -1, -1, -1, -1, -1, 3),
+        (0, 0, -1, -1, -2, -1, -1, -1, -1, 3),
+        (0, 0, -1, -1, -1, -2, -1, -1, -1, 3),
+        (0, 0, -1, -1, -1, -1, -2, -1, -1, 3),
+        (0, 0, -1, -1, -1, -1, -1, -2, -1, 3),
+        (0, 0, -1, -1, -1, -1, -1, -1, -2, 3),
+    ]
 
 
 def test_oracle_sequences_compute_the_profile():

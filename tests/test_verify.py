@@ -1,5 +1,6 @@
 """Cross-check suites and the second-route enumerators behind them."""
 
+from itertools import combinations_with_replacement
 from math import isqrt
 
 import pytest
@@ -8,6 +9,7 @@ import enriques.components
 import enriques.verify
 from enriques.components import components_by_genus, enumerate_components_by_phi
 from enriques.fundamental import iter_coefficient_tuples, quadratic_value
+from enriques.lattice import RANK
 from enriques.oracle import PhiVector, order_key
 from enriques.verify import SUITES, golden_low_phi, phi_profiles_by_genus, run_suite
 from reference import iter_phi_profiles
@@ -137,6 +139,31 @@ def test_profile_window_matches_its_slice_and_the_coefficient_route():
         assert inner[g] == outer[g], g
         assert inner[g] == sorted({m.phi for m in comps[g]}, key=order_key), g
         assert inner[g] == phi_profiles_by_genus(g, g)[g], g
+
+
+def test_most_squares_is_the_largest_square_sum():
+    """Against every multiset of k entries in [1, hi]: a bound that is too
+    small prunes profiles, and one that is too large prunes too little."""
+    most = enriques.verify._most_squares
+    for k in range(1, RANK + 1):
+        for hi in range(1, 7):
+            best = {}
+            for entries in combinations_with_replacement(range(1, hi + 1), k):
+                r = sum(entries)
+                best[r] = max(best.get(r, 0), sum(v * v for v in entries))
+            assert sorted(best) == list(range(k, k * hi + 1))
+            for r, squares in best.items():
+                assert most(k, hi, r) == squares, (k, hi, r)
+
+
+def test_profile_search_matches_the_walk_to_genus_120():
+    """Every genus up to 120 gives the walk's profiles.  The search prunes
+    on `_most_squares` at every node, so a bound below the true largest
+    square sum shows up as a missing profile somewhere in the window."""
+    search = phi_profiles_by_genus(2, 120)
+    assert list(search) == list(range(2, 121))
+    for g, rows in components_by_genus(2, 120):
+        assert search[g] == sorted({m.phi for m in rows}, key=order_key), g
 
 
 def test_profile_search_matches_the_plain_profile_walk():
