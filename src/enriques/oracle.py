@@ -194,8 +194,6 @@ def _layer_solutions(t: int, weights: list[int], kappa: int, cap: int) -> list[t
         for v in range(lo, hi + 1):
             rv = run - v
             r2v = run2 - v * v
-            if r2v < 0:
-                break
             if rv * rv > km1 * r2v:  # no balanced completion
                 continue
             if r2v > rv * rv:  # no concentrated completion
@@ -242,6 +240,8 @@ def enumerate_isotropics(L: NumClass, cap: int, extra_layers: int = 0) -> list[N
     proven search bound; the result must not change, and the verification
     suite checks exactly that.
     """
+    if not isinstance(extra_layers, int) or extra_layers < 0:
+        raise ValueError(f"extra_layers must be a nonnegative integer, got {extra_layers!r}")
     return [f for _, f in _enumerate_with_values(L, cap, extra_layers)]
 
 
@@ -318,7 +318,6 @@ def box_isotropics(L: NumClass, cap: int, box: int = 2) -> list[NumClass]:
 def eight_lowest(L: NumClass) -> tuple[int, ...]:
     """The eight smallest values F.L over distinct positive primitive
     isotropic classes."""
-    require_big(L)
     lam = sorted(pair(L, generator_e(i)) for i in range(1, 11))
     found = _enumerate_with_values(L, lam[7])
     if len(found) < 8:
@@ -421,7 +420,6 @@ def phi_vector_oracle(
     """
     if max_sequences < 1:
         raise ValueError("max_sequences must be at least 1")
-    require_big(L)
     lam = [pair(L, generator_e(i)) for i in range(1, 11)]
     seed = order_key(sorted(lam))
     cap = max(lam)
@@ -437,9 +435,8 @@ def phi_vector_oracle(
         cap = needed
     else:
         raise AssertionError("sequence search cap failed to stabilize")
-    sequences = []
-    for idxs in sets:
-        members = sorted((pool[i] for i in idxs), key=lambda pf: (pf[0], pf[1].coords))
-        sequences.append(IsotropicSequence(tuple(f for _, f in members)))
+    # _best_sequences picks indices in increasing order from a pool sorted
+    # by (value, coords), so each set's members come out in that order
+    sequences = [IsotropicSequence(tuple(pool[i][1] for i in idxs)) for idxs in sets]
     sequences.sort(key=lambda s: tuple(f.coords for f in s.members))
     return PhiVector(tup), tuple(sequences)

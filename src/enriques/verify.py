@@ -56,6 +56,15 @@ from .oracle import (
     phi_vector_oracle,
 )
 
+__all__ = [
+    "CheckResult",
+    "SUITES",
+    "golden_low_phi",
+    "phi_profiles_by_genus",
+    "run_suite",
+]
+
+
 @dataclass(frozen=True)
 class CheckResult:
     name: str

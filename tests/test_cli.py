@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -32,6 +33,7 @@ from enriques.oracle import PhiVector, phi_vector_oracle
 SRC_DIR = Path(enriques.__file__).resolve().parents[1]
 PYPROJECT = SRC_DIR.parent / "pyproject.toml"
 DIGESTS = SRC_DIR.parent / "bench" / "digests.json"
+README = SRC_DIR.parent / "README.md"
 
 
 def run_cli(capsys, *argv):
@@ -520,6 +522,46 @@ def test_identical_invocations_are_byte_identical(capsys):
     _, first = run_cli(capsys, "components", "--genus", "12", "--format", "json")
     _, second = run_cli(capsys, "components", "--genus", "12", "--format", "json")
     assert first == second
+
+
+def _readme_transcripts():
+    """(command, printed lines) for each `$ enriques ...` line in README.md's
+    unlabeled code blocks; the output runs to the next `$` line or fence."""
+    transcripts, fence, current = [], None, None
+    for line in README.read_text().splitlines():
+        if line.startswith("```"):
+            fence = line[3:] if fence is None else None
+            current = None
+        elif fence == "" and line.startswith("$ "):
+            current = (line[2:], [])
+            transcripts.append(current)
+        elif current is not None:
+            current[1].append(line)
+    return [(cmd, out) for cmd, out in transcripts if cmd.startswith("enriques ")]
+
+
+def test_readme_cli_transcripts_match_the_output(capsys):
+    """Each README transcript printed in full is what the CLI writes to a
+    terminal; tests are not a tty, so a line that gives no format runs with
+    --format markdown.  Abbreviated output ({ ... }) is skipped."""
+    full = []
+    for cmd, lines in _readme_transcripts():
+        while lines and not lines[-1]:
+            lines.pop()
+        if not any("{ ..." in line for line in lines):
+            full.append((cmd, lines))
+    assert [cmd for cmd, _ in full] == [
+        "enriques components --genus 5",
+        'enriques phivector --class "0,0,0,0,0,0,0,0,0,1" --oracle',
+        "enriques verify --suite lattice",
+    ]
+    for cmd, lines in full:
+        argv = shlex.split(cmd)[1:]
+        if "--format" not in argv:
+            argv += ["--format", "markdown"]
+        rc, out = run_cli(capsys, *argv)
+        assert rc == 0, cmd
+        assert out == "\n".join(lines) + "\n", cmd
 
 
 def child_env():

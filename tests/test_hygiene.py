@@ -267,10 +267,15 @@ def test_every_export_has_a_caller_outside_the_tests():
     matched with their module, since a bare name such as phi is also a
     parameter elsewhere."""
     owner = {
-        a.name: node.module
+        name: node.module
         for node in ast.parse((PACKAGE_DIR / "__init__.py").read_text()).body
-        if isinstance(node, ast.ImportFrom)
+        if isinstance(node, ast.ImportFrom) and node.module
         for a in node.names
+        for name in (
+            importlib.import_module(f"enriques.{node.module}").__all__
+            if a.name == "*"
+            else [a.name]
+        )
     }
     assert set(owner) == set(enriques.__all__)
     called = set()  # (module, name); module None for `from enriques import name`

@@ -349,6 +349,14 @@ def test_box_scan_rejects_a_box_that_is_not_a_nonnegative_integer(box):
         box_isotropics(3 * D, 12, box=box)
 
 
+@pytest.mark.parametrize("extra_layers", [-1, -2, 1.5, "2"])
+def test_search_rejects_extra_layers_that_are_not_a_nonnegative_integer(extra_layers):
+    """Negative extra layers would cut below the proven bound and return
+    part of the 55 classes as if it were all of them."""
+    with pytest.raises(ValueError, match="extra_layers"):
+        enumerate_isotropics(3 * D, 12, extra_layers=extra_layers)
+
+
 def test_box_scan_with_wider_box_is_complete():
     assert set(box_isotropics(3 * D, 12, box=3)) == set(enumerate_isotropics(3 * D, 12))
 
