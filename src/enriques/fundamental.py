@@ -24,7 +24,8 @@ class that `fundamental_presentation` reduces.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import mul
+from itertools import repeat
+from operator import and_, ge, mul
 from typing import Iterator, Sequence
 
 from .lattice import (
@@ -75,12 +76,13 @@ class FundamentalCoefficients:
     eps: int = 0
 
     def __post_init__(self):
-        if len(self.head) != 7 or not all(isinstance(v, int) for v in self.head):
+        head = self.head
+        if len(head) != 7 or not all(map(isinstance, head, repeat(int))):
             raise ValueError("head takes exactly seven integers")
-        vals = (self.a0, *self.head, self.a9, self.a10)
-        if not all(isinstance(v, int) for v in vals) or min(vals) < 0:
+        vals = (self.a0, *head, self.a9, self.a10)
+        if not all(map(isinstance, vals, repeat(int))) or min(vals) < 0:
             raise ValueError("coefficients must be nonnegative integers")
-        if any(self.head[i] < self.head[i + 1] for i in range(6)):
+        if not all(map(ge, head, head[1:])):
             raise ValueError("head coefficients must be nonincreasing")
         if not (self.a9 + self.a10 >= self.a0 >= self.a9 >= self.a10):
             raise ValueError(
@@ -107,9 +109,7 @@ class FundamentalCoefficients:
         return c
 
     def all_even(self) -> bool:
-        return all(
-            v % 2 == 0 for v in (self.a0, *self.head, self.a9, self.a10)
-        )
+        return not any(map(and_, (self.a0, *self.head, self.a9, self.a10), repeat(1)))
 
     def as_tuple(self) -> tuple[int, ...]:
         return (self.a0, *self.head, self.a9, self.a10)
@@ -129,7 +129,7 @@ def quadratic_value(c: FundamentalCoefficients) -> int:
     """
     terms = (*c.head, c.a9, c.a10)
     s = sum(terms)
-    cross = (s * s - sum(v * v for v in terms)) // 2
+    cross = (s * s - sum(map(mul, terms, terms))) // 2
     return cross + c.a0 * (sum(c.head) + 2 * c.a9 + 2 * c.a10)
 
 
@@ -283,7 +283,7 @@ def rewrite_to_fundamental(
     fundamental form, tracking the sequence the output lives on.  The
     input may have square 0; the reconstruction is verified exactly."""
     cs = list(coeffs)
-    if not all(isinstance(v, int) for v in cs) or not isinstance(a0, int):
+    if not all(map(isinstance, cs, repeat(int))) or not isinstance(a0, int):
         raise ValueError("coefficients must be integers")
     goal = sequence_combination(cs, a0)
     if min(cs) < 0 or a0 < 0:

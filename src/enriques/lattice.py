@@ -37,8 +37,9 @@ build their results through `NumClass._trusted` without re-checking.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from math import gcd
-from operator import add, mul, neg, sub
+from operator import add, and_, mul, neg, sub
 from typing import Sequence
 
 RANK = 10
@@ -74,7 +75,7 @@ class NumClass:
     def __post_init__(self):
         if len(self.coords) != RANK:
             raise ValueError(f"a class needs {RANK} coordinates, got {len(self.coords)}")
-        if not all(isinstance(c, int) for c in self.coords):
+        if not all(map(isinstance, self.coords, repeat(int))):
             raise ValueError("coordinates must be integers")
 
     @classmethod
@@ -102,7 +103,7 @@ class NumClass:
     __rmul__ = __mul__
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
+        return not any(self.coords)
 
 
 D = NumClass((0,) * 9 + (1,))
@@ -182,7 +183,7 @@ def is_positive(a: NumClass) -> bool:
 
 
 def is_two_divisible(a: NumClass) -> bool:
-    return all(c % 2 == 0 for c in a.coords)
+    return not any(map(and_, a.coords, repeat(1)))
 
 
 def sequence_combination(coeffs: Sequence[int], a0: int = 0) -> NumClass:

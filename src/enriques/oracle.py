@@ -29,8 +29,9 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import repeat
 from math import gcd, isqrt
-from operator import mul
+from operator import and_, le, mul
 from typing import Sequence
 
 import numpy as np
@@ -43,6 +44,7 @@ from .lattice import (
     linear_form,
     pair,
     require_big,
+    standard_sequence,
 )
 
 __all__ = [
@@ -73,11 +75,11 @@ class PhiVector:
 
     def __post_init__(self):
         p = self.phis
-        if len(p) != 10 or not all(isinstance(v, int) for v in p):
+        if len(p) != 10 or not all(map(isinstance, p, repeat(int))):
             raise ValueError("a phi-vector has ten integer entries")
         if p[0] < 1:
             raise ValueError("phi-vector entries must be positive")
-        if any(p[i] > p[i + 1] for i in range(9)):
+        if not all(map(le, p, p[1:])):
             raise ValueError("phi-vector entries must be nondecreasing")
         if sum(p) % 3:
             raise ValueError("phi-vector total must be divisible by 3")
@@ -100,11 +102,12 @@ class PhiVector:
         return sum(self.phis)
 
     def all_even(self) -> bool:
-        return all(v % 2 == 0 for v in self.phis)
+        return not any(map(and_, self.phis, repeat(1)))
 
     def self_intersection(self) -> int:
-        s = self.total()
-        return s * s // 9 - sum(v * v for v in self.phis)
+        p = self.phis
+        s = sum(p)
+        return s * s // 9 - sum(map(mul, p, p))
 
     def genus(self) -> int:
         return self.self_intersection() // 2 + 1
@@ -119,25 +122,42 @@ class IsotropicSequence:
 
     def __post_init__(self):
         """Member by member: isotropic, primitive, positive; then every
-        pair.  Each member's linear form is computed once, so every check
-        is a dot product (its D-entry is the member's pairing with D)."""
+        pair, through the row sums of the pairing matrix.
+
+        Each member is checked in the closed form of the pairing: with s
+        the sum of its first nine coordinates and d the last, x^2 =
+        s^2 - (x_1^2 + ... + x_10^2) + 6 d s + 11 d^2 and x.D = 3 s + 10 d.
+        Two distinct positive primitive isotropic classes pair to at least
+        1 (the light-cone fact of the module docstring), and a member
+        pairs to 0 with itself.  So if the members are distinct, the row
+        sum f_i.(f_1 + ... + f_10) adds nine pairings that are each at
+        least 1, and it is 9 exactly when all nine are 1.  Row sums of 9
+        also rule out a repeated member.  Give class c multiplicity m_c;
+        the row of c is 10 - m_c plus the surplus sum of m_b (c.b - 1)
+        over the other classes b, so its surplus is m_c - 1.  A class of
+        multiplicity 1 has surplus 0, so it pairs 1 with every other
+        class.  A repeated class c of least multiplicity then gets each
+        nonzero surplus term from a repeated b, and that term is at least
+        m_b >= m_c > m_c - 1; so its surplus is 0, and m_c = 1.  Ten row
+        sums, against the linear form of the total, thus accept the same
+        sequences as the 45 pairings, with the same message."""
         ms = self.members
         if len(ms) != 10:
             raise ValueError("an isotropic sequence has ten members")
-        forms = [linear_form(f) for f in ms]
-        for f, lf in zip(ms, forms):
-            if sum(map(mul, f.coords, lf)) != 0:
+        rows = [f.coords for f in ms]
+        for x in rows:
+            d = x[9]
+            s = sum(x) - d
+            if s * s - sum(map(mul, x, x)) + (6 * s + 11 * d) * d != 0:
                 raise ValueError("sequence member is not isotropic")
-            g = gcd(*f.coords)
+            g = gcd(*x)
             if g == 0:
                 raise ValueError("the zero class is neither primitive nor imprimitive")
-            if g != 1 or lf[9] <= 0:
+            if g != 1 or 3 * s + 10 * d <= 0:
                 raise ValueError("sequence member is not positive primitive")
-        for i in range(9):
-            lf = forms[i]
-            for f in ms[i + 1 :]:
-                if sum(map(mul, lf, f.coords)) != 1:
-                    raise ValueError("sequence members must pairwise pair to 1")
+        form = linear_form(NumClass._trusted(tuple(map(sum, zip(*rows)))))
+        if [sum(map(mul, x, form)) for x in rows] != [9] * 10:
+            raise ValueError("sequence members must pairwise pair to 1")
 
 
 def _from_pairing(m: Sequence[int], t: int) -> NumClass:
@@ -167,10 +187,15 @@ def _layer_solutions(t: int, weights: list[int], kappa: int, cap: int) -> list[t
     """All m >= 0 with sum(m) = 3t, sum(m^2) = t^2 and
     kappa + sum(w_i m_i) <= cap, as (value, m) pairs.
 
-    `weights` must be sorted nonincreasing so the budget prune is sharp;
-    the caller un-permutes.
+    `weights` must be sorted nonincreasing so the budget prunes are sharp;
+    the caller un-permutes.  Every later weight is at least the last one,
+    w_10, and every later entry is nonnegative, so an entry v at a slot of
+    weight w costs at least used + w v + w_10 (run - v); that bound is
+    nondecreasing in v (w >= w_10), so the loop over v stops at the first
+    v that breaks it.
     """
     out: list[tuple[int, tuple[int, ...]]] = []
+    w_last = weights[9]
     sufneg = [0] * 11
     for i in range(9, -1, -1):
         sufneg[i] = sufneg[i + 1] + min(0, weights[i])
@@ -191,7 +216,11 @@ def _layer_solutions(t: int, weights: list[int], kappa: int, cap: int) -> list[t
         hi = min(run, isqrt(run2), (run + rt) // k + 1)
         w = weights[pos]
         sn = sufneg[pos + 1]
+        least = used + w_last * run  # the bound at v = 0; each step adds w - w_10
+        step = w - w_last
         for v in range(lo, hi + 1):
+            if least + step * v > cap:
+                break
             rv = run - v
             r2v = run2 - v * v
             if rv * rv > km1 * r2v:  # no balanced completion
@@ -199,9 +228,8 @@ def _layer_solutions(t: int, weights: list[int], kappa: int, cap: int) -> list[t
             if r2v > rv * rv:  # no concentrated completion
                 continue
             u = used + w * v
-            if u + (sn * isqrt(r2v) if sn else 0) > cap:
-                if sn == 0 and w > 0:
-                    break
+            # later negative weights can pay back at most sn * sqrt(r2v)
+            if sn and u + sn * isqrt(r2v) > cap:
                 continue
             m[pos] = v
             rec(pos + 1, rv, r2v, u)
@@ -317,12 +345,22 @@ def box_isotropics(L: NumClass, cap: int, box: int = 2) -> list[NumClass]:
 
 def eight_lowest(L: NumClass) -> tuple[int, ...]:
     """The eight smallest values F.L over distinct positive primitive
-    isotropic classes."""
-    lam = sorted(pair(L, generator_e(i)) for i in range(1, 11))
-    found = _enumerate_with_values(L, lam[7])
-    if len(found) < 8:
+    isotropic classes.
+
+    With lam the sorted standard pairings, the ten standard members give
+    at least eight classes of value at most lam_8, so the eight lowest
+    values are those below lam_8, padded with lam_8 up to eight.  The
+    search therefore stops just below that cap and never lists the
+    classes tied at it, which can be most of the pool.  Every standard
+    member of value below the cap must be among the classes found."""
+    standard = [(pair(L, f), f) for f in standard_sequence()]
+    cap = sorted(v for v, _ in standard)[7]
+    found = _enumerate_with_values(L, cap - 1)
+    members = {f for _, f in found}
+    if not all(f in members for v, f in standard if v < cap):
         raise AssertionError("search missed part of the standard sequence")
-    return tuple(v for v, _ in found[:8])
+    values = [v for v, _ in found[:8]]
+    return (*values, *[cap] * (8 - len(values)))
 
 
 def _best_sequences(
@@ -418,6 +456,8 @@ def phi_vector_oracle(
     the limit is the complete set, in lexicographic member-coordinate
     order.
     """
+    if not isinstance(max_sequences, int):
+        raise ValueError(f"max_sequences must be an integer, got {max_sequences!r}")
     if max_sequences < 1:
         raise ValueError("max_sequences must be at least 1")
     lam = [pair(L, generator_e(i)) for i in range(1, 11)]

@@ -1,7 +1,15 @@
 """Reference walks that the tests hold the package's routes against."""
 
-from enriques.lattice import RANK
-from enriques.oracle import PhiVector
+from enriques.lattice import RANK, pair, standard_sequence
+from enriques.oracle import PhiVector, enumerate_isotropics
+
+
+def eight_lowest_at_the_cap(L):
+    """The eight smallest values F.L, read off the search at the eighth
+    smallest standard pairing itself, so every class tied at that cap is
+    listed and the values are the first eight in the list."""
+    cap = sorted(pair(L, f) for f in standard_sequence())[7]
+    return tuple(pair(f, L) for f in enumerate_isotropics(L, cap)[:8])
 
 
 def iter_phi_profiles(max_sum):

@@ -696,3 +696,29 @@ def test_phivector_class_of_low_genus_returns_promptly():
     assert data["phi"] == [2] * 9 + [3]
     assert data["genus"] == 3
     assert data["coefficients"] == {"a0": 1, "head": [0] * 7, "a9": 1, "a10": 0, "eps": 0}
+
+
+def test_phivector_oracle_on_a_far_genus_4_class_returns_promptly():
+    """The raw oracle search on this class lists a pool of thousands of
+    classes; the layer prune on the cheapest weight keeps it in seconds."""
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-m",
+            "enriques.cli",
+            "phivector",
+            "--class=-2,-2,-2,0,0,0,0,0,0,3",
+            "--oracle",
+            "--format",
+            "json",
+        ],
+        capture_output=True,
+        text=True,
+        env=child_env(),
+        timeout=30,
+    )
+    assert proc.returncode == 0, proc.stderr
+    data = json.loads(proc.stdout)
+    assert data["phi"] == data["oracle_phi"] == [2, 2, 2] + [3] * 7
+    assert data["oracle_agrees"] is True
+    assert data["genus"] == 4

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import enriques.oracle
+from enriques.components import enumerate_components
 from enriques.fundamental import (
     FundamentalCoefficients,
     coefficients_from_phivector,
@@ -38,6 +39,7 @@ from enriques.oracle import (
     phi_vector_oracle,
 )
 from enriques.verify import _DOMINATING
+from reference import eight_lowest_at_the_cap
 
 coords_st = st.tuples(*([st.integers(-9, 9)] * RANK))
 classes_st = coords_st.map(NumClass)
@@ -145,6 +147,7 @@ def mutations(ms, rng):
     """Broken copies of ms, one per kind of failure."""
     k = rng.randrange(10)
     other = rng.choice([j for j in range(10) if j != k])
+    i, j = rng.sample([l for l in range(10) if l != k], 2)
 
     def put(f):
         return ms[:k] + (f,) + ms[k + 1 :]
@@ -156,7 +159,17 @@ def mutations(ms, rng):
         "zero": put(NumClass((0,) * 10)),
         "repeated": put(ms[other]),
         "nine": ms[:k] + ms[k + 1 :],
+        "pair-class": put(pair_class_image(ms, i, j)),
     }
+
+
+def pair_class_image(ms, i, j):
+    """The image of E_{i,j} = D - E_i - E_j under the word that carries
+    the standard sequence to ms: a third of the members' sum, less
+    members i and j.  It is positive, primitive and isotropic, pairs 2
+    with members i and j and 1 with the other eight."""
+    third = NumClass(tuple(sum(col) // 3 for col in zip(*(f.coords for f in ms))))
+    return third - ms[i] - ms[j]
 
 
 MUTATION_ERRORS = {
@@ -166,13 +179,14 @@ MUTATION_ERRORS = {
     "zero": "the zero class is neither primitive nor imprimitive",
     "repeated": "sequence members must pairwise pair to 1",
     "nine": "an isotropic sequence has ten members",
+    "pair-class": "sequence members must pairwise pair to 1",
 }
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_sequence_checks_match_the_predicate_reference(seed):
-    """The linear-form checks accept and reject exactly what the predicate
-    reference does, with the same message."""
+    """The closed-form member checks and the row sums accept and reject
+    exactly what the predicate reference does, with the same message."""
     rng = random.Random(1000 + seed)
     for ms in reflected_sequences(seed):
         assert reference_sequence_error(ms) is None
@@ -180,6 +194,23 @@ def test_sequence_checks_match_the_predicate_reference(seed):
         for kind, bad in mutations(ms, rng).items():
             assert reference_sequence_error(bad) == MUTATION_ERRORS[kind]
             assert sequence_error(bad) == MUTATION_ERRORS[kind]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_a_pair_class_in_place_of_a_member_fails_only_the_pairings(seed):
+    """Swapping member k for the image of E_{i,j} (k not i, j) leaves ten
+    distinct positive primitive isotropic members; two of the nine
+    pairings of the new member are 2, so its row sum is 11, not 9."""
+    rng = random.Random(seed)
+    for ms in reflected_sequences(seed):
+        k, i, j = rng.sample(range(10), 3)
+        f = pair_class_image(ms, i, j)
+        assert self_int(f) == 0 and is_primitive(f) and is_positive(f)
+        assert sorted(pair(f, g) for g in ms) == [1] * 8 + [2, 2]
+        bad = ms[:k] + (f,) + ms[k + 1 :]
+        assert len(set(bad)) == 10
+        assert sum(pair(f, g) for g in bad) == 11
+        assert sequence_error(bad) == "sequence members must pairwise pair to 1"
 
 
 def test_values_against():
@@ -451,6 +482,68 @@ def test_phi_values():
 def test_eight_lowest():
     assert eight_lowest(3 * D) == (9,) * 8
     assert eight_lowest(E[1] + E[2]) == (1, 1, 2, 2, 2, 2, 2, 2)
+
+
+def eight_lowest_classes():
+    """Every genus-5 and genus-7 row, 3D, the image class (4,1,0,...,0)
+    whose 242-member first pool is mostly ties at the cap, and seeded
+    classes."""
+    rows = [m.coefficients.divisor_class() for g in (5, 7) for m in enumerate_components(g)]
+    return rows + [3 * D, NumClass((4, 1) + (0,) * 8)] + [seeded_class(s) for s in range(12)]
+
+
+def test_eight_lowest_matches_the_search_at_its_cap():
+    for L in eight_lowest_classes():
+        assert eight_lowest(L) == eight_lowest_at_the_cap(L), L
+
+
+def test_eight_lowest_never_searches_at_its_cap(monkeypatch):
+    """One search, one below the eighth standard pairing: the classes tied
+    at that cap are never listed."""
+    search = enriques.oracle._enumerate_with_values
+    caps = []
+
+    def recording(L, cap, extra_layers=0):
+        caps.append(cap)
+        return search(L, cap, extra_layers)
+
+    monkeypatch.setattr(enriques.oracle, "_enumerate_with_values", recording)
+    for L in eight_lowest_classes():
+        caps.clear()
+        eight_lowest(L)
+        assert caps == [sorted(pairings(L))[7] - 1], L
+
+
+def test_eight_lowest_checks_the_standard_members_below_its_cap(monkeypatch):
+    """E_1 and E_2 meet E_1 + E_2 in 1, below the cap 2, so a search that
+    loses E_1 fails the check."""
+    search = enriques.oracle._enumerate_with_values
+
+    def losing_e1(L, cap, extra_layers=0):
+        return [(v, f) for v, f in search(L, cap, extra_layers) if f != E[1]]
+
+    monkeypatch.setattr(enriques.oracle, "_enumerate_with_values", losing_e1)
+    with pytest.raises(AssertionError, match="missed part of the standard sequence"):
+        eight_lowest(E[1] + E[2])
+
+
+@pytest.mark.parametrize("max_sequences", [0, -1, 1.5, "2"])
+def test_oracle_rejects_max_sequences_that_is_not_a_positive_integer(max_sequences):
+    """A string used to raise TypeError and a float to return a result."""
+    with pytest.raises(ValueError, match="max_sequences"):
+        phi_vector_oracle(3 * D, max_sequences=max_sequences)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_pools_are_unchanged_by_extra_layers_on_seeded_classes(seed):
+    """The budget prunes of the layer search lose no class: two extra
+    layers find the same pool, and the coordinate-box scan finds the same
+    classes inside its box."""
+    L = seeded_class(seed)
+    cap = max(pairings(L))
+    pool = enumerate_isotropics(L, cap)
+    assert pool == enumerate_isotropics(L, cap, extra_layers=2)
+    assert box_isotropics(L, cap, box=2) == [f for f in pool if max(map(abs, f.coords)) <= 2]
 
 
 def test_oracle_on_triple_d():
