@@ -8,17 +8,20 @@ twice the last three combined, eps = 0 unless every entry is even, and
 
 Enumeration runs over fundamental coefficient tuples of the right
 self-intersection (an elementary nonnegative quadratic, so partial-sum
-pruning is exact) and converts each to its profile.  It is one walk over
-the heads a_1..a_7 for a whole window of genera, its tuples grouped by
-quadratic value g - 1; a single genus is the window of width zero, and
-every sweep over 2..gmax is one window.  The walk branches only on
-entries v >= 1: each prefix takes its all-zero completion (the prefix
-padded with zeros) where its branch starts.  A tail (a0 = a9 + t, a9,
-a10) other than zero adds alpha*s + beta to a head of sum s, with
-alpha = 2a9 + a10 + t and beta = 2a9^2 + 3a9*a10 + 2t(a9 + a10), so at
-least 2s + 2.  These tails are listed once per call, in a table keyed by
-head sum and added value that lives only as long as that call, and each
-live head reads its tails off it.
+pruning is exact) and converts each to its profile.  It is one walk for a
+whole window of genera, its tuples grouped by quadratic value g - 1; a
+single genus is the window of width zero, and every sweep over 2..gmax is
+one window.  The walk branches only over the head suffix a_2..a_7, and
+only on entries v >= 1 (each suffix is padded with zeros where its branch
+starts).  The largest entry a_1 enters the head's value linearly, so for
+each suffix it is solved rather than walked: a division for the zero tail,
+and one pass over a range of a_1 for the other tails.  A tail
+(a0 = a9 + t, a9, a10) other than zero adds alpha*u + beta to a head of
+sum u, with alpha = 2a9 + a10 + t and beta = 2a9^2 + 3a9*a10 +
+2t(a9 + a10), so at least 2u + 2, which caps a_1.  These tails are listed
+once per call, in a table keyed by head sum and added value that lives
+only as long as that call; the range of a_1 is probed against it, and
+each hit reads its tails off it.
 
 A genus's tuples become its sorted rows in one pass of integer
 arithmetic.  A `ModuliComponent` is a named tuple whose leading fields
@@ -38,6 +41,8 @@ dominating genus-621 class live in `verify`.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from itertools import compress, repeat
+from operator import contains, gt
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .fundamental import FundamentalCoefficients, phivector_from_coefficients
@@ -134,29 +139,40 @@ def _coefficient_tuples(
     """All valid coefficient tuples with quadratic value q, for every q in
     the window max(q_lo, 1) <= q <= q_hi, grouped by q.
 
-    Every cross term of the quadratic is nonnegative, so partial sums
-    prune exactly, here against q_hi.  A complete head (a_1..a_7) has
-    value p = e2(head) and sum s; the tail (a0, a9, a10) adds q - p.  The
-    zero tail is kept when q_lo <= p <= q_hi.  Any other tail has a9 >= 1
-    and, with a0 = a9 + t (0 <= t <= a10), adds T = alpha*s + beta, where
+    A head (a_1..a_7) is a suffix (a_2..a_7) of value p = e2(suffix) and
+    sum s, plus its largest entry a_1 >= a_2: the head's value is
+    p + a_1*s and its sum u = s + a_1.  The tail (a0, a9, a10) adds the
+    rest of q.  The walk is a depth-first search over the suffixes alone,
+    branching only on entries v >= 1 (a suffix with fewer set entries is
+    padded with zeros where its branch starts), so each suffix is reached
+    once, and each head once, as (suffix, a_1).  Every cross term of the
+    quadratic is nonnegative, so the least head a suffix can carry,
+    a_1 = a_2, has value p + a_2*s, and that value only grows as the
+    suffix gains entries: a suffix with p + a_2*s > q_hi is cut with its
+    whole branch.
+
+    Given a suffix, a_1 is solved, not walked.  The zero tail keeps the
+    a_1 >= a_2 with q_lo <= p + a_1*s <= q_hi, a division (one a_1 at most
+    for a single q).  Any other tail has a9 >= 1 and, with a0 = a9 + t
+    (0 <= t <= a10), adds T = alpha*u + beta, where
 
         alpha = 2a9 + a10 + t,  beta = 2a9^2 + 3a9*a10 + 2t(a9 + a10),
 
-    so at least 2s + 2 (at a0 = a9 = 1, a10 = 0), and a head with
-    r = q_hi - p < 2s + 2 has no such tail.  The nonzero tails are listed
-    once per call, in a table local to it: for each head sum s, every
-    value T <= q_hi that some tail adds, with those tails.  The a9 bound
-    is 2a9^2 <= q_hi, so the all-zero head (s = 0) keeps its tails.  A
-    live head then reads its tails off the table: the entry T = r for a
-    single q, and the entries r - (q_hi - q_lo) <= T <= r, found by
-    bisection in the sorted T of its s, for a window.
-
-    The walk recurses into the entries v >= 1 only.  Each prefix emits
-    its all-zero completion (the prefix padded with zeros, same p and s)
-    with its zero tail and its nonzero tails where its branch starts, so
-    no chain of zero entries is walked.  Every head entry, the seventh
-    included, takes this same step.  Each bucket holds its tuples in walk
-    order.
+    so at least 2u + 2 (at a0 = a9 = 1, a10 = 0).  The head leaves
+    r = q_hi - p - a_1*s for its tail, and r >= 2u + 2 caps a_1 at
+    (q_hi - p - 2s - 2) // (s + 2).  The nonzero tails are listed once per
+    call, in a table local to it: for each head sum u, every value
+    T <= q_hi that some tail adds, with those tails.  The a9 bound is
+    2a9^2 <= q_hi, so the all-zero head (u = 0) keeps its tails.  A head
+    needs a tail of value in [r - width, r] (width = q_hi - q_lo).  The
+    least one, 2u + 2, is in the table once r >= 2u + 2, so every a_1 with
+    r - width <= 2u + 2, that is from ceil((q_lo - p - 2s - 2) / (s + 2))
+    on, surely has a tail.  Only the a_1 below it are probed against the
+    table, in one pass over the sums u they reach: T = r by membership for
+    a single q, a bisection pair in the sorted T of u for a window.  Each
+    hit reads its tails off the table.  The all-zero suffix (s = 0, heads
+    (a_1, 0, ..., 0), whose zero tail has value 0) takes only this
+    nonzero-tail step.
     """
     q_lo = max(q_lo, 1)
     width = q_hi - q_lo
@@ -166,7 +182,7 @@ def _coefficient_tuples(
     if width < 0:
         return buckets
     make = FundamentalCoefficients._trusted
-    # by_sum[s][T]: the tails (a0, a9, a10) that add T to a head of sum s.
+    # by_sum[u][T]: the tails (a0, a9, a10) that add T to a head of sum u.
     by_sum: list[dict[int, list[tuple[int, int, int]]]] = [
         {} for _ in range(q_hi // 2 + 1)
     ]
@@ -176,41 +192,68 @@ def _coefficient_tuples(
             for t in range(a10 + 1):
                 alpha = 2 * a9 + a10 + t
                 beta = 2 * a9 * a9 + 3 * a9 * a10 + 2 * t * (a9 + a10)
-                for s in range((q_hi - beta) // alpha + 1):
-                    by_sum[s].setdefault(alpha * s + beta, []).append((a9 + t, a9, a10))
+                for u in range((q_hi - beta) // alpha + 1):
+                    by_sum[u].setdefault(alpha * u + beta, []).append((a9 + t, a9, a10))
         a9 += 1
     sorted_sums = [sorted(found) for found in by_sum] if width else []
-    pads = [(0,) * (7 - n) for n in range(8)]
+    pads = [(0,) * (6 - n) for n in range(7)]
 
-    def tails(head: tuple[int, ...], s: int, r: int) -> None:
-        found = by_sum[s]
+    def tails(head: tuple[int, ...], u: int, r: int) -> None:
+        found = by_sum[u]
         if not width:
-            for a0, a9, a10 in found.get(r, ()):
+            for a0, a9, a10 in found[r]:
                 buckets[q_hi].append(make(a0, head, a9, a10))
             return
-        ts = sorted_sums[s]
+        ts = sorted_sums[u]
         for t in ts[bisect_left(ts, r - width) : bisect_right(ts, r)]:
             bucket = buckets[q_hi - r + t]
             for a0, a9, a10 in found[t]:
                 bucket.append(make(a0, head, a9, a10))
 
-    def heads(acc: tuple[int, ...], prev: int, p: int, s: int) -> None:
+    def suffix(acc: tuple[int, ...], a2: int, p: int, s: int) -> None:
         rest = q_hi - p
-        if p >= q_lo:
-            buckets[p].append(make(0, acc + pads[len(acc)], 0, 0))
-        if rest >= 2 * s + 2 and (width or rest in by_sum[s]):
-            tails(acc + pads[len(acc)], s, rest)
-        if len(acc) == 7:
-            return
-        hi = prev
+        suf = acc + pads[len(acc)]
         if s:
-            hi = rest // s
-            if hi > prev:
-                hi = prev
+            lo = -((p - q_lo) // s)
+            if lo < a2:
+                lo = a2
+            for a1 in range(lo, rest // s + 1):
+                buckets[p + a1 * s].append(make(0, (a1, *suf), 0, 0))
+        top = (rest - 2 * s - 2) // (s + 2)
+        if top >= a2:
+            # Every a_1 >= sure has a tail; the a_1 below it are probed.
+            sure = -((p + 2 * s + 2 - q_lo) // (s + 2))
+            if sure > top:
+                sure = top + 1
+            elif sure < a2:
+                sure = a2
+            if sure > a2:
+                r0 = rest - a2 * s
+                r1 = rest - sure * s
+                rs = range(r0, r1, -s) if s else repeat(r0)
+                if width:
+                    found = sorted_sums[s + a2 : s + sure]
+                    los = range(r0 - width, r1 - width, -s) if s else repeat(r0 - width)
+                    hit = map(gt, map(bisect_right, found, rs), map(bisect_left, found, los))
+                else:
+                    hit = map(contains, by_sum[s + a2 : s + sure], rs)
+                for a1 in compress(range(a2, sure), hit):
+                    tails((a1, *suf), s + a1, rest - a1 * s)
+            for a1 in range(sure, top + 1):
+                tails((a1, *suf), s + a1, rest - a1 * s)
+        if len(acc) == 6 or not s:
+            return
+        hi = (rest - a2 * s) // (s + a2)
+        if hi > acc[-1]:
+            hi = acc[-1]
         for v in range(hi, 0, -1):
-            heads(acc + (v,), v, p + v * s, s + v)
+            suffix(acc + (v,), a2, p + v * s, s + v)
 
-    heads((), q_hi, 0, 0)
+    suffix((), 0, 0, 0)
+    a2 = 1
+    while a2 * a2 <= q_hi:
+        suffix((a2,), a2, 0, a2)
+        a2 += 1
     return buckets
 
 

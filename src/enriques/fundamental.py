@@ -59,7 +59,7 @@ def _check_eps(eps: int) -> None:
         raise ValueError("eps must be 0 or 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FundamentalCoefficients:
     """Coefficients of a fundamental presentation.
 
@@ -100,12 +100,12 @@ class FundamentalCoefficients:
         pass them by construction (the component walk, the eps = 1 twins
         of its rows, and `iter_coefficient_tuples`)."""
         c = object.__new__(cls)
-        setattr_ = object.__setattr__
-        setattr_(c, "a0", a0)
-        setattr_(c, "head", head)
-        setattr_(c, "a9", a9)
-        setattr_(c, "a10", a10)
-        setattr_(c, "eps", eps)
+        set_a0, set_head, set_a9, set_a10, set_eps = _SLOT_SETTERS
+        set_a0(c, a0)
+        set_head(c, head)
+        set_a9(c, a9)
+        set_a10(c, a10)
+        set_eps(c, eps)
         return c
 
     def all_even(self) -> bool:
@@ -118,6 +118,13 @@ class FundamentalCoefficients:
         """The presented class on the standard sequence, modulo torsion;
         the torsion bit stays on the coefficients."""
         return sequence_combination((*self.head, 0, self.a9, self.a10), self.a0)
+
+
+# The slots' own setters, which the frozen __setattr__ does not guard.
+_SLOT_SETTERS = tuple(
+    getattr(FundamentalCoefficients, name).__set__
+    for name in ("a0", "head", "a9", "a10", "eps")
+)
 
 
 def quadratic_value(c: FundamentalCoefficients) -> int:

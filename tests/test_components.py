@@ -316,6 +316,65 @@ def test_zero_head_keeps_its_tails():
         }, k
 
 
+def _assert_buckets_match(buckets, want):
+    """Each bucket q of want holds the tuples want[q], once each."""
+    for q, tuples in want.items():
+        got = [c.as_tuple() for c in buckets[q]]
+        assert len(set(got)) == len(got), q
+        assert set(got) == set(tuples), q
+
+
+def test_all_zero_suffix_heads_carry_the_least_tail():
+    """(k, 0, ..., 0) has value 0 and sum k, so the least tail
+    a0 = a9 = 1, a10 = 0 puts it at q = 2k + 2, the largest a_1 the walk's
+    all-zero suffix (s = 0) reaches at that q."""
+    window = _coefficient_tuples(1, 122)
+    for k in range(1, 61):
+        q = 2 * k + 2
+        least = (1, k, *(0,) * 6, 1, 0)
+        want = {q: _reference_tuples(q)}
+        assert least in want[q], k
+        for buckets in (_coefficient_tuples(q, q), window, _coefficient_tuples(q - 3, q + 3)):
+            _assert_buckets_match(buckets, want)
+
+
+def test_tied_leading_entries_on_the_zero_tail():
+    """(k, ..., k, 0, ...) with m equal entries has value C(m, 2) k^2 and
+    solves a_1 = a_2 = k exactly: the least a_1 that its suffix admits."""
+    for m in range(2, 8):
+        for k in range(1, 7):
+            q = m * (m - 1) // 2 * k * k
+            if q > 150:
+                continue
+            tied = (0, *(k,) * m, *(0,) * (7 - m), 0, 0)
+            want = {q: _reference_tuples(q)}
+            assert tied in want[q], (m, k)
+            for buckets in (_coefficient_tuples(q, q), _coefficient_tuples(q - 2, q + 2)):
+                assert tied in {c.as_tuple() for c in buckets[q]}, (m, k)
+                _assert_buckets_match(buckets, want)
+
+
+def test_window_starts_cut_zero_tails_by_ceiling_division():
+    """A window's zero tails start at a_1 = ceil((q_lo - p) / s) for a
+    suffix of value p and sum s.  Every q_lo in 2..90 with a narrow window
+    covers both sides of that ceiling, for every suffix sum up to the
+    window."""
+    want = {q: _reference_tuples(q) for q in range(2, 95)}
+    cut = 0
+    for q_lo in range(2, 91):
+        buckets = _coefficient_tuples(q_lo, q_lo + 4)
+        _assert_buckets_match(buckets, {q: want[q] for q in range(q_lo, q_lo + 5)})
+        # zero-tail heads above q_lo whose a_1 - 1 (still >= a_2) falls
+        # below it: their a_1 is a ceiling strictly above the floor
+        cut += sum(
+            c.head[0] > c.head[1] and q - sum(c.head[1:]) < q_lo
+            for q in range(q_lo + 1, q_lo + 5)
+            for c in buckets[q]
+            if not c.a9
+        )
+    assert cut > 100
+
+
 @pytest.mark.parametrize("window", [(1, 400), (249, 260), (500, 520)])
 def test_window_matches_its_single_genus_walks(window):
     """A window reads the tails of each head from a range [r - width, r] of
