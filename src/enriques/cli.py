@@ -208,13 +208,14 @@ def cmd_components(args: argparse.Namespace) -> int:
     return 0
 
 
-def _class_from_args(args: argparse.Namespace, parser: argparse.ArgumentParser):
-    """Returns (NumClass, FundamentalCoefficients) or exits 2/3."""
+def _class_from_args(args: argparse.Namespace):
+    """Returns (NumClass, FundamentalCoefficients) or exits 2/3; an unusable
+    value exits 2 through the `phivector` subparser's usage error."""
     if args.coeffs is not None:
         try:
             fc = parse_coefficients(args.coeffs, eps=args.eps)
         except ValueError as exc:
-            parser.error(str(exc))
+            args.usage_error(str(exc))
         if quadratic_value(fc) < 1:
             print(
                 "class is not big: the self-intersection is not positive",
@@ -227,7 +228,7 @@ def _class_from_args(args: argparse.Namespace, parser: argparse.ArgumentParser):
         coords = tuple(int(v) for v in args.cls.split(","))
         num = NumClass(coords)
     except ValueError as exc:
-        parser.error(str(exc))
+        args.usage_error(str(exc))
     # `fundamental_presentation` checks the class once; only that check
     # exits 3, any other ValueError past it is a fault.
     try:
@@ -238,8 +239,8 @@ def _class_from_args(args: argparse.Namespace, parser: argparse.ArgumentParser):
     return num, fc
 
 
-def cmd_phivector(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    num, fc = _class_from_args(args, parser)
+def cmd_phivector(args: argparse.Namespace) -> int:
+    num, fc = _class_from_args(args)
     # The row's two_divisible is the parity of the coefficients, which is
     # that of the class: `_reduce` checks it on --class, and
     # `sequence_combination` preserves it on --coeffs.
@@ -363,6 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="also run the search oracle and report agreement",
     )
     p_phi.add_argument("--format", choices=FORMATS)
+    p_phi.set_defaults(usage_error=p_phi.error)
 
     p_ver = sub.add_parser("verify", help="run a cross-checking suite")
     p_ver.add_argument("--suite", choices=SUITES, required=True)
@@ -380,7 +382,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "components":
         return cmd_components(args)
     if args.command == "phivector":
-        return cmd_phivector(args, parser)
+        return cmd_phivector(args)
     return cmd_verify(args)
 
 

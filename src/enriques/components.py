@@ -7,21 +7,10 @@ twice the last three combined, eps = 0 unless every entry is even, and
 2g - 2 = (1/9)(sum phi)^2 - sum(phi^2).
 
 Enumeration runs over fundamental coefficient tuples of the right
-self-intersection (an elementary nonnegative quadratic, so partial-sum
-pruning is exact) and converts each to its profile.  It is one walk for a
+self-intersection and converts each to its profile.  It is one walk for a
 whole window of genera, its tuples grouped by quadratic value g - 1; a
 single genus is the window of width zero, and every sweep over 2..gmax is
-one window.  The walk branches only over the head suffix a_2..a_7, and
-only on entries v >= 1 (each suffix is padded with zeros where its branch
-starts).  The largest entry a_1 enters the head's value linearly, so for
-each suffix it is solved rather than walked: a division for the zero tail,
-and one pass over a range of a_1 for the other tails.  A tail
-(a0 = a9 + t, a9, a10) other than zero adds alpha*u + beta to a head of
-sum u, with alpha = 2a9 + a10 + t and beta = 2a9^2 + 3a9*a10 +
-2t(a9 + a10), so at least 2u + 2, which caps a_1.  These tails are listed
-once per call, in a table keyed by head sum and added value that lives
-only as long as that call; the range of a_1 is probed against it, and
-each hit reads its tails off it.
+one window.  `_coefficient_tuples` describes the walk.
 
 A genus's tuples become its sorted rows in one pass of integer
 arithmetic.  A `ModuliComponent` is a named tuple whose leading fields
@@ -160,19 +149,16 @@ def _coefficient_tuples(
 
     so at least 2u + 2 (at a0 = a9 = 1, a10 = 0).  The head leaves
     r = q_hi - p - a_1*s for its tail, and r >= 2u + 2 caps a_1 at
-    (q_hi - p - 2s - 2) // (s + 2).  The nonzero tails are listed once per
-    call, in a table local to it: for each head sum u, every value
-    T <= q_hi that some tail adds, with those tails.  The a9 bound is
+    top = (q_hi - p - 2s - 2) // (s + 2).  The nonzero tails are listed
+    once per call, in a table local to it: for each head sum u, every
+    value T <= q_hi that some tail adds, with those tails.  The a9 bound is
     2a9^2 <= q_hi, so the all-zero head (u = 0) keeps its tails.  A head
-    needs a tail of value in [r - width, r] (width = q_hi - q_lo).  The
-    least one, 2u + 2, is in the table once r >= 2u + 2, so every a_1 with
-    r - width <= 2u + 2, that is from ceil((q_lo - p - 2s - 2) / (s + 2))
-    on, surely has a tail.  Only the a_1 below it are probed against the
-    table, in one pass over the sums u they reach: T = r by membership for
-    a single q, a bisection pair in the sorted T of u for a window.  Each
-    hit reads its tails off the table.  The all-zero suffix (s = 0, heads
-    (a_1, 0, ..., 0), whose zero tail has value 0) takes only this
-    nonzero-tail step.
+    needs a tail of value in [r - width, r] (width = q_hi - q_lo).  Every
+    a_1 in [a_2, top] is probed against the table, in one pass over the
+    sums u they reach: T = r by membership for a single q, a bisection
+    pair in the sorted T of u for a window.  Each hit reads its tails off
+    the table.  The all-zero suffix (s = 0, heads (a_1, 0, ..., 0), whose
+    zero tail has value 0) takes only this nonzero-tail step.
     """
     q_lo = max(q_lo, 1)
     width = q_hi - q_lo
@@ -221,25 +207,16 @@ def _coefficient_tuples(
                 buckets[p + a1 * s].append(make(0, (a1, *suf), 0, 0))
         top = (rest - 2 * s - 2) // (s + 2)
         if top >= a2:
-            # Every a_1 >= sure has a tail; the a_1 below it are probed.
-            sure = -((p + 2 * s + 2 - q_lo) // (s + 2))
-            if sure > top:
-                sure = top + 1
-            elif sure < a2:
-                sure = a2
-            if sure > a2:
-                r0 = rest - a2 * s
-                r1 = rest - sure * s
-                rs = range(r0, r1, -s) if s else repeat(r0)
-                if width:
-                    found = sorted_sums[s + a2 : s + sure]
-                    los = range(r0 - width, r1 - width, -s) if s else repeat(r0 - width)
-                    hit = map(gt, map(bisect_right, found, rs), map(bisect_left, found, los))
-                else:
-                    hit = map(contains, by_sum[s + a2 : s + sure], rs)
-                for a1 in compress(range(a2, sure), hit):
-                    tails((a1, *suf), s + a1, rest - a1 * s)
-            for a1 in range(sure, top + 1):
+            r0 = rest - a2 * s
+            r1 = rest - (top + 1) * s
+            rs = range(r0, r1, -s) if s else repeat(r0)
+            if width:
+                found = sorted_sums[s + a2 : s + top + 1]
+                los = range(r0 - width, r1 - width, -s) if s else repeat(r0 - width)
+                hit = map(gt, map(bisect_right, found, rs), map(bisect_left, found, los))
+            else:
+                hit = map(contains, by_sum[s + a2 : s + top + 1], rs)
+            for a1 in compress(range(a2, top + 1), hit):
                 tails((a1, *suf), s + a1, rest - a1 * s)
         if len(acc) == 6 or not s:
             return
@@ -257,13 +234,6 @@ def _coefficient_tuples(
     return buckets
 
 
-def _walk(g_lo: int, g_hi: int) -> dict[int, list[FundamentalCoefficients]]:
-    """The walk's tuples of genus g_lo..g_hi, keyed by quadratic value g - 1."""
-    if not (isinstance(g_lo, int) and isinstance(g_hi, int)) or g_lo < 2:
-        raise ValueError("genus must be an integer >= 2")
-    return _coefficient_tuples(g_lo - 1, g_hi - 1)
-
-
 def components_by_genus(
     g_lo: int, g_hi: int
 ) -> Iterator[tuple[int, tuple[ModuliComponent, ...]]]:
@@ -272,14 +242,16 @@ def components_by_genus(
     genus sorted by profile order then eps.  The walk runs at the call;
     the rows of a genus are built when it is reached, so a sweep holds one
     genus's rows at a time.  An empty window (g_hi < g_lo) yields nothing."""
-    buckets = _walk(g_lo, g_hi)
+    if not (isinstance(g_lo, int) and isinstance(g_hi, int)) or g_lo < 2:
+        raise ValueError("genus must be an integer >= 2")
+    buckets = _coefficient_tuples(g_lo - 1, g_hi - 1)
     return ((q + 1, tuple(_rows(q + 1, buckets.pop(q)))) for q in list(buckets))
 
 
 def enumerate_components(g: int) -> tuple[ModuliComponent, ...]:
     """All components of the genus-g polarized moduli space, sorted by
-    profile order then eps."""
-    return tuple(_rows(g, _walk(g, g)[g - 1]))
+    profile order then eps: the one-genus window of `components_by_genus`."""
+    return next(components_by_genus(g, g))[1]
 
 
 def enumerate_components_by_phi(g: int, phi1: int) -> tuple[ModuliComponent, ...]:

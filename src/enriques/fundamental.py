@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import repeat
 from operator import and_, ge, mul
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .lattice import (
     D,
@@ -46,7 +46,6 @@ __all__ = [
     "coefficients_from_phivector",
     "format_coefficients",
     "parse_coefficients",
-    "iter_coefficient_tuples",
     "class_from_presentation",
     "rewrite_to_fundamental",
     "fundamental_presentation",
@@ -98,7 +97,7 @@ class FundamentalCoefficients:
     ) -> FundamentalCoefficients:
         """Build without the checks above, for a producer whose tuples
         pass them by construction (the component walk, the eps = 1 twins
-        of its rows, and `iter_coefficient_tuples`)."""
+        of its rows, and the tuple sweep of `verify`'s roundtrip suite)."""
         c = object.__new__(cls)
         set_a0, set_head, set_a9, set_a10, set_eps = _SLOT_SETTERS
         set_a0(c, a0)
@@ -200,30 +199,6 @@ def parse_coefficients(text: str, eps: int = 0) -> FundamentalCoefficients:
     if len(tail) != 2:
         raise ValueError("the last group takes exactly two coefficients")
     return FundamentalCoefficients(a0=a0, head=head, a9=tail[0], a10=tail[1], eps=eps)
-
-
-def iter_coefficient_tuples(max_total: int) -> Iterator[FundamentalCoefficients]:
-    """All valid coefficient tuples (eps = 0) with total at most max_total,
-    in deterministic order.  Sweep driver for tests and verification.
-
-    The loops below keep the head nonincreasing and a9 + a10 >= a0 >=
-    a9 >= a10 >= 0, so each tuple is valid by construction and skips the
-    constructor's checks."""
-    def heads(budget: int, slots: int, cap: int) -> Iterator[tuple[int, ...]]:
-        if slots == 0:
-            yield ()
-            return
-        for v in range(min(budget, cap), -1, -1):
-            for rest in heads(budget - v, slots - 1, v):
-                yield (v,) + rest
-
-    for head in heads(max_total, 7, max_total):
-        used = sum(head)
-        for a9 in range(max_total - used + 1):
-            for a10 in range(min(a9, max_total - used - a9) + 1):
-                lo, hi = a9, min(a9 + a10, max_total - used - a9 - a10)
-                for a0 in range(lo, hi + 1):
-                    yield FundamentalCoefficients._trusted(a0, head, a9, a10)
 
 
 def class_from_presentation(

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from math import isqrt
-from typing import Callable
+from typing import Callable, Iterator
 
 from .components import (
     components_by_genus,
@@ -28,7 +28,6 @@ from .components import (
 from .fundamental import (
     FundamentalCoefficients,
     coefficients_from_phivector,
-    iter_coefficient_tuples,
     phivector_from_coefficients,
     quadratic_value,
 )
@@ -274,6 +273,30 @@ def suite_lattice() -> list[CheckResult]:
     return checks
 
 
+def _iter_coefficient_tuples(max_total: int) -> Iterator[FundamentalCoefficients]:
+    """All valid coefficient tuples (eps = 0) with total at most max_total,
+    in deterministic order: the roundtrip suite's sweep, and the tests'.
+
+    The loops below keep the head nonincreasing and a9 + a10 >= a0 >=
+    a9 >= a10 >= 0, so each tuple is valid by construction and skips the
+    constructor's checks."""
+    def heads(budget: int, slots: int, cap: int) -> Iterator[tuple[int, ...]]:
+        if slots == 0:
+            yield ()
+            return
+        for v in range(min(budget, cap), -1, -1):
+            for rest in heads(budget - v, slots - 1, v):
+                yield (v,) + rest
+
+    for head in heads(max_total, 7, max_total):
+        used = sum(head)
+        for a9 in range(max_total - used + 1):
+            for a10 in range(min(a9, max_total - used - a9) + 1):
+                lo, hi = a9, min(a9 + a10, max_total - used - a9 - a10)
+                for a0 in range(lo, hi + 1):
+                    yield FundamentalCoefficients._trusted(a0, head, a9, a10)
+
+
 def suite_roundtrip(gmax: int | None = None) -> list[CheckResult]:
     gmax = 15 if gmax is None else gmax
     checks = []
@@ -282,7 +305,7 @@ def suite_roundtrip(gmax: int | None = None) -> list[CheckResult]:
     # checks; the positive-square ones have a profile
     n = n_big = 0
     back_ok = square_ok = parity_ok = True
-    for c in iter_coefficient_tuples(10):
+    for c in _iter_coefficient_tuples(10):
         n += 1
         L = c.divisor_class()
         lhs = self_int(L)

@@ -14,7 +14,6 @@ from itertools import combinations
 from enriques.components import enumerate_components, enumerate_components_by_phi
 from enriques.fundamental import (
     class_from_presentation,
-    iter_coefficient_tuples,
     phivector_from_coefficients,
     quadratic_value,
     rewrite_to_fundamental,
@@ -30,7 +29,13 @@ from enriques.lattice import (
     standard_sequence,
 )
 from enriques.oracle import PhiVector, box_isotropics, enumerate_isotropics, phi_vector_oracle
-from enriques.verify import _DOMINATING, golden_low_phi, phi_profiles_by_genus, run_suite
+from enriques.verify import (
+    _DOMINATING,
+    _iter_coefficient_tuples,
+    golden_low_phi,
+    phi_profiles_by_genus,
+    run_suite,
+)
 
 
 def report(n: int, desc: str, ok: bool, detail: str) -> None:
@@ -68,7 +73,7 @@ def test_criterion_2_genus_identity():
     t0 = time.perf_counter()
     ok = True
     n = 0
-    for c in iter_coefficient_tuples(12):
+    for c in _iter_coefficient_tuples(12):
         n += 1
         q = quadratic_value(c)
         square = self_int(c.divisor_class())
@@ -86,7 +91,7 @@ def test_criterion_3_oracle_matches_formula():
     t0 = time.perf_counter()
     ok = True
     n = 0
-    for c in iter_coefficient_tuples(8):
+    for c in _iter_coefficient_tuples(8):
         if quadratic_value(c) < 1:
             continue
         n += 1

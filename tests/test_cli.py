@@ -428,14 +428,21 @@ def test_verify_bounds_counts_every_component_of_the_window(capsys):
         ["phivector", "--class", "1,2,3"],
         ["phivector", "--coeffs", "1;2,3"],
         ["phivector", "--class", "1,1,0,0,0,0,0,0,0,0", "--coeffs", "0;1,1,0,0,0,0,0;0,0"],
+        ["phivector", "--coeffs", "1;0,0,0,0,0,0,0;1,0", "--eps", "1"],
         ["verify", "--suite", "nope"],
         ["verify"],
     ],
 )
-def test_usage_errors_exit_two(argv):
+def test_usage_errors_exit_two(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    if argv[0] == "phivector":
+        # value errors found after parsing report through the subparser too
+        assert err.startswith("usage: enriques phivector "), err
+        assert "\nenriques phivector: error: " in err, err
 
 
 NOT_BIG = "class is not big: the self-intersection is not positive"

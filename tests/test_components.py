@@ -93,6 +93,8 @@ def test_enumeration_rejects_small_genus():
     with pytest.raises(ValueError):
         enumerate_components(1)
     with pytest.raises(ValueError):
+        components_by_genus(1, 5)
+    with pytest.raises(ValueError):
         enumerate_components_by_phi(4, 0)
 
 
@@ -289,13 +291,22 @@ def test_walk_matches_a_plain_reference_walk(kind, span):
 
 
 def test_least_nonzero_tail_survives_on_the_dead_head_boundary():
-    """The tail a0 = a9 = 1, a10 = 0 adds exactly 2s + 2 to a head of sum s."""
+    """The tail a0 = a9 = 1, a10 = 0 adds exactly 2s + 2 to a head of sum s.
+    At that q each head's a_1 is the walk's cap top on its suffix, the
+    last a_1 its probe pass reaches."""
     for head in ((0,) * 7, (1,) + (0,) * 6, (2, 1, 0, 0, 0, 0, 0), (3, 3, 2, 1, 1, 0, 0)):
         s = sum(head)
         p = sum(head[i] * head[j] for i in range(7) for j in range(i))
         q = p + 2 * s + 2
+        # the suffix a_2..a_7 has value p_suf and sum s_suf; p = p_suf + a_1*s_suf
+        s_suf = s - head[0]
+        p_suf = p - head[0] * s_suf
+        assert (q - p_suf - 2 * s_suf - 2) // (s_suf + 2) == head[0], head
+        least = (1, *head, 1, 0)
         rows = {m.coefficients.as_tuple() for m in enumerate_components(q + 1)}
-        assert (1, *head, 1, 0) in rows, head
+        assert least in rows, head
+        for buckets in (_coefficient_tuples(q - 3, q + 3), _coefficient_tuples(1, q)):
+            assert least in {c.as_tuple() for c in buckets[q]}, head
         assert quadratic_value(FundamentalCoefficients(a0=1, head=head, a9=1, a10=0)) == q
         # one less and the head has no tail at all
         below = {m.coefficients.head for m in enumerate_components(q)}

@@ -12,7 +12,6 @@ from enriques.fundamental import (
     coefficients_from_phivector,
     format_coefficients,
     fundamental_presentation,
-    iter_coefficient_tuples,
     parse_coefficients,
     phivector_from_coefficients,
     quadratic_value,
@@ -31,13 +30,14 @@ from enriques.lattice import (
     standard_sequence,
 )
 from enriques.oracle import IsotropicSequence, phi_vector_oracle
+from enriques.verify import _iter_coefficient_tuples
 from reference import iter_phi_profiles
 
 E = [None] + [generator_e(i) for i in range(1, 11)]
 
 DOMINATING = FundamentalCoefficients(a0=4, head=(7, 6, 5, 4, 3, 2, 1), a9=3, a10=2)
 
-small_coeffs = list(iter_coefficient_tuples(8))
+small_coeffs = list(_iter_coefficient_tuples(8))
 big_small_coeffs = [c for c in small_coeffs if quadratic_value(c) >= 1]
 
 
@@ -105,19 +105,19 @@ def test_sweep_tuples_equal_their_checked_construction():
     """The sweep builds its tuples unchecked; each must be one the public
     constructor accepts, and equal to what it builds.  A smaller sweep
     yields exactly the tuples of the largest one within its total."""
-    every = list(iter_coefficient_tuples(12))
+    every = list(_iter_coefficient_tuples(12))
     for c in every:
         assert c == FundamentalCoefficients(a0=c.a0, head=c.head, a9=c.a9, a10=c.a10, eps=c.eps)
     assert len(set(every)) == len(every)
     for max_total in range(12):
         within = {c for c in every if sum(c.as_tuple()) <= max_total}
-        assert set(iter_coefficient_tuples(max_total)) == within, max_total
+        assert set(_iter_coefficient_tuples(max_total)) == within, max_total
 
 
 @pytest.mark.slow
 def test_divisor_class_square_matches_quadratic_value_wide():
     n = 0
-    for c in iter_coefficient_tuples(40):
+    for c in _iter_coefficient_tuples(40):
         q = quadratic_value(c)
         assert self_int(c.divisor_class()) == 2 * q
         if q >= 1:
@@ -188,7 +188,7 @@ def test_class_from_presentation_on_standard_sequence():
 def test_divisor_class_is_the_presentation_on_the_standard_sequence():
     seq = IsotropicSequence(standard_sequence())
     n = 0
-    for c in iter_coefficient_tuples(12):
+    for c in _iter_coefficient_tuples(12):
         assert c.divisor_class() == class_from_presentation(c, seq)
         n += 1
     assert n == 881
@@ -318,7 +318,7 @@ def test_a_bool_torsion_bit_is_rejected(call):
 
 
 def test_fundamental_presentation_inverts_divisor_class():
-    for c in iter_coefficient_tuples(6):
+    for c in _iter_coefficient_tuples(6):
         if quadratic_value(c) < 1:
             continue
         fc, seq = fundamental_presentation(c.divisor_class())

@@ -64,6 +64,7 @@ DROPPED = {
         "simple_decomposition_error",
         "FundamentalCoefficients.total",
         "FundamentalCoefficients.to_json",
+        "iter_coefficient_tuples",
     ),
     "components": (
         "component_name",

@@ -13,7 +13,6 @@ from enriques.components import enumerate_components
 from enriques.fundamental import (
     FundamentalCoefficients,
     coefficients_from_phivector,
-    iter_coefficient_tuples,
     phivector_from_coefficients,
     quadratic_value,
 )
@@ -38,7 +37,7 @@ from enriques.oracle import (
     order_key,
     phi_vector_oracle,
 )
-from enriques.verify import _DOMINATING
+from enriques.verify import _DOMINATING, _iter_coefficient_tuples
 from reference import eight_lowest_at_the_cap
 
 coords_st = st.tuples(*([st.integers(-9, 9)] * RANK))
@@ -642,7 +641,7 @@ def test_oracle_searches_each_cap_once(monkeypatch):
 
 
 def test_oracle_matches_closed_form_on_small_tuples():
-    for c in iter_coefficient_tuples(5):
+    for c in _iter_coefficient_tuples(5):
         if quadratic_value(c) < 1:
             continue
         L = c.divisor_class()

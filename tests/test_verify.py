@@ -7,11 +7,21 @@ import pytest
 
 import enriques.components
 import enriques.verify
-from enriques.components import components_by_genus, enumerate_components_by_phi
-from enriques.fundamental import iter_coefficient_tuples, quadratic_value
+from enriques.components import (
+    components_by_genus,
+    enumerate_components,
+    enumerate_components_by_phi,
+)
+from enriques.fundamental import quadratic_value
 from enriques.lattice import RANK
 from enriques.oracle import PhiVector, order_key
-from enriques.verify import SUITES, golden_low_phi, phi_profiles_by_genus, run_suite
+from enriques.verify import (
+    SUITES,
+    _iter_coefficient_tuples,
+    golden_low_phi,
+    phi_profiles_by_genus,
+    run_suite,
+)
 from reference import iter_phi_profiles
 
 
@@ -80,7 +90,7 @@ def test_sweeps_enumerate_each_genus_once(monkeypatch):
 def test_roundtrip_details_count_one_pass_over_the_tuples():
     """The three coefficient checks share one pass over the tuples of total
     at most 10; the profile check walks every profile of sum at most 45."""
-    tuples = list(iter_coefficient_tuples(10))
+    tuples = list(_iter_coefficient_tuples(10))
     big = sum(1 for c in tuples if quadratic_value(c) >= 1)
     details = {r.name: r.detail for r in run_suite("roundtrip", 2)}
     assert details["coefficients -> profile -> coefficients"] == f"{big} tuples"
@@ -188,8 +198,19 @@ def test_profile_search_matches_the_plain_profile_walk():
         lambda: enumerate_components_by_phi(5, 2.5),
         lambda: phi_profiles_by_genus(2, 3.0),
         lambda: phi_profiles_by_genus(2.0, 3),
+        lambda: enumerate_components(5.0),
+        lambda: components_by_genus(2.0, 3),
+        lambda: components_by_genus(2, 3.0),
     ],
-    ids=["golden-genus", "smallest-entry", "search-top", "search-bottom"],
+    ids=[
+        "golden-genus",
+        "smallest-entry",
+        "search-top",
+        "search-bottom",
+        "one-genus",
+        "window-bottom",
+        "window-top",
+    ],
 )
 def test_a_non_integer_genus_or_smallest_entry_is_rejected(call):
     """A float would otherwise fail every candidate's integer check and give
