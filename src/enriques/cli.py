@@ -8,8 +8,10 @@ invocations print identical bytes.  JSON output is byte-identical to
 `json.dumps(payload, indent=2, sort_keys=True)` plus a newline; that
 encoder lays out the `components` row and the `phivector` payload once, at
 import, as %-templates, since its indent mode runs in pure Python.
-`components` writes every format from the sorted rows of
-`enumerate_components`, or of `enumerate_components_by_phi` under `--phi`.
+`components` writes JSON and CSV rows as `iter_components` yields them,
+one profile total at a time, so a listing never holds every row of its
+genus; markdown, whose header gives the count first, collects them first.
+Under `--phi` every format writes `enumerate_components_by_phi`.
 The argument parser is built once per process, on first use.
 
 Exit codes: 0 success, 1 a verification or agreement check failed,
@@ -27,7 +29,7 @@ import json
 import os
 import sys
 
-from .components import component_of, enumerate_components, enumerate_components_by_phi
+from .components import component_of, enumerate_components_by_phi, iter_components
 from .fundamental import (
     format_coefficients,
     fundamental_presentation,
@@ -134,14 +136,12 @@ _JSON_BOOL = ("false", "true")
 def _emit_components_json(genus: int, comps) -> None:
     """Write {"genus", "count", "components"} as `_dumps` lays it out, one
     row at a time from `_ROW` rather than through json's pure-Python indent
-    encoder."""
+    encoder.  "count" sorts after the rows, so comps may be any iterable:
+    the rows are counted as they are written."""
     write = sys.stdout.write
-    if not comps:
-        write(_EMPTY % genus)
-        return
-    write(_HEAD)
-    sep = ""
-    for m in comps:
+    count = 0
+    sep = _HEAD
+    for count, m in enumerate(comps, 1):
         c = m.coefficients
         write(
             _ROW
@@ -161,7 +161,7 @@ def _emit_components_json(genus: int, comps) -> None:
             )
         )
         sep = _SEP
-    write(_TAIL % (len(comps), genus))
+    write(_TAIL % (count, genus) if count else _EMPTY % genus)
 
 
 def cmd_components(args: argparse.Namespace) -> int:
@@ -171,7 +171,7 @@ def cmd_components(args: argparse.Namespace) -> int:
     if args.phi is not None:
         comps = enumerate_components_by_phi(genus, args.phi)
     else:
-        comps = enumerate_components(genus)
+        comps = iter_components(genus)
     fmt = _pick_format(args.format)
     with _output():
         if fmt == "json":
@@ -194,6 +194,7 @@ def cmd_components(args: argparse.Namespace) -> int:
                 for m in comps
             )
         else:
+            comps = tuple(comps)
             write = sys.stdout.write
             write(f"# genus {genus}: {len(comps)} component(s)\n")
             write("| component | profile | eps | 2-divisible | coefficients | unirational |\n")

@@ -8,14 +8,16 @@ twice the last three combined, eps = 0 unless every entry is even, and
 
 Enumeration runs over fundamental coefficient tuples of the right
 self-intersection and converts each to its profile.  It is one walk for a
-whole window of genera, its tuples grouped by quadratic value g - 1; a
-single genus is the window of width zero, and every sweep over 2..gmax is
-one window.  `_coefficient_tuples` describes the walk.
+whole window of genera, its tuples grouped by quadratic value g - 1, and
+every sweep over 2..gmax is one window.  A single genus is the window of
+width zero, its tuples grouped by profile total instead.
+`_coefficient_tuples` describes the walk.
 
-A genus's tuples become its sorted rows in one pass of integer
-arithmetic.  A `ModuliComponent` is a named tuple whose leading fields
-(profile total, profile, eps) are the listing order, so rows sort as plain
-tuples, and the `components` writers read those same rows.  The walk's
+Tuples become sorted rows in one pass of integer arithmetic.  A
+`ModuliComponent` is a named tuple whose leading fields (profile total,
+profile, eps) are the listing order, so rows sort as plain tuples.
+`iter_components(g)` builds and yields them one profile total at a time;
+the public tuples and the `components` writers read its rows.  The walk's
 tuples and profiles satisfy their invariants by construction, so rows skip
 revalidation; each eps = 1 row carries its own eps = 1 coefficients.
 
@@ -30,9 +32,10 @@ dominating genus-621 class live in `verify`.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections import defaultdict
 from itertools import compress, repeat
 from operator import contains, gt
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .fundamental import FundamentalCoefficients, phivector_from_coefficients
 
@@ -41,6 +44,7 @@ __all__ = [
     "component_of",
     "unirationality_flag",
     "components_by_genus",
+    "iter_components",
     "enumerate_components",
     "enumerate_components_by_phi",
 ]
@@ -81,19 +85,21 @@ class ModuliComponent(NamedTuple):
 _BODY = ",".join(["%d"] * 10) + "}"
 
 
-def _rows(g: int, coeffs: Iterable[FundamentalCoefficients]) -> list[ModuliComponent]:
+def _rows(g: int, coeffs: Sequence[FundamentalCoefficients]) -> list[ModuliComponent]:
     """The genus-g rows of the tuples coeffs, plus the eps = 1 twin of each
     2-divisible one, sorted by profile order then eps.
 
     The profile is `phivector_from_coefficients` inlined, and its total is
     9a + 3a0 (a the coefficient total).  The profile is even exactly when
     every coefficient is.  The eps sign shows in the name only on an even
-    profile."""
+    profile.  The rows fill one list sized for a twin per tuple: a list
+    grown row by row between the writes of a streamed listing fragments
+    the C heap and raises the peak memory of later listings."""
     odd_name, plus_name, minus_name = (f"E{sign}_{{{g};{_BODY}" for sign in ("", "^+", "^-"))
     new = tuple.__new__
     twin = FundamentalCoefficients._trusted
-    out: list[ModuliComponent] = []
-    append = out.append
+    out: list = [None] * (2 * len(coeffs))
+    k = 0
     for c in coeffs:
         a0, a9, a10 = c.a0, c.a9, c.a10
         head = c.head
@@ -106,11 +112,14 @@ def _rows(g: int, coeffs: Iterable[FundamentalCoefficients]) -> list[ModuliCompo
         total = 9 * a + 3 * a0
         flag = unirationality_flag(phi)
         if (a0 | h1 | h2 | h3 | h4 | h5 | h6 | h7 | a9 | a10) & 1:
-            append(new(ModuliComponent, (total, phi, 0, g, odd_name % phi, False, flag, c)))
+            out[k] = new(ModuliComponent, (total, phi, 0, g, odd_name % phi, False, flag, c))
+            k += 1
         else:
-            append(new(ModuliComponent, (total, phi, 0, g, plus_name % phi, True, flag, c)))
+            out[k] = new(ModuliComponent, (total, phi, 0, g, plus_name % phi, True, flag, c))
             c1 = twin(a0, head, a9, a10, eps=1)
-            append(new(ModuliComponent, (total, phi, 1, g, minus_name % phi, True, flag, c1)))
+            out[k + 1] = new(ModuliComponent, (total, phi, 1, g, minus_name % phi, True, flag, c1))
+            k += 2
+    del out[k:]
     out.sort()
     return out
 
@@ -126,7 +135,9 @@ def _coefficient_tuples(
     q_lo: int, q_hi: int
 ) -> dict[int, list[FundamentalCoefficients]]:
     """All valid coefficient tuples with quadratic value q, for every q in
-    the window max(q_lo, 1) <= q <= q_hi, grouped by q.
+    the window max(q_lo, 1) <= q <= q_hi, grouped by q.  A single q (a
+    window of width zero) groups its tuples by profile total 9a + 3a0
+    instead, a the coefficient total; the keys are in no order.
 
     A head (a_1..a_7) is a suffix (a_2..a_7) of value p = e2(suffix) and
     sum s, plus its largest entry a_1 >= a_2: the head's value is
@@ -151,7 +162,10 @@ def _coefficient_tuples(
     r = q_hi - p - a_1*s for its tail, and r >= 2u + 2 caps a_1 at
     top = (q_hi - p - 2s - 2) // (s + 2).  The nonzero tails are listed
     once per call, in a table local to it: for each head sum u, every
-    value T <= q_hi that some tail adds, with those tails.  The a9 bound is
+    value T <= q_hi that some tail adds, with those tails.  Each tail is
+    one tuple (a0, a9, a10, w) shared by every u, where the weight
+    w = 12a0 + 9(a9 + a10) is its share of the profile total: a head of
+    sum u takes the total 9u + w (9u on the zero tail).  The a9 bound is
     2a9^2 <= q_hi, so the all-zero head (u = 0) keeps its tails.  A head
     needs a tail of value in [r - width, r] (width = q_hi - q_lo).  Every
     a_1 in [a_2, top] is probed against the table, in one pass over the
@@ -162,14 +176,12 @@ def _coefficient_tuples(
     """
     q_lo = max(q_lo, 1)
     width = q_hi - q_lo
-    buckets: dict[int, list[FundamentalCoefficients]] = {
-        q: [] for q in range(q_lo, q_hi + 1)
-    }
+    buckets = {q: [] for q in range(q_lo, q_hi + 1)} if width else defaultdict(list)
     if width < 0:
         return buckets
     make = FundamentalCoefficients._trusted
-    # by_sum[u][T]: the tails (a0, a9, a10) that add T to a head of sum u.
-    by_sum: list[dict[int, list[tuple[int, int, int]]]] = [
+    # by_sum[u][T]: the tails (a0, a9, a10, w) that add T to a head of sum u.
+    by_sum: list[dict[int, list[tuple[int, int, int, int]]]] = [
         {} for _ in range(q_hi // 2 + 1)
     ]
     a9 = 1
@@ -178,8 +190,9 @@ def _coefficient_tuples(
             for t in range(a10 + 1):
                 alpha = 2 * a9 + a10 + t
                 beta = 2 * a9 * a9 + 3 * a9 * a10 + 2 * t * (a9 + a10)
+                tail = (a9 + t, a9, a10, 12 * (a9 + t) + 9 * (a9 + a10))
                 for u in range((q_hi - beta) // alpha + 1):
-                    by_sum[u].setdefault(alpha * u + beta, []).append((a9 + t, a9, a10))
+                    by_sum[u].setdefault(alpha * u + beta, []).append(tail)
         a9 += 1
     sorted_sums = [sorted(found) for found in by_sum] if width else []
     pads = [(0,) * (6 - n) for n in range(7)]
@@ -187,13 +200,14 @@ def _coefficient_tuples(
     def tails(head: tuple[int, ...], u: int, r: int) -> None:
         found = by_sum[u]
         if not width:
-            for a0, a9, a10 in found[r]:
-                buckets[q_hi].append(make(a0, head, a9, a10))
+            base = 9 * u
+            for a0, a9, a10, w in found[r]:
+                buckets[base + w].append(make(a0, head, a9, a10))
             return
         ts = sorted_sums[u]
         for t in ts[bisect_left(ts, r - width) : bisect_right(ts, r)]:
             bucket = buckets[q_hi - r + t]
-            for a0, a9, a10 in found[t]:
+            for a0, a9, a10, _ in found[t]:
                 bucket.append(make(a0, head, a9, a10))
 
     def suffix(acc: tuple[int, ...], a2: int, p: int, s: int) -> None:
@@ -204,7 +218,8 @@ def _coefficient_tuples(
             if lo < a2:
                 lo = a2
             for a1 in range(lo, rest // s + 1):
-                buckets[p + a1 * s].append(make(0, (a1, *suf), 0, 0))
+                key = p + a1 * s if width else 9 * (s + a1)
+                buckets[key].append(make(0, (a1, *suf), 0, 0))
         top = (rest - 2 * s - 2) // (s + 2)
         if top >= a2:
             r0 = rest - a2 * s
@@ -231,31 +246,50 @@ def _coefficient_tuples(
     while a2 * a2 <= q_hi:
         suffix((a2,), a2, 0, a2)
         a2 += 1
+    # suffix calls itself through its closure, a reference cycle that
+    # would hold the table until the next full collection
+    del suffix
     return buckets
+
+
+def _check_genera(g_lo: int, g_hi: int) -> None:
+    if not (isinstance(g_lo, int) and isinstance(g_hi, int)) or g_lo < 2:
+        raise ValueError("genus must be an integer >= 2")
 
 
 def components_by_genus(
     g_lo: int, g_hi: int
 ) -> Iterator[tuple[int, tuple[ModuliComponent, ...]]]:
     """(g, components of genus g) for every g_lo <= g <= g_hi in ascending
-    order, from one walk over the coefficient tuples of the window; each
-    genus sorted by profile order then eps.  The walk runs at the call;
+    order, from one walk over the coefficient tuples of the window (of one
+    genus, `enumerate_components`); each genus sorted by profile order then
+    eps.  The walk runs at the call;
     the rows of a genus are built when it is reached, so a sweep holds one
     genus's rows at a time.  An empty window (g_hi < g_lo) yields nothing."""
-    if not (isinstance(g_lo, int) and isinstance(g_hi, int)) or g_lo < 2:
-        raise ValueError("genus must be an integer >= 2")
+    _check_genera(g_lo, g_hi)
+    if g_lo == g_hi:
+        return iter([(g_lo, enumerate_components(g_lo))])
     buckets = _coefficient_tuples(g_lo - 1, g_hi - 1)
     return ((q + 1, tuple(_rows(q + 1, buckets.pop(q)))) for q in list(buckets))
 
 
+def iter_components(g: int) -> Iterator[ModuliComponent]:
+    """The components of genus g, sorted by profile order then eps.  The
+    genus is checked and the walk runs at the call; the rows of one profile
+    total are built when reached and dropped once yielded."""
+    _check_genera(g, g)
+    strata = _coefficient_tuples(g - 1, g - 1)
+    return (m for total in sorted(strata) for m in _rows(g, strata.pop(total)))
+
+
 def enumerate_components(g: int) -> tuple[ModuliComponent, ...]:
     """All components of the genus-g polarized moduli space, sorted by
-    profile order then eps: the one-genus window of `components_by_genus`."""
-    return next(components_by_genus(g, g))[1]
+    profile order then eps: the rows of `iter_components`."""
+    return tuple(iter_components(g))
 
 
 def enumerate_components_by_phi(g: int, phi1: int) -> tuple[ModuliComponent, ...]:
     """The components of genus g with smallest profile entry phi1."""
     if not isinstance(phi1, int) or phi1 < 1:
         raise ValueError("phi must be a positive integer")
-    return tuple(m for m in enumerate_components(g) if m.phi[0] == phi1)
+    return tuple(m for m in iter_components(g) if m.phi[0] == phi1)

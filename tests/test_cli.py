@@ -8,6 +8,7 @@ import os
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -672,13 +673,31 @@ def run_into_closed_reader(argv, lines):
         (["components", "--genus", "250", "--format", "json"], 1),
         # a few hundred bytes: the reader is gone before the final flush
         (["verify", "--suite", "lattice", "--format", "json"], 0),
+        # CSV rows are written while later profile totals are still built
+        (["components", "--genus", "400", "--format", "csv"], 1),
     ],
-    ids=["mid-write", "at-flush"],
+    ids=["mid-write", "at-flush", "csv-mid-write"],
 )
 def test_a_reader_that_closes_early_keeps_the_exit_code(argv, lines):
     """Exit code 1 means a check failed; `| head -1` must not fake one."""
     code, err = run_into_closed_reader(argv, lines)
     assert (code, err) == (0, "")
+
+
+def test_a_listing_holds_one_total_of_rows_at_a_time(monkeypatch):
+    """`components --genus 1000 --format json` writes its 13,743 rows as
+    the listing yields them, one profile total at a time, so at its peak
+    the process holds the walk's tuples and one total's rows.  A listing
+    that built every row before writing peaked at about 10 MB."""
+    with open(os.devnull, "w") as sink:
+        monkeypatch.setattr(sys, "stdout", sink)
+        tracemalloc.start()
+        try:
+            assert main(["components", "--genus", "1000", "--format", "json"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 6_000_000, peak
 
 
 def test_phivector_class_of_low_genus_returns_promptly():

@@ -11,6 +11,7 @@ from enriques.components import (
     components_by_genus,
     enumerate_components,
     enumerate_components_by_phi,
+    iter_components,
     unirationality_flag,
 )
 from enriques.fundamental import (
@@ -73,6 +74,16 @@ def test_rows_sort_as_tuples_in_profile_order_then_eps():
                 assert m.coefficients.eps == 1
 
 
+def test_the_listing_iterator_yields_one_total_at_a_time():
+    """`iter_components(g)`, whose tuple is `enumerate_components(g)`,
+    yields the rows that a window walk builds and sorts for g in one call,
+    with profile totals nondecreasing."""
+    for g, window_rows in components_by_genus(2, 400):
+        rows = tuple(iter_components(g))
+        assert rows == window_rows, g
+        assert all(a.total <= b.total for a, b in zip(rows, rows[1:])), g
+
+
 def test_every_row_agrees_with_its_coefficients():
     """Each field of a row is what the checked routes give its coefficients,
     one genus at a time and across a window."""
@@ -94,6 +105,9 @@ def test_enumeration_rejects_small_genus():
         enumerate_components(1)
     with pytest.raises(ValueError):
         components_by_genus(1, 5)
+    # the listing iterator checks its genus at the call, before any row
+    with pytest.raises(ValueError):
+        iter_components(1)
     with pytest.raises(ValueError):
         enumerate_components_by_phi(4, 0)
 
@@ -313,6 +327,17 @@ def test_least_nonzero_tail_survives_on_the_dead_head_boundary():
         assert head not in below, head
 
 
+def _one_genus_walk(q):
+    """The tuples of the one-value walk at q, whose buckets are keyed by
+    profile total; each must sit under its own total 9a + 3a0."""
+    found = []
+    for total, cs in _coefficient_tuples(q, q).items():
+        for c in cs:
+            assert 9 * sum(c.as_tuple()) + 3 * c.a0 == total, (q, c)
+        found += cs
+    return found
+
+
 def test_zero_head_keeps_its_tails():
     """(k;0,...,0;k,0) adds beta = 2k^2 to the all-zero head: the tail table
     must reach a9 = k at q = 2k^2, where a bound of 2a9(a9 + 1) stops short."""
@@ -320,7 +345,7 @@ def test_zero_head_keeps_its_tails():
         q = 2 * k * k
         zero_head = (k, *(0,) * 7, k, 0)
         assert quadratic_value(FundamentalCoefficients(k, (0,) * 7, k, 0)) == q
-        assert zero_head in {c.as_tuple() for c in _coefficient_tuples(q, q)[q]}, k
+        assert zero_head in {c.as_tuple() for c in _one_genus_walk(q)}, k
         assert zero_head in {c.as_tuple() for c in _coefficient_tuples(1, q)[q]}, k
         assert zero_head in {
             m.coefficients.as_tuple() for m in enumerate_components(q + 1)
@@ -345,7 +370,7 @@ def test_all_zero_suffix_heads_carry_the_least_tail():
         least = (1, k, *(0,) * 6, 1, 0)
         want = {q: _reference_tuples(q)}
         assert least in want[q], k
-        for buckets in (_coefficient_tuples(q, q), window, _coefficient_tuples(q - 3, q + 3)):
+        for buckets in ({q: _one_genus_walk(q)}, window, _coefficient_tuples(q - 3, q + 3)):
             _assert_buckets_match(buckets, want)
 
 
@@ -360,7 +385,7 @@ def test_tied_leading_entries_on_the_zero_tail():
             tied = (0, *(k,) * m, *(0,) * (7 - m), 0, 0)
             want = {q: _reference_tuples(q)}
             assert tied in want[q], (m, k)
-            for buckets in (_coefficient_tuples(q, q), _coefficient_tuples(q - 2, q + 2)):
+            for buckets in ({q: _one_genus_walk(q)}, _coefficient_tuples(q - 2, q + 2)):
                 assert tied in {c.as_tuple() for c in buckets[q]}, (m, k)
                 _assert_buckets_match(buckets, want)
 
@@ -398,7 +423,7 @@ def test_window_matches_its_single_genus_walks(window):
     for q, cs in buckets.items():
         got = [c.as_tuple() for c in cs]
         assert len(set(got)) == len(got), q
-        assert set(got) == {c.as_tuple() for c in _coefficient_tuples(q, q)[q]}, q
+        assert set(got) == {c.as_tuple() for c in _one_genus_walk(q)}, q
 
 
 @pytest.mark.parametrize("window", [(249, 260), (500, 520)])
@@ -413,7 +438,7 @@ def test_window_ends_keep_their_nonzero_tails(window):
         assert any(c.head[6] for c in tails), q
         assert any(not c.head[6] for c in tails), q
         assert {c.as_tuple() for c in tails} == {
-            c.as_tuple() for c in _coefficient_tuples(q, q)[q] if c.a9
+            c.as_tuple() for c in _one_genus_walk(q) if c.a9
         }, q
 
 

@@ -11,6 +11,7 @@ from enriques.components import (
     components_by_genus,
     enumerate_components,
     enumerate_components_by_phi,
+    iter_components,
 )
 from enriques.fundamental import quadratic_value
 from enriques.lattice import RANK
@@ -201,6 +202,8 @@ def test_profile_search_matches_the_plain_profile_walk():
         lambda: enumerate_components(5.0),
         lambda: components_by_genus(2.0, 3),
         lambda: components_by_genus(2, 3.0),
+        lambda: iter_components(5.0),
+        lambda: iter_components(True),
     ],
     ids=[
         "golden-genus",
@@ -210,6 +213,8 @@ def test_profile_search_matches_the_plain_profile_walk():
         "one-genus",
         "window-bottom",
         "window-top",
+        "listing",
+        "listing-bool",
     ],
 )
 def test_a_non_integer_genus_or_smallest_entry_is_rejected(call):
@@ -303,20 +308,24 @@ _SPLIT_ROW_MUTATIONS = {
 @pytest.mark.parametrize("mutation", list(_SPLIT_ROW_MUTATIONS))
 def test_double_cover_check_sees_a_misplaced_split_row(monkeypatch, mutation):
     """A walk that keeps every genus's row count and profile set but breaks
-    the double cover on one row of genus 5 must fail the fiber check."""
+    the double cover on one row of genus 5 must fail the fiber check.  The
+    sweeps build a genus's rows in one call; a one-genus listing builds
+    them one profile total at a time, and a total of genus 5 holds no split
+    row and odd row together, so the mutation leaves those calls alone."""
     rows_of = enriques.components._rows
 
     def mutated_rows(g, coeffs):
         rows = rows_of(g, coeffs)
-        if g != 5:
+        split = next((m for m in rows if m.eps == 1), None)
+        odd = next((m for m in rows if not m.two_divisible), None)
+        if g != 5 or split is None or odd is None:
             return rows
-        split = next(m for m in rows if m.eps == 1)
-        odd = next(m for m in rows if not m.two_divisible)
         old, new = _SPLIT_ROW_MUTATIONS[mutation](split, odd)
         return tuple(new if m is old else m for m in rows)
 
     monkeypatch.setattr(enriques.components, "_rows", mutated_rows)
-    [(_, rows)] = components_by_genus(5, 5)
+    # genus 5 read off a window, which builds it in one call
+    [(_, rows), _] = components_by_genus(5, 6)
     direct = phi_profiles_by_genus(5, 5)[5]
     assert len(rows) == len(direct) + 1
     assert {m.phi for m in rows} == set(direct)
