@@ -30,12 +30,7 @@ import os
 import sys
 
 from .components import component_of, enumerate_components_by_phi, iter_components
-from .fundamental import (
-    format_coefficients,
-    fundamental_presentation,
-    parse_coefficients,
-    quadratic_value,
-)
+from .fundamental import format_coefficients, fundamental_presentation, parse_coefficients
 from .lattice import NotBigError, NumClass
 from .oracle import phi_vector_oracle
 from .verify import SUITES, run_suite
@@ -211,23 +206,17 @@ def cmd_components(args: argparse.Namespace) -> int:
 
 def _class_from_args(args: argparse.Namespace):
     """Returns (NumClass, FundamentalCoefficients) or exits 2/3; an unusable
-    value exits 2 through the `phivector` subparser's usage error."""
-    if args.coeffs is not None:
-        try:
-            fc = parse_coefficients(args.coeffs, eps=args.eps)
-        except ValueError as exc:
-            args.usage_error(str(exc))
-        if quadratic_value(fc) < 1:
-            print(
-                "class is not big: the self-intersection is not positive",
-                file=sys.stderr,
-            )
-            raise SystemExit(3)
-        return fc.divisor_class(), fc
+    value exits 2 through the `phivector` subparser's usage error.
 
+    Both inputs take one route: `--coeffs` is evaluated to its class, and
+    the class is reduced.  A fundamental presentation is unique, so the
+    reduction gives parsed coefficients (and eps) back unchanged, after
+    its exact reconstruction check."""
     try:
-        coords = tuple(int(v) for v in args.cls.split(","))
-        num = NumClass(coords)
+        if args.coeffs is not None:
+            num = parse_coefficients(args.coeffs, eps=args.eps).divisor_class()
+        else:
+            num = NumClass(tuple(int(v) for v in args.cls.split(",")))
     except ValueError as exc:
         args.usage_error(str(exc))
     # `fundamental_presentation` checks the class once; only that check
@@ -243,8 +232,7 @@ def _class_from_args(args: argparse.Namespace):
 def cmd_phivector(args: argparse.Namespace) -> int:
     num, fc = _class_from_args(args)
     # The row's two_divisible is the parity of the coefficients, which is
-    # that of the class: `_reduce` checks it on --class, and
-    # `sequence_combination` preserves it on --coeffs.
+    # that of the class: `_reduce` checks it.
     m = component_of(fc)
 
     oracle_profile = None

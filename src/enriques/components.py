@@ -42,7 +42,6 @@ from .fundamental import FundamentalCoefficients, phivector_from_coefficients
 __all__ = [
     "ModuliComponent",
     "component_of",
-    "unirationality_flag",
     "components_by_genus",
     "iter_components",
     "enumerate_components",
@@ -50,7 +49,7 @@ __all__ = [
 ]
 
 
-def unirationality_flag(phi: Sequence[int]) -> bool:
+def _unirational(phi: Sequence[int]) -> bool:
     """True when the profile matches one of the six coefficient shapes with
     at most four distinct nonzero coefficients known to give unirational
     components.
@@ -110,7 +109,7 @@ def _rows(g: int, coeffs: Sequence[FundamentalCoefficients]) -> list[ModuliCompo
             a, a + a0 - a9, a + a0 - a10,
         )
         total = 9 * a + 3 * a0
-        flag = unirationality_flag(phi)
+        flag = _unirational(phi)
         if (a0 | h1 | h2 | h3 | h4 | h5 | h6 | h7 | a9 | a10) & 1:
             out[k] = new(ModuliComponent, (total, phi, 0, g, odd_name % phi, False, flag, c))
             k += 1

@@ -92,14 +92,8 @@ class PhiVector:
     def __iter__(self):
         return iter(self.phis)
 
-    def __getitem__(self, i):
-        return self.phis[i]
-
     def __len__(self):
         return 10
-
-    def total(self) -> int:
-        return sum(self.phis)
 
     def all_even(self) -> bool:
         return not any(map(and_, self.phis, repeat(1)))

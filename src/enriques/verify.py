@@ -11,6 +11,11 @@ Cossec's classical bounds phi_1^2 <= 2g - 2 and the forbidden gap
 phi_1^2 < 2g - 2 < phi_1^2 + phi_1 - 2. Each suite builds its plain
 CheckResult records itself; the CLI turns them into PASS/FAIL lines and an
 exit code, and the test suite asserts on them at larger scales.
+
+`run_suite` is the one entry point and checks the genus ceiling.  The
+second routes (the profile search `_profiles_by_genus` and the closed-form
+tables `_golden_low_phi`) are private to the suites, which pass them only
+genera that `run_suite` or a listing window has already checked.
 """
 
 from __future__ import annotations
@@ -58,8 +63,6 @@ from .oracle import (
 __all__ = [
     "CheckResult",
     "SUITES",
-    "golden_low_phi",
-    "phi_profiles_by_genus",
     "run_suite",
 ]
 
@@ -91,9 +94,9 @@ def _most_squares(k: int, hi: int, r: int) -> int:
     return full * hi * hi + (1 + rem) * (1 + rem) + (k - full - 1)
 
 
-def phi_profiles_by_genus(g_lo: int, g_hi: int) -> dict[int, list[tuple[int, ...]]]:
-    """Profiles of every genus g_lo <= g <= g_hi, found by quadratic search,
-    not via coefficients; each genus in profile order.
+def _profiles_by_genus(g_lo: int, g_hi: int) -> dict[int, list[tuple[int, ...]]]:
+    """Profiles of every genus 2 <= g_lo <= g <= g_hi, found by quadratic
+    search, not via coefficients; each genus in profile order.
 
     A profile with entry sum 3s belongs to genus g iff its entry square
     sum is s^2 - (2g - 2). So one scan per s finds the profiles whose
@@ -101,7 +104,7 @@ def phi_profiles_by_genus(g_lo: int, g_hi: int) -> dict[int, list[tuple[int, ...
     pruning partial profiles against both ends of it, and reads each
     leaf's genus off its square sum. Since s is the coefficient total plus
     the pair weight, s <= 3g + sqrt(g/2) + 1, so a finite scan over s is
-    complete. An empty window (g_hi < g_lo) gives an empty dict.
+    complete.
 
     The head/tail inequality phi_1 + ... + phi_7 >= 2(phi_8 + phi_9 +
     phi_10) says the three largest entries sum to at most s. Entries are
@@ -113,10 +116,6 @@ def phi_profiles_by_genus(g_lo: int, g_hi: int) -> dict[int, list[tuple[int, ...
     average. So v is capped where placed + v + (2 - j)(r - v)/(k - 1)
     reaches s, which is increasing in v.
     """
-    if not (isinstance(g_lo, int) and isinstance(g_hi, int)) or g_lo < 2:
-        raise ValueError("genus must be an integer >= 2")
-    if g_hi < g_lo:
-        return {}
     found: dict[int, set[tuple[int, ...]]] = {g: set() for g in range(g_lo, g_hi + 1)}
     width = 2 * (g_hi - g_lo)  # of the square-sum window
     s_hi = 3 * g_hi + isqrt(g_hi) + 2
@@ -157,15 +156,14 @@ def phi_profiles_by_genus(g_lo: int, g_hi: int) -> dict[int, list[tuple[int, ...
     return {g: sorted(profiles, key=order_key) for g, profiles in found.items()}
 
 
-def golden_low_phi(g: int) -> dict[int, list[tuple[tuple[int, ...], int]]]:
-    """The closed-form component tables for smallest entry 1, 2 or 3.
+def _golden_low_phi(g: int) -> dict[int, list[tuple[tuple[int, ...], int]]]:
+    """The closed-form component tables for smallest entry 1, 2 or 3, at a
+    genus g >= 2.
 
     Each family below is written down directly and then filtered through
     profile validity and the genus identity; entries that survive are the
     expected (profile, eps) rows for genus g.
     """
-    if not isinstance(g, int) or g < 2:
-        raise ValueError("genus must be an integer >= 2")
     cands: dict[int, set[tuple[int, ...]]] = {1: set(), 2: set(), 3: set()}
     cands[1].add((1, g - 1) + (g,) * 8)
     if g % 2 == 1:
@@ -323,7 +321,7 @@ def suite_roundtrip(gmax: int | None = None) -> list[CheckResult]:
 
     # one profile search feeds the profile round trip and the genus checks;
     # every profile of total at most 45 has genus at most 11
-    direct_by_genus = phi_profiles_by_genus(2, max(gmax, 11))
+    direct_by_genus = _profiles_by_genus(2, max(gmax, 11))
     n_profiles = 0
     ok = True
     for t in (t for direct in direct_by_genus.values() for t in direct if sum(t) <= 45):
@@ -387,7 +385,7 @@ def suite_paper_tables(gmax: int | None = None) -> list[CheckResult]:
     failures: dict[int, str] = {}  # smallest entry -> detail of its first failing genus
     split_ok = True
     for g, comps in components_by_genus(2, gmax):
-        golden = golden_low_phi(g)
+        golden = _golden_low_phi(g)
         if g % 2:
             split_ok &= any(eps == 1 for _, eps in golden[2]) == (g % 4 == 1)
         for k in (1, 2, 3):

@@ -32,8 +32,8 @@ from enriques.oracle import PhiVector, box_isotropics, enumerate_isotropics, phi
 from enriques.verify import (
     _DOMINATING,
     _iter_coefficient_tuples,
-    golden_low_phi,
-    phi_profiles_by_genus,
+    _golden_low_phi,
+    _profiles_by_genus,
     run_suite,
 )
 
@@ -80,7 +80,7 @@ def test_criterion_2_genus_identity():
         ok &= square == 2 * q
         if q >= 1:
             p = phivector_from_coefficients(c)
-            ok &= 9 * square == p.total() ** 2 - 9 * sum(v * v for v in p.phis)
+            ok &= 9 * square == sum(p.phis) ** 2 - 9 * sum(v * v for v in p.phis)
             ok &= p.genus() == q + 1
     dt = time.perf_counter() - t0
     ok &= dt < 10.0
@@ -109,14 +109,14 @@ def test_criterion_4_low_phi_tables():
     genera = range(2, 31)
     n = 0
     for g in genera:
-        expected = golden_low_phi(g)
+        expected = _golden_low_phi(g)
         for k in (1, 2, 3):
             got = [(m.phi, m.eps) for m in enumerate_components_by_phi(g, k)]
             ok &= sorted(got) == sorted(expected[k])
             n += len(got)
     # congruence shape: odd genus splits the second family exactly when g = 1 mod 4
     for g in range(3, 31, 2):
-        ok &= any(e == 1 for _, e in golden_low_phi(g)[2]) == (g % 4 == 1)
+        ok &= any(e == 1 for _, e in _golden_low_phi(g)[2]) == (g % 4 == 1)
     dt = time.perf_counter() - t0
     ok &= dt < 30.0
     report(4, "low-phi component tables match the closed formulas for g <= 30", ok, f"{n} rows, {dt:.2f}s")
@@ -145,7 +145,7 @@ def test_criterion_6_fiber_structure():
     for g in range(2, 41):
         comps = enumerate_components(g)
         hats = [m for m in comps if m.eps == 0]
-        direct = phi_profiles_by_genus(g, g)[g]
+        direct = _profiles_by_genus(g, g)[g]
         even = sum(1 for t in direct if all(v % 2 == 0 for v in t))
         ok &= len(hats) == len(direct)
         ok &= sum(1 for m in hats if m.two_divisible) == even

@@ -27,9 +27,11 @@ from enriques.fundamental import (
     format_coefficients,
     fundamental_presentation,
     parse_coefficients,
+    quadratic_value,
 )
 from enriques.lattice import NumClass
 from enriques.oracle import PhiVector, phi_vector_oracle
+from enriques.verify import _iter_coefficient_tuples
 
 SRC_DIR = Path(enriques.__file__).resolve().parents[1]
 PYPROJECT = SRC_DIR.parent / "pyproject.toml"
@@ -455,6 +457,7 @@ EXIT_THREE = {
     ("phivector", "--coeffs", "0;1,0,0,0,0,0,0;0,0"): NOT_BIG,
     ("phivector", "--class", "1,0,0,0,0,0,0,0,0,0"): NOT_BIG,
     ("phivector", "--class", "1,-1,0,0,0,0,0,0,0,0"): NOT_BIG,
+    ("phivector", "--coeffs", "0;0,0,0,0,0,0,0;0,0"): "class is not positive: it is zero",
 }
 
 
@@ -478,7 +481,8 @@ def test_only_the_big_class_check_exits_three(monkeypatch):
 
 
 def test_phivector_class_checks_bigness_once(monkeypatch, capsys):
-    """`phivector --class` leaves the big-class check to the reduction."""
+    """Both `phivector` inputs leave the big-class check to the reduction:
+    one `require_big` call per run."""
     calls = []
     check = enriques.fundamental.require_big
 
@@ -489,12 +493,38 @@ def test_phivector_class_checks_bigness_once(monkeypatch, capsys):
     for module in (enriques.cli, enriques.fundamental):
         if hasattr(module, "require_big"):
             monkeypatch.setattr(module, "require_big", counting)
-    assert main(["phivector", "--class", "1,1,0,0,0,0,0,0,0,0", "--format", "json"]) == 0
-    assert len(calls) == 1
-    with pytest.raises(SystemExit) as exc:
-        main(["phivector", "--class", "1,0,0,0,0,0,0,0,0,0"])
-    assert exc.value.code == 3 and len(calls) == 2
-    assert capsys.readouterr().err == NOT_BIG + "\n"
+    inputs = [
+        ("--class", "1,1,0,0,0,0,0,0,0,0", "1,0,0,0,0,0,0,0,0,0"),
+        ("--coeffs", "0;1,1,0,0,0,0,0;0,0", "0;1,0,0,0,0,0,0;0,0"),
+    ]
+    for source, big, small in inputs:
+        calls.clear()
+        assert main(["phivector", source, big, "--format", "json"]) == 0
+        assert len(calls) == 1, source
+        with pytest.raises(SystemExit) as exc:
+            main(["phivector", source, small])
+        assert exc.value.code == 3 and len(calls) == 2, source
+        assert capsys.readouterr().err == NOT_BIG + "\n"
+
+
+def test_phivector_coeffs_come_back_unchanged_through_the_reduction(capsys):
+    """`--coeffs` takes the chamber reduction like `--class`; a fundamental
+    presentation is unique, so every valid tuple of positive square comes
+    back as given, with its eps, on eps 1 too where every entry is even."""
+    n = 0
+    for c in _iter_coefficient_tuples(6):
+        if quadratic_value(c) < 1:
+            continue
+        text = format_coefficients(c)
+        for eps in (0, 1) if c.all_even() else (0,):
+            argv = ["phivector", "--coeffs", text, "--eps", str(eps), "--format", "json"]
+            rc, out = run_cli(capsys, *argv)
+            assert rc == 0, argv
+            got = json.loads(out)["coefficients"]
+            want = {"a0": c.a0, "head": list(c.head), "a9": c.a9, "a10": c.a10, "eps": eps}
+            assert got == want, argv
+            n += 1
+    assert n == 61  # 55 tuples, 6 of them all even
 
 
 def test_reused_parser_repeats_every_outcome(capsys):

@@ -12,7 +12,7 @@ from enriques.components import (
     enumerate_components,
     enumerate_components_by_phi,
     iter_components,
-    unirationality_flag,
+    _unirational,
 )
 from enriques.fundamental import (
     FundamentalCoefficients,
@@ -20,7 +20,7 @@ from enriques.fundamental import (
     quadratic_value,
 )
 from enriques.oracle import order_key
-from enriques.verify import golden_low_phi, phi_profiles_by_genus, run_suite
+from enriques.verify import _golden_low_phi, _profiles_by_genus, run_suite
 from reference import iter_phi_profiles
 
 
@@ -96,7 +96,7 @@ def test_every_row_agrees_with_its_coefficients():
             assert m.eps == m.coefficients.eps
             assert m.phi == phivector_from_coefficients(m.coefficients).phis
             assert m.two_divisible == m.coefficients.all_even()
-            assert m.unirational == unirationality_flag(m.phi)
+            assert m.unirational == _unirational(m.phi)
             assert component_of(m.coefficients) == m
 
 
@@ -130,7 +130,7 @@ def test_genus_seven_phi_three_profile():
 
 def test_low_phi_families_match_closed_formulas():
     for g in range(2, 19):
-        expected = golden_low_phi(g)
+        expected = _golden_low_phi(g)
         for k in (1, 2, 3):
             got = [(m.phi, m.eps) for m in enumerate_components_by_phi(g, k)]
             assert sorted(got) == sorted(expected[k]), (g, k)
@@ -186,17 +186,17 @@ def test_unirationality_patterns():
         for m in enumerate_components(g):
             if m.phi[0] <= 3:
                 assert m.unirational, m.name
-    assert unirationality_flag((1, 1, 2, 2, 2, 2, 2, 2, 2, 2))
-    assert unirationality_flag((3, 3, 3, 3, 4, 4, 4, 4, 4, 4))
-    assert not unirationality_flag(tuple(range(30, 40)))
+    assert _unirational((1, 1, 2, 2, 2, 2, 2, 2, 2, 2))
+    assert _unirational((3, 3, 3, 3, 4, 4, 4, 4, 4, 4))
+    assert not _unirational(tuple(range(30, 40)))
     # first profile outside every pattern shows up at genus 12
-    assert not unirationality_flag((4, 4, 4, 5, 5, 5, 5, 5, 5, 6))
+    assert not _unirational((4, 4, 4, 5, 5, 5, 5, 5, 5, 6))
     bad12 = [m for m in enumerate_components(12) if not m.unirational]
     assert [m.phi for m in bad12] == [(4, 4, 4, 5, 5, 5, 5, 5, 5, 6)]
 
 
 def _flag_by_runs(p):
-    """unirationality_flag as first written: a run is flat when every entry
+    """`_unirational` as first written: a run is flat when every entry
     in it equals its first."""
 
     def flat(lo, hi):
@@ -216,14 +216,14 @@ def test_unirationality_flag_matches_the_run_by_run_test():
     for g in range(2, 61):
         for m in enumerate_components(g):
             want = _flag_by_runs(m.phi)
-            assert unirationality_flag(m.phi) == want, m.name
+            assert _unirational(m.phi) == want, m.name
             assert m.unirational == want, m.name
             profiles.add(m.phi)
     assert len(profiles) == 975
 
 
 def _flag_by_closure(phi):
-    """unirationality_flag in its closure form: a run of the sorted profile
+    """`_unirational` in its closure form: a run of the sorted profile
     is flat when its ends agree."""
     p = tuple(phi)
 
@@ -243,8 +243,8 @@ def test_flat_unirationality_flag_matches_the_closure_form():
     flags = set()
     for p in iter_phi_profiles(90):
         want = _flag_by_closure(p)
-        assert unirationality_flag(p) is want, p.phis
-        assert unirationality_flag(p.phis) is want, p.phis
+        assert _unirational(p) is want, p.phis
+        assert _unirational(p.phis) is want, p.phis
         flags.add(want)
     assert flags == {True, False}
 
@@ -450,7 +450,7 @@ def test_genus_one_thousand_count():
 def test_profiles_agree_with_quadratic_search():
     for g in range(2, 21):
         via = sorted({m.phi for m in enumerate_components(g)}, key=order_key)
-        assert via == phi_profiles_by_genus(g, g)[g]
+        assert via == _profiles_by_genus(g, g)[g]
 
 
 def test_dominating_component_report():

@@ -1,10 +1,12 @@
 """Package hygiene: exact checks that survive `python -O`, one export list,
 no dead imports and no private names taken across modules, formula routes
 that take only value types from the search oracle, the names the benchmark
-traces still defined where it looks, and a README quick start that runs."""
+traces still defined where it looks and wrapped by its tracer, numpy still
+in the import its set-up probe times, and a README quick start that runs."""
 
 import ast
 import importlib
+import importlib.util
 import inspect
 import os
 import pkgutil
@@ -32,11 +34,16 @@ BENCH_DIR = TESTS_DIR.parent / "bench"
 # the component row's dict, which the CLI's row writer replaced, the report
 # types that restated the dominating and bounds suites' checks, and the
 # helpers that only tests called: phi is eight_lowest(L)[0], and
-# phi_profiles_direct(g) is phi_profiles_by_genus(g, g)[g].  The listing's
+# phi_profiles_direct(g) is _profiles_by_genus(g, g)[g].  The listing's
 # private records, their converter and the unchecked PhiVector build went
 # when ModuliComponent became the one row type; the to_json methods when
 # the CLI wrote its JSON from templates; and the plain profile walk moved
 # to the tests, since roundtrip takes its profiles from the one search.
+# Functions that only their own module called became private:
+# unirationality_flag (now _unirational, of the listing's rows), and the
+# profile search and closed-form tables that only verify's suites call
+# (_profiles_by_genus, _golden_low_phi).  PhiVector.total and indexing had
+# no caller outside the tests; sum(p.phis) and p.phis[i] read the same.
 DROPPED = {
     "lattice": (
         "genus",
@@ -55,6 +62,8 @@ DROPPED = {
         "IsotropicSequence.values_against",
         "phi",
         "PhiVector._trusted",
+        "PhiVector.total",
+        "PhiVector.__getitem__",
     ),
     "fundamental": (
         "genus_of",
@@ -79,12 +88,15 @@ DROPPED = {
         "_Record",
         "_row",
         "_genus_records",
+        "unirationality_flag",
     ),
     "verify": (
         "DominationReport",
         "dominating_component_check",
         "phi_profiles_direct",
         "iter_phi_profiles",
+        "phi_profiles_by_genus",
+        "golden_low_phi",
     ),
 }
 
@@ -191,7 +203,7 @@ def test_profile_search_takes_nothing_from_components():
     search = next(
         node
         for node in tree.body
-        if isinstance(node, ast.FunctionDef) and node.name == "phi_profiles_by_genus"
+        if isinstance(node, ast.FunctionDef) and node.name == "_profiles_by_genus"
     )
     used = {n.id for n in ast.walk(search) if isinstance(n, ast.Name)}
     assert not used & from_components, sorted(used & from_components)
@@ -206,22 +218,28 @@ def _literal_assignment(path, name):
     raise LookupError(f"{path.name} assigns no {name}")
 
 
+def _bench_module(name):
+    """A module of bench/, loaded from its file under a name of its own."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH_DIR / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_names_the_benchmark_traces_are_plain_definitions():
     """The benchmark in bench/ wraps and imports these by module and name;
-    a rename or a move breaks its per-layer metrics."""
-    run, spans = BENCH_DIR / "run.py", BENCH_DIR / "spans.py"
-    dotted = list(_literal_assignment(run, "FUNCTIONS").values())
-    dotted += [
-        f"{layer}.{name}"
-        for layer, names in _literal_assignment(spans, "EXTRA").items()
-        for name in names
-    ]
-    dotted += [".".join(pair) for pair in _literal_assignment(spans, "COUNTED").values()]
+    a rename or a move breaks its per-layer metrics.  The names it reads
+    span times of must also pass the tracer's own wrap rule, or the traced
+    run finds no span of that name and fails."""
+    spans = _bench_module("spans")
+    traced = list(_literal_assignment(BENCH_DIR / "run.py", "FUNCTIONS").values())
+    traced += [f"{layer}.{name}" for layer, names in spans.EXTRA.items() for name in names]
+    dotted = traced + [".".join(pair) for pair in spans.COUNTED.values()]
     for path in sorted(BENCH_DIR.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("enriques."):
                 dotted += [f"{node.module[len('enriques.'):]}.{a.name}" for a in node.names]
-    assert dotted
+    assert traced
     for name in dotted:
         module_name, *attrs = name.split(".")
         module = importlib.import_module(f"enriques.{module_name}")
@@ -232,6 +250,32 @@ def test_names_the_benchmark_traces_are_plain_definitions():
         assert inspect.isfunction(obj) or inspect.isclass(obj), name
         assert obj.__module__ == module.__name__, name
         assert obj.__qualname__ == ".".join(attrs), name
+        if name in traced:
+            # a name listed in EXTRA is wrapped though private, so only the
+            # rest of the rule applies to it
+            attr = attrs[-1]
+            extra = len(attrs) == 1 and attr in spans.EXTRA.get(module_name, ())
+            assert spans._traced(attr.lstrip("_") if extra else attr, obj), name
+
+
+def test_importing_the_cli_loads_numpy():
+    """The benchmark's set-up probe reads numpy's cumulative import time off
+    `python -X importtime -c "import enriques.cli"` and fails when numpy is
+    not listed, so numpy leaves that import only with a change to the probe."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(PACKAGE_DIR.parent), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-c", "import enriques.cli"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    imported = [line.split("|")[-1].strip() for line in proc.stderr.splitlines()]
+    assert "numpy" in imported
 
 
 def test_submodule_exports_are_reexported():
@@ -263,10 +307,12 @@ def _defines(stmt, name):
 
 def test_every_export_has_a_caller_outside_the_tests():
     """An export is called from outside the tests when another package
-    module or a benchmark file imports it or reads it as <module>.<name>,
-    or when its own module reads it outside its own definition.  Names are
-    matched with their module, since a bare name such as phi is also a
-    parameter elsewhere."""
+    module or a benchmark file imports it or reads it as <module>.<name>.
+    A class or constant also counts as called when its own module reads it
+    outside its own definition (a return type such as CheckResult); a
+    function does not, since a helper called only by its own module needs
+    no export.  Names are matched with their module, since a bare name such
+    as phi is also a parameter elsewhere."""
     owner = {
         name: node.module
         for node in ast.parse((PACKAGE_DIR / "__init__.py").read_text()).body
@@ -295,6 +341,9 @@ def test_every_export_has_a_caller_outside_the_tests():
     uncalled = []
     for name, module in sorted(owner.items()):
         if (module, name) in called or (None, name) in called:
+            continue
+        if inspect.isfunction(getattr(enriques, name)):
+            uncalled.append(f"{module}.{name}")
             continue
         rest = [stmt for stmt in trees[module].body if not _defines(stmt, name)]
         if not any(

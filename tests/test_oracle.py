@@ -62,7 +62,7 @@ def test_tuple_order():
 
 def test_phivector_accepts_valid():
     p = PhiVector((1, 1, 2, 2, 2, 2, 2, 2, 2, 2))
-    assert p.total() == 18
+    assert sum(p.phis) == 18
     assert p.genus() == 2
     assert not p.all_even()
     assert PhiVector((9,) * 10).all_even() is False

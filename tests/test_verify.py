@@ -19,8 +19,8 @@ from enriques.oracle import PhiVector, order_key
 from enriques.verify import (
     SUITES,
     _iter_coefficient_tuples,
-    golden_low_phi,
-    phi_profiles_by_genus,
+    _golden_low_phi,
+    _profiles_by_genus,
     run_suite,
 )
 from reference import iter_phi_profiles
@@ -67,7 +67,7 @@ def test_sweeps_enumerate_each_genus_once(monkeypatch):
     g <= 7 may add width-zero windows."""
     walks, searches = [], []
     walk = enriques.components._coefficient_tuples
-    search = enriques.verify.phi_profiles_by_genus
+    search = enriques.verify._profiles_by_genus
 
     def counting_walk(q_lo, q_hi):
         walks.append((q_lo + 1, q_hi + 1))  # as genera
@@ -78,7 +78,7 @@ def test_sweeps_enumerate_each_genus_once(monkeypatch):
         return search(g_lo, g_hi)
 
     monkeypatch.setattr(enriques.components, "_coefficient_tuples", counting_walk)
-    monkeypatch.setattr(enriques.verify, "phi_profiles_by_genus", counting_search)
+    monkeypatch.setattr(enriques.verify, "_profiles_by_genus", counting_search)
     for name, gmax in (("roundtrip", 15), ("paper-tables", 30), ("bounds", 40)):
         walks.clear()
         searches.clear()
@@ -124,7 +124,7 @@ def test_profile_round_trip_converts_the_profiles_of_the_plain_walk(monkeypatch,
 def test_split_check_sees_a_missing_split_row(monkeypatch):
     """Closed-form tables that drop the eps = 1 row at g = 9 (= 1 mod 4)
     fail the odd-genus split check inside the sweep."""
-    golden = enriques.verify.golden_low_phi
+    golden = enriques.verify._golden_low_phi
 
     def without_split(g):
         rows = golden(g)
@@ -133,7 +133,7 @@ def test_split_check_sees_a_missing_split_row(monkeypatch):
             rows[2] = [row for row in rows[2] if row[1] == 0]
         return rows
 
-    monkeypatch.setattr(enriques.verify, "golden_low_phi", without_split)
+    monkeypatch.setattr(enriques.verify, "_golden_low_phi", without_split)
     failed = [r.name for r in run_suite("paper-tables", 15) if not r.passed]
     assert failed == [
         "smallest-entry-2 table matches closed formulas for g <= 15",
@@ -142,14 +142,14 @@ def test_split_check_sees_a_missing_split_row(monkeypatch):
 
 
 def test_profile_window_matches_its_slice_and_the_coefficient_route():
-    inner = phi_profiles_by_genus(37, 45)
-    outer = phi_profiles_by_genus(2, 45)
+    inner = _profiles_by_genus(37, 45)
+    outer = _profiles_by_genus(2, 45)
     comps = dict(components_by_genus(37, 45))
     assert list(inner) == list(comps) == list(range(37, 46))
     for g in range(37, 46):
         assert inner[g] == outer[g], g
         assert inner[g] == sorted({m.phi for m in comps[g]}, key=order_key), g
-        assert inner[g] == phi_profiles_by_genus(g, g)[g], g
+        assert inner[g] == _profiles_by_genus(g, g)[g], g
 
 
 def test_most_squares_is_the_largest_square_sum():
@@ -171,7 +171,7 @@ def test_profile_search_matches_the_walk_to_genus_120():
     """Every genus up to 120 gives the walk's profiles.  The search prunes
     on `_most_squares` at every node, so a bound below the true largest
     square sum shows up as a missing profile somewhere in the window."""
-    search = phi_profiles_by_genus(2, 120)
+    search = _profiles_by_genus(2, 120)
     assert list(search) == list(range(2, 121))
     for g, rows in components_by_genus(2, 120):
         assert search[g] == sorted({m.phi for m in rows}, key=order_key), g
@@ -181,7 +181,7 @@ def test_profile_search_matches_the_plain_profile_walk():
     """Against iter_phi_profiles, which walks every valid profile up to a
     total and knows nothing of the square-sum window or the prunes.  One
     walk to the bound of g = 10 covers the bound of every smaller genus."""
-    window = phi_profiles_by_genus(2, 10)
+    window = _profiles_by_genus(2, 10)
     walked = {g: [] for g in range(2, 11)}
     for p in iter_phi_profiles(3 * (3 * 10 + isqrt(10) + 2)):
         if p.genus() in walked:
@@ -195,10 +195,7 @@ def test_profile_search_matches_the_plain_profile_walk():
 @pytest.mark.parametrize(
     "call",
     [
-        lambda: golden_low_phi(5.0),
         lambda: enumerate_components_by_phi(5, 2.5),
-        lambda: phi_profiles_by_genus(2, 3.0),
-        lambda: phi_profiles_by_genus(2.0, 3),
         lambda: enumerate_components(5.0),
         lambda: components_by_genus(2.0, 3),
         lambda: components_by_genus(2, 3.0),
@@ -206,10 +203,7 @@ def test_profile_search_matches_the_plain_profile_walk():
         lambda: iter_components(True),
     ],
     ids=[
-        "golden-genus",
         "smallest-entry",
-        "search-top",
-        "search-bottom",
         "one-genus",
         "window-bottom",
         "window-top",
@@ -326,7 +320,7 @@ def test_double_cover_check_sees_a_misplaced_split_row(monkeypatch, mutation):
     monkeypatch.setattr(enriques.components, "_rows", mutated_rows)
     # genus 5 read off a window, which builds it in one call
     [(_, rows), _] = components_by_genus(5, 6)
-    direct = phi_profiles_by_genus(5, 5)[5]
+    direct = _profiles_by_genus(5, 5)[5]
     assert len(rows) == len(direct) + 1
     assert {m.phi for m in rows} == set(direct)
     results = {r.name: r.passed for r in run_suite("roundtrip")}
@@ -335,37 +329,35 @@ def test_double_cover_check_sees_a_misplaced_split_row(monkeypatch, mutation):
 
 
 def test_direct_profiles_for_small_genus():
-    assert phi_profiles_by_genus(2, 2)[2] == [(1, 1, 2, 2, 2, 2, 2, 2, 2, 2)]
-    got = phi_profiles_by_genus(5, 5)[5]
+    assert _profiles_by_genus(2, 2)[2] == [(1, 1, 2, 2, 2, 2, 2, 2, 2, 2)]
+    got = _profiles_by_genus(5, 5)[5]
     assert (2, 2, 4, 4, 4, 4, 4, 4, 4, 4) in got
     assert len(got) == 3
-    with pytest.raises(ValueError):
-        phi_profiles_by_genus(1, 1)
 
 
 def test_direct_profiles_all_have_the_right_genus():
     for g in (7, 13, 22):
-        for t in phi_profiles_by_genus(g, g)[g]:
+        for t in _profiles_by_genus(g, g)[g]:
             assert PhiVector(t).genus() == g
 
 
 def test_profile_iterator_yields_valid_profiles_in_order():
     seen = list(iter_phi_profiles(36))
     assert seen
-    totals = [p.total() for p in seen]
+    totals = [sum(p.phis) for p in seen]
     assert totals == sorted(totals)
     assert len({p.phis for p in seen}) == len(seen)
-    assert all(p.total() <= 36 for p in seen)
+    assert all(sum(p.phis) <= 36 for p in seen)
 
 
 def test_golden_tables_at_genus_two():
-    rows = golden_low_phi(2)
+    rows = _golden_low_phi(2)
     assert rows[1] == [((1, 1, 2, 2, 2, 2, 2, 2, 2, 2), 0)]
     assert rows[2] == [] and rows[3] == []
 
 
 def test_golden_tables_split_even_rows():
-    rows = golden_low_phi(5)[2]
+    rows = _golden_low_phi(5)[2]
     assert ((2, 2, 4, 4, 4, 4, 4, 4, 4, 4), 0) in rows
     assert ((2, 2, 4, 4, 4, 4, 4, 4, 4, 4), 1) in rows
 
