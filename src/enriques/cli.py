@@ -27,6 +27,7 @@ import csv
 import functools
 import json
 import os
+import re
 import sys
 
 from .components import component_of, enumerate_components_by_phi, iter_components
@@ -38,9 +39,22 @@ from .verify import SUITES, run_suite
 FORMATS = ("json", "csv", "markdown")
 
 
+# An integer argument is ASCII digits with an optional sign; int() alone
+# would also take underscores, surrounding whitespace and non-ASCII digits.
+# A --class or --coeffs string is integers joined by its separators.
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+_INTEGERS = re.compile(r"[+-]?[0-9]+(?:[,;][+-]?[0-9]+)*")
+
+
+def _integer(text: str) -> int:
+    if not _INTEGER.fullmatch(text):
+        raise ValueError(f"expected an integer, got {text!r}")
+    return int(text)
+
+
 def _genus_arg(text: str) -> int:
     try:
-        g = int(text)
+        g = _integer(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"genus must be an integer, got {text!r}")
     if g < 2:
@@ -50,12 +64,19 @@ def _genus_arg(text: str) -> int:
 
 def _positive_arg(text: str) -> int:
     try:
-        n = int(text)
+        n = _integer(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
     if n < 1:
         raise argparse.ArgumentTypeError("expected a positive integer")
     return n
+
+
+def _eps_arg(text: str) -> int:
+    try:
+        return _integer(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
 
 
 def _pick_format(fmt: str | None) -> str:
@@ -212,11 +233,14 @@ def _class_from_args(args: argparse.Namespace):
     the class is reduced.  A fundamental presentation is unique, so the
     reduction gives parsed coefficients (and eps) back unchanged, after
     its exact reconstruction check."""
+    text = args.cls if args.coeffs is None else args.coeffs
     try:
+        if not _INTEGERS.fullmatch(text):
+            raise ValueError(f"expected integers, got {text!r}")
         if args.coeffs is not None:
-            num = parse_coefficients(args.coeffs, eps=args.eps).divisor_class()
+            num = parse_coefficients(text, eps=args.eps).divisor_class()
         else:
-            num = NumClass(tuple(int(v) for v in args.cls.split(",")))
+            num = NumClass(tuple(int(v) for v in text.split(",")))
     except ValueError as exc:
         args.usage_error(str(exc))
     # `fundamental_presentation` checks the class once; only that check
@@ -346,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="A0;A1,...,A7;A9,A10",
         help="fundamental coefficients",
     )
-    p_phi.add_argument("--eps", type=int, choices=(0, 1), default=0)
+    p_phi.add_argument("--eps", type=_eps_arg, choices=(0, 1), default=0)
     p_phi.add_argument(
         "--oracle",
         action="store_true",

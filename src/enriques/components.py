@@ -11,7 +11,11 @@ self-intersection and converts each to its profile.  It is one walk for a
 whole window of genera, its tuples grouped by quadratic value g - 1, and
 every sweep over 2..gmax is one window.  A single genus is the window of
 width zero, its tuples grouped by profile total instead.
-`_coefficient_tuples` describes the walk.
+`_coefficient_tuples` describes the walk.  `coefficients_by_genus` yields
+a window's tuples genus by genus, for sweeps that read only what the
+tuple gives (phi_1 is the coefficient total less a_1, and the tuple has
+an eps = 1 twin exactly when it is all even); `components_by_genus`
+yields the same window as rows.
 
 Tuples become sorted rows in one pass of integer arithmetic.  A
 `ModuliComponent` is a named tuple whose leading fields (profile total,
@@ -41,6 +45,7 @@ from .fundamental import FundamentalCoefficients, phivector_from_coefficients
 
 __all__ = [
     "ModuliComponent",
+    "coefficients_by_genus",
     "component_of",
     "components_by_genus",
     "iter_components",
@@ -256,20 +261,31 @@ def _check_genera(g_lo: int, g_hi: int) -> None:
         raise ValueError("genus must be an integer >= 2")
 
 
+def coefficients_by_genus(
+    g_lo: int, g_hi: int
+) -> Iterator[tuple[int, list[FundamentalCoefficients]]]:
+    """(g, the eps = 0 coefficient tuples of genus g) for every
+    g_lo <= g <= g_hi in ascending order, from one walk over the window:
+    one tuple per profile, a genus's tuples in no particular order.  A
+    single genus flattens its profile-total strata in ascending total.  The walk runs
+    at the call, and each genus's list leaves the walk's buckets when it
+    is reached.  An empty window (g_hi < g_lo) yields nothing."""
+    _check_genera(g_lo, g_hi)
+    buckets = _coefficient_tuples(g_lo - 1, g_hi - 1)
+    if g_lo == g_hi:
+        return iter([(g_lo, [c for total in sorted(buckets) for c in buckets[total]])])
+    return ((q + 1, buckets.pop(q)) for q in list(buckets))
+
+
 def components_by_genus(
     g_lo: int, g_hi: int
 ) -> Iterator[tuple[int, tuple[ModuliComponent, ...]]]:
     """(g, components of genus g) for every g_lo <= g <= g_hi in ascending
-    order, from one walk over the coefficient tuples of the window (of one
-    genus, `enumerate_components`); each genus sorted by profile order then
-    eps.  The walk runs at the call;
-    the rows of a genus are built when it is reached, so a sweep holds one
-    genus's rows at a time.  An empty window (g_hi < g_lo) yields nothing."""
-    _check_genera(g_lo, g_hi)
-    if g_lo == g_hi:
-        return iter([(g_lo, enumerate_components(g_lo))])
-    buckets = _coefficient_tuples(g_lo - 1, g_hi - 1)
-    return ((q + 1, tuple(_rows(q + 1, buckets.pop(q)))) for q in list(buckets))
+    order: the rows of `coefficients_by_genus`, each genus sorted by
+    profile order then eps.  The walk runs at the call; the rows of a
+    genus are built when it is reached, so a sweep holds one genus's rows
+    at a time.  An empty window (g_hi < g_lo) yields nothing."""
+    return ((g, tuple(_rows(g, coeffs))) for g, coeffs in coefficients_by_genus(g_lo, g_hi))
 
 
 def iter_components(g: int) -> Iterator[ModuliComponent]:

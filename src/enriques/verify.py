@@ -12,6 +12,14 @@ phi_1^2 < 2g - 2 < phi_1^2 + phi_1 - 2. Each suite builds its plain
 CheckResult records itself; the CLI turns them into PASS/FAIL lines and an
 exit code, and the test suite asserts on them at larger scales.
 
+The sweeps read the component walk along one of two routes.  `roundtrip`
+certifies the component rows, so it reads them (`components_by_genus`),
+and so do the `paper-tables` checks of literal names.  `bounds` and the
+closed-form `paper-tables` checks read the walk's coefficient tuples
+(`coefficients_by_genus`): a tuple is one component, plus its eps = 1
+twin when every coefficient is even, and its phi_1 is the coefficient
+total less a_1.  Only a failing bounds check builds rows, to name them.
+
 `run_suite` is the one entry point and checks the genus ceiling.  The
 second routes (the profile search `_profiles_by_genus` and the closed-form
 tables `_golden_low_phi`) are private to the suites, which pass them only
@@ -20,12 +28,14 @@ genera that `run_suite` or a listing window has already checked.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 from math import isqrt
 from typing import Callable, Iterator
 
 from .components import (
+    coefficients_by_genus,
+    component_of,
     components_by_genus,
     enumerate_components,
     enumerate_components_by_phi,
@@ -384,15 +394,26 @@ def suite_paper_tables(gmax: int | None = None) -> list[CheckResult]:
     checks = []
     failures: dict[int, str] = {}  # smallest entry -> detail of its first failing genus
     split_ok = True
-    for g, comps in components_by_genus(2, gmax):
+    for g, coeffs in coefficients_by_genus(2, gmax):
         golden = _golden_low_phi(g)
         if g % 2:
             split_ok &= any(eps == 1 for _, eps in golden[2]) == (g % 4 == 1)
+        # The (profile, eps) pairs of smallest entry at most 3, in the
+        # listing's row order; phi_1 is the coefficient total less a_1.
+        low = []
+        for c in coeffs:
+            _, h2, h3, h4, h5, h6, h7 = c.head
+            if c.a0 + h2 + h3 + h4 + h5 + h6 + h7 + c.a9 + c.a10 <= 3:
+                p = phivector_from_coefficients(c)
+                low.append((p.phis, 0))
+                if p.all_even():
+                    low.append((p.phis, 1))
+        low.sort(key=lambda pair: (sum(pair[0]), pair))
         for k in (1, 2, 3):
             if k in failures:
                 continue
             expected = golden[k]
-            got = [(m.phi, m.eps) for m in comps if m.phi[0] == k]
+            got = [pair for pair in low if pair[0][0] == k]
             if sorted(got) != sorted(expected):
                 failures[k] = f"g={g}: expected {expected}, got {got}"
     for k in (1, 2, 3):
@@ -498,14 +519,27 @@ def suite_bounds(gmax: int | None = None) -> list[CheckResult]:
     phi_1^2 <= 2g - 2, and phi_1^2 < 2g - 2 < phi_1^2 + phi_1 - 2 never."""
     gmax = 40 if gmax is None else gmax
     n, violations, every_genus = 0, [], True
-    for g, comps in components_by_genus(2, gmax):
-        n += len(comps)
-        every_genus &= bool(comps)
-        for m in comps:
+    for g, coeffs in coefficients_by_genus(2, gmax):
+        every_genus &= bool(coeffs)
+        two_g = 2 * g - 2
+        bad = []
+        for c in coeffs:
+            a0, a9, a10 = c.a0, c.a9, c.a10
+            h1, h2, h3, h4, h5, h6, h7 = c.head
+            # one row per tuple, and its eps = 1 twin when all are even
+            n += 1 if (a0 | h1 | h2 | h3 | h4 | h5 | h6 | h7 | a9 | a10) & 1 else 2
+            p1 = a0 + h2 + h3 + h4 + h5 + h6 + h7 + a9 + a10
+            sq = p1 * p1
+            if sq > two_g or sq < two_g < sq + p1 - 2:
+                bad.append(c)
+        # name the violating rows, twins included, in row order
+        rows = [component_of(c) for c in bad]
+        rows += [component_of(replace(m.coefficients, eps=1)) for m in rows if m.two_divisible]
+        for m in sorted(rows):
             p1 = m.phi[0]
-            if p1 * p1 > 2 * g - 2:
+            if p1 * p1 > two_g:
                 violations.append(f"{m.name}: phi_1^2 exceeds 2g-2")
-            if p1 * p1 < 2 * g - 2 < p1 * p1 + p1 - 2:
+            else:
                 violations.append(f"{m.name}: enters the forbidden gap")
     return [
         _check(

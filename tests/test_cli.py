@@ -434,6 +434,21 @@ def test_verify_bounds_counts_every_component_of_the_window(capsys):
         ["phivector", "--coeffs", "1;0,0,0,0,0,0,0;1,0", "--eps", "1"],
         ["verify", "--suite", "nope"],
         ["verify"],
+        # integers are ASCII digits with an optional sign, nothing else
+        ["phivector", "--class", "1,2,3,4,5,6,7,8,9,1_0"],
+        ["phivector", "--class", " 3,1,1,1,1,1,1,1,1,1"],
+        ["phivector", "--class", "3,1,1,1,1,1,1,1,1,\uff11"],
+        ["phivector", "--coeffs", "4;7,6,5,4,3,2,1;3,2_0"],
+        ["phivector", "--coeffs", "4;7,6,5,4,3,2,1;3, 2"],
+        ["phivector", "--coeffs", "\uff14;7,6,5,4,3,2,1;3,2"],
+        ["phivector", "--class", "1,1,1,1,1,1,1,1,1,1", "--eps", " 1"],
+        ["phivector", "--class", "1,1,1,1,1,1,1,1,1,1", "--eps", "\uff11"],
+        ["components", "--genus", "1_0"],
+        ["components", "--genus", " 3"],
+        ["components", "--genus", "\uff13"],
+        ["components", "--genus", "5", "--phi", "1_0"],
+        ["verify", "--suite", "bounds", "--gmax", " 3"],
+        ["verify", "--suite", "bounds", "--gmax", "\uff13"],
     ],
 )
 def test_usage_errors_exit_two(argv, capsys):

@@ -7,6 +7,7 @@ import pytest
 import enriques.verify
 from enriques.components import (
     _coefficient_tuples,
+    coefficients_by_genus,
     component_of,
     components_by_genus,
     enumerate_components,
@@ -100,11 +101,25 @@ def test_every_row_agrees_with_its_coefficients():
             assert component_of(m.coefficients) == m
 
 
+@pytest.mark.parametrize("window", [(2, 60), (37, 45), (2, 2), (9, 9), (250, 250), (5, 4)])
+def test_coefficient_window_gives_the_tuples_of_the_rows(window):
+    """`coefficients_by_genus` gives the genera of `components_by_genus`
+    over the same window and, per genus, the coefficients of its eps = 0
+    rows, one tuple per profile; an empty window gives nothing."""
+    tuples = [(g, [c.as_tuple() for c in coeffs]) for g, coeffs in coefficients_by_genus(*window)]
+    rows = list(components_by_genus(*window))
+    assert [g for g, _ in tuples] == [g for g, _ in rows] == list(range(window[0], window[1] + 1))
+    for (g, got), (_, comps) in zip(tuples, rows):
+        assert sorted(got) == sorted(m.coefficients.as_tuple() for m in comps if m.eps == 0), g
+
+
 def test_enumeration_rejects_small_genus():
     with pytest.raises(ValueError):
         enumerate_components(1)
     with pytest.raises(ValueError):
         components_by_genus(1, 5)
+    with pytest.raises(ValueError):
+        coefficients_by_genus(1, 5)
     # the listing iterator checks its genus at the call, before any row
     with pytest.raises(ValueError):
         iter_components(1)
@@ -463,14 +478,14 @@ def test_dominating_component_report():
 
 def test_bounds_audit(monkeypatch):
     genera = []
-    walk = enriques.verify.components_by_genus
+    walk = enriques.verify.coefficients_by_genus
 
     def recording_walk(g_lo, g_hi):
-        for g, comps in walk(g_lo, g_hi):
+        for g, coeffs in walk(g_lo, g_hi):
             genera.append(g)
-            yield g, comps
+            yield g, coeffs
 
-    monkeypatch.setattr(enriques.verify, "components_by_genus", recording_walk)
+    monkeypatch.setattr(enriques.verify, "coefficients_by_genus", recording_walk)
     results = run_suite("bounds", 40)
     assert all(r.passed for r in results)
     assert genera == list(range(2, 41))

@@ -8,16 +8,18 @@ import pytest
 import enriques.components
 import enriques.verify
 from enriques.components import (
+    coefficients_by_genus,
     components_by_genus,
     enumerate_components,
     enumerate_components_by_phi,
     iter_components,
 )
-from enriques.fundamental import quadratic_value
+from enriques.fundamental import phivector_from_coefficients, quadratic_value
 from enriques.lattice import RANK
 from enriques.oracle import PhiVector, order_key
 from enriques.verify import (
     SUITES,
+    CheckResult,
     _iter_coefficient_tuples,
     _golden_low_phi,
     _profiles_by_genus,
@@ -199,6 +201,7 @@ def test_profile_search_matches_the_plain_profile_walk():
         lambda: enumerate_components(5.0),
         lambda: components_by_genus(2.0, 3),
         lambda: components_by_genus(2, 3.0),
+        lambda: coefficients_by_genus(2, 3.0),
         lambda: iter_components(5.0),
         lambda: iter_components(True),
     ],
@@ -207,6 +210,7 @@ def test_profile_search_matches_the_plain_profile_walk():
         "one-genus",
         "window-bottom",
         "window-top",
+        "coefficient-window",
         "listing",
         "listing-bool",
     ],
@@ -219,13 +223,13 @@ def test_a_non_integer_genus_or_smallest_entry_is_rejected(call):
 
 
 def _bounds_over(monkeypatch, edit):
-    """Run the bounds suite over the real window of g <= 15 with the rows of
-    each genus passed through edit(g, rows)."""
-    walk = enriques.verify.components_by_genus
+    """Run the bounds suite over the real window of g <= 15 with the
+    coefficient tuples of each genus passed through edit(g, coeffs)."""
+    walk = enriques.verify.coefficients_by_genus
     monkeypatch.setattr(
         enriques.verify,
-        "components_by_genus",
-        lambda g_lo, g_hi: ((g, edit(g, rows)) for g, rows in walk(g_lo, g_hi)),
+        "coefficients_by_genus",
+        lambda g_lo, g_hi: ((g, edit(g, coeffs)) for g, coeffs in walk(g_lo, g_hi)),
     )
     return run_suite("bounds", 15)
 
@@ -236,18 +240,127 @@ def _bounds_over(monkeypatch, edit):
     ids=["square-bound", "gap"],
 )
 def test_bounds_check_names_a_row_that_breaks_a_bound(monkeypatch, genus, source, phi1, words):
-    """A genus-5 row with phi_1 = 2 moved to genus 2 has 4 > 2g - 2 = 2; a
-    genus-15 row with phi_1 = 5 moved to genus 14 has 25 < 26 < 28."""
+    """A genus-5 tuple with phi_1 = 2 moved to genus 2 has 4 > 2g - 2 = 2; a
+    genus-15 tuple with phi_1 = 5 moved to genus 14 has 25 < 26 < 28.  Both
+    are odd, so each names one row."""
     [row, *_] = enumerate_components_by_phi(source, phi1)
-    results = _bounds_over(monkeypatch, lambda g, rows: rows + (row,) if g == genus else rows)
+    results = _bounds_over(
+        monkeypatch, lambda g, coeffs: coeffs + [row.coefficients] if g == genus else coeffs
+    )
     assert [r.passed for r in results] == [False, True, True]
     assert results[0].detail == f"{row.name}: {words}"
 
 
+def test_bounds_check_names_both_sheets_of_an_even_tuple(monkeypatch):
+    """An all-even tuple stands for two rows: moved to a genus where it
+    breaks a bound, it is named on both sheets, in row order, as the rows
+    of the window name it."""
+    comps = enumerate_components_by_phi(5, 2)
+    even = [m for m in comps if m.two_divisible]
+    assert [m.eps for m in even] == [0, 1]
+    results = _bounds_over(
+        monkeypatch, lambda g, coeffs: coeffs + [even[0].coefficients] if g == 2 else coeffs
+    )
+    assert [r.passed for r in results] == [False, True, True]
+    assert results[0].detail == "; ".join(f"{m.name}: phi_1^2 exceeds 2g-2" for m in even)
+
+
 def test_bounds_check_sees_a_genus_without_components(monkeypatch):
-    results = _bounds_over(monkeypatch, lambda g, rows: () if g == 7 else rows)
+    results = _bounds_over(monkeypatch, lambda g, coeffs: [] if g == 7 else coeffs)
     assert [r.passed for r in results] == [True, False, True]
     assert results[1].name == "every genus has a component"
+
+
+def _bounds_from_rows(gmax):
+    """The bounds suite's sweep checks, read off the window's rows."""
+    n, violations, every_genus = 0, [], True
+    for g, comps in components_by_genus(2, gmax):
+        n += len(comps)
+        every_genus &= bool(comps)
+        for m in comps:
+            p1 = m.phi[0]
+            if p1 * p1 > 2 * g - 2:
+                violations.append(f"{m.name}: phi_1^2 exceeds 2g-2")
+            if p1 * p1 < 2 * g - 2 < p1 * p1 + p1 - 2:
+                violations.append(f"{m.name}: enters the forbidden gap")
+    return [
+        CheckResult(
+            f"no component with g <= {gmax} breaks the square bound or enters the gap",
+            not violations,
+            "; ".join(violations[:5]) if violations else f"{n} components",
+        ),
+        CheckResult("every genus has a component", every_genus),
+    ]
+
+
+def _paper_tables_from_rows(gmax):
+    """The paper-tables suite's closed-form checks, read off the window's
+    rows."""
+    failures, split_ok = {}, True
+    for g, comps in components_by_genus(2, gmax):
+        golden = enriques.verify._golden_low_phi(g)
+        if g % 2:
+            split_ok &= any(eps == 1 for _, eps in golden[2]) == (g % 4 == 1)
+        for k in (1, 2, 3):
+            got = [(m.phi, m.eps) for m in comps if m.phi[0] == k]
+            if k not in failures and sorted(got) != sorted(golden[k]):
+                failures[k] = f"g={g}: expected {golden[k]}, got {got}"
+    return [
+        CheckResult(
+            f"smallest-entry-{k} table matches closed formulas for g <= {gmax}",
+            k not in failures,
+            failures.get(k, ""),
+        )
+        for k in (1, 2, 3)
+    ] + [CheckResult("odd-genus smallest-entry-2 rows split exactly when g = 1 mod 4", split_ok)]
+
+
+@pytest.mark.parametrize("gmax", [2, 3, 15, 40, 100, 150])
+def test_tuple_sweeps_match_the_row_sweeps(gmax):
+    """bounds and paper-tables read the walk's coefficient tuples; each of
+    their sweep checks gives what the same check gives on the window's
+    component rows, name, verdict and detail."""
+    for name, from_rows in (("bounds", _bounds_from_rows), ("paper-tables", _paper_tables_from_rows)):
+        want = from_rows(gmax)
+        assert run_suite(name, gmax)[: len(want)] == want, (name, gmax)
+
+
+def test_failing_tables_list_the_rows_in_row_order(monkeypatch):
+    """With no closed-form rows at g = 9 every table fails there (and so
+    does the split check, since 9 = 1 mod 4), and each detail lists the genus's rows of that smallest entry as the window's
+    rows give them: at smallest entry 3, the total-39 profile
+    (3,4,...,4) before the total-45 profile (3,3,4,5,...,5)."""
+    golden = enriques.verify._golden_low_phi
+    monkeypatch.setattr(
+        enriques.verify,
+        "_golden_low_phi",
+        lambda g: {1: [], 2: [], 3: []} if g == 9 else golden(g),
+    )
+    want = _paper_tables_from_rows(15)
+    assert [r.passed for r in want] == [False, False, False, False]
+    assert "got [((3, 4, 4, 4, 4, 4, 4, 4, 4, 4), 0), ((3, 3, 4," in want[2].detail
+    assert run_suite("paper-tables", 15)[:4] == want
+
+
+def test_paper_tables_see_a_missing_tuple(monkeypatch):
+    """A window without the phi_1 = 1 tuple at g = 9 fails the smallest-
+    entry-1 table there, and no other check."""
+    walk = enriques.verify.coefficients_by_genus
+
+    def without_phi1(g_lo, g_hi):
+        for g, coeffs in walk(g_lo, g_hi):
+            if g == 9:
+                kept = [c for c in coeffs if phivector_from_coefficients(c).phis[0] != 1]
+                assert len(kept) == len(coeffs) - 1
+                coeffs = kept
+            yield g, coeffs
+
+    monkeypatch.setattr(enriques.verify, "coefficients_by_genus", without_phi1)
+    failed = [r for r in run_suite("paper-tables", 15) if not r.passed]
+    assert [r.name for r in failed] == [
+        "smallest-entry-1 table matches closed formulas for g <= 15"
+    ]
+    assert failed[0].detail == f"g=9: expected {_golden_low_phi(9)[1]}, got []"
 
 
 def test_dominating_checks_fail_on_a_wrong_oracle_profile(monkeypatch):
