@@ -327,9 +327,10 @@ def test_tuple_sweeps_match_the_row_sweeps(gmax):
 
 def test_failing_tables_list_the_rows_in_row_order(monkeypatch):
     """With no closed-form rows at g = 9 every table fails there (and so
-    does the split check, since 9 = 1 mod 4), and each detail lists the genus's rows of that smallest entry as the window's
-    rows give them: at smallest entry 3, the total-39 profile
-    (3,4,...,4) before the total-45 profile (3,3,4,5,...,5)."""
+    does the split check, since 9 = 1 mod 4), and each detail lists the
+    genus's rows of that smallest entry as the window's rows give them: at
+    smallest entry 3, the total-39 profile (3,4,...,4) before the total-45
+    profile (3,3,4,5,...,5)."""
     golden = enriques.verify._golden_low_phi
     monkeypatch.setattr(
         enriques.verify,
