@@ -12,7 +12,11 @@ import, as %-templates, since its indent mode runs in pure Python.
 one profile total at a time, so a listing never holds every row of its
 genus; markdown, whose header gives the count first, collects them first.
 Under `--phi` every format writes `enumerate_components_by_phi`.
-The argument parser is built once per process, on first use.
+The argument parser is built once per process, on first use.  When the
+first argument names a subcommand, `main` hands the arguments after it
+straight to that subcommand's parser, which is all the top-level parser
+would do with them; anything else (no arguments, `-h`, an unknown command,
+`--` first) goes through the top-level parser.
 
 Exit codes: 0 success, 1 a verification or agreement check failed,
 2 unusable arguments, 3 the class fails a mathematical precondition.  A
@@ -386,12 +390,25 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_ver.add_argument("--format", choices=FORMATS)
 
+    # The subcommand parsers by name, for `main`'s direct route.
+    parser.commands = sub.choices
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        args = parser.parse_args(argv)
+    else:
+        # What `parse_args` does past the subcommand name: the subparser
+        # parses the rest, and the top-level parser reports what is left.
+        args, extra = command.parse_known_args(argv[1:])
+        if extra:
+            parser.error(f"unrecognized arguments: {' '.join(extra)}")
+        args.command = argv[0]
     if args.command == "components":
         return cmd_components(args)
     if args.command == "phivector":

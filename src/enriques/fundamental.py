@@ -23,6 +23,7 @@ class that `fundamental_presentation` reduces.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from itertools import repeat
 from operator import and_, ge, mul
@@ -183,22 +184,26 @@ def format_coefficients(c: FundamentalCoefficients) -> str:
     return f"{c.a0};{','.join(str(v) for v in c.head)};{c.a9},{c.a10}"
 
 
+# A coefficient is ASCII digits with an optional sign; int() alone would
+# also take underscores, surrounding whitespace and non-ASCII digits.
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
 def parse_coefficients(text: str, eps: int = 0) -> FundamentalCoefficients:
     """Parse the "a0;a1,..,a7;a9,a10" form used by the CLI."""
     parts = text.split(";")
     if len(parts) != 3:
         raise ValueError('expected "a0;a1,..,a7;a9,a10"')
-    try:
-        a0 = int(parts[0])
-        head = tuple(int(v) for v in parts[1].split(","))
-        tail = tuple(int(v) for v in parts[2].split(","))
-    except ValueError:
-        raise ValueError("coefficients must be integers") from None
+    a0, head, tail = parts[0], parts[1].split(","), parts[2].split(",")
+    if not all(map(_INTEGER.fullmatch, (a0, *head, *tail))):
+        raise ValueError("coefficients must be integers")
     if len(head) != 7:
         raise ValueError("the middle group takes exactly seven coefficients")
     if len(tail) != 2:
         raise ValueError("the last group takes exactly two coefficients")
-    return FundamentalCoefficients(a0=a0, head=head, a9=tail[0], a10=tail[1], eps=eps)
+    return FundamentalCoefficients(
+        a0=int(a0), head=tuple(map(int, head)), a9=int(tail[0]), a10=int(tail[1]), eps=eps
+    )
 
 
 def class_from_presentation(
@@ -220,11 +225,21 @@ def class_from_presentation(
     return NumClass(tuple(out))
 
 
+def _standard_pairings(goal: NumClass) -> tuple[int, ...]:
+    """goal.E_1, ..., goal.E_10 in the closed form of `_reduce`."""
+    form = linear_form(goal)
+    nine = form[:9]
+    return (*nine, 3 * form[9] - sum(nine))
+
+
 def _reduce(goal: NumClass, eps: int) -> tuple[FundamentalCoefficients, IsotropicSequence]:
     """Reflect the standard sequence into the fundamental chamber of goal.
 
     Works on the pairing vector m_i = goal.S_i, kept sorted ascending with
-    its members (the reflections in alpha_1..alpha_9 only permute it).
+    its members (the reflections in alpha_1..alpha_9 only permute it).  It
+    starts on S_i = E_i, read off the linear form l of goal: goal.E_i = l_i
+    for i <= 9 and goal.E_10 = 3 l_10 - (l_1 + ... + l_9), since
+    E_10 = 3D - E_1 - ... - E_9.
     While m_8 + m_9 + m_10 exceeds s = goal.D', reflect in
     alpha_0 = D' - S_8 - S_9 - S_10: the three largest members x, y, z
     become D' - y - z, D' - x - z, D' - x - y.  This moves s to
@@ -232,8 +247,7 @@ def _reduce(goal: NumClass, eps: int) -> tuple[FundamentalCoefficients, Isotropi
     in the closed positive cone, so the loop ends.  At the stop the
     sorted pairings satisfy the tail chain and read off as coefficients.
     """
-    form = linear_form(goal)
-    pairs = [(sum(map(mul, form, f.coords)), f) for f in standard_sequence()]
+    pairs = list(zip(_standard_pairings(goal), standard_sequence()))
     dseq = D
     while True:
         pairs.sort(key=lambda mf: mf[0])

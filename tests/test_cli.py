@@ -421,36 +421,36 @@ def test_verify_bounds_counts_every_component_of_the_window(capsys):
     assert first["detail"] == f"{n} components"
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["components", "--genus", "1"],
-        ["components", "--genus", "x"],
-        ["components"],
-        ["phivector"],
-        ["phivector", "--class", "1,2,3"],
-        ["phivector", "--coeffs", "1;2,3"],
-        ["phivector", "--class", "1,1,0,0,0,0,0,0,0,0", "--coeffs", "0;1,1,0,0,0,0,0;0,0"],
-        ["phivector", "--coeffs", "1;0,0,0,0,0,0,0;1,0", "--eps", "1"],
-        ["verify", "--suite", "nope"],
-        ["verify"],
-        # integers are ASCII digits with an optional sign, nothing else
-        ["phivector", "--class", "1,2,3,4,5,6,7,8,9,1_0"],
-        ["phivector", "--class", " 3,1,1,1,1,1,1,1,1,1"],
-        ["phivector", "--class", "3,1,1,1,1,1,1,1,1,\uff11"],
-        ["phivector", "--coeffs", "4;7,6,5,4,3,2,1;3,2_0"],
-        ["phivector", "--coeffs", "4;7,6,5,4,3,2,1;3, 2"],
-        ["phivector", "--coeffs", "\uff14;7,6,5,4,3,2,1;3,2"],
-        ["phivector", "--class", "1,1,1,1,1,1,1,1,1,1", "--eps", " 1"],
-        ["phivector", "--class", "1,1,1,1,1,1,1,1,1,1", "--eps", "\uff11"],
-        ["components", "--genus", "1_0"],
-        ["components", "--genus", " 3"],
-        ["components", "--genus", "\uff13"],
-        ["components", "--genus", "5", "--phi", "1_0"],
-        ["verify", "--suite", "bounds", "--gmax", " 3"],
-        ["verify", "--suite", "bounds", "--gmax", "\uff13"],
-    ],
-)
+USAGE_ERRORS = [
+    ["components", "--genus", "1"],
+    ["components", "--genus", "x"],
+    ["components"],
+    ["phivector"],
+    ["phivector", "--class", "1,2,3"],
+    ["phivector", "--coeffs", "1;2,3"],
+    ["phivector", "--class", "1,1,0,0,0,0,0,0,0,0", "--coeffs", "0;1,1,0,0,0,0,0;0,0"],
+    ["phivector", "--coeffs", "1;0,0,0,0,0,0,0;1,0", "--eps", "1"],
+    ["verify", "--suite", "nope"],
+    ["verify"],
+    # integers are ASCII digits with an optional sign, nothing else
+    ["phivector", "--class", "1,2,3,4,5,6,7,8,9,1_0"],
+    ["phivector", "--class", " 3,1,1,1,1,1,1,1,1,1"],
+    ["phivector", "--class", "3,1,1,1,1,1,1,1,1,\uff11"],
+    ["phivector", "--coeffs", "4;7,6,5,4,3,2,1;3,2_0"],
+    ["phivector", "--coeffs", "4;7,6,5,4,3,2,1;3, 2"],
+    ["phivector", "--coeffs", "\uff14;7,6,5,4,3,2,1;3,2"],
+    ["phivector", "--class", "1,1,1,1,1,1,1,1,1,1", "--eps", " 1"],
+    ["phivector", "--class", "1,1,1,1,1,1,1,1,1,1", "--eps", "\uff11"],
+    ["components", "--genus", "1_0"],
+    ["components", "--genus", " 3"],
+    ["components", "--genus", "\uff13"],
+    ["components", "--genus", "5", "--phi", "1_0"],
+    ["verify", "--suite", "bounds", "--gmax", " 3"],
+    ["verify", "--suite", "bounds", "--gmax", "\uff13"],
+]
+
+
+@pytest.mark.parametrize("argv", USAGE_ERRORS)
 def test_usage_errors_exit_two(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -569,6 +569,84 @@ def test_reused_parser_repeats_every_outcome(capsys):
     assert first[2][1] == NOT_BIG + "\n"
     assert [outcome(argv) for argv in kinds] == first
     assert enriques.cli.build_parser() is enriques.cli.build_parser()
+
+
+# Where a subcommand's parser alone could read argv otherwise than the
+# top-level parser: arguments left over, help, an unknown or missing
+# command, "--" first or after the options, an abbreviated option and a
+# repeated one.
+DISPATCH_EDGES = [
+    ["phivector", "--class", "1,1,0,0,0,0,0,0,0,0", "extra", "--bogus"],
+    ["-h"],
+    ["phivector", "-h"],
+    ["nope"],
+    [],
+    ["--", "components", "--genus", "5"],
+    ["components", "--genus", "5", "--", "x"],
+    ["components", "--gen", "5", "--format", "json"],
+    ["components", "--genus", "5", "--genus", "6", "--format", "json"],
+    ["phivector", "--c", "1,1,0,0,0,0,0,0,0,0"],
+    ["verify", "--suite", "bounds", "--gmax", "3", "extra"],
+]
+VALID_RUNS = [
+    ["components", "--genus", "12", "--format", "csv"],
+    ["phivector", "--class=3,1,1,1,1,1,1,1,1,1", "--format", "json"],
+    ["verify", "--suite", "bounds", "--gmax", "10", "--format", "json"],
+]
+
+
+def _reference_main(argv):
+    """`main` as one pass of the top-level parser over argv."""
+    args = enriques.cli.build_parser().parse_args(argv)
+    run = {
+        "components": enriques.cli.cmd_components,
+        "phivector": enriques.cli.cmd_phivector,
+        "verify": enriques.cli.cmd_verify,
+    }
+    return run[args.command](args)
+
+
+@pytest.mark.parametrize(
+    "argv", [*USAGE_ERRORS, *map(list, EXIT_THREE), *DISPATCH_EDGES, *VALID_RUNS]
+)
+def test_dispatch_matches_the_top_level_parser(argv, capsys, monkeypatch):
+    """`main` hands argv after a subcommand name to that subcommand's
+    parser; stdout, stderr and exit code stay those of the top-level
+    parser's pass, also when argv is read from sys.argv."""
+
+    def outcome(run, argv):
+        try:
+            code = run(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return captured.out, captured.err, code
+
+    want = outcome(_reference_main, argv)
+    assert outcome(main, argv) == want
+    monkeypatch.setattr(sys, "argv", ["enriques", *argv])
+    assert outcome(main, None) == want
+
+
+def test_dispatch_takes_the_current_parser(monkeypatch, capsys):
+    """After `build_parser.cache_clear()` a subcommand's arguments go, in
+    one pass, to the subparser of the new parser."""
+    old = enriques.cli.build_parser()
+    enriques.cli.build_parser.cache_clear()
+    new = enriques.cli.build_parser()
+    assert new is not old
+    seen = []
+    for parser, label in ((old, "old"), (new, "new")):
+        sub = parser.commands["components"]
+
+        def spy(args, parse=sub.parse_known_args, label=label):
+            seen.append((label, args))
+            return parse(args)
+
+        monkeypatch.setattr(sub, "parse_known_args", spy)
+    assert main(["components", "--genus", "5", "--format", "json"]) == 0
+    assert seen == [("new", ["--genus", "5", "--format", "json"])]
+    assert json.loads(capsys.readouterr().out)["genus"] == 5
 
 
 def test_identical_invocations_are_byte_identical(capsys):

@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from enriques.fundamental import (
     FundamentalCoefficients,
+    _standard_pairings,
     class_from_presentation,
     coefficients_from_phivector,
     format_coefficients,
@@ -166,13 +167,40 @@ def test_format_parse_roundtrip():
         assert parse_coefficients(format_coefficients(c)) == c
 
 
+# Each of these has integers that int() takes; the grammar is ASCII digits
+# with an optional sign.
+NOT_ASCII_INTEGERS = (
+    "4;7,6,5,4,3,2,1;3,0_2",
+    " 4 ;7,6,5,4,3,2,1;3,\uff12",
+    "4;7,6,5,4,3,2,1;3, 2",
+    "4;7,6,5,4,3,2,1;3,2\n",
+    "\uff14;7,6,5,4,3,2,1;3,2",
+)
+
+
 @pytest.mark.parametrize(
     "text",
-    ["", "1;2,3", "1;1,1,1,1,1,1;1,1", "0;1,1,0,0,0,0,0;0", "x;1,1,0,0,0,0,0;0,0"],
+    [
+        "",
+        "1;2,3",
+        "1;1,1,1,1,1,1;1,1",
+        "0;1,1,0,0,0,0,0;0",
+        "x;1,1,0,0,0,0,0;0,0",
+        "4,0;7,6,5,4,3,2,1;3,2",
+        *NOT_ASCII_INTEGERS,
+    ],
 )
 def test_parse_rejects_malformed(text):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as exc:
         parse_coefficients(text)
+    if text in NOT_ASCII_INTEGERS:
+        assert str(exc.value) == "coefficients must be integers"
+
+
+def test_parse_takes_signed_integers():
+    assert parse_coefficients("+4;7,6,5,4,3,2,1;3,+2") == DOMINATING
+    with pytest.raises(ValueError, match="nonnegative"):
+        parse_coefficients("4;7,6,5,4,3,2,1;3,-2")
 
 
 # --- presentations and rewriting -------------------------------------------
@@ -385,6 +413,34 @@ def test_rewrite_agrees_with_the_presentation_of_its_class(cs, a0):
     assume(self_int(goal) > 0)
     fc, _ = rewrite_to_fundamental(cs, a0=a0)
     assert fc == fundamental_presentation(goal)[0]
+
+
+def reduce_by_pairing(goal):
+    """The chamber reduction with every pairing taken by `pair`: sort the
+    members by their pairing with goal, and while the top three pair above
+    goal.D', reflect them in D' - S_8 - S_9 - S_10."""
+    ms = list(E[1:])
+    while True:
+        ms.sort(key=lambda f: pair(goal, f))
+        dseq = NumClass(tuple(v // 3 for v in sum(ms[1:], ms[0]).coords))
+        x, y, z = ms[7:]
+        if pair(goal, x + y + z) <= pair(goal, dseq):
+            fc = coefficients_from_phivector([pair(goal, f) for f in ms])
+            return fc, [f.coords for f in ms]
+        ms[7:] = [dseq - y - z, dseq - x - z, dseq - x - y]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-(10**6), 10**6), min_size=10, max_size=10))
+def test_reduction_starts_from_the_standard_pairings(coords):
+    goal = NumClass(tuple(coords))
+    assert _standard_pairings(goal) == tuple(pair(goal, f) for f in E[1:])
+    # -goal is positive where goal is not; a class of square <= 0 stops here
+    if pair(goal, D) < 0:
+        goal = -goal
+    if self_int(goal) > 0:
+        fc, seq = fundamental_presentation(goal)
+        assert (fc, [f.coords for f in seq.members]) == reduce_by_pairing(goal)
 
 
 # --- deep classes: hyperbolic words -----------------------------------------
