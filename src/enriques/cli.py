@@ -12,11 +12,13 @@ import, as %-templates, since its indent mode runs in pure Python.
 one profile total at a time, so a listing never holds every row of its
 genus; markdown, whose header gives the count first, collects them first.
 Under `--phi` every format writes `enumerate_components_by_phi`.
-The argument parser is built once per process, on first use.  When the
-first argument names a subcommand, `main` hands the arguments after it
-straight to that subcommand's parser, which is all the top-level parser
-would do with them; anything else (no arguments, `-h`, an unknown command,
-`--` first) goes through the top-level parser.
+The argument parser is built once per process, on first use, and each
+subcommand's parser binds its handler with `set_defaults(run=...)`, so
+`main` ends by calling `args.run(args)`.  When the first argument names a
+subcommand, `main` hands the arguments after it straight to that
+subcommand's parser, which is all the top-level parser would do with them;
+anything else (no arguments, `-h`, an unknown command, `--` first) goes
+through the top-level parser.
 
 Exit codes: 0 success, 1 a verification or agreement check failed,
 2 unusable arguments, 3 the class fails a mathematical precondition.  A
@@ -45,48 +47,27 @@ FORMATS = ("json", "csv", "markdown")
 
 # An integer argument is ASCII digits with an optional sign; int() alone
 # would also take underscores, surrounding whitespace and non-ASCII digits.
-# A --class or --coeffs string is integers joined by its separators.
+# A --class string is such integers joined by commas.
 _INTEGER = re.compile(r"[+-]?[0-9]+")
-_INTEGERS = re.compile(r"[+-]?[0-9]+(?:[,;][+-]?[0-9]+)*")
+_CLASS = re.compile(rf"{_INTEGER.pattern}(?:,{_INTEGER.pattern})*")
 
 
-def _integer(text: str) -> int:
-    if not _INTEGER.fullmatch(text):
-        raise ValueError(f"expected an integer, got {text!r}")
-    return int(text)
+def _integer_arg(least: int | None = None):
+    """The argparse type of an integer flag, at least `least` when given.
+    Every failure is an ArgumentTypeError, which argparse reports under the
+    flag's name."""
+    want = "an integer" if least is None else f"an integer >= {least}"
 
+    def parse(text: str) -> int:
+        try:
+            n = int(text) if _INTEGER.fullmatch(text) else None
+        except ValueError as exc:  # more digits than int() converts
+            raise argparse.ArgumentTypeError(f"expected {want}: {exc}")
+        if n is None or (least is not None and n < least):
+            raise argparse.ArgumentTypeError(f"expected {want}, got {text!r}")
+        return n
 
-def _genus_arg(text: str) -> int:
-    try:
-        g = _integer(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"genus must be an integer, got {text!r}")
-    if g < 2:
-        raise argparse.ArgumentTypeError("genus must be at least 2")
-    return g
-
-
-def _positive_arg(text: str) -> int:
-    try:
-        n = _integer(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    if n < 1:
-        raise argparse.ArgumentTypeError("expected a positive integer")
-    return n
-
-
-def _eps_arg(text: str) -> int:
-    try:
-        return _integer(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
-
-
-def _pick_format(fmt: str | None) -> str:
-    if fmt is not None:
-        return fmt
-    return "markdown" if sys.stdout.isatty() else "json"
+    return parse
 
 
 def _colorize(word: str, code: str) -> str:
@@ -96,13 +77,14 @@ def _colorize(word: str, code: str) -> str:
 
 
 @contextlib.contextmanager
-def _output():
-    """Scope of a command's writes to stdout.  When the reader closes the
-    pipe early (`| head -1`), the rest of the output is dropped: stdout is
-    pointed at devnull, so the flush at shutdown cannot fail either, and
-    the command still returns the exit code it computed."""
+def _output(fmt: str | None):
+    """Scope of a command's writes to stdout, which yields the format: `fmt`,
+    or by default markdown on a terminal and json otherwise.  When the
+    reader closes the pipe early (`| head -1`), the rest of the output is
+    dropped: stdout is pointed at devnull, so the flush at shutdown cannot
+    fail either, and the command still returns the exit code it computed."""
     try:
-        yield
+        yield fmt or ("markdown" if sys.stdout.isatty() else "json")
         sys.stdout.flush()
     except BrokenPipeError:
         devnull = os.open(os.devnull, os.O_WRONLY)
@@ -192,8 +174,7 @@ def cmd_components(args: argparse.Namespace) -> int:
         comps = enumerate_components_by_phi(genus, args.phi)
     else:
         comps = iter_components(genus)
-    fmt = _pick_format(args.format)
-    with _output():
+    with _output(args.format) as fmt:
         if fmt == "json":
             _emit_components_json(genus, comps)
         elif fmt == "csv":
@@ -239,12 +220,12 @@ def _class_from_args(args: argparse.Namespace):
     its exact reconstruction check."""
     text = args.cls if args.coeffs is None else args.coeffs
     try:
-        if not _INTEGERS.fullmatch(text):
-            raise ValueError(f"expected integers, got {text!r}")
         if args.coeffs is not None:
             num = parse_coefficients(text, eps=args.eps).divisor_class()
-        else:
+        elif _CLASS.fullmatch(text):
             num = NumClass(tuple(int(v) for v in text.split(",")))
+        else:
+            raise ValueError(f"expected integers, got {text!r}")
     except ValueError as exc:
         args.usage_error(str(exc))
     # `fundamental_presentation` checks the class once; only that check
@@ -269,8 +250,7 @@ def cmd_phivector(args: argparse.Namespace) -> int:
         oracle_profile, _ = phi_vector_oracle(num, max_sequences=1)
         agrees = oracle_profile.phis == m.phi
 
-    fmt = _pick_format(args.format)
-    with _output():
+    with _output(args.format) as fmt:
         if fmt == "json":
             oracle = (_JSON_BOOL[agrees], *oracle_profile.phis) if args.oracle else ()
             sys.stdout.write(
@@ -319,8 +299,7 @@ def cmd_phivector(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     results = run_suite(args.suite, args.gmax)
     ok = all(r.passed for r in results)
-    fmt = _pick_format(args.format)
-    with _output():
+    with _output(args.format) as fmt:
         if fmt == "json":
             payload = {"suite": args.suite, "gmax": args.gmax, "passed": ok}
             payload["checks"] = [
@@ -353,11 +332,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_comp = sub.add_parser(
         "components", help="list the irreducible components for a genus"
     )
-    p_comp.add_argument("--genus", type=_genus_arg, required=True)
+    p_comp.add_argument("--genus", type=_integer_arg(2), required=True)
     p_comp.add_argument(
-        "--phi", type=_positive_arg, help="restrict to a smallest profile entry"
+        "--phi", type=_integer_arg(1), help="restrict to a smallest profile entry"
     )
     p_comp.add_argument("--format", choices=FORMATS)
+    p_comp.set_defaults(run=cmd_components)
 
     p_phi = sub.add_parser(
         "phivector", help="report the invariants of one polarization class"
@@ -374,21 +354,22 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="A0;A1,...,A7;A9,A10",
         help="fundamental coefficients",
     )
-    p_phi.add_argument("--eps", type=_eps_arg, choices=(0, 1), default=0)
+    p_phi.add_argument("--eps", type=_integer_arg(), choices=(0, 1), default=0)
     p_phi.add_argument(
         "--oracle",
         action="store_true",
         help="also run the search oracle and report agreement",
     )
     p_phi.add_argument("--format", choices=FORMATS)
-    p_phi.set_defaults(usage_error=p_phi.error)
+    p_phi.set_defaults(run=cmd_phivector, usage_error=p_phi.error)
 
     p_ver = sub.add_parser("verify", help="run a cross-checking suite")
     p_ver.add_argument("--suite", choices=SUITES, required=True)
     p_ver.add_argument(
-        "--gmax", type=_genus_arg, help="genus ceiling for the scaling suites"
+        "--gmax", type=_integer_arg(2), help="genus ceiling for the scaling suites"
     )
     p_ver.add_argument("--format", choices=FORMATS)
+    p_ver.set_defaults(run=cmd_verify)
 
     # The subcommand parsers by name, for `main`'s direct route.
     parser.commands = sub.choices
@@ -408,12 +389,7 @@ def main(argv: list[str] | None = None) -> int:
         args, extra = command.parse_known_args(argv[1:])
         if extra:
             parser.error(f"unrecognized arguments: {' '.join(extra)}")
-        args.command = argv[0]
-    if args.command == "components":
-        return cmd_components(args)
-    if args.command == "phivector":
-        return cmd_phivector(args)
-    return cmd_verify(args)
+    return args.run(args)
 
 
 if __name__ == "__main__":

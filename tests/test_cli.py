@@ -421,8 +421,26 @@ def test_verify_bounds_counts_every_component_of_the_window(capsys):
     assert first["detail"] == f"{n} components"
 
 
-USAGE_ERRORS = [
+# Each integer flag after a command line that is valid up to it, crossed
+# with values that are not integers in the ASCII grammar or that int() will
+# not convert (4301 digits), and each lower bound with the value below it.
+INTEGER_FLAGS = [
+    ["components", "--genus"],
+    ["verify", "--suite", "bounds", "--gmax"],
+    ["components", "--genus", "5", "--phi"],
+    ["phivector", "--class", "1,1,1,1,1,1,1,1,1,1", "--eps"],
+]
+BAD_INTEGER_FLAGS = [
+    *(
+        [*prefix, value]
+        for prefix in INTEGER_FLAGS
+        for value in ("1_0", " 3", "\uff13", "+", "", "1" * 4301)
+    ),
     ["components", "--genus", "1"],
+    ["verify", "--suite", "bounds", "--gmax", "1"],
+    ["components", "--genus", "5", "--phi", "0"],
+]
+USAGE_ERRORS = [
     ["components", "--genus", "x"],
     ["components"],
     ["phivector"],
@@ -432,21 +450,18 @@ USAGE_ERRORS = [
     ["phivector", "--coeffs", "1;0,0,0,0,0,0,0;1,0", "--eps", "1"],
     ["verify", "--suite", "nope"],
     ["verify"],
-    # integers are ASCII digits with an optional sign, nothing else
+    # integers are ASCII digits with an optional sign, nothing else, and a
+    # class joins its ten with commas only
     ["phivector", "--class", "1,2,3,4,5,6,7,8,9,1_0"],
     ["phivector", "--class", " 3,1,1,1,1,1,1,1,1,1"],
     ["phivector", "--class", "3,1,1,1,1,1,1,1,1,\uff11"],
+    ["phivector", "--class", "1;2,3,4,5,6,7,8,9,10"],
     ["phivector", "--coeffs", "4;7,6,5,4,3,2,1;3,2_0"],
     ["phivector", "--coeffs", "4;7,6,5,4,3,2,1;3, 2"],
     ["phivector", "--coeffs", "\uff14;7,6,5,4,3,2,1;3,2"],
     ["phivector", "--class", "1,1,1,1,1,1,1,1,1,1", "--eps", " 1"],
     ["phivector", "--class", "1,1,1,1,1,1,1,1,1,1", "--eps", "\uff11"],
-    ["components", "--genus", "1_0"],
-    ["components", "--genus", " 3"],
-    ["components", "--genus", "\uff13"],
-    ["components", "--genus", "5", "--phi", "1_0"],
-    ["verify", "--suite", "bounds", "--gmax", " 3"],
-    ["verify", "--suite", "bounds", "--gmax", "\uff13"],
+    *BAD_INTEGER_FLAGS,
 ]
 
 
@@ -457,10 +472,15 @@ def test_usage_errors_exit_two(argv, capsys):
     assert exc.value.code == 2
     out, err = capsys.readouterr()
     assert out == ""
+    # argparse's and int()'s own wordings never reach the user
+    assert "invalid literal" not in err and "invalid parse value" not in err, err
     if argv[0] == "phivector":
         # value errors found after parsing report through the subparser too
         assert err.startswith("usage: enriques phivector "), err
         assert "\nenriques phivector: error: " in err, err
+    if argv in BAD_INTEGER_FLAGS:
+        last = err.splitlines()[-1]
+        assert last.startswith(f"enriques {argv[0]}: error: argument {argv[-2]}: "), last
 
 
 NOT_BIG = "class is not big: the self-intersection is not positive"
