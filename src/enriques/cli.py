@@ -8,10 +8,13 @@ invocations print identical bytes.  JSON output is byte-identical to
 `json.dumps(payload, indent=2, sort_keys=True)` plus a newline; that
 encoder lays out the `components` row and the `phivector` payload once, at
 import, as %-templates, since its indent mode runs in pure Python.
-`components` writes JSON and CSV rows as `iter_components` yields them,
-one profile total at a time, so a listing never holds every row of its
-genus; markdown, whose header gives the count first, collects them first.
-Under `--phi` every format writes `enumerate_components_by_phi`.
+`components` writes JSON rows as `component_rows` yields them, plain
+tuples one profile total at a time, keeping under `--phi K` the rows whose
+profile starts at K.  CSV rows are the `ModuliComponent`s of
+`iter_components`, written as they come, so neither listing holds every
+row of its genus; markdown, whose header gives the count first, collects
+them first.  Under `--phi` CSV and markdown write
+`enumerate_components_by_phi`.
 The argument parser is built once per process, on first use, and each
 subcommand's parser binds its handler with `set_defaults(run=...)`, so
 `main` ends by calling `args.run(args)`.  When the first argument names a
@@ -36,7 +39,12 @@ import os
 import re
 import sys
 
-from .components import component_of, enumerate_components_by_phi, iter_components
+from .components import (
+    component_of,
+    component_rows,
+    enumerate_components_by_phi,
+    iter_components,
+)
 from .fundamental import format_coefficients, fundamental_presentation, parse_coefficients
 from .lattice import NotBigError, NumClass
 from .oracle import phi_vector_oracle
@@ -135,31 +143,32 @@ _PHIVECTOR = (
 _JSON_BOOL = ("false", "true")
 
 
-def _emit_components_json(genus: int, comps) -> None:
+def _emit_components_json(genus: int, rows) -> None:
     """Write {"genus", "count", "components"} as `_dumps` lays it out, one
     row at a time from `_ROW` rather than through json's pure-Python indent
-    encoder.  "count" sorts after the rows, so comps may be any iterable:
-    the rows are counted as they are written."""
+    encoder.  rows are `component_rows` rows, whose coefficients carry the
+    row's eps.  "count" sorts after the rows, so rows may be any iterable:
+    they are counted as they are written."""
     write = sys.stdout.write
     count = 0
     sep = _HEAD
-    for count, m in enumerate(comps, 1):
-        c = m.coefficients
+    for count, row in enumerate(rows, 1):
+        _, phi, eps, name, two_divisible, unirational, a0, head, a9, a10 = row
         write(
             _ROW
             % (
                 sep,
-                c.a0,
-                c.a10,
-                c.a9,
-                c.eps,
-                *c.head,
-                m.eps,
+                a0,
+                a10,
+                a9,
+                eps,
+                *head,
+                eps,
                 genus,
-                m.name,
-                *m.phi,
-                _JSON_BOOL[m.two_divisible],
-                _JSON_BOOL[m.unirational],
+                name,
+                *phi,
+                _JSON_BOOL[two_divisible],
+                _JSON_BOOL[unirational],
             )
         )
         sep = _SEP
@@ -169,15 +178,19 @@ def _emit_components_json(genus: int, comps) -> None:
 def cmd_components(args: argparse.Namespace) -> int:
     """Write the rows of a genus, or under `--phi K` those with smallest
     profile entry K."""
-    genus = args.genus
-    if args.phi is not None:
-        comps = enumerate_components_by_phi(genus, args.phi)
-    else:
-        comps = iter_components(genus)
+    genus, phi1 = args.genus, args.phi
     with _output(args.format) as fmt:
         if fmt == "json":
-            _emit_components_json(genus, comps)
-        elif fmt == "csv":
+            rows = component_rows(genus)
+            if phi1 is not None:
+                rows = (row for row in rows if row[1][0] == phi1)
+            _emit_components_json(genus, rows)
+            return 0
+        if phi1 is not None:
+            comps = enumerate_components_by_phi(genus, phi1)
+        else:
+            comps = iter_components(genus)
+        if fmt == "csv":
             w = csv.writer(sys.stdout, lineterminator="\n")
             w.writerow(
                 ["name", "genus", "phi", "eps", "two_divisible", "coefficients", "unirational"]
@@ -212,13 +225,14 @@ def cmd_components(args: argparse.Namespace) -> int:
 
 def _class_from_args(args: argparse.Namespace):
     """Returns (NumClass, FundamentalCoefficients) or exits 2/3; an unusable
-    value exits 2 through the `phivector` subparser's usage error.
+    value exits 2 through the `phivector` subparser's usage error, under
+    the flag's name as argparse reports its own flags.
 
     Both inputs take one route: `--coeffs` is evaluated to its class, and
     the class is reduced.  A fundamental presentation is unique, so the
     reduction gives parsed coefficients (and eps) back unchanged, after
     its exact reconstruction check."""
-    text = args.cls if args.coeffs is None else args.coeffs
+    flag, text = ("--class", args.cls) if args.coeffs is None else ("--coeffs", args.coeffs)
     try:
         if args.coeffs is not None:
             num = parse_coefficients(text, eps=args.eps).divisor_class()
@@ -227,7 +241,7 @@ def _class_from_args(args: argparse.Namespace):
         else:
             raise ValueError(f"expected integers, got {text!r}")
     except ValueError as exc:
-        args.usage_error(str(exc))
+        args.usage_error(f"argument {flag}: {exc}")
     # `fundamental_presentation` checks the class once; only that check
     # exits 3, any other ValueError past it is a fault.
     try:

@@ -17,13 +17,19 @@ tuple gives (phi_1 is the coefficient total less a_1, and the tuple has
 an eps = 1 twin exactly when it is all even); `components_by_genus`
 yields the same window as rows.
 
-Tuples become sorted rows in one pass of integer arithmetic.  A
-`ModuliComponent` is a named tuple whose leading fields (profile total,
-profile, eps) are the listing order, so rows sort as plain tuples.
-`iter_components(g)` builds and yields them one profile total at a time;
-the public tuples and the `components` writers read its rows.  The walk's
-tuples and profiles satisfy their invariants by construction, so rows skip
-revalidation; each eps = 1 row carries its own eps = 1 coefficients.
+The walk's tuples are plain (a0, head, a9, a10), and they become sorted
+rows in one pass of integer arithmetic.  A row is a plain tuple whose
+leading fields (profile total, profile, eps) are the listing order, so
+rows sort as tuples.  Tuples and rows hold only ints, strings, bools and
+tuples of ints, so the cyclic collector untracks them once it has seen
+them, and full collections during a long listing do not walk them.
+`component_rows(g)` builds and yields the rows one profile total at a
+time, and the JSON listing of `cli` writes them.  The other public
+functions wrap the same tuples and rows: each row becomes a
+`ModuliComponent`, a named tuple of the same fields plus the genus, with
+its coefficients gathered into a `FundamentalCoefficients` of the row's
+eps (so each eps = 1 twin has its own).  The walk's tuples and profiles
+satisfy their invariants by construction, so rows skip revalidation.
 
 This route takes nothing from the search oracle, and this module holds
 only that primary route.  An independent profile-side enumeration, the
@@ -37,7 +43,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
-from itertools import compress, repeat
+from itertools import compress, repeat, starmap
 from operator import contains, gt
 from typing import Iterator, NamedTuple, Sequence
 
@@ -47,6 +53,7 @@ __all__ = [
     "ModuliComponent",
     "coefficients_by_genus",
     "component_of",
+    "component_rows",
     "components_by_genus",
     "iter_components",
     "enumerate_components",
@@ -89,9 +96,11 @@ class ModuliComponent(NamedTuple):
 _BODY = ",".join(["%d"] * 10) + "}"
 
 
-def _rows(g: int, coeffs: Sequence[FundamentalCoefficients]) -> list[ModuliComponent]:
-    """The genus-g rows of the tuples coeffs, plus the eps = 1 twin of each
-    2-divisible one, sorted by profile order then eps.
+def _rows(g: int, coeffs: Sequence[tuple]) -> list[tuple]:
+    """The genus-g rows of the walk's tuples (a0, head, a9, a10), plus the
+    eps = 1 twin of each 2-divisible one, sorted by profile order then
+    eps.  A row is the plain tuple (total, phi, eps, name, two_divisible,
+    unirational, a0, head, a9, a10).
 
     The profile is `phivector_from_coefficients` inlined, and its total is
     9a + 3a0 (a the coefficient total).  The profile is even exactly when
@@ -100,13 +109,9 @@ def _rows(g: int, coeffs: Sequence[FundamentalCoefficients]) -> list[ModuliCompo
     grown row by row between the writes of a streamed listing fragments
     the C heap and raises the peak memory of later listings."""
     odd_name, plus_name, minus_name = (f"E{sign}_{{{g};{_BODY}" for sign in ("", "^+", "^-"))
-    new = tuple.__new__
-    twin = FundamentalCoefficients._trusted
     out: list = [None] * (2 * len(coeffs))
     k = 0
-    for c in coeffs:
-        a0, a9, a10 = c.a0, c.a9, c.a10
-        head = c.head
+    for a0, head, a9, a10 in coeffs:
         h1, h2, h3, h4, h5, h6, h7 = head
         a = a0 + h1 + h2 + h3 + h4 + h5 + h6 + h7 + a9 + a10
         phi = (
@@ -116,32 +121,45 @@ def _rows(g: int, coeffs: Sequence[FundamentalCoefficients]) -> list[ModuliCompo
         total = 9 * a + 3 * a0
         flag = _unirational(phi)
         if (a0 | h1 | h2 | h3 | h4 | h5 | h6 | h7 | a9 | a10) & 1:
-            out[k] = new(ModuliComponent, (total, phi, 0, g, odd_name % phi, False, flag, c))
+            out[k] = (total, phi, 0, odd_name % phi, False, flag, a0, head, a9, a10)
             k += 1
         else:
-            out[k] = new(ModuliComponent, (total, phi, 0, g, plus_name % phi, True, flag, c))
-            c1 = twin(a0, head, a9, a10, eps=1)
-            out[k + 1] = new(ModuliComponent, (total, phi, 1, g, minus_name % phi, True, flag, c1))
+            out[k] = (total, phi, 0, plus_name % phi, True, flag, a0, head, a9, a10)
+            out[k + 1] = (total, phi, 1, minus_name % phi, True, flag, a0, head, a9, a10)
             k += 2
     del out[k:]
     out.sort()
     return out
 
 
+def _components(g: int, rows) -> Iterator[ModuliComponent]:
+    """The `ModuliComponent` of each genus-g row, each with its own
+    coefficients, whose eps is the row's."""
+    new = tuple.__new__
+    make = FundamentalCoefficients._trusted
+    for total, phi, eps, name, two_divisible, unirational, a0, head, a9, a10 in rows:
+        c = make(a0, head, a9, a10, eps)
+        yield new(ModuliComponent, (total, phi, eps, g, name, two_divisible, unirational, c))
+
+
 def component_of(c: FundamentalCoefficients) -> ModuliComponent:
     """The component row of a coefficient tuple, as `enumerate_components`
     lists it; ValueError when its self-intersection is not positive."""
     g = phivector_from_coefficients(c).genus()
-    return next(m for m in _rows(g, (c,)) if m.eps == c.eps)
+    # the rows of one tuple are its eps = 0 row, then any eps = 1 twin
+    rows = _rows(g, ((c.a0, c.head, c.a9, c.a10),))
+    [m] = _components(g, rows[c.eps : c.eps + 1])
+    return m
 
 
-def _coefficient_tuples(
-    q_lo: int, q_hi: int
-) -> dict[int, list[FundamentalCoefficients]]:
+def _coefficient_tuples(q_lo: int, q_hi: int) -> dict[int, list[tuple]]:
     """All valid coefficient tuples with quadratic value q, for every q in
     the window max(q_lo, 1) <= q <= q_hi, grouped by q.  A single q (a
     window of width zero) groups its tuples by profile total 9a + 3a0
-    instead, a the coefficient total; the keys are in no order.
+    instead, a the coefficient total; the keys are in no order.  Each
+    tuple is the plain (a0, head, a9, a10), head the tuple a_1..a_7 and
+    eps 0: holding only ints and a tuple of ints, it is untracked by the
+    cyclic collector once a collection has seen it.
 
     A head (a_1..a_7) is a suffix (a_2..a_7) of value p = e2(suffix) and
     sum s, plus its largest entry a_1 >= a_2: the head's value is
@@ -174,16 +192,16 @@ def _coefficient_tuples(
     needs a tail of value in [r - width, r] (width = q_hi - q_lo).  Every
     a_1 in [a_2, top] is probed against the table, in one pass over the
     sums u they reach: T = r by membership for a single q, a bisection
-    pair in the sorted T of u for a window.  Each hit reads its tails off
-    the table.  The all-zero suffix (s = 0, heads (a_1, 0, ..., 0), whose
-    zero tail has value 0) takes only this nonzero-tail step.
+    pair in the sorted T of u for a window.  Each hit expands the tails it
+    reads off the table into tuples.  The all-zero suffix (s = 0, heads
+    (a_1, 0, ..., 0), whose zero tail has value 0) takes only this
+    nonzero-tail step.
     """
     q_lo = max(q_lo, 1)
     width = q_hi - q_lo
     buckets = {q: [] for q in range(q_lo, q_hi + 1)} if width else defaultdict(list)
     if width < 0:
         return buckets
-    make = FundamentalCoefficients._trusted
     # by_sum[u][T]: the tails (a0, a9, a10, w) that add T to a head of sum u.
     by_sum: list[dict[int, list[tuple[int, int, int, int]]]] = [
         {} for _ in range(q_hi // 2 + 1)
@@ -201,19 +219,6 @@ def _coefficient_tuples(
     sorted_sums = [sorted(found) for found in by_sum] if width else []
     pads = [(0,) * (6 - n) for n in range(7)]
 
-    def tails(head: tuple[int, ...], u: int, r: int) -> None:
-        found = by_sum[u]
-        if not width:
-            base = 9 * u
-            for a0, a9, a10, w in found[r]:
-                buckets[base + w].append(make(a0, head, a9, a10))
-            return
-        ts = sorted_sums[u]
-        for t in ts[bisect_left(ts, r - width) : bisect_right(ts, r)]:
-            bucket = buckets[q_hi - r + t]
-            for a0, a9, a10, _ in found[t]:
-                bucket.append(make(a0, head, a9, a10))
-
     def suffix(acc: tuple[int, ...], a2: int, p: int, s: int) -> None:
         rest = q_hi - p
         suf = acc + pads[len(acc)]
@@ -223,7 +228,7 @@ def _coefficient_tuples(
                 lo = a2
             for a1 in range(lo, rest // s + 1):
                 key = p + a1 * s if width else 9 * (s + a1)
-                buckets[key].append(make(0, (a1, *suf), 0, 0))
+                buckets[key].append((0, (a1, *suf), 0, 0))
         top = (rest - 2 * s - 2) // (s + 2)
         if top >= a2:
             r0 = rest - a2 * s
@@ -233,10 +238,22 @@ def _coefficient_tuples(
                 found = sorted_sums[s + a2 : s + top + 1]
                 los = range(r0 - width, r1 - width, -s) if s else repeat(r0 - width)
                 hit = map(gt, map(bisect_right, found, rs), map(bisect_left, found, los))
+                for a1 in compress(range(a2, top + 1), hit):
+                    head = (a1, *suf)
+                    r = rest - a1 * s
+                    tails = by_sum[s + a1]
+                    ts = sorted_sums[s + a1]
+                    for t in ts[bisect_left(ts, r - width) : bisect_right(ts, r)]:
+                        bucket = buckets[q_hi - r + t]
+                        for a0, a9, a10, _ in tails[t]:
+                            bucket.append((a0, head, a9, a10))
             else:
                 hit = map(contains, by_sum[s + a2 : s + top + 1], rs)
-            for a1 in compress(range(a2, top + 1), hit):
-                tails((a1, *suf), s + a1, rest - a1 * s)
+                for a1 in compress(range(a2, top + 1), hit):
+                    head = (a1, *suf)
+                    base = 9 * (s + a1)
+                    for a0, a9, a10, w in by_sum[s + a1][rest - a1 * s]:
+                        buckets[base + w].append((a0, head, a9, a10))
         if len(acc) == 6 or not s:
             return
         hi = (rest - a2 * s) // (s + a2)
@@ -261,20 +278,30 @@ def _check_genera(g_lo: int, g_hi: int) -> None:
         raise ValueError("genus must be an integer >= 2")
 
 
+def _tuples_by_genus(g_lo: int, g_hi: int) -> Iterator[tuple[int, list[tuple]]]:
+    """(g, the walk's tuples of genus g) for every g_lo <= g <= g_hi in
+    ascending order, from one walk over the window; a single genus
+    flattens its profile-total strata in ascending total.  The walk runs
+    at the call, and each genus's list leaves the walk's buckets when it
+    is reached."""
+    _check_genera(g_lo, g_hi)
+    buckets = _coefficient_tuples(g_lo - 1, g_hi - 1)
+    if g_lo == g_hi:
+        return iter([(g_lo, [c for total in sorted(buckets) for c in buckets[total]])])
+    return ((q + 1, buckets.pop(q)) for q in list(buckets))
+
+
 def coefficients_by_genus(
     g_lo: int, g_hi: int
 ) -> Iterator[tuple[int, list[FundamentalCoefficients]]]:
     """(g, the eps = 0 coefficient tuples of genus g) for every
     g_lo <= g <= g_hi in ascending order, from one walk over the window:
     one tuple per profile, a genus's tuples in no particular order.  A
-    single genus flattens its profile-total strata in ascending total.  The walk runs
-    at the call, and each genus's list leaves the walk's buckets when it
-    is reached.  An empty window (g_hi < g_lo) yields nothing."""
-    _check_genera(g_lo, g_hi)
-    buckets = _coefficient_tuples(g_lo - 1, g_hi - 1)
-    if g_lo == g_hi:
-        return iter([(g_lo, [c for total in sorted(buckets) for c in buckets[total]])])
-    return ((q + 1, buckets.pop(q)) for q in list(buckets))
+    single genus flattens its profile-total strata in ascending total.  The
+    walk runs at the call, and each genus's list leaves the walk's buckets
+    when it is reached.  An empty window (g_hi < g_lo) yields nothing."""
+    make = FundamentalCoefficients._trusted
+    return ((g, list(starmap(make, ts))) for g, ts in _tuples_by_genus(g_lo, g_hi))
 
 
 def components_by_genus(
@@ -285,16 +312,30 @@ def components_by_genus(
     profile order then eps.  The walk runs at the call; the rows of a
     genus are built when it is reached, so a sweep holds one genus's rows
     at a time.  An empty window (g_hi < g_lo) yields nothing."""
-    return ((g, tuple(_rows(g, coeffs))) for g, coeffs in coefficients_by_genus(g_lo, g_hi))
+    return (
+        (g, tuple(_components(g, _rows(g, ts)))) for g, ts in _tuples_by_genus(g_lo, g_hi)
+    )
+
+
+def component_rows(g: int) -> Iterator[tuple]:
+    """The components of genus g as plain rows (total, phi, eps, name,
+    two_divisible, unirational, a0, head, a9, a10), sorted by profile
+    order then eps: the fields of a `ModuliComponent` without its genus,
+    and its coefficients spread out (their eps is the row's).  The genus
+    is checked and the walk runs at the call; the rows of one profile
+    total are built when reached and dropped once yielded.  Rows of ints,
+    strings, bools and int tuples only, so the collector untracks them."""
+    _check_genera(g, g)
+    strata = _coefficient_tuples(g - 1, g - 1)
+    return (row for total in sorted(strata) for row in _rows(g, strata.pop(total)))
 
 
 def iter_components(g: int) -> Iterator[ModuliComponent]:
-    """The components of genus g, sorted by profile order then eps.  The
-    genus is checked and the walk runs at the call; the rows of one profile
-    total are built when reached and dropped once yielded."""
-    _check_genera(g, g)
-    strata = _coefficient_tuples(g - 1, g - 1)
-    return (m for total in sorted(strata) for m in _rows(g, strata.pop(total)))
+    """The components of genus g, sorted by profile order then eps: the
+    rows of `component_rows` as `ModuliComponent`s.  The genus is checked
+    and the walk runs at the call; the rows of one profile total are
+    built when reached and dropped once yielded."""
+    return _components(g, component_rows(g))
 
 
 def enumerate_components(g: int) -> tuple[ModuliComponent, ...]:

@@ -461,6 +461,9 @@ USAGE_ERRORS = [
     ["phivector", "--coeffs", "\uff14;7,6,5,4,3,2,1;3,2"],
     ["phivector", "--class", "1,1,1,1,1,1,1,1,1,1", "--eps", " 1"],
     ["phivector", "--class", "1,1,1,1,1,1,1,1,1,1", "--eps", "\uff11"],
+    # more digits than int() converts, inside a class and a presentation
+    ["phivector", "--class", "1" * 4301 + ",1,1,1,1,1,1,1,1,1"],
+    ["phivector", "--coeffs", "1" * 4301 + ";1,1,0,0,0,0,0;0,0"],
     *BAD_INTEGER_FLAGS,
 ]
 
@@ -478,7 +481,9 @@ def test_usage_errors_exit_two(argv, capsys):
         # value errors found after parsing report through the subparser too
         assert err.startswith("usage: enriques phivector "), err
         assert "\nenriques phivector: error: " in err, err
-    if argv in BAD_INTEGER_FLAGS:
+    # a bad value of an integer flag or a class input, given last, is
+    # reported under that flag
+    if argv in BAD_INTEGER_FLAGS or argv[-2:-1] in (["--class"], ["--coeffs"]):
         last = err.splitlines()[-1]
         assert last.startswith(f"enriques {argv[0]}: error: argument {argv[-2]}: "), last
 

@@ -394,21 +394,37 @@ def test_scaling_suites_reject_an_empty_or_malformed_genus_range(name, gmax):
         run_suite(name, gmax)
 
 
+# The fields of a row as `_rows` builds it, a plain tuple.
+_ROW_FIELDS = (
+    "total", "phi", "eps", "name", "two_divisible", "unirational", "a0", "head", "a9", "a10",
+)
+
+
+def _with(row, **fields):
+    """The `_rows` row with the named fields replaced."""
+    return tuple(fields.get(name, v) for name, v in zip(_ROW_FIELDS, row))
+
+
+def _coefficients(row):
+    """The coefficient fields of a `_rows` row, by name."""
+    return dict(zip(_ROW_FIELDS[6:], row[6:]))
+
+
 # Each takes genus 5's eps = 1 row and its first odd row, and returns a row
 # to replace and its replacement.  None changes the genus's row count or its
 # set of profiles, so only a per-row check can see it.
 _SPLIT_ROW_MUTATIONS = {
     "split-row-on-an-odd-profile": lambda split, odd: (
         split,
-        split._replace(phi=odd.phi, coefficients=odd.coefficients, two_divisible=False),
+        _with(split, phi=odd[1], two_divisible=False, **_coefficients(odd)),
     ),
     "split-row-with-odd-coefficients": lambda split, odd: (
         split,
-        split._replace(coefficients=odd.coefficients),
+        _with(split, **_coefficients(odd)),
     ),
     "odd-row-flagged-two-divisible": lambda split, odd: (
         odd,
-        odd._replace(two_divisible=True),
+        _with(odd, two_divisible=True),
     ),
 }
 
@@ -424,12 +440,12 @@ def test_double_cover_check_sees_a_misplaced_split_row(monkeypatch, mutation):
 
     def mutated_rows(g, coeffs):
         rows = rows_of(g, coeffs)
-        split = next((m for m in rows if m.eps == 1), None)
-        odd = next((m for m in rows if not m.two_divisible), None)
+        split = next((row for row in rows if row[2] == 1), None)
+        odd = next((row for row in rows if not row[4]), None)
         if g != 5 or split is None or odd is None:
             return rows
         old, new = _SPLIT_ROW_MUTATIONS[mutation](split, odd)
-        return tuple(new if m is old else m for m in rows)
+        return [new if row is old else row for row in rows]
 
     monkeypatch.setattr(enriques.components, "_rows", mutated_rows)
     # genus 5 read off a window, which builds it in one call
