@@ -12,9 +12,9 @@ whole window of genera, its tuples grouped by quadratic value g - 1, and
 every sweep over 2..gmax is one window.  A single genus is the window of
 width zero, its tuples grouped by profile total instead.
 `_coefficient_tuples` describes the walk.  `coefficients_by_genus` yields
-a window's tuples genus by genus, for sweeps that read only what the
-tuple gives (phi_1 is the coefficient total less a_1, and the tuple has
-an eps = 1 twin exactly when it is all even); `components_by_genus`
+a window's plain tuples genus by genus, for sweeps that read only what
+the tuple gives (phi_1 is the coefficient total less a_1, and the tuple
+has an eps = 1 twin exactly when it is all even); `components_by_genus`
 yields the same window as rows.
 
 The walk's tuples are plain (a0, head, a9, a10), and they become sorted
@@ -25,11 +25,12 @@ tuples of ints, so the cyclic collector untracks them once it has seen
 them, and full collections during a long listing do not walk them.
 `component_rows(g)` builds and yields the rows one profile total at a
 time, and the JSON listing of `cli` writes them.  The other public
-functions wrap the same tuples and rows: each row becomes a
-`ModuliComponent`, a named tuple of the same fields plus the genus, with
-its coefficients gathered into a `FundamentalCoefficients` of the row's
-eps (so each eps = 1 twin has its own).  The walk's tuples and profiles
-satisfy their invariants by construction, so rows skip revalidation.
+functions but `coefficients_by_genus` wrap the same tuples and rows: each
+row becomes a `ModuliComponent`, a named tuple of the same fields plus
+the genus, with its coefficients gathered into a `FundamentalCoefficients`
+of the row's eps (so each eps = 1 twin has its own).  The walk's tuples
+and profiles satisfy their invariants by construction, so rows skip
+revalidation.
 
 This route takes nothing from the search oracle, and this module holds
 only that primary route.  An independent profile-side enumeration, the
@@ -43,7 +44,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
-from itertools import compress, repeat, starmap
+from itertools import compress, repeat
 from operator import contains, gt
 from typing import Iterator, NamedTuple, Sequence
 
@@ -278,30 +279,19 @@ def _check_genera(g_lo: int, g_hi: int) -> None:
         raise ValueError("genus must be an integer >= 2")
 
 
-def _tuples_by_genus(g_lo: int, g_hi: int) -> Iterator[tuple[int, list[tuple]]]:
-    """(g, the walk's tuples of genus g) for every g_lo <= g <= g_hi in
-    ascending order, from one walk over the window; a single genus
-    flattens its profile-total strata in ascending total.  The walk runs
-    at the call, and each genus's list leaves the walk's buckets when it
-    is reached."""
+def coefficients_by_genus(g_lo: int, g_hi: int) -> Iterator[tuple[int, list[tuple]]]:
+    """(g, the walk's eps = 0 coefficient tuples of genus g) for every
+    g_lo <= g <= g_hi in ascending order, from one walk over the window:
+    one plain tuple (a0, head, a9, a10) per profile, a genus's tuples in
+    no particular order.  A single genus flattens its profile-total strata
+    in ascending total.  The walk runs at the call, and each genus's list
+    leaves the walk's buckets when it is reached.  An empty window
+    (g_hi < g_lo) yields nothing."""
     _check_genera(g_lo, g_hi)
     buckets = _coefficient_tuples(g_lo - 1, g_hi - 1)
     if g_lo == g_hi:
         return iter([(g_lo, [c for total in sorted(buckets) for c in buckets[total]])])
     return ((q + 1, buckets.pop(q)) for q in list(buckets))
-
-
-def coefficients_by_genus(
-    g_lo: int, g_hi: int
-) -> Iterator[tuple[int, list[FundamentalCoefficients]]]:
-    """(g, the eps = 0 coefficient tuples of genus g) for every
-    g_lo <= g <= g_hi in ascending order, from one walk over the window:
-    one tuple per profile, a genus's tuples in no particular order.  A
-    single genus flattens its profile-total strata in ascending total.  The
-    walk runs at the call, and each genus's list leaves the walk's buckets
-    when it is reached.  An empty window (g_hi < g_lo) yields nothing."""
-    make = FundamentalCoefficients._trusted
-    return ((g, list(starmap(make, ts))) for g, ts in _tuples_by_genus(g_lo, g_hi))
 
 
 def components_by_genus(
@@ -313,7 +303,7 @@ def components_by_genus(
     genus are built when it is reached, so a sweep holds one genus's rows
     at a time.  An empty window (g_hi < g_lo) yields nothing."""
     return (
-        (g, tuple(_components(g, _rows(g, ts)))) for g, ts in _tuples_by_genus(g_lo, g_hi)
+        (g, tuple(_components(g, _rows(g, ts)))) for g, ts in coefficients_by_genus(g_lo, g_hi)
     )
 
 

@@ -13,12 +13,16 @@ in exact linear bijection with the minimal intersection profile
 Any class is brought to that form by one reduction: reflect the standard
 sequence by the simple roots of W(E10) until the sorted pairings of L
 satisfy the chain above, then read the coefficients off those pairings
-(Cossec-Dolgachev, Enriques Surfaces I).  This is the formula route;
-`oracle` recomputes the same profiles by exhaustive search and shares
-only the value types with it.  `FundamentalCoefficients.divisor_class`
-evaluates a presentation on the standard sequence through
-`lattice.sequence_combination`, and `lattice.require_big` screens every
-class that `fundamental_presentation` reduces.
+(Cossec-Dolgachev, Enriques Surfaces I).  The reduction reflects plain
+coordinate tuples and builds the classes of the sequence once, when it
+returns it; its parity check, the coefficient validation and the exact
+reconstruction of the class run on every call, under `python -O` too.
+This is the formula route; `oracle` recomputes the same profiles by
+exhaustive search and shares only the value types with it.
+`FundamentalCoefficients.divisor_class` evaluates a presentation on the
+standard sequence through `lattice.sequence_combination`, and
+`lattice.require_big` screens every class that `fundamental_presentation`
+reduces.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import repeat
-from operator import and_, ge, mul
+from operator import and_, ge, itemgetter, mul, sub
 from typing import Sequence
 
 from .lattice import (
@@ -97,8 +101,10 @@ class FundamentalCoefficients:
         cls, a0: int, head: tuple[int, ...], a9: int, a10: int, eps: int = 0
     ) -> FundamentalCoefficients:
         """Build without the checks above, for a producer whose tuples
-        pass them by construction (the component walk, the eps = 1 twins
-        of its rows, and the tuple sweep of `verify`'s roundtrip suite)."""
+        pass them by construction (the component walk, whose tuples the
+        rows and `verify`'s bounds and paper-tables sweeps wrap, the
+        eps = 1 twins of its rows, and the tuple sweep of `verify`'s
+        roundtrip suite)."""
         c = object.__new__(cls)
         set_a0, set_head, set_a9, set_a10, set_eps = _SLOT_SETTERS
         set_a0(c, a0)
@@ -225,6 +231,10 @@ def class_from_presentation(
     return NumClass(tuple(out))
 
 
+# The coordinates of E_1, ..., E_10, where `_reduce` starts.
+_STANDARD_COORDS = tuple(f.coords for f in standard_sequence())
+
+
 def _standard_pairings(goal: NumClass) -> tuple[int, ...]:
     """goal.E_1, ..., goal.E_10 in the closed form of `_reduce`."""
     form = linear_form(goal)
@@ -236,37 +246,43 @@ def _reduce(goal: NumClass, eps: int) -> tuple[FundamentalCoefficients, Isotropi
     """Reflect the standard sequence into the fundamental chamber of goal.
 
     Works on the pairing vector m_i = goal.S_i, kept sorted ascending with
-    its members (the reflections in alpha_1..alpha_9 only permute it).  It
-    starts on S_i = E_i, read off the linear form l of goal: goal.E_i = l_i
-    for i <= 9 and goal.E_10 = 3 l_10 - (l_1 + ... + l_9), since
-    E_10 = 3D - E_1 - ... - E_9.
-    While m_8 + m_9 + m_10 exceeds s = goal.D', reflect in
-    alpha_0 = D' - S_8 - S_9 - S_10: the three largest members x, y, z
-    become D' - y - z, D' - x - z, D' - x - y.  This moves s to
+    the coordinates of its members (the reflections in alpha_1..alpha_9
+    only permute it).  It starts on S_i = E_i, read off the linear form l
+    of goal: goal.E_i = l_i for i <= 9 and
+    goal.E_10 = 3 l_10 - (l_1 + ... + l_9), since E_10 = 3D - E_1 - ... - E_9.
+    While m_8 + m_9 + m_10 exceeds s = goal.D' = (m_1 + ... + m_10) / 3,
+    reflect in alpha_0 = D' - S_8 - S_9 - S_10: the three largest members
+    x, y, z become D' - y - z, D' - x - z, D' - x - y.  This moves s to
     2s - (m_8 + m_9 + m_10) < s, and s stays positive on a nonzero class
     in the closed positive cone, so the loop ends.  At the stop the
     sorted pairings satisfy the tail chain and read off as coefficients.
+    The members are plain coordinate tuples in the loop and become
+    classes once, in the returned sequence.
     """
-    pairs = list(zip(_standard_pairings(goal), standard_sequence()))
-    dseq = D
+    pairs = list(zip(_standard_pairings(goal), _STANDARD_COORDS))
+    by_value = itemgetter(0)
+    pairs.sort(key=by_value)
+    s = sum(map(by_value, pairs)) // 3
+    dseq = D.coords
     while True:
-        pairs.sort(key=lambda mf: mf[0])
         (m8, x), (m9, y), (m10, z) = pairs[7:]
-        s = sum(v for v, _ in pairs) // 3
-        if m8 + m9 + m10 <= s:
+        top = m8 + m9 + m10
+        if top <= s:
             break
         pairs[7:] = [
-            (s - m9 - m10, dseq - y - z),
-            (s - m8 - m10, dseq - x - z),
-            (s - m8 - m9, dseq - x - y),
+            (s - m9 - m10, tuple(map(sub, map(sub, dseq, y), z))),
+            (s - m8 - m10, tuple(map(sub, map(sub, dseq, x), z))),
+            (s - m8 - m9, tuple(map(sub, map(sub, dseq, x), y))),
         ]
-        dseq = 2 * dseq - x - y - z
+        dseq = tuple(2 * d - a - b - c for d, a, b, c in zip(dseq, x, y, z))
+        s = 2 * s - top
+        pairs.sort(key=by_value)
 
     even = is_two_divisible(goal)
-    fc = coefficients_from_phivector([v for v, _ in pairs], eps=eps if even else 0)
+    fc = coefficients_from_phivector(list(map(by_value, pairs)), eps=eps if even else 0)
     if fc.all_even() != even:
         raise AssertionError("2-divisibility disagrees with the coefficient parity")
-    iso = IsotropicSequence(tuple(f for _, f in pairs))
+    iso = IsotropicSequence(tuple(NumClass._trusted(f) for _, f in pairs))
     if class_from_presentation(fc, iso) != goal:
         raise AssertionError("presentation failed to reconstruct the class")
     return fc, iso

@@ -23,6 +23,14 @@ so admissible layers satisfy q t^2 - 2 cap d t + 10 cap^2 <= 0 or
 t d <= 10 cap.  The layer-by-layer search is therefore complete; the test
 suite re-certifies completeness by re-running with extra layers and by the
 coordinate-box search `box_isotropics` (the oracle's oracle).
+
+`IsotropicSequence` checks its members in full, isotropic, primitive,
+positive and pairwise transverse, with one exception: the standard
+sequence is checked in full once, at import, and any order of its ten
+members is then accepted by comparing coordinate sets.  Every condition of
+the check is symmetric in the members, so this accepts the same sequences
+with the same messages, and the chamber reduction, which mostly returns
+the standard members reordered, skips the check there.
 """
 
 from __future__ import annotations
@@ -107,6 +115,50 @@ class PhiVector:
         return self.self_intersection() // 2 + 1
 
 
+def _check_sequence_rows(rows: Sequence[Sequence[int]]) -> None:
+    """The full check of ten member coordinate rows: member by member
+    isotropic, primitive, positive; then every pair, through the row sums
+    of the pairing matrix.  ValueError naming the first condition that
+    fails, members in their order.
+
+    Each member is checked in the closed form of the pairing: with s the
+    sum of its first nine coordinates and d the last, x^2 =
+    s^2 - (x_1^2 + ... + x_10^2) + 6 d s + 11 d^2 and x.D = 3 s + 10 d.
+    Two distinct positive primitive isotropic classes pair to at least 1
+    (the light-cone fact of the module docstring), and a member pairs to 0
+    with itself.  So if the members are distinct, the row sum
+    f_i.(f_1 + ... + f_10) adds nine pairings that are each at least 1,
+    and it is 9 exactly when all nine are 1.  Row sums of 9 also rule out
+    a repeated member.  Give class c multiplicity m_c; the row of c is
+    10 - m_c plus the surplus sum of m_b (c.b - 1) over the other classes
+    b, so its surplus is m_c - 1.  A class of multiplicity 1 has surplus
+    0, so it pairs 1 with every other class.  A repeated class c of least
+    multiplicity then gets each nonzero surplus term from a repeated b,
+    and that term is at least m_b >= m_c > m_c - 1; so its surplus is 0,
+    and m_c = 1.  Ten row sums, against the linear form of the total, thus
+    accept the same sequences as the 45 pairings, with the same message."""
+    for x in rows:
+        d = x[9]
+        s = sum(x) - d
+        if s * s - sum(map(mul, x, x)) + (6 * s + 11 * d) * d != 0:
+            raise ValueError("sequence member is not isotropic")
+        g = gcd(*x)
+        if g == 0:
+            raise ValueError("the zero class is neither primitive nor imprimitive")
+        if g != 1 or 3 * s + 10 * d <= 0:
+            raise ValueError("sequence member is not positive primitive")
+    form = linear_form(NumClass._trusted(tuple(map(sum, zip(*rows)))))
+    if [sum(map(mul, x, form)) for x in rows] != [9] * 10:
+        raise ValueError("sequence members must pairwise pair to 1")
+
+
+# The rows of the standard sequence, checked in full once, here.  Every
+# condition of the check is symmetric in the members, so any order of
+# these ten rows passes it too.
+_check_sequence_rows([f.coords for f in standard_sequence()])
+_STANDARD_ROWS = frozenset(f.coords for f in standard_sequence())
+
+
 @dataclass(frozen=True)
 class IsotropicSequence:
     """Ten pairwise-transverse half-pencil classes: isotropic, primitive,
@@ -115,43 +167,17 @@ class IsotropicSequence:
     members: tuple[NumClass, ...]
 
     def __post_init__(self):
-        """Member by member: isotropic, primitive, positive; then every
-        pair, through the row sums of the pairing matrix.
-
-        Each member is checked in the closed form of the pairing: with s
-        the sum of its first nine coordinates and d the last, x^2 =
-        s^2 - (x_1^2 + ... + x_10^2) + 6 d s + 11 d^2 and x.D = 3 s + 10 d.
-        Two distinct positive primitive isotropic classes pair to at least
-        1 (the light-cone fact of the module docstring), and a member
-        pairs to 0 with itself.  So if the members are distinct, the row
-        sum f_i.(f_1 + ... + f_10) adds nine pairings that are each at
-        least 1, and it is 9 exactly when all nine are 1.  Row sums of 9
-        also rule out a repeated member.  Give class c multiplicity m_c;
-        the row of c is 10 - m_c plus the surplus sum of m_b (c.b - 1)
-        over the other classes b, so its surplus is m_c - 1.  A class of
-        multiplicity 1 has surplus 0, so it pairs 1 with every other
-        class.  A repeated class c of least multiplicity then gets each
-        nonzero surplus term from a repeated b, and that term is at least
-        m_b >= m_c > m_c - 1; so its surplus is 0, and m_c = 1.  Ten row
-        sums, against the linear form of the total, thus accept the same
-        sequences as the 45 pairings, with the same message."""
+        """Ten members, then `_check_sequence_rows` on their coordinates,
+        unless they are the ten standard members in some order: that set
+        passed the full check at import, and the check does not depend on
+        the order of the members.  Ten members whose coordinate set is the
+        ten standard rows are those rows, each once."""
         ms = self.members
         if len(ms) != 10:
             raise ValueError("an isotropic sequence has ten members")
         rows = [f.coords for f in ms]
-        for x in rows:
-            d = x[9]
-            s = sum(x) - d
-            if s * s - sum(map(mul, x, x)) + (6 * s + 11 * d) * d != 0:
-                raise ValueError("sequence member is not isotropic")
-            g = gcd(*x)
-            if g == 0:
-                raise ValueError("the zero class is neither primitive nor imprimitive")
-            if g != 1 or 3 * s + 10 * d <= 0:
-                raise ValueError("sequence member is not positive primitive")
-        form = linear_form(NumClass._trusted(tuple(map(sum, zip(*rows)))))
-        if [sum(map(mul, x, form)) for x in rows] != [9] * 10:
-            raise ValueError("sequence members must pairwise pair to 1")
+        if frozenset(map(tuple, rows)) != _STANDARD_ROWS:
+            _check_sequence_rows(rows)
 
 
 def _from_pairing(m: Sequence[int], t: int) -> NumClass:

@@ -16,9 +16,11 @@ The sweeps read the component walk along one of two routes.  `roundtrip`
 certifies the component rows, so it reads them (`components_by_genus`),
 and so do the `paper-tables` checks of literal names.  `bounds` and the
 closed-form `paper-tables` checks read the walk's coefficient tuples
-(`coefficients_by_genus`): a tuple is one component, plus its eps = 1
-twin when every coefficient is even, and its phi_1 is the coefficient
-total less a_1.  Only a failing bounds check builds rows, to name them.
+(`coefficients_by_genus`), plain (a0, head, a9, a10) tuples: a tuple is
+one component, plus its eps = 1 twin when every coefficient is even, and
+its phi_1 is the coefficient total less a_1.  A sweep wraps a tuple in
+`FundamentalCoefficients` only to compute its profile (a paper-tables
+tuple of phi_1 <= 3) or to name its rows (a tuple that fails a bound).
 
 `run_suite` is the one entry point and checks the genus ceiling.  The
 second routes (the profile search `_profiles_by_genus` and the closed-form
@@ -402,9 +404,9 @@ def suite_paper_tables(gmax: int | None = None) -> list[CheckResult]:
         # listing's row order; phi_1 is the coefficient total less a_1.
         low = []
         for c in coeffs:
-            _, h2, h3, h4, h5, h6, h7 = c.head
-            if c.a0 + h2 + h3 + h4 + h5 + h6 + h7 + c.a9 + c.a10 <= 3:
-                p = phivector_from_coefficients(c)
+            a0, (_, h2, h3, h4, h5, h6, h7), a9, a10 = c
+            if a0 + h2 + h3 + h4 + h5 + h6 + h7 + a9 + a10 <= 3:
+                p = phivector_from_coefficients(FundamentalCoefficients._trusted(*c))
                 low.append((p.phis, 0))
                 if p.all_even():
                     low.append((p.phis, 1))
@@ -524,8 +526,7 @@ def suite_bounds(gmax: int | None = None) -> list[CheckResult]:
         two_g = 2 * g - 2
         bad = []
         for c in coeffs:
-            a0, a9, a10 = c.a0, c.a9, c.a10
-            h1, h2, h3, h4, h5, h6, h7 = c.head
+            a0, (h1, h2, h3, h4, h5, h6, h7), a9, a10 = c
             # one row per tuple, and its eps = 1 twin when all are even
             n += 1 if (a0 | h1 | h2 | h3 | h4 | h5 | h6 | h7 | a9 | a10) & 1 else 2
             p1 = a0 + h2 + h3 + h4 + h5 + h6 + h7 + a9 + a10
@@ -533,7 +534,7 @@ def suite_bounds(gmax: int | None = None) -> list[CheckResult]:
             if sq > two_g or sq < two_g < sq + p1 - 2:
                 bad.append(c)
         # name the violating rows, twins included, in row order
-        rows = [component_of(c) for c in bad]
+        rows = [component_of(FundamentalCoefficients._trusted(*c)) for c in bad]
         rows += [component_of(replace(m.coefficients, eps=1)) for m in rows if m.two_divisible]
         for m in sorted(rows):
             p1 = m.phi[0]

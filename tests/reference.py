@@ -1,7 +1,23 @@
 """Reference walks that the tests hold the package's routes against."""
 
-from enriques.lattice import RANK, pair, standard_sequence
-from enriques.oracle import PhiVector, enumerate_isotropics
+from math import gcd
+from operator import mul
+
+from enriques.fundamental import (
+    _standard_pairings,
+    class_from_presentation,
+    coefficients_from_phivector,
+)
+from enriques.lattice import (
+    D,
+    RANK,
+    NumClass,
+    is_two_divisible,
+    linear_form,
+    pair,
+    standard_sequence,
+)
+from enriques.oracle import IsotropicSequence, PhiVector, enumerate_isotropics
 
 
 def eight_lowest_at_the_cap(L):
@@ -37,3 +53,58 @@ def iter_phi_profiles(max_sum):
                 acc.pop()
 
         yield from rec(RANK, 1, total)
+
+
+def check_isotropic_sequence(ms):
+    """The full check of `IsotropicSequence` on every sequence, the
+    standard one included: ten members, then member by member isotropic,
+    primitive, positive, then the row sums of the pairing matrix against
+    the linear form of the total.  ValueError with the message of the
+    first condition that fails."""
+    if len(ms) != 10:
+        raise ValueError("an isotropic sequence has ten members")
+    rows = [f.coords for f in ms]
+    for x in rows:
+        d = x[9]
+        s = sum(x) - d
+        if s * s - sum(map(mul, x, x)) + (6 * s + 11 * d) * d != 0:
+            raise ValueError("sequence member is not isotropic")
+        g = gcd(*x)
+        if g == 0:
+            raise ValueError("the zero class is neither primitive nor imprimitive")
+        if g != 1 or 3 * s + 10 * d <= 0:
+            raise ValueError("sequence member is not positive primitive")
+    form = linear_form(NumClass._trusted(tuple(map(sum, zip(*rows)))))
+    if [sum(map(mul, x, form)) for x in rows] != [9] * 10:
+        raise ValueError("sequence members must pairwise pair to 1")
+
+
+def reduce_with_classes(goal, eps):
+    """The chamber reduction of `fundamental._reduce` with `NumClass`
+    members throughout, s = goal.D' summed afresh from the pairings at
+    every step, and the full sequence check on the result: (coefficients,
+    members)."""
+    pairs = list(zip(_standard_pairings(goal), standard_sequence()))
+    dseq = D
+    while True:
+        pairs.sort(key=lambda mf: mf[0])
+        (m8, x), (m9, y), (m10, z) = pairs[7:]
+        s = sum(v for v, _ in pairs) // 3
+        if m8 + m9 + m10 <= s:
+            break
+        pairs[7:] = [
+            (s - m9 - m10, dseq - y - z),
+            (s - m8 - m10, dseq - x - z),
+            (s - m8 - m9, dseq - x - y),
+        ]
+        dseq = 2 * dseq - x - y - z
+
+    even = is_two_divisible(goal)
+    fc = coefficients_from_phivector([v for v, _ in pairs], eps=eps if even else 0)
+    if fc.all_even() != even:
+        raise AssertionError("2-divisibility disagrees with the coefficient parity")
+    members = tuple(f for _, f in pairs)
+    check_isotropic_sequence(members)
+    if class_from_presentation(fc, IsotropicSequence(members)) != goal:
+        raise AssertionError("presentation failed to reconstruct the class")
+    return fc, members

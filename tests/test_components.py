@@ -146,8 +146,12 @@ def test_every_row_agrees_with_its_coefficients():
 def test_coefficient_window_gives_the_tuples_of_the_rows(window):
     """`coefficients_by_genus` gives the genera of `components_by_genus`
     over the same window and, per genus, the coefficients of its eps = 0
-    rows, one tuple per profile; an empty window gives nothing."""
-    tuples = [(g, [c.as_tuple() for c in coeffs]) for g, coeffs in coefficients_by_genus(*window)]
+    rows, one plain tuple (a0, head, a9, a10) per profile; an empty window
+    gives nothing."""
+    tuples = [
+        (g, [(a0, *head, a9, a10) for a0, head, a9, a10 in coeffs])
+        for g, coeffs in coefficients_by_genus(*window)
+    ]
     rows = list(components_by_genus(*window))
     assert [g for g, _ in tuples] == [g for g, _ in rows] == list(range(window[0], window[1] + 1))
     for (g, got), (_, comps) in zip(tuples, rows):
@@ -531,6 +535,7 @@ def test_bounds_audit(monkeypatch):
     def recording_walk(g_lo, g_hi):
         for g, coeffs in walk(g_lo, g_hi):
             genera.append(g)
+            assert all(type(c) is tuple and len(c) == 4 for c in coeffs), g
             yield g, coeffs
 
     monkeypatch.setattr(enriques.verify, "coefficients_by_genus", recording_walk)

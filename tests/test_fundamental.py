@@ -1,13 +1,17 @@
 """Coefficient parametrization, presentations, and the rewrite algorithm."""
 
+import importlib
+import json
 import random
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from enriques.fundamental import (
     FundamentalCoefficients,
+    _reduce,
     _standard_pairings,
     class_from_presentation,
     coefficients_from_phivector,
@@ -32,7 +36,9 @@ from enriques.lattice import (
 )
 from enriques.oracle import IsotropicSequence, phi_vector_oracle
 from enriques.verify import _iter_coefficient_tuples
-from reference import iter_phi_profiles
+from reference import iter_phi_profiles, reduce_with_classes
+
+REPO_DIR = Path(__file__).resolve().parent.parent
 
 E = [None] + [generator_e(i) for i in range(1, 11)]
 
@@ -534,3 +540,84 @@ def test_rewrite_returns_the_known_coefficients_of_large_inputs():
         fc, seq = rewrite_to_fundamental(first + last, a0=a0, eps=eps)
         assert fc == replace(c, eps=eps if c.all_even() else 0)
         assert class_from_presentation(fc, seq) == sequence_combination(first + last, a0)
+
+
+# --- the reduction against its class-arithmetic reference -------------------
+
+
+def assert_reduces_as_the_reference(goal, eps):
+    """`_reduce` gives the coefficients, eps and members, in order, of the
+    reduction that carries `NumClass` members and re-sums s every step."""
+    fc, seq = _reduce(goal, eps)
+    want_fc, want_members = reduce_with_classes(goal, eps)
+    assert (fc, fc.eps, seq.members) == (want_fc, want_fc.eps, want_members), goal.coords
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    """The benchmark's workload module, imported from bench/ (whose modules
+    import one another by bare name)."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(REPO_DIR / "bench"))
+        yield importlib.import_module("workloads")
+
+
+def benchmark_ops(workload, seed):
+    """The operations of one seed over the blocks of a run as long as
+    BENCHMARK.json's."""
+    seconds = json.loads((REPO_DIR / "BENCHMARK.json").read_text())["run_seconds"]
+    return workload.make_ops(seed, max(1, round(seconds / workload.block_seconds)))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_reduction_matches_the_reference_on_the_phivector_classes(workloads, seed):
+    ops = benchmark_ops(workloads.PhivectorClasses(), seed)
+    assert len(ops) > 500
+    for op in ops:
+        goal = NumClass(tuple(op.expect["class"]))
+        for eps in (0, 1):
+            assert_reduces_as_the_reference(goal, eps)
+
+
+def test_rewrite_matches_the_reference_on_the_certify_rewrites(workloads):
+    rewrites = [op.args for op in benchmark_ops(workloads.Certify(), 1) if op.kind == "rewrite"]
+    assert len(rewrites) > 1000
+    for cs, a0, eps in rewrites:
+        fc, seq = rewrite_to_fundamental(cs, a0, eps)
+        want_fc, want_members = reduce_with_classes(sequence_combination(cs, a0), eps)
+        assert (fc, fc.eps, seq.members) == (want_fc, want_fc.eps, want_members), (cs, a0, eps)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(big_small_coeffs),
+    st.lists(st.integers(0, 9), max_size=30),
+    st.integers(0, 1),
+)
+def test_reduction_matches_the_reference_on_reflected_classes(c, word, eps):
+    assert_reduces_as_the_reference(reflect(c.divisor_class(), word), eps)
+
+
+# The Coxeter element of the nine simple roots orthogonal to E_1, which
+# span an affine E8: E_i - E_(i+1) for i = 2..9, then D - E_2 - E_3 - E_4.
+CUSP_ROOTS = tuple(E[i] - E[i + 1] for i in range(2, 10)) + (D - E[2] - E[3] - E[4],)
+
+
+def cusp_powers(x, n):
+    """x and its images under powers 1..n of the cusp Coxeter element;
+    power k takes the reduction about k/2 steps back."""
+    out = [x]
+    for _ in range(n):
+        for alpha in CUSP_ROOTS:
+            x = x + pair(x, alpha) * alpha
+        out.append(x)
+    return out
+
+
+def test_reduction_matches_the_reference_on_cusp_powers():
+    assert all(pair(alpha, E[1]) == 0 and self_int(alpha) == -2 for alpha in CUSP_ROOTS)
+    rng = random.Random(7)
+    for c in [DOMINATING, *rng.sample(big_small_coeffs, 2)]:
+        for k, L in enumerate(cusp_powers(c.divisor_class(), 200)):
+            assert_reduces_as_the_reference(L, k % 2)
+            assert _reduce(L, 0)[0] == replace(c, eps=0), k

@@ -38,7 +38,7 @@ from enriques.oracle import (
     phi_vector_oracle,
 )
 from enriques.verify import _DOMINATING, _iter_coefficient_tuples
-from reference import eight_lowest_at_the_cap
+from reference import check_isotropic_sequence, eight_lowest_at_the_cap
 
 coords_st = st.tuples(*([st.integers(-9, 9)] * RANK))
 classes_st = coords_st.map(NumClass)
@@ -210,6 +210,85 @@ def test_a_pair_class_in_place_of_a_member_fails_only_the_pairings(seed):
         assert len(set(bad)) == 10
         assert sum(pair(f, g) for g in bad) == 11
         assert sequence_error(bad) == "sequence members must pairwise pair to 1"
+
+
+def check_outcome(check, ms):
+    """None when check(ms) accepts ms, else the type and message of the
+    exception it raises."""
+    try:
+        check(ms)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def standard_sequence_cases(rng):
+    """(accepted, rejected, first failures): seeded orders of the standard
+    members, some with list coordinates, then broken copies of them, and
+    copies broken at two members, each with the message of the first."""
+    std = standard_sequence()
+    orders = [tuple(rng.sample(std, 10)) for _ in range(50)]
+    as_lists = [tuple(NumClass(list(f.coords)) for f in ms) for ms in orders[:5]]
+    rejected, firsts = [], []
+    for ms in orders[:10] + as_lists:
+        k, other = rng.sample(range(10), 2)
+        i, j = rng.sample(range(1, 11), 2)
+
+        def put(f, at=k, ms=ms):
+            return ms[:at] + (f,) + ms[at + 1 :]
+
+        rejected += [
+            put(ms[other]),  # a repeated standard member
+            put(generator_pair(i, j)),
+            put(2 * ms[k]),  # a doubled member
+            ms[:9],
+            ms + (ms[other],),
+        ]
+        lo, hi = sorted(rng.sample(range(10), 2))
+        firsts += [
+            (put(2 * ms[hi], at=hi, ms=put(D, at=lo)), "sequence member is not isotropic"),
+            (put(D, at=hi, ms=put(2 * ms[lo], at=lo)), "sequence member is not positive primitive"),
+        ]
+    # E_{1,2} in the place of E_1, of E_2 and of E_3
+    rejected += [std[:k] + (generator_pair(1, 2),) + std[k + 1 :] for k in (0, 1, 2)]
+    return orders + as_lists, rejected, firsts
+
+
+def test_sequence_check_matches_the_full_check_around_the_standard_members():
+    """`IsotropicSequence` takes the ten standard members in any order
+    without running the full check on them; on every sequence it accepts
+    what the full check accepts, and fails with the same exception type
+    and message, that of the first failing member."""
+    accepted, rejected, firsts = standard_sequence_cases(random.Random(37))
+
+    def make(ms):
+        return IsotropicSequence(tuple(ms))
+
+    for ms in accepted:
+        assert check_outcome(make, ms) is check_outcome(check_isotropic_sequence, ms) is None
+    for ms in rejected:
+        want = check_outcome(check_isotropic_sequence, ms)
+        assert want is not None and want[0] is ValueError
+        assert check_outcome(make, ms) == want
+    for ms, message in firsts:
+        want = check_outcome(check_isotropic_sequence, ms)
+        assert check_outcome(make, ms) == want == (ValueError, message)
+    for ms in reflected_sequences(5):
+        assert check_outcome(make, ms) == check_outcome(check_isotropic_sequence, ms)
+
+
+def test_only_a_sequence_other_than_the_standard_members_takes_the_full_check(monkeypatch):
+    def refuse(rows):
+        raise AssertionError("full check")
+
+    monkeypatch.setattr(enriques.oracle, "_check_sequence_rows", refuse)
+    std = standard_sequence()
+    IsotropicSequence(std[::-1])
+    IsotropicSequence(tuple(NumClass(list(f.coords)) for f in std))
+    with pytest.raises(AssertionError, match="full check"):
+        IsotropicSequence(std[:9] + (std[0],))
+    with pytest.raises(ValueError, match="ten members"):
+        IsotropicSequence(std[:9])
 
 
 def test_values_against():
