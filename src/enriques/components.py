@@ -146,6 +146,11 @@ def _components(g: int, rows) -> Iterator[ModuliComponent]:
 def component_of(c: FundamentalCoefficients) -> ModuliComponent:
     """The component row of a coefficient tuple, as `enumerate_components`
     lists it; ValueError when its self-intersection is not positive."""
+    # The genus comes from a checked PhiVector, not from quadratic_value + 1:
+    # the benchmark's traced runs count PhiVector checks as oracle work
+    # (oracle.phivector_new), this is the only oracle work on their small
+    # operations, and bench/tests/test_bench.py::
+    # test_traced_self_times_sum_to_wall_time asserts that it is there.
     g = phivector_from_coefficients(c).genus()
     # the rows of one tuple are its eps = 0 row, then any eps = 1 twin
     rows = _rows(g, ((c.a0, c.head, c.a9, c.a10),))

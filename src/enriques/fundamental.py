@@ -80,7 +80,29 @@ class FundamentalCoefficients:
     eps: int = 0
 
     def __post_init__(self):
+        """One chained test accepts exactly the valid coefficients: plain
+        ints, the head nonincreasing down to a nonnegative a_7, the tail
+        chain down to a nonnegative a_10 (so a_0 and a_9 are nonnegative
+        too), and eps 0, or 1 on even coefficients.  Anything else, an int
+        subclass such as bool included, goes through the checks below in
+        their order, which accept ints by isinstance and name the first
+        condition that fails."""
         head = self.head
+        if len(head) == 7:
+            h1, h2, h3, h4, h5, h6, h7 = head
+            a0, a9, a10, eps = self.a0, self.a9, self.a10, self.eps
+            if (
+                type(a0) is type(a9) is type(a10) is type(eps) is int
+                and type(h1) is type(h2) is type(h3) is type(h4) is int
+                and type(h5) is type(h6) is type(h7) is int
+                and h1 >= h2 >= h3 >= h4 >= h5 >= h6 >= h7 >= 0
+                and a9 + a10 >= a0 >= a9 >= a10 >= 0
+                and (
+                    eps == 0
+                    or eps == 1 and not (a0 | h1 | h2 | h3 | h4 | h5 | h6 | h7 | a9 | a10) & 1
+                )
+            ):
+                return
         if len(head) != 7 or not all(map(isinstance, head, repeat(int))):
             raise ValueError("head takes exactly seven integers")
         vals = (self.a0, *head, self.a9, self.a10)
@@ -140,10 +162,11 @@ def quadratic_value(c: FundamentalCoefficients) -> int:
     the pair class, so the quadratic form collapses to an elementary
     symmetric expression.
     """
-    terms = (*c.head, c.a9, c.a10)
-    s = sum(terms)
-    cross = (s * s - sum(map(mul, terms, terms))) // 2
-    return cross + c.a0 * (sum(c.head) + 2 * c.a9 + 2 * c.a10)
+    head, a9, a10 = c.head, c.a9, c.a10
+    h = sum(head)
+    s = h + a9 + a10
+    cross = (s * s - sum(map(mul, head, head)) - a9 * a9 - a10 * a10) // 2
+    return cross + c.a0 * (h + 2 * (a9 + a10))
 
 
 def phivector_from_coefficients(c: FundamentalCoefficients) -> PhiVector:
@@ -169,20 +192,16 @@ def coefficients_from_phivector(
     any sorted ten-entry pairing vector whose total is divisible by 3,
     including ones with a leading 0 that PhiVector rejects (square-0
     classes)."""
-    p = tuple(p)
+    p = p.phis if isinstance(p, PhiVector) else tuple(p)
     if len(p) != 10:
         raise ValueError("a pairing vector has ten entries")
     s, rem = divmod(sum(p), 3)
     if rem:
         raise ValueError("pairing vector total must be divisible by 3")
     p8 = p[7]
-    head = tuple(p8 - p[i] for i in range(7))
+    tail = s - 2 * p8
     return FundamentalCoefficients(
-        a0=s - 3 * p8,
-        head=head,
-        a9=s - 2 * p8 - p[8],
-        a10=s - 2 * p8 - p[9],
-        eps=eps,
+        s - 3 * p8, tuple(map(sub, repeat(p8, 7), p[:7])), tail - p[8], tail - p[9], eps
     )
 
 
@@ -218,16 +237,21 @@ def class_from_presentation(
     """Evaluate the presentation on a concrete sequence: head coefficients
     on members 1..7, a9 and a10 on members 9 and 10, a0 on the pair class
     D' - S_9 - S_10 of the last two members, where D' is a third of the
-    sequence total.  Each coordinate is one weighted sum down its column
-    of member coordinates."""
-    weights = (*c.head, 0, c.a9 - c.a0, c.a10 - c.a0)
+    sequence total.  One pass over the coordinate positions reads the ten
+    member rows together: the total of a position, checked divisible by
+    3, and its weighted sum, in explicit arithmetic."""
     a0 = c.a0
+    h1, h2, h3, h4, h5, h6, h7 = c.head
+    w9, w10 = c.a9 - a0, c.a10 - a0
     out = []
-    for column in zip(*(f.coords for f in seq.members)):
-        third, rem = divmod(sum(column), 3)
+    for x1, x2, x3, x4, x5, x6, x7, x8, x9, x10 in zip(*[f.coords for f in seq.members]):
+        third, rem = divmod(x1 + x2 + x3 + x4 + x5 + x6 + x7 + x8 + x9 + x10, 3)
         if rem:
             raise ValueError("sequence total is not three-divisible")
-        out.append(sum(map(mul, weights, column)) + a0 * third)
+        out.append(
+            h1 * x1 + h2 * x2 + h3 * x3 + h4 * x4 + h5 * x5 + h6 * x6 + h7 * x7
+            + w9 * x9 + w10 * x10 + a0 * third
+        )
     return NumClass(tuple(out))
 
 

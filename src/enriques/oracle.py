@@ -82,7 +82,25 @@ class PhiVector:
     phis: tuple[int, ...]
 
     def __post_init__(self):
+        """One chained test accepts exactly the valid profiles: ten plain
+        ints, positive and nondecreasing, the total divisible by 3, and
+        the first seven at least twice the last three, that is the total
+        at least three times the last three.  Anything else, an int
+        subclass such as bool included, goes through the checks below in
+        their order, which accept ints by isinstance and name the first
+        condition that fails."""
         p = self.phis
+        if len(p) == 10:
+            p1, p2, p3, p4, p5, p6, p7, p8, p9, p10 = p
+            if (
+                type(p1) is type(p2) is type(p3) is type(p4) is type(p5) is int
+                and type(p6) is type(p7) is type(p8) is type(p9) is type(p10) is int
+                and 1 <= p1 <= p2 <= p3 <= p4 <= p5 <= p6 <= p7 <= p8 <= p9 <= p10
+            ):
+                tail = p8 + p9 + p10
+                total = p1 + p2 + p3 + p4 + p5 + p6 + p7 + tail
+                if not total % 3 and total >= 3 * tail:
+                    return
         if len(p) != 10 or not all(map(isinstance, p, repeat(int))):
             raise ValueError("a phi-vector has ten integer entries")
         if p[0] < 1:
@@ -157,6 +175,9 @@ def _check_sequence_rows(rows: Sequence[Sequence[int]]) -> None:
 # these ten rows passes it too.
 _check_sequence_rows([f.coords for f in standard_sequence()])
 _STANDARD_ROWS = frozenset(f.coords for f in standard_sequence())
+
+# The Gram matrix of the basis, for the pairings of a whole pool at once.
+_GRAM = np.array(gram_matrix(), dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -390,13 +411,31 @@ def _best_sequences(
 ) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
     """Smallest value tuple over 10-member pairwise-1 subsets of the pool,
     with the index sets attaining it (at most max_sets of them; the tuple
-    itself is always exact).  The pool must be sorted by (value, coords)."""
+    itself is always exact).  The pool must be sorted by (value, coords).
+
+    Depth first, members in increasing index order.  At a node with chosen
+    values c and `need` members still to place, the candidates (indices
+    above the last chosen one that pair 1 with every chosen member) are
+    listed in increasing order, with values w_0 <= w_1 <= ...  Before it
+    enters the child that takes candidate p, the search bounds that child
+    by the relaxed key of c + (w_p, ..., w_{p+need-1}): candidate p plus
+    the need - 1 cheapest candidates above it, with the pairings among
+    them ignored.  Any completion in that child takes need - 1 of those
+    candidates, so it dominates the relaxed tuple entrywise, and its key
+    is at least the relaxed one.  The relaxed tuple for p + 1 dominates the
+    one for p entrywise, as both are need consecutive values of a sorted
+    list, so the relaxed key is nondecreasing in p; and the best key only
+    falls while the loop runs.  So the loop ends at the first child whose
+    relaxed key is above the best key, or equal to it with max_sets sets
+    held, or that has fewer than need - 1 candidates above it: every later
+    child is ruled out as well.  The running sum of the window decides
+    alone unless it ties the best sum, when the first nine entries
+    compare.  The sets found and their order are those of the plain
+    depth-first search."""
     n = len(pool)
     vals = [v for v, _ in pool]
-    classes = [f for _, f in pool]
-    coords = np.array([f.coords for f in classes], dtype=np.int64)
-    g = np.array(gram_matrix(), dtype=np.int64)
-    ones = (coords @ g @ coords.T) == 1
+    coords = np.array([f.coords for _, f in pool], dtype=np.int64)
+    ones = (coords @ _GRAM @ coords.T) == 1
     # bitmasks need arbitrary precision: pack each row into bytes, lowest
     # bit first, and read the bytes as one little-endian Python int
     packed = np.packbits(ones, axis=1, bitorder="little")
@@ -406,46 +445,47 @@ def _best_sequences(
     best_tuple: tuple[int, ...] | None = None
     best_sets: list[tuple[int, ...]] = []
 
-    def rec(cand: int, chosen: list[int], chosen_vals: list[int]) -> None:
+    def rec(cand: int, chosen: list[int], chosen_vals: list[int], chosen_sum: int) -> None:
         nonlocal best_key, best_tuple, best_sets
-        k = len(chosen)
-        if k == 10:
-            tup = tuple(chosen_vals)
-            key = order_key(tup)
-            if key < best_key:
-                best_key, best_tuple, best_sets = key, tup, [tuple(chosen)]
-            elif key == best_key and len(best_sets) < max_sets:
-                if best_tuple is None:
-                    best_tuple = tup
-                best_sets.append(tuple(chosen))
-            return
-        need = 10 - k
-        # optimistic completion: the `need` cheapest remaining candidates;
-        # any real completion dominates it entrywise, so its key is a bound
-        opt = list(chosen_vals)
-        b = cand
-        while b and len(opt) < 10:
-            j = (b & -b).bit_length() - 1
-            opt.append(vals[j])
-            b &= b - 1
-        if len(opt) < 10:
-            return
-        opt_key = order_key(opt)
-        if opt_key > best_key:
-            return
-        if opt_key == best_key and len(best_sets) >= max_sets:
-            return
+        need = 10 - len(chosen)
+        idx = []
         b = cand
         while b:
-            j = (b & -b).bit_length() - 1
-            b &= b - 1
+            low = b & -b
+            idx.append(low.bit_length() - 1)
+            b ^= low
+        ws = [vals[j] for j in idx]
+        window = chosen_sum + sum(ws[:need])
+        for p in range(len(idx) - need + 1):
+            if p:
+                window += ws[p + need - 1] - ws[p - 1]
+            if window >= best_key[0]:
+                if window > best_key[0]:
+                    break
+                first_nine = tuple((chosen_vals + ws[p : p + need])[:9])
+                if first_nine > best_key[1]:
+                    break
+                if first_nine == best_key[1] and len(best_sets) >= max_sets:
+                    break
+            j = idx[p]
             chosen.append(j)
-            chosen_vals.append(vals[j])
-            rec(cand & adj[j] & ~((1 << (j + 1)) - 1), chosen, chosen_vals)
+            chosen_vals.append(ws[p])
+            if need == 1:
+                # the relaxed tuple is the chosen one: a set in hand
+                tup = tuple(chosen_vals)
+                key = order_key(tup)
+                if key < best_key:
+                    best_key, best_tuple, best_sets = key, tup, [tuple(chosen)]
+                else:
+                    if best_tuple is None:
+                        best_tuple = tup
+                    best_sets.append(tuple(chosen))
+            else:
+                rec(cand & adj[j] & ~((1 << (j + 1)) - 1), chosen, chosen_vals, chosen_sum + ws[p])
             chosen.pop()
             chosen_vals.pop()
 
-    rec((1 << n) - 1, [], [])
+    rec((1 << n) - 1, [], [], 0)
     if best_tuple is None:
         raise AssertionError("no isotropic 10-sequence found in the certified pool")
     return best_tuple, best_sets

@@ -127,6 +127,21 @@ def _profiles_by_genus(g_lo: int, g_hi: int) -> dict[int, list[tuple[int, ...]]]
     since the largest m of n numbers sum to at least m times their
     average. So v is capped where placed + v + (2 - j)(r - v)/(k - 1)
     reaches s, which is increasing in v.
+
+    The other bound prunes from the bottom of the window: the k - 1
+    entries below v, each in [1, v] and summing to r - v, square to at
+    most `_most_squares(k - 1, v, r - v)`, so a child whose r2 - v^2 is
+    further above that than the window's width cannot reach the window.
+    For fixed (k, r, r2) the child's bound v^2 + `_most_squares(k - 1, v,
+    r - v)` is nondecreasing in v: from a greediest completion at v, move
+    one unit from an entry x >= 2 to the leading entry, which gives a
+    completion at v + 1 whose squares sum to 2(v - x + 1) > 0 more.  The
+    loop runs v downwards, so it breaks at the first v that this bound
+    rules out.  The loop's range already keeps k - 1 <= r - v <= (k - 1) v,
+    the range of `_most_squares`.  The balanced bound, which prunes from
+    the top of the window, rules out the largest v first (v^2 plus the
+    least completion grows with v), so it cannot end the downward loop,
+    and each child checks it on entry.
     """
     found: dict[int, set[tuple[int, ...]]] = {g: set() for g in range(g_lo, g_hi + 1)}
     width = 2 * (g_hi - g_lo)  # of the square-sum window
@@ -139,18 +154,16 @@ def _profiles_by_genus(g_lo: int, g_hi: int) -> dict[int, list[tuple[int, ...]]]
         acc: list[int] = []  # built largest entry first
 
         def rec(k: int, hi: int, r: int, r2: int) -> None:
-            # r2 is what the remaining squares may add to reach the top
+            # r2 is what the remaining squares may add to reach the top; the
+            # caller's loop keeps k <= r <= k hi and checks the greedy bound
+            # (the root has r = 3s > 10, since top >= total needs s >= 4)
             if k == 0:
                 if r == 0 and r2 <= width:
                     found[g_lo + r2 // 2].add(tuple(reversed(acc)))
                 return
-            if r > k * hi or r < k:
-                return
             q, rem = divmod(r, k)
             if r2 < (k - rem) * q * q + rem * (q + 1) * (q + 1):
                 return  # even the most balanced completion squares too high
-            if r2 - width > _most_squares(k, hi, r):
-                return  # even the greediest completion squares too low
             lo_v = -(-r // k)  # the largest remaining entry is at least the average
             hi_v = min(hi, r - (k - 1), isqrt(r2 - (k - 1)))
             j = RANK - k  # entries placed so far
@@ -159,7 +172,10 @@ def _profiles_by_genus(g_lo: int, g_hi: int) -> dict[int, list[tuple[int, ...]]]
                 # coefficient of v is (k - 1 - (2 - j))/(k - 1) = 7/(k - 1)
                 room = s - (total - r)
                 hi_v = min(hi_v, ((k - 1) * room - (2 - j) * r) // 7)
+            low = r2 - width  # the child's squares must reach this
             for v in range(hi_v, lo_v - 1, -1):
+                if k > 1 and low > v * v + _most_squares(k - 1, v, r - v):
+                    break  # even the greediest completion squares too low
                 acc.append(v)
                 rec(k - 1, v, r - v, r2 - v * v)
                 acc.pop()

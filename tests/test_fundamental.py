@@ -34,9 +34,15 @@ from enriques.lattice import (
     sequence_combination,
     standard_sequence,
 )
-from enriques.oracle import IsotropicSequence, phi_vector_oracle
+from enriques.oracle import IsotropicSequence, PhiVector, phi_vector_oracle
 from enriques.verify import _iter_coefficient_tuples
-from reference import iter_phi_profiles, reduce_with_classes
+from reference import (
+    coefficients_from_phivector_fields,
+    fundamental_coefficients_error,
+    iter_phi_profiles,
+    phivector_error,
+    reduce_with_classes,
+)
 
 REPO_DIR = Path(__file__).resolve().parent.parent
 
@@ -621,3 +627,174 @@ def test_reduction_matches_the_reference_on_cusp_powers():
         for k, L in enumerate(cusp_powers(c.divisor_class(), 200)):
             assert_reduces_as_the_reference(L, k % 2)
             assert _reduce(L, 0)[0] == replace(c, eps=0), k
+
+
+# --- the one-pass checks against the checks one by one -----------------------
+
+NOT_INTS = (1.5, 2.0, "3", None)
+BOOLS = (True, False)
+
+
+def _outcome(make):
+    """What a constructor returns, or the text of its ValueError."""
+    try:
+        return make()
+    except ValueError as exc:
+        return str(exc)
+
+
+def _coefficient_fields(rng):
+    """Seeded valid fields [a0, head, a9, a10, eps], head a list; eps = 1
+    only where every coefficient is even."""
+    a10 = rng.randint(0, 6)
+    a9 = rng.randint(a10, a10 + 6)
+    a0 = rng.randint(a9, a9 + a10)
+    head = sorted((rng.randint(0, 9) for _ in range(7)), reverse=True)
+    if rng.random() < 0.3:
+        a0, a9, a10, head = 2 * a0, 2 * a9, 2 * a10, [2 * v for v in head]
+    even = not any(v % 2 for v in (a0, *head, a9, a10))
+    return [a0, head, a9, a10, int(even and rng.random() < 0.5)]
+
+
+def _set_position(fields, i, value):
+    """Put value at coefficient position i: 0 is a0, 1..7 the head (its
+    last entry for a shortened head), 8 and 9 are a9 and a10."""
+    head = fields[1]
+    if i == 0:
+        fields[0] = value
+    elif i <= 7:
+        if head:
+            head[min(i, len(head)) - 1] = value
+    else:
+        fields[i - 6] = value
+
+
+def _break(fields, rng):
+    """One seeded fault: a negative entry, a non-int, a bool, a head of the
+    wrong length, a head that increases, a broken tail chain, an eps of 2,
+    True or another non-bit, or eps = 1 on an odd coefficient."""
+    a0, head, a9, a10, _ = fields
+    kind = rng.randrange(8)
+    i = rng.randrange(10)
+    if kind == 0:
+        _set_position(fields, i, -rng.randint(1, 5))
+    elif kind == 1:
+        _set_position(fields, i, rng.choice(NOT_INTS))
+    elif kind == 2:
+        _set_position(fields, i, rng.choice(BOOLS))
+    elif kind == 3:
+        if rng.random() < 0.5 and head:
+            head.pop(rng.randrange(len(head)))
+        else:
+            head.insert(rng.randrange(len(head) + 1), rng.randint(0, 9))
+    elif kind == 4 and len(head) > 1:
+        j = rng.randrange(len(head) - 1)
+        head[j + 1] = head[j] + rng.randint(1, 3) if isinstance(head[j], int) else 1
+    elif kind == 5 and all(isinstance(v, int) for v in (a0, a9, a10)):
+        fields[rng.choice((0, 2, 3))] = rng.choice((a9 + a10 + 1, a9 - 1, a0 + 1, a9 + 1))
+    elif kind == 6:
+        fields[4] = rng.choice((2, -1, True, False, 1.0, None))
+    else:
+        _set_position(fields, i, 2 * rng.randint(0, 4) + 1)
+        fields[4] = 1
+
+
+def _coefficient_grid(seed, n=600):
+    """Valid fields with one to three seeded faults, then each fault on
+    its own: a negative entry and a bool at every position."""
+    rng = random.Random(seed)
+    cases = []
+    for _ in range(n):
+        fields = _coefficient_fields(rng)
+        for _ in range(rng.choice((1, 1, 2, 3))):
+            _break(fields, rng)
+        cases.append(fields)
+    for i in range(10):
+        for value in (-1, True):
+            fields = [4, [7, 6, 5, 4, 3, 2, 1], 3, 2, 0]
+            _set_position(fields, i, value)
+            cases.append(fields)
+    # a negative a_1 above a head that is otherwise in order
+    cases.append([0, [-1, 0, 0, 0, 0, 0, 0], 0, 0, 0])
+    return cases
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_coefficient_checks_give_the_first_message_of_the_checks_in_turn(seed):
+    """`FundamentalCoefficients` accepts what the checks one by one accept
+    and names the first that fails, on a seeded grid of malformed fields."""
+    seen = set()
+    for a0, head, a9, a10, eps in _coefficient_grid(seed):
+        want = fundamental_coefficients_error(a0, tuple(head), a9, a10, eps)
+        got = _outcome(lambda: FundamentalCoefficients(a0, tuple(head), a9, a10, eps))
+        if want is None:
+            assert isinstance(got, FundamentalCoefficients), (a0, head, a9, a10, eps, got)
+            assert (got.a0, got.head, got.a9, got.a10, got.eps) == (a0, tuple(head), a9, a10, eps)
+        else:
+            assert got == want, (a0, head, a9, a10, eps)
+        seen.add(want)
+    assert seen == {
+        None,
+        "head takes exactly seven integers",
+        "coefficients must be nonnegative integers",
+        "head coefficients must be nonincreasing",
+        "tail chain violated: need a9 + a10 >= a0 >= a9 >= a10",
+        "eps must be 0 or 1",
+        "eps = 1 requires all coefficients even",
+    }
+
+
+def _pairing_grid(seed, n=600):
+    """Seeded pairing vectors for `coefficients_from_phivector`: profiles
+    of valid coefficients, as PhiVectors, tuples or lists, with faults: an
+    entry lowered (below 0 too), raised or made a non-int or a bool, an
+    entry dropped or added, two entries swapped; and a seeded eps."""
+    rng = random.Random(seed)
+    cases = []
+    while len(cases) < n:
+        a0, head, a9, a10, eps = _coefficient_fields(rng)
+        c = FundamentalCoefficients(a0, tuple(head), a9, a10)
+        if quadratic_value(c) < 1:
+            continue
+        p = list(phivector_from_coefficients(c).phis)
+        for _ in range(rng.choice((0, 1, 1, 2))):
+            kind = rng.randrange(6)
+            i = rng.randrange(len(p))
+            if kind == 0:
+                p[i] = p[i] - rng.randint(1, 3) * 3 if isinstance(p[i], int) else -1
+            elif kind == 1:
+                p[i] = p[i] + rng.randint(1, 4) if isinstance(p[i], int) else 4
+            elif kind == 2:
+                p[i] = rng.choice((1.5, 2.0) + BOOLS)
+            elif kind == 3:
+                p.pop(i)
+            elif kind == 4:
+                p.insert(i, rng.randint(0, 9))
+            else:
+                j = rng.randrange(len(p))
+                p[i], p[j] = p[j], p[i]
+        if rng.random() < 0.2:
+            eps = rng.choice((0, 1, 2, True, None))
+        shape = rng.randrange(3)
+        if shape == 0 and phivector_error(tuple(p)) is None:
+            p = PhiVector(tuple(p))
+        elif shape == 1:
+            p = tuple(p)
+        cases.append((p, eps))
+    return cases
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_pairing_vectors_give_the_first_message_of_the_checks_in_turn(seed):
+    """`coefficients_from_phivector` returns the coefficients of the
+    checks one by one, or the message of the first that fails."""
+    seen = set()
+    for p, eps in _pairing_grid(seed):
+        want = coefficients_from_phivector_fields(p, eps)
+        got = _outcome(lambda: coefficients_from_phivector(p, eps))
+        if isinstance(got, FundamentalCoefficients):
+            got = (got.a0, got.head, got.a9, got.a10, got.eps)
+        assert got == want, (p, eps)
+        seen.add(want if isinstance(want, str) else None)
+    assert {None, "a pairing vector has ten entries", "pairing vector total must be divisible by 3"} < seen
+    assert len(seen) >= 7, seen

@@ -2,11 +2,12 @@
 
 import hashlib
 import random
+import sys
 from itertools import product
 from math import isqrt
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 import enriques.oracle
 from enriques.components import enumerate_components
@@ -38,7 +39,7 @@ from enriques.oracle import (
     phi_vector_oracle,
 )
 from enriques.verify import _DOMINATING, _iter_coefficient_tuples
-from reference import check_isotropic_sequence, eight_lowest_at_the_cap
+from reference import best_sequences_unpruned, check_isotropic_sequence, eight_lowest_at_the_cap, phivector_error
 
 coords_st = st.tuples(*([st.integers(-9, 9)] * RANK))
 classes_st = coords_st.map(NumClass)
@@ -726,3 +727,172 @@ def test_oracle_matches_closed_form_on_small_tuples():
         L = c.divisor_class()
         got, _ = phi_vector_oracle(L, max_sequences=1)
         assert got == phivector_from_coefficients(c), c
+
+
+# --- the pruned sequence search against the unpruned one ---------------------
+
+
+def _differential_classes():
+    """The classes the sequence search is held to its reference on: the
+    image of (1, 4, 5, ..., 5), whose first pool has 242 members, the
+    genus-621 class, E_1 + E_2, a genus-3 class with a pool of 2,333, and
+    the first 20 big classes of `seeded_class`."""
+    image = coefficients_from_phivector(PhiVector((1, 4) + (5,) * 8)).divisor_class()
+    named = [image, _DOMINATING.divisor_class(), E[1] + E[2], NumClass((-2, -2, -2, 0, 0, 0, 0, 0, 0, 3))]
+    seeded = (seeded_class(seed) for seed in range(100))
+    return named + [L for L in seeded if self_int(L) > 0][:20]
+
+
+@pytest.mark.parametrize("max_sets", [1, 4, 1000])
+def test_pruned_sequence_search_matches_the_unpruned_one(monkeypatch, max_sets):
+    """Every pool the oracle searches gives the same best tuple and the
+    same index sets in the same order as `best_sequences_unpruned`, so
+    the oracle returns the same profile and sequences with either."""
+    pruned = enriques.oracle._best_sequences
+    pools = []
+
+    def both(pool, seed_key, limit):
+        got = pruned(pool, seed_key, limit)
+        assert got == best_sequences_unpruned(pool, seed_key, limit), (len(pool), seed_key, limit)
+        pools.append(len(pool))
+        return got
+
+    monkeypatch.setattr(enriques.oracle, "_best_sequences", both)
+    for L in _differential_classes():
+        phi_vector_oracle(L, max_sequences=max_sets)
+    assert len(pools) >= 24 and max(pools) == 2333
+
+
+def test_the_image_class_search_enters_few_nodes():
+    """On the 242-member first pool of the image of (1, 4, 5, ..., 5) the
+    search for one set enters at most 20 nodes: the bound on each child
+    ends the loop at the first one it rules out (the unpruned search
+    enters 843)."""
+    L = coefficients_from_phivector(PhiVector((1, 4) + (5,) * 8)).divisor_class()
+    lam = pairings(L)
+    pool = enriques.oracle._enumerate_with_values(L, max(lam))
+    nodes = 0
+
+    def count(frame, event, arg):
+        nonlocal nodes
+        if event == "call" and frame.f_code.co_name == "rec":
+            nodes += frame.f_code.co_filename == enriques.oracle.__file__
+
+    sys.setprofile(count)
+    try:
+        got = enriques.oracle._best_sequences(pool, order_key(sorted(lam)), 1)
+    finally:
+        sys.setprofile(None)
+    assert got == best_sequences_unpruned(pool, order_key(sorted(lam)), 1)
+    assert 1 <= nodes <= 20, nodes
+
+
+def _child_key(chosen_vals, vals, rest, need):
+    """The key of the cheapest completion a child can reach: the chosen
+    values, then its need cheapest candidates rest (ascending indices of
+    a sorted pool), or None when it has fewer."""
+    if len(rest) < need:
+        return None
+    return order_key(chosen_vals + [vals[i] for i in rest[:need]])
+
+
+def _relaxed_key(chosen_vals, ws, p, need):
+    """The bound the search puts on the child of candidate p: the chosen
+    values, then the need consecutive candidate values from p on, or None
+    when fewer are left."""
+    if p + need > len(ws):
+        return None
+    return order_key(chosen_vals + ws[p : p + need])
+
+
+@seed(20261020)
+@settings(max_examples=250, deadline=None)
+@given(st.data())
+def test_the_relaxed_key_bounds_each_child_and_grows_along_the_loop(data):
+    """On a sorted pool with random candidates and adjacency, the relaxed
+    key of the child of candidate p is at most the child's own key and
+    nondecreasing in p, and it is missing exactly from p on where the
+    candidates run out; so the first child it rules out ends the loop."""
+    n = data.draw(st.integers(10, 22), label="pool size")
+    vals = sorted(data.draw(st.lists(st.integers(1, 12), min_size=n, max_size=n), label="values"))
+    k = data.draw(st.integers(0, 9), label="members chosen")
+    chosen_vals = sorted(data.draw(st.lists(st.integers(1, 12), min_size=k, max_size=k)))
+    cand = data.draw(st.integers(0, (1 << n) - 1), label="candidates")
+    adj = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n), label="adjacency")
+    need = 10 - k
+    idx = [i for i in range(n) if cand >> i & 1]
+    ws = [vals[i] for i in idx]
+    keys = []
+    for p, j in enumerate(idx):
+        rest = [i for i in idx[p + 1 :] if adj[j] >> i & 1]
+        relaxed = _relaxed_key(chosen_vals, ws, p, need)
+        own = _child_key(chosen_vals + [vals[j]], vals, rest, need - 1)
+        if relaxed is None:
+            assert own is None, (p, own)
+        elif own is not None:
+            assert relaxed <= own, (p, relaxed, own)
+        keys.append(relaxed)
+    present = [key for key in keys if key is not None]
+    assert keys == present + [None] * (len(keys) - len(present))
+    assert present == sorted(present)
+
+
+# --- the one-pass PhiVector check against the checks one by one --------------
+
+
+def _profile_grid(seed, n=800):
+    """Seeded profiles of small coefficient tuples with one to three
+    faults: an entry made negative, 0, a non-int or a bool, an entry
+    dropped or added, two entries swapped, an entry raised by 1 or 3, and
+    the last three raised together by a multiple of 3 (the head/tail
+    inequality); then a negative entry and a bool at every position."""
+    rng = random.Random(seed)
+    profiles = [
+        phivector_from_coefficients(c).phis for c in _iter_coefficient_tuples(6) if quadratic_value(c) >= 1
+    ]
+    cases = []
+    for _ in range(n):
+        p = list(rng.choice(profiles))
+        for _ in range(rng.choice((1, 1, 2, 3))):
+            i = rng.randrange(len(p))
+            kind = rng.randrange(8)
+            if kind == 0:
+                p[i] = -rng.randint(1, 5)
+            elif kind == 1:
+                p[i] = 0
+            elif kind == 2:
+                p[i] = rng.choice((1.5, 2.0, "3", None, True, False))
+            elif kind == 3:
+                p.pop(i)
+            elif kind == 4:
+                p.insert(i, rng.randint(1, 9))
+            elif kind == 5:
+                j = rng.randrange(len(p))
+                p[i], p[j] = p[j], p[i]
+            elif kind == 6 and isinstance(p[i], int):
+                p[i] += rng.choice((1, 3))
+            elif kind == 7 and len(p) == 10 and all(isinstance(v, int) for v in p[7:]):
+                p[7:] = [v + 3 * rng.randint(1, 30) for v in p[7:]]
+        cases.append(tuple(p))
+    base = (1, 4, 5, 5, 5, 5, 5, 5, 5, 5)
+    for i in range(10):
+        for value in (-1, True):
+            cases.append(base[:i] + (value,) + base[i + 1 :])
+    return cases
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_phivector_checks_give_the_first_message_of_the_checks_in_turn(seed):
+    """`PhiVector` accepts what the checks one by one accept and names the
+    first that fails, on a seeded grid of malformed profiles."""
+    seen = set()
+    for p in _profile_grid(seed):
+        want = phivector_error(p)
+        try:
+            PhiVector(p)
+            got = None
+        except ValueError as exc:
+            got = str(exc)
+        assert got == want, p
+        seen.add(want)
+    assert len(seen) == 6, seen

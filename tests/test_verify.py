@@ -4,6 +4,7 @@ from itertools import combinations_with_replacement
 from math import isqrt
 
 import pytest
+from hypothesis import assume, given, seed, settings, strategies as st
 
 import enriques.components
 import enriques.verify
@@ -29,7 +30,7 @@ from enriques.verify import (
     _profiles_by_genus,
     run_suite,
 )
-from reference import iter_phi_profiles
+from reference import iter_phi_profiles, profiles_by_genus_unpruned
 
 
 # One check that only the named suite runs.
@@ -156,6 +157,47 @@ def test_profile_window_matches_its_slice_and_the_coefficient_route():
         assert inner[g] == outer[g], g
         assert inner[g] == sorted({m.phi for m in comps[g]}, key=order_key), g
         assert inner[g] == _profiles_by_genus(g, g)[g], g
+
+
+@pytest.mark.parametrize("window", [(2, 60), (37, 45)])
+def test_profile_search_matches_its_unpruned_reference_on_windows(window):
+    """The search that breaks its loop at the first child the greedy bound
+    rules out gives the dict of the one that enters every child."""
+    assert _profiles_by_genus(*window) == profiles_by_genus_unpruned(*window)
+
+
+def test_profile_search_matches_its_unpruned_reference_at_single_genera():
+    """Each genus up to 150 on its own, where the square-sum window has
+    width 0 and the greedy bound prunes hardest, against the reference's
+    window (2, 150): both searches are complete, so a single genus of the
+    reference is its slice of the window (the window test above and
+    `test_profile_window_matches_its_slice_and_the_coefficient_route`)."""
+    want = profiles_by_genus_unpruned(2, 150)
+    for g in range(2, 151):
+        assert _profiles_by_genus(g, g) == {g: want[g]}, g
+
+
+@pytest.mark.parametrize("g", [300, 400])
+def test_profile_search_certifies_the_listing_at_a_large_genus(g):
+    """The listing of one large genus has the profiles the quadratic
+    search finds for it alone."""
+    listed = sorted({m.phi for m in iter_components(g)}, key=order_key)
+    assert _profiles_by_genus(g, g)[g] == listed
+
+
+@seed(20261020)
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, RANK - 1), st.integers(1, 60), st.data())
+def test_the_greedy_bound_grows_with_the_leading_entry(n, v, data):
+    """v^2 + `_most_squares(n, v, r - v)`, the most the leading entry v and
+    n entries in [1, v] below it can square to, is nondecreasing in v on
+    n <= r - v <= n v, the range the search's loop keeps: so the loop,
+    which runs v downwards, may stop at the first v the bound rules out.
+    Drawn with both v and v + 1 in that range."""
+    most = enriques.verify._most_squares
+    assume(n * v >= n + 1)
+    r = v + data.draw(st.integers(n + 1, n * v), label="r - v")
+    assert v * v + most(n, v, r - v) <= (v + 1) ** 2 + most(n, v + 1, r - v - 1), r
 
 
 def test_most_squares_is_the_largest_square_sum():
