@@ -8,13 +8,11 @@ invocations print identical bytes.  JSON output is byte-identical to
 `json.dumps(payload, indent=2, sort_keys=True)` plus a newline; that
 encoder lays out the `components` row and the `phivector` payload once, at
 import, as %-templates, since its indent mode runs in pure Python.
-`components` writes JSON rows as `component_rows` yields them, plain
-tuples one profile total at a time, keeping under `--phi K` the rows whose
-profile starts at K.  CSV rows are the `ModuliComponent`s of
-`iter_components`, written as they come, so neither listing holds every
-row of its genus; markdown, whose header gives the count first, collects
-them first.  Under `--phi` CSV and markdown write
-`enumerate_components_by_phi`.
+`components` writes, in every format, the rows of `component_rows`:
+plain tuples yielded one profile total at a time, of which `--phi K` keeps
+in one place those whose profile starts at K.  JSON and CSV write the rows
+as they come, so neither listing holds every row of its genus; markdown,
+whose header gives the count first, collects them first.
 The argument parser is built once per process, on first use, and each
 subcommand's parser binds its handler with `set_defaults(run=...)`, so
 `main` ends by calling `args.run(args)`.  When the first argument names a
@@ -39,13 +37,13 @@ import os
 import re
 import sys
 
-from .components import (
-    component_of,
-    component_rows,
-    enumerate_components_by_phi,
-    iter_components,
+from .components import component_of, component_rows
+from .fundamental import (
+    FundamentalCoefficients,
+    format_coefficients,
+    fundamental_presentation,
+    parse_coefficients,
 )
-from .fundamental import format_coefficients, fundamental_presentation, parse_coefficients
 from .lattice import NotBigError, NumClass
 from .oracle import phi_vector_oracle
 from .verify import SUITES, run_suite
@@ -69,8 +67,11 @@ def _integer_arg(least: int | None = None):
     def parse(text: str) -> int:
         try:
             n = int(text) if _INTEGER.fullmatch(text) else None
-        except ValueError as exc:  # more digits than int() converts
-            raise argparse.ArgumentTypeError(f"expected {want}: {exc}")
+        except ValueError:  # more digits than int() converts
+            limit = sys.get_int_max_str_digits()
+            raise argparse.ArgumentTypeError(
+                f"expected {want} of at most {limit} digits"
+            ) from None
         if n is None or (least is not None and n < least):
             raise argparse.ArgumentTypeError(f"expected {want}, got {text!r}")
         return n
@@ -179,46 +180,42 @@ def cmd_components(args: argparse.Namespace) -> int:
     """Write the rows of a genus, or under `--phi K` those with smallest
     profile entry K."""
     genus, phi1 = args.genus, args.phi
+    rows = component_rows(genus)
+    if phi1 is not None:
+        rows = (row for row in rows if row[1][0] == phi1)
+    coefficients = FundamentalCoefficients._trusted
     with _output(args.format) as fmt:
         if fmt == "json":
-            rows = component_rows(genus)
-            if phi1 is not None:
-                rows = (row for row in rows if row[1][0] == phi1)
             _emit_components_json(genus, rows)
-            return 0
-        if phi1 is not None:
-            comps = enumerate_components_by_phi(genus, phi1)
-        else:
-            comps = iter_components(genus)
-        if fmt == "csv":
+        elif fmt == "csv":
             w = csv.writer(sys.stdout, lineterminator="\n")
             w.writerow(
                 ["name", "genus", "phi", "eps", "two_divisible", "coefficients", "unirational"]
             )
             w.writerows(
                 [
-                    m.name,
+                    name,
                     genus,
-                    _phi_str(m.phi),
-                    m.eps,
-                    int(m.two_divisible),
-                    format_coefficients(m.coefficients),
-                    int(m.unirational),
+                    _phi_str(phi),
+                    eps,
+                    int(two_divisible),
+                    format_coefficients(coefficients(a0, head, a9, a10, eps)),
+                    int(unirational),
                 ]
-                for m in comps
+                for _, phi, eps, name, two_divisible, unirational, a0, head, a9, a10 in rows
             )
         else:
-            comps = tuple(comps)
+            rows = list(rows)
             write = sys.stdout.write
-            write(f"# genus {genus}: {len(comps)} component(s)\n")
+            write(f"# genus {genus}: {len(rows)} component(s)\n")
             write("| component | profile | eps | 2-divisible | coefficients | unirational |\n")
             write("|---|---|---|---|---|---|\n")
-            for m in comps:
+            for _, phi, eps, name, two_divisible, unirational, a0, head, a9, a10 in rows:
                 write(
-                    f"| {m.name} | ({_phi_str(m.phi)}) | {m.eps} "
-                    f"| {'yes' if m.two_divisible else 'no'} "
-                    f"| {format_coefficients(m.coefficients)} "
-                    f"| {'yes' if m.unirational else 'no'} |\n"
+                    f"| {name} | ({_phi_str(phi)}) | {eps} "
+                    f"| {'yes' if two_divisible else 'no'} "
+                    f"| {format_coefficients(coefficients(a0, head, a9, a10, eps))} "
+                    f"| {'yes' if unirational else 'no'} |\n"
                 )
     return 0
 
@@ -237,7 +234,12 @@ def _class_from_args(args: argparse.Namespace):
         if args.coeffs is not None:
             num = parse_coefficients(text, eps=args.eps).divisor_class()
         elif _CLASS.fullmatch(text):
-            num = NumClass(tuple(int(v) for v in text.split(",")))
+            try:
+                coords = tuple(int(v) for v in text.split(","))
+            except ValueError:  # more digits than int() converts
+                limit = sys.get_int_max_str_digits()
+                raise ValueError(f"expected integers of at most {limit} digits") from None
+            num = NumClass(coords)
         else:
             raise ValueError(f"expected integers, got {text!r}")
     except ValueError as exc:

@@ -24,7 +24,7 @@ rows sort as tuples.  Tuples and rows hold only ints, strings, bools and
 tuples of ints, so the cyclic collector untracks them once it has seen
 them, and full collections during a long listing do not walk them.
 `component_rows(g)` builds and yields the rows one profile total at a
-time, and the JSON listing of `cli` writes them.  The other public
+time, and the `cli` listing writes them in every format.  The other public
 functions but `coefficients_by_genus` wrap the same tuples and rows: each
 row becomes a `ModuliComponent`, a named tuple of the same fields plus
 the genus, with its coefficients gathered into a `FundamentalCoefficients`
@@ -56,7 +56,6 @@ __all__ = [
     "component_of",
     "component_rows",
     "components_by_genus",
-    "iter_components",
     "enumerate_components",
     "enumerate_components_by_phi",
 ]
@@ -280,7 +279,7 @@ def _coefficient_tuples(q_lo: int, q_hi: int) -> dict[int, list[tuple]]:
 
 
 def _check_genera(g_lo: int, g_hi: int) -> None:
-    if not (isinstance(g_lo, int) and isinstance(g_hi, int)) or g_lo < 2:
+    if not (type(g_lo) is type(g_hi) is int) or g_lo < 2:
         raise ValueError("genus must be an integer >= 2")
 
 
@@ -325,22 +324,15 @@ def component_rows(g: int) -> Iterator[tuple]:
     return (row for total in sorted(strata) for row in _rows(g, strata.pop(total)))
 
 
-def iter_components(g: int) -> Iterator[ModuliComponent]:
-    """The components of genus g, sorted by profile order then eps: the
-    rows of `component_rows` as `ModuliComponent`s.  The genus is checked
-    and the walk runs at the call; the rows of one profile total are
-    built when reached and dropped once yielded."""
-    return _components(g, component_rows(g))
-
-
 def enumerate_components(g: int) -> tuple[ModuliComponent, ...]:
     """All components of the genus-g polarized moduli space, sorted by
-    profile order then eps: the rows of `iter_components`."""
-    return tuple(iter_components(g))
+    profile order then eps: the rows of `component_rows` as
+    `ModuliComponent`s."""
+    return tuple(_components(g, component_rows(g)))
 
 
 def enumerate_components_by_phi(g: int, phi1: int) -> tuple[ModuliComponent, ...]:
     """The components of genus g with smallest profile entry phi1."""
-    if not isinstance(phi1, int) or phi1 < 1:
+    if type(phi1) is not int or phi1 < 1:
         raise ValueError("phi must be a positive integer")
-    return tuple(m for m in iter_components(g) if m.phi[0] == phi1)
+    return tuple(_components(g, (row for row in component_rows(g) if row[1][0] == phi1)))

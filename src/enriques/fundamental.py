@@ -28,6 +28,7 @@ reduces.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from itertools import repeat
 from operator import and_, ge, itemgetter, mul, sub
@@ -124,9 +125,9 @@ class FundamentalCoefficients:
     ) -> FundamentalCoefficients:
         """Build without the checks above, for a producer whose tuples
         pass them by construction (the component walk, whose tuples the
-        rows and `verify`'s bounds and paper-tables sweeps wrap, the
-        eps = 1 twins of its rows, and the tuple sweep of `verify`'s
-        roundtrip suite)."""
+        rows, the `cli` listing and `verify`'s bounds and paper-tables
+        sweeps wrap, the eps = 1 twins of its rows, and the tuple sweep of
+        `verify`'s roundtrip suite)."""
         c = object.__new__(cls)
         set_a0, set_head, set_a9, set_a10, set_eps = _SLOT_SETTERS
         set_a0(c, a0)
@@ -226,9 +227,12 @@ def parse_coefficients(text: str, eps: int = 0) -> FundamentalCoefficients:
         raise ValueError("the middle group takes exactly seven coefficients")
     if len(tail) != 2:
         raise ValueError("the last group takes exactly two coefficients")
-    return FundamentalCoefficients(
-        a0=int(a0), head=tuple(map(int, head)), a9=int(tail[0]), a10=int(tail[1]), eps=eps
-    )
+    try:
+        a0, head, a9, a10 = int(a0), tuple(map(int, head)), int(tail[0]), int(tail[1])
+    except ValueError:  # more digits than int() converts
+        limit = sys.get_int_max_str_digits()
+        raise ValueError(f"coefficients must be integers of at most {limit} digits") from None
+    return FundamentalCoefficients(a0=a0, head=head, a9=a9, a10=a10, eps=eps)
 
 
 def class_from_presentation(

@@ -309,7 +309,7 @@ def enumerate_isotropics(L: NumClass, cap: int, extra_layers: int = 0) -> list[N
     proven search bound; the result must not change, and the verification
     suite checks exactly that.
     """
-    if not isinstance(extra_layers, int) or extra_layers < 0:
+    if type(extra_layers) is not int or extra_layers < 0:
         raise ValueError(f"extra_layers must be a nonnegative integer, got {extra_layers!r}")
     return [f for _, f in _enumerate_with_values(L, cap, extra_layers)]
 
@@ -331,7 +331,7 @@ def box_isotropics(L: NumClass, cap: int, box: int = 2) -> list[NumClass]:
     (2 box + 1)^5 plus the hits, and all arithmetic is on exact Python
     integers, so no class is too large to scan.
     """
-    if not isinstance(box, int) or box < 0:
+    if type(box) is not int or box < 0:
         raise ValueError(f"box must be a nonnegative integer, got {box!r}")
     require_big(L)
     lf = linear_form(L)
@@ -516,7 +516,7 @@ def phi_vector_oracle(
     the limit is the complete set, in lexicographic member-coordinate
     order.
     """
-    if not isinstance(max_sequences, int):
+    if type(max_sequences) is not int:
         raise ValueError(f"max_sequences must be an integer, got {max_sequences!r}")
     if max_sequences < 1:
         raise ValueError("max_sequences must be at least 1")

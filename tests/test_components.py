@@ -15,7 +15,6 @@ from enriques.components import (
     components_by_genus,
     enumerate_components,
     enumerate_components_by_phi,
-    iter_components,
     _unirational,
 )
 from enriques.fundamental import (
@@ -79,17 +78,17 @@ def test_rows_sort_as_tuples_in_profile_order_then_eps():
 
 
 def test_the_listing_iterator_yields_one_total_at_a_time():
-    """`iter_components(g)`, whose tuple is `enumerate_components(g)`,
-    yields the rows that a window walk builds and sorts for g in one call,
-    with profile totals nondecreasing."""
+    """`enumerate_components(g)`, the rows of the listing iterator
+    `component_rows(g)` as components, holds the rows that a window walk
+    builds and sorts for g in one call, with profile totals nondecreasing."""
     for g, window_rows in components_by_genus(2, 400):
-        rows = tuple(iter_components(g))
+        rows = enumerate_components(g)
         assert rows == window_rows, g
         assert all(a.total <= b.total for a, b in zip(rows, rows[1:])), g
 
 
 def test_components_are_the_listing_rows_gathered():
-    """`iter_components(g)` is the `ModuliComponent` of each plain row of
+    """`enumerate_components(g)` is the `ModuliComponent` of each plain row of
     `component_rows(g)`: the row's fields with the genus put in and its
     coefficients, which carry the row's eps, gathered into one checked
     object.  Each eps = 1 twin has its own coefficients object."""
@@ -103,7 +102,7 @@ def test_components_are_the_listing_rows_gathered():
             )
             for total, phi, eps, name, two_divisible, unirational, a0, head, a9, a10 in rows
         ]
-        got = list(iter_components(g))
+        got = list(enumerate_components(g))
         assert got == want, g
         assert len({id(m.coefficients) for m in got}) == len(got), g
 
@@ -167,7 +166,7 @@ def test_enumeration_rejects_small_genus():
         coefficients_by_genus(1, 5)
     # the listing iterator checks its genus at the call, before any row
     with pytest.raises(ValueError):
-        iter_components(1)
+        component_rows(1)
     with pytest.raises(ValueError):
         enumerate_components_by_phi(4, 0)
 

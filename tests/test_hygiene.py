@@ -37,8 +37,10 @@ BENCH_DIR = TESTS_DIR.parent / "bench"
 # phi_profiles_direct(g) is _profiles_by_genus(g, g)[g].  The listing's
 # private records, their converter and the unchecked PhiVector build went
 # when ModuliComponent became the one row type; the to_json methods when
-# the CLI wrote its JSON from templates; and the plain profile walk moved
-# to the tests, since roundtrip takes its profiles from the one search.
+# the CLI wrote its JSON from templates; iter_components when every
+# format of the CLI listing wrote the plain rows of component_rows; and the
+# plain profile walk moved to the tests, since roundtrip takes its profiles
+# from the one search.
 # Functions that only their own module called became private:
 # unirationality_flag (now _unirational, of the listing's rows), and the
 # profile search and closed-form tables that only verify's suites call
@@ -89,6 +91,7 @@ DROPPED = {
         "_row",
         "_genus_records",
         "unirationality_flag",
+        "iter_components",
     ),
     "verify": (
         "DominationReport",

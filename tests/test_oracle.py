@@ -452,17 +452,19 @@ def test_box_scan_takes_the_roots_of_the_d_quadratic():
     assert boxed == [x for x in enumerate_isotropics(D, 6) if max(abs(c) for c in x.coords) <= 2]
 
 
-@pytest.mark.parametrize("box", [-1, 1.5, "2"])
+@pytest.mark.parametrize("box", [-1, 1.5, "2", True])
 def test_box_scan_rejects_a_box_that_is_not_a_nonnegative_integer(box):
-    """A negative box would scan nothing and return an empty reference set."""
+    """A negative box would scan nothing and return an empty reference set.
+    A bool, although an int, is not an integer argument."""
     with pytest.raises(ValueError, match="box"):
         box_isotropics(3 * D, 12, box=box)
 
 
-@pytest.mark.parametrize("extra_layers", [-1, -2, 1.5, "2"])
+@pytest.mark.parametrize("extra_layers", [-1, -2, 1.5, "2", True])
 def test_search_rejects_extra_layers_that_are_not_a_nonnegative_integer(extra_layers):
     """Negative extra layers would cut below the proven bound and return
-    part of the 55 classes as if it were all of them."""
+    part of the 55 classes as if it were all of them.  A bool, although an
+    int, is not an integer argument."""
     with pytest.raises(ValueError, match="extra_layers"):
         enumerate_isotropics(3 * D, 12, extra_layers=extra_layers)
 
@@ -606,9 +608,10 @@ def test_eight_lowest_checks_the_standard_members_below_its_cap(monkeypatch):
         eight_lowest(E[1] + E[2])
 
 
-@pytest.mark.parametrize("max_sequences", [0, -1, 1.5, "2"])
+@pytest.mark.parametrize("max_sequences", [0, -1, 1.5, "2", True])
 def test_oracle_rejects_max_sequences_that_is_not_a_positive_integer(max_sequences):
-    """A string used to raise TypeError and a float to return a result."""
+    """A string used to raise TypeError, and a float or a bool to return a
+    result."""
     with pytest.raises(ValueError, match="max_sequences"):
         phi_vector_oracle(3 * D, max_sequences=max_sequences)
 

@@ -10,10 +10,10 @@ import enriques.components
 import enriques.verify
 from enriques.components import (
     coefficients_by_genus,
+    component_rows,
     components_by_genus,
     enumerate_components,
     enumerate_components_by_phi,
-    iter_components,
 )
 from enriques.fundamental import (
     FundamentalCoefficients,
@@ -181,7 +181,7 @@ def test_profile_search_matches_its_unpruned_reference_at_single_genera():
 def test_profile_search_certifies_the_listing_at_a_large_genus(g):
     """The listing of one large genus has the profiles the quadratic
     search finds for it alone."""
-    listed = sorted({m.phi for m in iter_components(g)}, key=order_key)
+    listed = sorted({row[1] for row in component_rows(g)}, key=order_key)
     assert _profiles_by_genus(g, g)[g] == listed
 
 
@@ -244,26 +244,32 @@ def test_profile_search_matches_the_plain_profile_walk():
     "call",
     [
         lambda: enumerate_components_by_phi(5, 2.5),
+        lambda: enumerate_components_by_phi(5, True),
         lambda: enumerate_components(5.0),
         lambda: components_by_genus(2.0, 3),
         lambda: components_by_genus(2, 3.0),
         lambda: coefficients_by_genus(2, 3.0),
-        lambda: iter_components(5.0),
-        lambda: iter_components(True),
+        lambda: coefficients_by_genus(2, True),
+        lambda: component_rows(5.0),
+        lambda: component_rows(True),
     ],
     ids=[
         "smallest-entry",
+        "smallest-entry-bool",
         "one-genus",
         "window-bottom",
         "window-top",
         "coefficient-window",
+        "coefficient-window-bool",
         "listing",
         "listing-bool",
     ],
 )
 def test_a_non_integer_genus_or_smallest_entry_is_rejected(call):
     """A float would otherwise fail every candidate's integer check and give
-    an empty answer, or reach `range` as a bare TypeError."""
+    an empty answer, or reach `range` as a bare TypeError.  A bool, although
+    an int, is not an integer argument: True as a smallest entry gave the
+    phi_1 = 1 rows, and as a window top an empty window."""
     with pytest.raises(ValueError, match="integer"):
         call()
 
