@@ -323,7 +323,7 @@ def rewrite_to_fundamental(
     fundamental form, tracking the sequence the output lives on.  The
     input may have square 0; the reconstruction is verified exactly."""
     cs = list(coeffs)
-    if not all(map(isinstance, cs, repeat(int))) or not isinstance(a0, int):
+    if not set(map(type, cs)) <= {int} or type(a0) is not int:
         raise ValueError("coefficients must be integers")
     goal = sequence_combination(cs, a0)
     if min(cs) < 0 or a0 < 0:

@@ -68,14 +68,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class NumClass:
-    """A numerical divisor class: integer coordinates in the basis B."""
+    """A numerical divisor class: integer coordinates in the basis B (ints;
+    a bool, although an int, is not a coordinate)."""
 
     coords: tuple[int, ...]
 
     def __post_init__(self):
         if len(self.coords) != RANK:
             raise ValueError(f"a class needs {RANK} coordinates, got {len(self.coords)}")
-        if not all(map(isinstance, self.coords, repeat(int))):
+        if not set(map(type, self.coords)) <= {int}:
             raise ValueError("coordinates must be integers")
 
     @classmethod
@@ -147,8 +148,8 @@ _STANDARD = tuple(
 
 def generator_e(i: int) -> NumClass:
     """The i-th member of the fixed isotropic sequence, 1 <= i <= 10."""
-    if not 1 <= i <= 10:
-        raise ValueError(f"index out of range: {i}")
+    if type(i) is not int or not 1 <= i <= 10:
+        raise ValueError(f"index out of range: {i!r}")
     return _STANDARD[i - 1]
 
 

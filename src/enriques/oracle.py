@@ -309,6 +309,8 @@ def enumerate_isotropics(L: NumClass, cap: int, extra_layers: int = 0) -> list[N
     proven search bound; the result must not change, and the verification
     suite checks exactly that.
     """
+    if type(cap) is not int:
+        raise ValueError(f"cap must be an integer, got {cap!r}")
     if type(extra_layers) is not int or extra_layers < 0:
         raise ValueError(f"extra_layers must be a nonnegative integer, got {extra_layers!r}")
     return [f for _, f in _enumerate_with_values(L, cap, extra_layers)]
@@ -331,6 +333,8 @@ def box_isotropics(L: NumClass, cap: int, box: int = 2) -> list[NumClass]:
     (2 box + 1)^5 plus the hits, and all arithmetic is on exact Python
     integers, so no class is too large to scan.
     """
+    if type(cap) is not int:
+        raise ValueError(f"cap must be an integer, got {cap!r}")
     if type(box) is not int or box < 0:
         raise ValueError(f"box must be a nonnegative integer, got {box!r}")
     require_big(L)

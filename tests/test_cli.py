@@ -64,6 +64,30 @@ def test_components_json_bytes_match_the_recorded_digest(capsys, genus):
     assert hashlib.sha256(out.encode()).hexdigest() == want
 
 
+@pytest.mark.parametrize(
+    ("name", "blocks"),
+    [("PhivectorClasses", None), ("ComponentsLarge", 1)],
+    ids=["phivector-classes", "components-large"],
+)
+def test_benchmark_operations_pass_the_workloads_own_check(
+    capsys, workloads, benchmark_ops, name, blocks
+):
+    """Seed 1's CLI operations of a workload exit 0 with the output that the
+    workload's own check accepts; it reads each output with bench/arith.py,
+    which shares no code with the package.  phivector-classes runs the
+    blocks of a run as long as BENCHMARK.json's, the ROADMAP class among
+    them; components-large one block, ten genera in [250, 1000), whose
+    bytes it also compares with the recorded digest where there is one."""
+    workload = getattr(workloads, name)()
+    ops = benchmark_ops(workload, 1) if blocks is None else workload.make_ops(1, blocks)
+    assert ops
+    for op in ops:
+        code = main(list(op.args))
+        out, err = capsys.readouterr()
+        assert code == 0, (op.args, err)
+        assert workload.check(op, out) is None, op.args
+
+
 def _indent_encoder_bytes(genus, rows):
     """What `json.dumps(..., indent=2, sort_keys=True)` and `print` give
     for the components payload, built here from each row's fields."""

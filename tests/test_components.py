@@ -77,17 +77,24 @@ def test_rows_sort_as_tuples_in_profile_order_then_eps():
                 assert m.coefficients.eps == 1
 
 
-def test_the_listing_iterator_yields_one_total_at_a_time():
+@pytest.fixture(scope="module")
+def listings_to_400():
+    """`enumerate_components(g)` for every g in 2..400, built once for the
+    two tests below (about 2 s and 80 MB)."""
+    return {g: enumerate_components(g) for g in range(2, 401)}
+
+
+def test_the_listing_iterator_yields_one_total_at_a_time(listings_to_400):
     """`enumerate_components(g)`, the rows of the listing iterator
     `component_rows(g)` as components, holds the rows that a window walk
     builds and sorts for g in one call, with profile totals nondecreasing."""
     for g, window_rows in components_by_genus(2, 400):
-        rows = enumerate_components(g)
+        rows = listings_to_400[g]
         assert rows == window_rows, g
         assert all(a.total <= b.total for a, b in zip(rows, rows[1:])), g
 
 
-def test_components_are_the_listing_rows_gathered():
+def test_components_are_the_listing_rows_gathered(listings_to_400):
     """`enumerate_components(g)` is the `ModuliComponent` of each plain row of
     `component_rows(g)`: the row's fields with the genus put in and its
     coefficients, which carry the row's eps, gathered into one checked
@@ -102,7 +109,7 @@ def test_components_are_the_listing_rows_gathered():
             )
             for total, phi, eps, name, two_divisible, unirational, a0, head, a9, a10 in rows
         ]
-        got = list(enumerate_components(g))
+        got = list(listings_to_400[g])
         assert got == want, g
         assert len({id(m.coefficients) for m in got}) == len(got), g
 

@@ -1,10 +1,7 @@
 """Coefficient parametrization, presentations, and the rewrite algorithm."""
 
-import importlib
-import json
 import random
 from dataclasses import replace
-from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -43,8 +40,6 @@ from reference import (
     phivector_error,
     reduce_with_classes,
 )
-
-REPO_DIR = Path(__file__).resolve().parent.parent
 
 E = [None] + [generator_e(i) for i in range(1, 11)]
 
@@ -273,6 +268,11 @@ def test_rewrite_rejects_bad_input():
         rewrite_to_fundamental((0,) * 10)  # zero class
     with pytest.raises(ValueError):
         rewrite_to_fundamental((-1,) + (1,) * 9)
+    for bad in (1.5, "2", True):  # a bool, although an int, is no coefficient
+        with pytest.raises(ValueError, match="coefficients must be integers"):
+            rewrite_to_fundamental((bad,) + (1,) * 9)
+        with pytest.raises(ValueError, match="coefficients must be integers"):
+            rewrite_to_fundamental((1,) * 10, a0=bad)
 
 
 def test_rewrite_parity_matches_two_divisibility():
@@ -559,24 +559,8 @@ def assert_reduces_as_the_reference(goal, eps):
     assert (fc, fc.eps, seq.members) == (want_fc, want_fc.eps, want_members), goal.coords
 
 
-@pytest.fixture(scope="module")
-def workloads():
-    """The benchmark's workload module, imported from bench/ (whose modules
-    import one another by bare name)."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.syspath_prepend(str(REPO_DIR / "bench"))
-        yield importlib.import_module("workloads")
-
-
-def benchmark_ops(workload, seed):
-    """The operations of one seed over the blocks of a run as long as
-    BENCHMARK.json's."""
-    seconds = json.loads((REPO_DIR / "BENCHMARK.json").read_text())["run_seconds"]
-    return workload.make_ops(seed, max(1, round(seconds / workload.block_seconds)))
-
-
 @pytest.mark.parametrize("seed", [1, 2, 3])
-def test_reduction_matches_the_reference_on_the_phivector_classes(workloads, seed):
+def test_reduction_matches_the_reference_on_the_phivector_classes(workloads, benchmark_ops, seed):
     ops = benchmark_ops(workloads.PhivectorClasses(), seed)
     assert len(ops) > 500
     for op in ops:
@@ -585,13 +569,20 @@ def test_reduction_matches_the_reference_on_the_phivector_classes(workloads, see
             assert_reduces_as_the_reference(goal, eps)
 
 
-def test_rewrite_matches_the_reference_on_the_certify_rewrites(workloads):
-    rewrites = [op.args for op in benchmark_ops(workloads.Certify(), 1) if op.kind == "rewrite"]
-    assert len(rewrites) > 1000
-    for cs, a0, eps in rewrites:
-        fc, seq = rewrite_to_fundamental(cs, a0, eps)
+def test_rewrite_matches_the_reference_on_the_certify_rewrites(workloads, benchmark_ops):
+    """Each of seed 1's certify rewrites matches the reduction that carries
+    `NumClass` members, and passes the workload's own check, which holds
+    the coefficients, the eps rule, the sequence, the class they rebuild
+    and its square to the arithmetic of bench/arith.py."""
+    workload = workloads.Certify()
+    ops = [op for op in benchmark_ops(workload, 1) if op.kind == "rewrite"]
+    assert len(ops) > 1000
+    for op in ops:
+        cs, a0, eps = op.args
+        fc, seq = output = rewrite_to_fundamental(cs, a0, eps)
         want_fc, want_members = reduce_with_classes(sequence_combination(cs, a0), eps)
-        assert (fc, fc.eps, seq.members) == (want_fc, want_fc.eps, want_members), (cs, a0, eps)
+        assert (fc, fc.eps, seq.members) == (want_fc, want_fc.eps, want_members), op.args
+        assert workload.check(op, output) is None, op.args
 
 
 @settings(max_examples=150, deadline=None)

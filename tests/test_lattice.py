@@ -133,6 +133,8 @@ def test_pair_class_symmetry_and_identity():
                 assert generator_e(i) + generator_pair(i, j) == D - generator_e(j)
     with pytest.raises(ValueError):
         generator_pair(3, 3)
+    with pytest.raises(ValueError, match="index out of range"):
+        generator_pair(True, 2)
 
 
 def test_three_d_is_the_basis_sum():
@@ -147,8 +149,9 @@ def test_standard_sequence():
     assert len(seq) == 10
     assert seq is standard_sequence()  # one shared constant
     assert seq == tuple(generator_e(i) for i in range(1, 11))
-    with pytest.raises(ValueError):
-        generator_e(11)
+    for bad in (0, 11, 1.5, "2", True):  # a bool, although an int, is no index
+        with pytest.raises(ValueError, match="index out of range"):
+            generator_e(bad)
     for i, j in combinations(range(10), 2):
         assert pair(seq[i], seq[j]) == 1
     for f in seq:
@@ -158,8 +161,9 @@ def test_standard_sequence():
 def test_numclass_validation():
     with pytest.raises(ValueError):
         NumClass((1, 2, 3))
-    with pytest.raises(ValueError):
-        NumClass((0.5,) * 10)
+    for bad in (0.5, "2", True):  # a bool, although an int, is no coordinate
+        with pytest.raises(ValueError, match="coordinates must be integers"):
+            NumClass((bad,) + (0,) * 9)
 
 
 def test_numclass_arithmetic_and_json():

@@ -469,6 +469,16 @@ def test_search_rejects_extra_layers_that_are_not_a_nonnegative_integer(extra_la
         enumerate_isotropics(3 * D, 12, extra_layers=extra_layers)
 
 
+@pytest.mark.parametrize("search", [enumerate_isotropics, box_isotropics])
+@pytest.mark.parametrize("cap", [12.5, "12", True])
+def test_searches_reject_a_cap_that_is_not_an_integer(search, cap):
+    """A string cap used to raise TypeError, a float to raise it in one
+    search and to scan as its floor in the other, and a bool to scan up to
+    value 1.  A bool, although an int, is not an integer argument."""
+    with pytest.raises(ValueError, match="cap must be an integer"):
+        search(3 * D, cap)
+
+
 def test_box_scan_with_wider_box_is_complete():
     assert set(box_isotropics(3 * D, 12, box=3)) == set(enumerate_isotropics(3 * D, 12))
 

@@ -52,6 +52,16 @@ def test_every_suite_passes_at_default_scale():
         assert all(r.passed for r in results), [r for r in results if not r.passed]
 
 
+@pytest.mark.parametrize("name", list(SUITES))
+def test_every_suite_passes_at_the_certify_gmax(workloads, name):
+    """Each suite passes at the --gmax that the certify benchmark workload
+    gives it, read from bench/workloads.py, so the certifying searches are
+    held at that size too."""
+    assert list(workloads.Certify.GMAX) == list(SUITES)
+    results = run_suite(name, workloads.Certify.GMAX[name])
+    assert all(r.passed for r in results), [r for r in results if not r.passed]
+
+
 def test_suites_dispatch_through_the_module_attributes(monkeypatch):
     """run_suite calls whatever each `suite_*` name holds when it runs, so
     a wrapper put on the module attribute sees every suite."""
@@ -177,7 +187,7 @@ def test_profile_search_matches_its_unpruned_reference_at_single_genera():
         assert _profiles_by_genus(g, g) == {g: want[g]}, g
 
 
-@pytest.mark.parametrize("g", [300, 400])
+@pytest.mark.parametrize("g", [300, 400, 500])
 def test_profile_search_certifies_the_listing_at_a_large_genus(g):
     """The listing of one large genus has the profiles the quadratic
     search finds for it alone."""
