@@ -10,12 +10,17 @@ Enumeration runs over fundamental coefficient tuples of the right
 self-intersection and converts each to its profile.  It is one walk for a
 whole window of genera, its tuples grouped by quadratic value g - 1, and
 every sweep over 2..gmax is one window.  A single genus is the window of
-width zero, its tuples grouped by profile total instead.
-`_coefficient_tuples` describes the walk.  `coefficients_by_genus` yields
-a window's plain tuples genus by genus, for sweeps that read only what
-the tuple gives (phi_1 is the coefficient total less a_1, and the tuple
-has an eps = 1 twin exactly when it is all even); `components_by_genus`
-yields the same window as rows.
+width zero, its tuples grouped by profile total instead.  The walk
+branches over head suffixes and solves the largest head entry: it lists
+a call's nonzero tails once, in one table keyed by head sum and tail
+value, and a suffix finds the heads that have a tail with one key-set
+intersection for a single genus, or one bisection pair per head in the
+table's sorted keys for a window.  `_coefficient_tuples` describes the
+walk.  `coefficients_by_genus` yields a window's plain tuples genus by
+genus, for sweeps that read only what the tuple gives (phi_1 is the
+coefficient total less a_1, and the tuple has an eps = 1 twin exactly
+when it is all even); `components_by_genus` yields the same window as
+rows.
 
 The walk's tuples are plain (a0, head, a9, a10), and they become sorted
 rows in one pass of integer arithmetic.  A row is a plain tuple whose
@@ -44,8 +49,6 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
-from itertools import compress, repeat
-from operator import contains, gt
 from typing import Iterator, NamedTuple, Sequence
 
 from .fundamental import FundamentalCoefficients, phivector_from_coefficients
@@ -179,25 +182,37 @@ def _coefficient_tuples(q_lo: int, q_hi: int) -> dict[int, list[tuple]]:
     whole branch.
 
     Given a suffix, a_1 is solved, not walked.  The zero tail keeps the
-    a_1 >= a_2 with q_lo <= p + a_1*s <= q_hi, a division (one a_1 at most
-    for a single q).  Any other tail has a9 >= 1 and, with a0 = a9 + t
-    (0 <= t <= a10), adds T = alpha*u + beta, where
+    a_1 >= a_2 with q_lo <= p + a_1*s <= q_hi, a division (for a single
+    q one divmod, which keeps a_1 = (q - p)/s when s divides q - p).  Any
+    other tail has a9 >= 1 and, with a0 = a9 + t (0 <= t <= a10), adds
+    T = alpha*u + beta, where
 
         alpha = 2a9 + a10 + t,  beta = 2a9^2 + 3a9*a10 + 2t(a9 + a10),
 
     so at least 2u + 2 (at a0 = a9 = 1, a10 = 0).  The head leaves
     r = q_hi - p - a_1*s for its tail, and r >= 2u + 2 caps a_1 at
     top = (q_hi - p - 2s - 2) // (s + 2).  The nonzero tails are listed
-    once per call, in a table local to it: for each head sum u, every
-    value T <= q_hi that some tail adds, with those tails.  Each tail is
-    one tuple (a0, a9, a10, w) shared by every u, where the weight
-    w = 12a0 + 9(a9 + a10) is its share of the profile total: a head of
-    sum u takes the total 9u + w (9u on the zero tail).  The a9 bound is
-    2a9^2 <= q_hi, so the all-zero head (u = 0) keeps its tails.  A head
-    needs a tail of value in [r - width, r] (width = q_hi - q_lo).  Every
-    a_1 in [a_2, top] is probed against the table, in one pass over the
-    sums u they reach: T = r by membership for a single q, a bisection
-    pair in the sorted T of u for a window.  Each hit expands the tails it
+    once per call, in one table local to it, keyed by u*M + T for a head
+    sum u and a value T <= q_hi that some tail adds, where M = q_hi + 1
+    exceeds every T, so each key names one (u, T); it holds those tails.
+    A tail's keys u*(M + alpha) + beta are one arithmetic progression,
+    filled from one range.  Each tail is one tuple (a0, a9, a10, w)
+    shared by all its keys, where the weight w = 12a0 + 9(a9 + a10) is
+    its share of the profile total: a head of sum u takes the total
+    9u + w (9u on the zero tail).  The a9 bound is 2a9^2 <= q_hi, so the
+    all-zero head (u = 0) keeps its tails.
+
+    A head needs a tail of value in [r - width, r] (width = q_hi - q_lo),
+    and its exact key is K = u*M + r = s*M + rest + a_1*(M - s), with
+    rest = q_hi - p: over a_1 an arithmetic progression of step M - s,
+    which is positive since s <= q_hi.  For a single q, the table's keys
+    intersected with that progression over [a_2, top] are exactly the
+    keys of the heads that have a tail, found in one call per suffix, and
+    a_1 = (K - first) // step decodes each (first the key at a_1 = 0).
+    A window bisects the sorted keys for each a_1 in [a_2, top] over
+    [K - width, K], within the keys of u alone: that clamps the range at
+    u*M, below which lie the keys of head sum u - 1.  A key k found there
+    files its tails under q = q_hi - K + k.  Each hit expands the tails it
     reads off the table into tuples.  The all-zero suffix (s = 0, heads
     (a_1, 0, ..., 0), whose zero tail has value 0) takes only this
     nonzero-tail step.
@@ -207,10 +222,9 @@ def _coefficient_tuples(q_lo: int, q_hi: int) -> dict[int, list[tuple]]:
     buckets = {q: [] for q in range(q_lo, q_hi + 1)} if width else defaultdict(list)
     if width < 0:
         return buckets
-    # by_sum[u][T]: the tails (a0, a9, a10, w) that add T to a head of sum u.
-    by_sum: list[dict[int, list[tuple[int, int, int, int]]]] = [
-        {} for _ in range(q_hi // 2 + 1)
-    ]
+    # table[u*m + T]: the tails (a0, a9, a10, w) that add T to a head of sum u
+    m = q_hi + 1
+    table: dict[int, list[tuple[int, int, int, int]]] = {}
     a9 = 1
     while 2 * a9 * a9 <= q_hi:
         for a10 in range(a9 + 1):
@@ -218,46 +232,54 @@ def _coefficient_tuples(q_lo: int, q_hi: int) -> dict[int, list[tuple]]:
                 alpha = 2 * a9 + a10 + t
                 beta = 2 * a9 * a9 + 3 * a9 * a10 + 2 * t * (a9 + a10)
                 tail = (a9 + t, a9, a10, 12 * (a9 + t) + 9 * (a9 + a10))
-                for u in range((q_hi - beta) // alpha + 1):
-                    by_sum[u].setdefault(alpha * u + beta, []).append(tail)
+                stride = m + alpha
+                for key in range(beta, beta + ((q_hi - beta) // alpha + 1) * stride, stride):
+                    table.setdefault(key, []).append(tail)
         a9 += 1
-    sorted_sums = [sorted(found) for found in by_sum] if width else []
+    keys = sorted(table) if width else table.keys()
+    # keys[starts[u] : starts[u + 1]] are the keys of head sum u
+    starts = [bisect_left(keys, u * m) for u in range(q_hi // 2 + 1)] if width else []
     pads = [(0,) * (6 - n) for n in range(7)]
 
     def suffix(acc: tuple[int, ...], a2: int, p: int, s: int) -> None:
         rest = q_hi - p
         suf = acc + pads[len(acc)]
         if s:
-            lo = -((p - q_lo) // s)
-            if lo < a2:
-                lo = a2
-            for a1 in range(lo, rest // s + 1):
-                key = p + a1 * s if width else 9 * (s + a1)
-                buckets[key].append((0, (a1, *suf), 0, 0))
+            if width:
+                lo = -((p - q_lo) // s)
+                if lo < a2:
+                    lo = a2
+                for a1 in range(lo, rest // s + 1):
+                    buckets[p + a1 * s].append((0, (a1, *suf), 0, 0))
+            else:
+                a1, left = divmod(rest, s)
+                if not left and a1 >= a2:
+                    buckets[9 * (s + a1)].append((0, (a1, *suf), 0, 0))
         top = (rest - 2 * s - 2) // (s + 2)
         if top >= a2:
-            r0 = rest - a2 * s
-            r1 = rest - (top + 1) * s
-            rs = range(r0, r1, -s) if s else repeat(r0)
+            # head a_1 reads the key first + a_1*step = u*m + r
+            step = m - s
+            first = s * m + rest
             if width:
-                found = sorted_sums[s + a2 : s + top + 1]
-                los = range(r0 - width, r1 - width, -s) if s else repeat(r0 - width)
-                hit = map(gt, map(bisect_right, found, rs), map(bisect_left, found, los))
-                for a1 in compress(range(a2, top + 1), hit):
-                    head = (a1, *suf)
-                    r = rest - a1 * s
-                    tails = by_sum[s + a1]
-                    ts = sorted_sums[s + a1]
-                    for t in ts[bisect_left(ts, r - width) : bisect_right(ts, r)]:
-                        bucket = buckets[q_hi - r + t]
-                        for a0, a9, a10, _ in tails[t]:
-                            bucket.append((a0, head, a9, a10))
+                for a1 in range(a2, top + 1):
+                    u = s + a1
+                    end = first + a1 * step
+                    last = starts[u + 1]
+                    lo = bisect_left(keys, end - width, starts[u], last)
+                    found = keys[lo : bisect_right(keys, end, lo, last)]
+                    if found:
+                        head = (a1, *suf)
+                        base = q_hi - end
+                        for key in found:
+                            bucket = buckets[base + key]
+                            for a0, a9, a10, _ in table[key]:
+                                bucket.append((a0, head, a9, a10))
             else:
-                hit = map(contains, by_sum[s + a2 : s + top + 1], rs)
-                for a1 in compress(range(a2, top + 1), hit):
+                for key in keys & range(first + a2 * step, first + (top + 1) * step, step):
+                    a1 = (key - first) // step
                     head = (a1, *suf)
                     base = 9 * (s + a1)
-                    for a0, a9, a10, w in by_sum[s + a1][rest - a1 * s]:
+                    for a0, a9, a10, w in table[key]:
                         buckets[base + w].append((a0, head, a9, a10))
         if len(acc) == 6 or not s:
             return

@@ -84,10 +84,10 @@ class FundamentalCoefficients:
         """One chained test accepts exactly the valid coefficients: plain
         ints, the head nonincreasing down to a nonnegative a_7, the tail
         chain down to a nonnegative a_10 (so a_0 and a_9 are nonnegative
-        too), and eps 0, or 1 on even coefficients.  Anything else, an int
-        subclass such as bool included, goes through the checks below in
-        their order, which accept ints by isinstance and name the first
-        condition that fails."""
+        too), and eps 0, or 1 on even coefficients.  Anything else goes
+        through the checks below in their order, which name the first
+        condition that fails; they too take only plain ints, so a bool,
+        although an int, is no coefficient."""
         head = self.head
         if len(head) == 7:
             h1, h2, h3, h4, h5, h6, h7 = head
@@ -104,10 +104,10 @@ class FundamentalCoefficients:
                 )
             ):
                 return
-        if len(head) != 7 or not all(map(isinstance, head, repeat(int))):
+        if len(head) != 7 or not set(map(type, head)) <= {int}:
             raise ValueError("head takes exactly seven integers")
         vals = (self.a0, *head, self.a9, self.a10)
-        if not all(map(isinstance, vals, repeat(int))) or min(vals) < 0:
+        if not set(map(type, vals)) <= {int} or min(vals) < 0:
             raise ValueError("coefficients must be nonnegative integers")
         if not all(map(ge, head, head[1:])):
             raise ValueError("head coefficients must be nonincreasing")

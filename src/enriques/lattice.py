@@ -97,7 +97,8 @@ class NumClass:
         return NumClass._trusted(tuple(map(neg, self.coords)))
 
     def __mul__(self, n: int) -> "NumClass":
-        if not isinstance(n, int):
+        # a bool, although an int, is no multiplier
+        if type(n) is not int:
             return NotImplemented
         return NumClass._trusted(tuple(n * a for a in self.coords))
 

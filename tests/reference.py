@@ -218,10 +218,10 @@ def fundamental_coefficients_error(a0, head, a9, a10, eps=0):
     """The message of the first check of `FundamentalCoefficients` that
     fails on these fields, in the order the checks ran one by one, or
     None when all pass."""
-    if len(head) != 7 or not all(isinstance(v, int) for v in head):
+    if len(head) != 7 or not all(type(v) is int for v in head):
         return "head takes exactly seven integers"
     vals = (a0, *head, a9, a10)
-    if not all(isinstance(v, int) for v in vals) or min(vals) < 0:
+    if not all(type(v) is int for v in vals) or min(vals) < 0:
         return "coefficients must be nonnegative integers"
     if not all(head[i] >= head[i + 1] for i in range(6)):
         return "head coefficients must be nonincreasing"

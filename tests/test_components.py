@@ -484,12 +484,14 @@ def test_window_starts_cut_zero_tails_by_ceiling_division():
     assert cut > 100
 
 
-@pytest.mark.parametrize("window", [(1, 400), (249, 260), (500, 520)])
+@pytest.mark.parametrize("window", [(1, 400), (249, 260), (500, 520), (925, 945)])
 def test_window_matches_its_single_genus_walks(window):
     """A window reads the tails of each head from a range [r - width, r] of
     the tail table; bucket by bucket it must give what the walk of each q
     alone gives.  (1, 400) is the widest window the verify sweeps come
-    near, where one probe per d would cost width + 1 lookups a head."""
+    near, where one probe per d would cost width + 1 lookups a head;
+    (925, 945) holds the two probes to each other at the top of the
+    benchmark's listing range (its digest genus 943 among them)."""
     q_lo, q_hi = window
     buckets = _coefficient_tuples(q_lo, q_hi)
     assert list(buckets) == list(range(q_lo, q_hi + 1))

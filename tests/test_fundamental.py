@@ -61,6 +61,11 @@ def test_coefficient_validation():
         FundamentalCoefficients(a0=1, head=(1,) * 7, a9=0, a10=1)
     with pytest.raises(ValueError):  # negative entry
         FundamentalCoefficients(a0=0, head=(-1, 0, 0, 0, 0, 0, 0), a9=0, a10=0)
+    # a bool, although an int, is no coefficient, in the tail or the head
+    with pytest.raises(ValueError, match="coefficients must be nonnegative integers"):
+        FundamentalCoefficients(True, (1,) * 7, True, False)
+    with pytest.raises(ValueError, match="head takes exactly seven integers"):
+        FundamentalCoefficients(a0=1, head=(True,) + (1,) * 6, a9=1, a10=0)
 
 
 def test_eps_requires_even_profile():

@@ -164,6 +164,12 @@ def test_numclass_validation():
     for bad in (0.5, "2", True):  # a bool, although an int, is no coordinate
         with pytest.raises(ValueError, match="coordinates must be integers"):
             NumClass((bad,) + (0,) * 9)
+    a = NumClass((1,) * 10)
+    for bad in (True, False, 2.0, "2"):  # nor a multiplier, on either side
+        with pytest.raises(TypeError):
+            a * bad
+        with pytest.raises(TypeError):
+            bad * a
 
 
 def test_numclass_arithmetic_and_json():
