@@ -200,7 +200,8 @@ def _coefficient_tuples(q_lo: int, q_hi: int) -> dict[int, list[tuple]]:
     shared by all its keys, where the weight w = 12a0 + 9(a9 + a10) is
     its share of the profile total: a head of sum u takes the total
     9u + w (9u on the zero tail).  The a9 bound is 2a9^2 <= q_hi, so the
-    all-zero head (u = 0) keeps its tails.
+    all-zero head (u = 0) keeps its tails, and the a10 and t loops stop
+    at beta <= q_hi, past which a tail has no key.
 
     A head needs a tail of value in [r - width, r] (width = q_hi - q_lo),
     and its exact key is K = u*M + r = s*M + rest + a_1*(M - s), with
@@ -228,9 +229,13 @@ def _coefficient_tuples(q_lo: int, q_hi: int) -> dict[int, list[tuple]]:
     a9 = 1
     while 2 * a9 * a9 <= q_hi:
         for a10 in range(a9 + 1):
-            for t in range(a10 + 1):
+            # beta = least + 2t(a9 + a10) grows with a10 and t
+            least = 2 * a9 * a9 + 3 * a9 * a10
+            if least > q_hi:
+                break
+            for t in range(min(a10, (q_hi - least) // (2 * (a9 + a10))) + 1):
                 alpha = 2 * a9 + a10 + t
-                beta = 2 * a9 * a9 + 3 * a9 * a10 + 2 * t * (a9 + a10)
+                beta = least + 2 * t * (a9 + a10)
                 tail = (a9 + t, a9, a10, 12 * (a9 + t) + 9 * (a9 + a10))
                 stride = m + alpha
                 for key in range(beta, beta + ((q_hi - beta) // alpha + 1) * stride, stride):

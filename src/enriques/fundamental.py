@@ -190,12 +190,23 @@ def coefficients_from_phivector(
 ) -> FundamentalCoefficients:
     """Exact inverse of phivector_from_coefficients (eps is passed through;
     validation rejects an eps = 1 request on odd coefficients).  Accepts
-    any sorted ten-entry pairing vector whose total is divisible by 3,
-    including ones with a leading 0 that PhiVector rejects (square-0
-    classes)."""
-    p = p.phis if isinstance(p, PhiVector) else tuple(p)
+    any sorted ten-entry pairing vector of ints whose total is divisible
+    by 3, including ones with a leading 0 that PhiVector rejects (square-0
+    classes).  A PhiVector's entries are checked already; any other
+    vector's are checked here, before any arithmetic."""
+    if isinstance(p, PhiVector):
+        return _from_pairings(p.phis, eps)
+    p = tuple(p)
     if len(p) != 10:
         raise ValueError("a pairing vector has ten entries")
+    if not set(map(type, p)) <= {int}:
+        raise ValueError("pairing vector entries must be integers")
+    return _from_pairings(p, eps)
+
+
+def _from_pairings(p: Sequence[int], eps: int) -> FundamentalCoefficients:
+    """`coefficients_from_phivector` on ten ints: the chamber reduction's
+    pairings, or a vector its caller has checked."""
     s, rem = divmod(sum(p), 3)
     if rem:
         raise ValueError("pairing vector total must be divisible by 3")
@@ -256,7 +267,8 @@ def class_from_presentation(
             h1 * x1 + h2 * x2 + h3 * x3 + h4 * x4 + h5 * x5 + h6 * x6 + h7 * x7
             + w9 * x9 + w10 * x10 + a0 * third
         )
-    return NumClass(tuple(out))
+    # integer coefficients on the integer rows of checked members
+    return NumClass._trusted(tuple(out))
 
 
 # The coordinates of E_1, ..., E_10, where `_reduce` starts.
@@ -307,7 +319,7 @@ def _reduce(goal: NumClass, eps: int) -> tuple[FundamentalCoefficients, Isotropi
         pairs.sort(key=by_value)
 
     even = is_two_divisible(goal)
-    fc = coefficients_from_phivector(list(map(by_value, pairs)), eps=eps if even else 0)
+    fc = _from_pairings(list(map(by_value, pairs)), eps if even else 0)
     if fc.all_even() != even:
         raise AssertionError("2-divisibility disagrees with the coefficient parity")
     iso = IsotropicSequence(tuple(NumClass._trusted(f) for _, f in pairs))
@@ -321,10 +333,9 @@ def rewrite_to_fundamental(
 ) -> tuple[FundamentalCoefficients, IsotropicSequence]:
     """Rewrite a_1 E_1 + ... + a_10 E_10 + a_0 E_{9,10} (+ eps torsion) into
     fundamental form, tracking the sequence the output lives on.  The
-    input may have square 0; the reconstruction is verified exactly."""
+    input may have square 0; the reconstruction is verified exactly.
+    `sequence_combination` checks that the coefficients are integers."""
     cs = list(coeffs)
-    if not set(map(type, cs)) <= {int} or type(a0) is not int:
-        raise ValueError("coefficients must be integers")
     goal = sequence_combination(cs, a0)
     if min(cs) < 0 or a0 < 0:
         raise ValueError("coefficients must be nonnegative")

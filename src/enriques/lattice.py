@@ -26,11 +26,15 @@ positive (effective in the unnodal model) iff it pairs positively with D.
 sequence to coordinates, and `require_big` is the one check that a class
 is big and positive; every route into the package starts with them.
 
-Validation happens at that boundary: the `NumClass(...)` constructor
-checks the coordinates and `require_big` checks bigness and positivity,
-raising `NotBigError` (a `ValueError`) on a class that fails them.
-Arithmetic on valid classes gives valid classes, so `+`, `-` and `*`
-build their results through `NumClass._trusted` without re-checking.
+Validation happens at that boundary, by one integer rule: a value is an
+integer when its type is `int`, so a bool or a float is not.
+`sequence_combination` checks its ten coefficients and a0 by that rule,
+the `NumClass(...)` constructor checks the coordinates, and `require_big`
+checks bigness and positivity, raising `NotBigError` (a `ValueError`) on a
+class that fails them.  Integer coefficients give integer coordinates, so
+`sequence_combination` builds its class through `NumClass._trusted`, and
+arithmetic on valid classes gives valid classes, so `+`, `-` and `*` do
+too, without re-checking.
 `pair` and `linear_form` evaluate the Gram matrix in closed form.
 """
 
@@ -193,13 +197,16 @@ def sequence_combination(coeffs: Sequence[int], a0: int = 0) -> NumClass:
 
     E_10 = 3D - (E_1 + ... + E_9) and E_{9,10} = E_1 + ... + E_8 - 2D, so
     the coordinates are a_i - a_10 + a0 (i <= 8), a_9 - a_10 and
-    3 a_10 - 2 a0.
+    3 a_10 - 2 a0.  ValueError unless a0 and every coefficient are ints
+    (checked first) and there are ten coefficients.
     """
+    if not set(map(type, coeffs)) <= {int} or type(a0) is not int:
+        raise ValueError("coefficients must be integers")
     if len(coeffs) != 10:
         raise ValueError("expected ten sequence coefficients")
     a10 = coeffs[9]
     shift = a0 - a10
-    return NumClass(
+    return NumClass._trusted(
         tuple(v + shift for v in coeffs[:8]) + (coeffs[8] - a10, 3 * a10 - 2 * a0)
     )
 

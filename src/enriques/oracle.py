@@ -85,10 +85,10 @@ class PhiVector:
         """One chained test accepts exactly the valid profiles: ten plain
         ints, positive and nondecreasing, the total divisible by 3, and
         the first seven at least twice the last three, that is the total
-        at least three times the last three.  Anything else, an int
-        subclass such as bool included, goes through the checks below in
-        their order, which accept ints by isinstance and name the first
-        condition that fails."""
+        at least three times the last three.  Anything else goes through
+        the checks below in their order, which name the first condition
+        that fails; they too take only plain ints, so a bool, although an
+        int, is no entry."""
         p = self.phis
         if len(p) == 10:
             p1, p2, p3, p4, p5, p6, p7, p8, p9, p10 = p
@@ -101,7 +101,7 @@ class PhiVector:
                 total = p1 + p2 + p3 + p4 + p5 + p6 + p7 + tail
                 if not total % 3 and total >= 3 * tail:
                     return
-        if len(p) != 10 or not all(map(isinstance, p, repeat(int))):
+        if len(p) != 10 or not set(map(type, p)) <= {int}:
             raise ValueError("a phi-vector has ten integer entries")
         if p[0] < 1:
             raise ValueError("phi-vector entries must be positive")
@@ -329,7 +329,9 @@ def box_isotropics(L: NumClass, cap: int, box: int = 2) -> list[NumClass]:
     (s, q), listing the members by their share of F.L.  For each first
     half group, second half s and x with 3 s + 10 x > 0 (F positive, so
     not zero), isotropy fixes the second half's q, and bisection on that
-    group's list keeps the members within the cap.  The cost is about
+    group's list keeps the members within the cap; a candidate is kept
+    when its coordinate gcd is 1, as `lattice.is_primitive` defines
+    primitivity.  The cost is about
     (2 box + 1)^5 plus the hits, and all arithmetic is on exact Python
     integers, so no class is too large to scan.
     """
@@ -343,25 +345,23 @@ def box_isotropics(L: NumClass, cap: int, box: int = 2) -> list[NumClass]:
     vals = range(-box, box + 1)
 
     def halves(weights: Sequence[int]) -> dict[tuple[int, int], list]:
-        """(s, q) -> [(share of F.L, gcd, coordinates)] over the box in
-        these coordinates, sorted; built one coordinate at a time."""
-        rows = [(0, 0, 0, 0, ())]
+        """(s, q) -> [(share of F.L, coordinates)] over the box in these
+        coordinates, sorted; built one coordinate at a time."""
+        rows = [(0, 0, 0, ())]
         for w in weights:
             rows = [
-                (s + v, q + v * v, dot + w * v, gcd(g, v), c + (v,))
-                for s, q, dot, g, c in rows
-                for v in vals
+                (s + v, q + v * v, dot + w * v, c + (v,)) for s, q, dot, c in rows for v in vals
             ]
         groups: dict[tuple[int, int], list] = {}
-        for s, q, dot, g, c in rows:
-            groups.setdefault((s, q), []).append((dot, g, c))
+        for s, q, dot, c in rows:
+            groups.setdefault((s, q), []).append((dot, c))
         for members in groups.values():
             members.sort()
         return groups
 
     firsts = halves(lf[:4])
     seconds = {
-        key: ([dot for dot, _, _ in members], members) for key, members in halves(lf[4:9]).items()
+        key: ([dot for dot, _ in members], members) for key, members in halves(lf[4:9]).items()
     }
     hits: list[tuple[int, tuple[int, ...]]] = []
     for (s_a, q_a), members_a in firsts.items():
@@ -375,15 +375,15 @@ def box_isotropics(L: NumClass, cap: int, box: int = 2) -> list[NumClass]:
                     continue
                 dots, members_b = group
                 base = x * l10
-                for dot_a, g_a, c_a in members_a:
+                for dot_a, c_a in members_a:
                     value_a = dot_a + base
                     top = bisect_right(dots, cap - value_a)
                     if not top:
                         break  # members_a is sorted by dot_a
-                    g = gcd(g_a, x)
-                    for dot_b, g_b, c_b in members_b[:top]:
-                        if gcd(g, g_b) == 1:
-                            hits.append((value_a + dot_b, c_a + c_b + (x,)))
+                    for dot_b, c_b in members_b[:top]:
+                        coords = c_a + c_b + (x,)
+                        if gcd(*coords) == 1:
+                            hits.append((value_a + dot_b, coords))
     hits.sort()
     return [NumClass._trusted(coords) for _, coords in hits]
 

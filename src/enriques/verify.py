@@ -587,7 +587,7 @@ SUITES: dict[str, Callable[[int | None], list[CheckResult]]] = {
 def run_suite(name: str, gmax: int | None = None) -> list[CheckResult]:
     """Run the named suite; gmax, when given, must be an integer >= 2, so
     that a scaling suite never passes over an empty range of genera."""
-    if gmax is not None and (not isinstance(gmax, int) or gmax < 2):
+    if gmax is not None and (type(gmax) is not int or gmax < 2):
         raise ValueError(f"gmax must be an integer >= 2, got {gmax!r}")
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")

@@ -238,7 +238,7 @@ def phivector_error(phis):
     """The message of the first check of `PhiVector` that fails on these
     entries, in the order the checks ran one by one, or None."""
     p = phis
-    if len(p) != 10 or not all(isinstance(v, int) for v in p):
+    if len(p) != 10 or not all(type(v) is int for v in p):
         return "a phi-vector has ten integer entries"
     if p[0] < 1:
         return "phi-vector entries must be positive"
@@ -257,11 +257,13 @@ def phivector_error(phis):
 def coefficients_from_phivector_fields(p, eps=0):
     """`fundamental.coefficients_from_phivector` entry by entry:
     (a0, head, a9, a10, eps) when it returns, else the message of the
-    first check that fails, its own two and then those of
+    first check that fails, its own three and then those of
     `fundamental_coefficients_error`."""
     p = tuple(p)
     if len(p) != 10:
         return "a pairing vector has ten entries"
+    if not all(type(v) is int for v in p):
+        return "pairing vector entries must be integers"
     s, rem = divmod(sum(p), 3)
     if rem:
         return "pairing vector total must be divisible by 3"

@@ -744,7 +744,8 @@ def _pairing_grid(seed, n=600):
     """Seeded pairing vectors for `coefficients_from_phivector`: profiles
     of valid coefficients, as PhiVectors, tuples or lists, with faults: an
     entry lowered (below 0 too), raised or made a non-int or a bool, an
-    entry dropped or added, two entries swapped; and a seeded eps."""
+    entry dropped or added, two entries swapped; and a seeded eps.  Then
+    a float, a bool and a string as the first entry."""
     rng = random.Random(seed)
     cases = []
     while len(cases) < n:
@@ -777,6 +778,10 @@ def _pairing_grid(seed, n=600):
         elif shape == 1:
             p = tuple(p)
         cases.append((p, eps))
+    # entries named before any arithmetic: a float that would fail the
+    # divisibility check, a bool that would pass as 1, a string that would
+    # raise TypeError
+    cases += [((bad,) + (2,) * 9, 0) for bad in (12.5, True, "3")]
     return cases
 
 
@@ -792,5 +797,10 @@ def test_pairing_vectors_give_the_first_message_of_the_checks_in_turn(seed):
             got = (got.a0, got.head, got.a9, got.a10, got.eps)
         assert got == want, (p, eps)
         seen.add(want if isinstance(want, str) else None)
-    assert {None, "a pairing vector has ten entries", "pairing vector total must be divisible by 3"} < seen
+    assert {
+        None,
+        "a pairing vector has ten entries",
+        "pairing vector entries must be integers",
+        "pairing vector total must be divisible by 3",
+    } < seen
     assert len(seen) >= 7, seen

@@ -1,15 +1,18 @@
 """Package hygiene: exact checks that survive `python -O`, one export list,
-no dead imports and no private names taken across modules, formula routes
-that take only value types from the search oracle, the names the benchmark
-traces still defined where it looks and wrapped by its tracer, numpy still
-in the import its set-up probe times, and a README quick start that runs."""
+no dead imports and no private names taken across modules, one integer
+rule at every public boundary, formula routes that take only value types
+from the search oracle, the names the benchmark traces still defined where
+it looks and wrapped by its tracer, numpy still in the import its set-up
+probe times, and a README quick start that runs."""
 
 import ast
+import dataclasses
 import importlib
 import importlib.util
 import inspect
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 import textwrap
@@ -18,6 +21,7 @@ from pathlib import Path
 import pytest
 
 import enriques
+from enriques import D
 
 PACKAGE_DIR = Path(enriques.__file__).resolve().parent
 TESTS_DIR = Path(__file__).resolve().parent
@@ -361,6 +365,88 @@ def test_every_export_has_a_caller_outside_the_tests():
         ):
             uncalled.append(f"{module}.{name}")
     assert not uncalled, f"exported but called only from the tests: {uncalled}"
+
+
+# A valid call of every public function and value type that takes an
+# integer parameter, by keyword, with every integer parameter given.  The
+# value types are the exported dataclasses, which check their fields;
+# ModuliComponent, a named tuple of the walk's rows, checks none.
+VALID_CALLS = {
+    "FundamentalCoefficients": {"a0": 4, "head": (7, 6, 5, 4, 3, 2, 1), "a9": 3, "a10": 2, "eps": 0},
+    "NumClass": {"coords": (0,) * 9 + (1,)},
+    "PhiVector": {"phis": (1, 1) + (2,) * 8},
+    "box_isotropics": {"L": 3 * D, "cap": 12, "box": 2},
+    "coefficients_by_genus": {"g_lo": 2, "g_hi": 3},
+    "coefficients_from_phivector": {"p": (1, 1) + (2,) * 8, "eps": 0},
+    "component_rows": {"g": 2},
+    "components_by_genus": {"g_lo": 2, "g_hi": 3},
+    "enumerate_components": {"g": 2},
+    "enumerate_components_by_phi": {"g": 2, "phi1": 1},
+    "enumerate_isotropics": {"L": 3 * D, "cap": 12, "extra_layers": 0},
+    "fundamental_presentation": {"L": 3 * D, "eps": 0},
+    "generator_e": {"i": 1},
+    "generator_pair": {"i": 1, "j": 2},
+    "parse_coefficients": {"text": "4;7,6,5,4,3,2,1;3,2", "eps": 0},
+    "phi_vector_oracle": {"L": 3 * D, "max_sequences": 1},
+    "rewrite_to_fundamental": {"coeffs": (1,) * 10, "a0": 1, "eps": 0},
+    "run_suite": {"name": "lattice", "gmax": 2},
+    "sequence_combination": {"coeffs": (1,) * 10, "a0": 1},
+}
+
+# order_key is a sort key that the package applies to tuples it built
+# itself, in the sequence search's inner loop among others; it checks
+# nothing.
+NOT_A_BOUNDARY = {"order_key"}
+
+
+def _integer_parameters(obj):
+    """(name, is a sequence of integers) for each parameter of a signature
+    annotated as an integer, optional or not, or as a sequence of them."""
+    found = []
+    for param in inspect.signature(obj).parameters.values():
+        ann = param.annotation
+        if not isinstance(ann, str) or not re.search(r"\bint\b", ann):
+            continue
+        found.append((param.name, ann not in ("int", "int | None")))
+    return found
+
+
+def test_every_public_boundary_takes_integers_by_one_rule():
+    """A bool, a float or a string is no integer, wherever it enters: each
+    of True, 12.5 and "3" in place of an integer argument, or of one entry
+    of an integer sequence, raises ValueError."""
+    boundaries = {
+        name: _integer_parameters(obj)
+        for name in enriques.__all__
+        if name not in NOT_A_BOUNDARY
+        for obj in [getattr(enriques, name)]
+        if inspect.isfunction(obj) or inspect.isclass(obj) and dataclasses.is_dataclass(obj)
+    }
+    boundaries = {name: params for name, params in boundaries.items() if params}
+    assert sorted(boundaries) == sorted(VALID_CALLS)
+    missed = []
+    for name, params in boundaries.items():
+        call = getattr(enriques, name)
+        valid = VALID_CALLS[name]
+        assert {p for p, _ in params} <= set(valid), name
+        call(**valid)
+        for param, is_sequence in params:
+            for bad in (True, 12.5, "3"):
+                if is_sequence:
+                    t = valid[param]
+                    variants = [t[:i] + (bad,) + t[i + 1 :] for i in range(len(t))]
+                else:
+                    variants = [bad]
+                for value in variants:
+                    try:
+                        call(**{**valid, param: value})
+                        outcome = "returned"
+                    except ValueError:
+                        continue
+                    except Exception as exc:
+                        outcome = f"raised {type(exc).__name__}"
+                    missed.append(f"{name}({param}={value!r}) {outcome}")
+    assert not missed, f"not rejected by ValueError: {missed}"
 
 
 def test_dropped_names_are_gone():

@@ -251,6 +251,13 @@ def test_sequence_combination_validation():
         sequence_combination((1,) * 8)
     with pytest.raises(ValueError):
         sequence_combination((1,) * 11)
+    for bad in (12.5, "3", True):  # a bool, although an int, is no coefficient
+        with pytest.raises(ValueError, match="coefficients must be integers"):
+            sequence_combination((bad,) + (1,) * 9)
+        with pytest.raises(ValueError, match="coefficients must be integers"):
+            sequence_combination((1,) * 10, a0=bad)
+    with pytest.raises(ValueError, match="coefficients must be integers"):
+        sequence_combination([True] * 10)  # once 3D
 
 
 @given(st.lists(st.integers(0, 50), min_size=10, max_size=10), st.integers(0, 50))
