@@ -25,9 +25,15 @@ rows.
 The walk's tuples are plain (a0, head, a9, a10), and they become sorted
 rows in one pass of integer arithmetic.  A row is a plain tuple whose
 leading fields (profile total, profile, eps) are the listing order, so
-rows sort as tuples.  Tuples and rows hold only ints, strings, bools and
-tuples of ints, so the cyclic collector untracks them once it has seen
-them, and full collections during a long listing do not walk them.
+rows sort as tuples.  Tuples and rows form no reference cycle, so
+reference counting frees them, and the two builders (`_coefficient_tuples`
+and `_rows`) run with the cyclic collector paused: allocating a listing's
+tuples would otherwise start collections that walk them and free
+nothing.  The pause ends when a builder returns or raises, never spans a
+`yield`, and leaves a collector that the caller paused paused.  Holding
+only ints, strings, bools and tuples of ints, tuples and rows are
+untracked by the collector once it has seen them, so full collections
+after a listing do not walk them.
 `component_rows(g)` builds and yields the rows one profile total at a
 time, and the `cli` listing writes them in every format.  The other public
 functions but `coefficients_by_genus` wrap the same tuples and rows: each
@@ -47,9 +53,11 @@ dominating genus-621 class live in `verify`.
 
 from __future__ import annotations
 
+import gc
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
-from typing import Iterator, NamedTuple, Sequence
+from operator import itemgetter
+from typing import Callable, Iterator, NamedTuple, Sequence, TypeVar
 
 from .fundamental import FundamentalCoefficients, phivector_from_coefficients
 
@@ -110,7 +118,14 @@ def _rows(g: int, coeffs: Sequence[tuple]) -> list[tuple]:
     every coefficient is.  The eps sign shows in the name only on an even
     profile.  The rows fill one list sized for a twin per tuple: a list
     grown row by row between the writes of a streamed listing fragments
-    the C heap and raises the peak memory of later listings."""
+    the C heap and raises the peak memory of later listings.
+
+    The rows are sorted on the profile, then stably on the total, which
+    is the order of the row tuples without comparing whole rows: within a
+    genus a profile names one coefficient tuple, so rows of equal
+    (total, profile) are eps twins, appended eps 0 first and kept so by
+    both stable sorts.  The total sort matters when the tuples hold
+    several totals, as a window's genus does in `components_by_genus`."""
     odd_name, plus_name, minus_name = (f"E{sign}_{{{g};{_BODY}" for sign in ("", "^+", "^-"))
     out: list = [None] * (2 * len(coeffs))
     k = 0
@@ -131,8 +146,27 @@ def _rows(g: int, coeffs: Sequence[tuple]) -> list[tuple]:
             out[k + 1] = (total, phi, 1, minus_name % phi, True, flag, a0, head, a9, a10)
             k += 2
     del out[k:]
-    out.sort()
+    out.sort(key=itemgetter(1))
+    out.sort(key=itemgetter(0))
     return out
+
+
+_T = TypeVar("_T")
+
+
+def _paused(build: Callable[..., _T], *args) -> _T:
+    """build(*args) with the cyclic collector paused, for the two builders
+    of a listing: they allocate all of its long-lived tuples and return
+    plain values that hold no reference cycle.  The collector runs again
+    when build returns or raises, unless the caller had paused it.  Pass
+    no generator function: its body would run after the pause ends."""
+    if not gc.isenabled():
+        return build(*args)
+    gc.disable()
+    try:
+        return build(*args)
+    finally:
+        gc.enable()
 
 
 def _components(g: int, rows) -> Iterator[ModuliComponent]:
@@ -247,19 +281,20 @@ def _coefficient_tuples(q_lo: int, q_hi: int) -> dict[int, list[tuple]]:
     pads = [(0,) * (6 - n) for n in range(7)]
 
     def suffix(acc: tuple[int, ...], a2: int, p: int, s: int) -> None:
+        # most suffixes find no head, so a head pads its suffix when built
         rest = q_hi - p
-        suf = acc + pads[len(acc)]
+        pad = pads[len(acc)]
         if s:
             if width:
                 lo = -((p - q_lo) // s)
                 if lo < a2:
                     lo = a2
                 for a1 in range(lo, rest // s + 1):
-                    buckets[p + a1 * s].append((0, (a1, *suf), 0, 0))
+                    buckets[p + a1 * s].append((0, (a1, *acc, *pad), 0, 0))
             else:
                 a1, left = divmod(rest, s)
                 if not left and a1 >= a2:
-                    buckets[9 * (s + a1)].append((0, (a1, *suf), 0, 0))
+                    buckets[9 * (s + a1)].append((0, (a1, *acc, *pad), 0, 0))
         top = (rest - 2 * s - 2) // (s + 2)
         if top >= a2:
             # head a_1 reads the key first + a_1*step = u*m + r
@@ -273,7 +308,7 @@ def _coefficient_tuples(q_lo: int, q_hi: int) -> dict[int, list[tuple]]:
                     lo = bisect_left(keys, end - width, starts[u], last)
                     found = keys[lo : bisect_right(keys, end, lo, last)]
                     if found:
-                        head = (a1, *suf)
+                        head = (a1, *acc, *pad)
                         base = q_hi - end
                         for key in found:
                             bucket = buckets[base + key]
@@ -282,7 +317,7 @@ def _coefficient_tuples(q_lo: int, q_hi: int) -> dict[int, list[tuple]]:
             else:
                 for key in keys & range(first + a2 * step, first + (top + 1) * step, step):
                     a1 = (key - first) // step
-                    head = (a1, *suf)
+                    head = (a1, *acc, *pad)
                     base = 9 * (s + a1)
                     for a0, a9, a10, w in table[key]:
                         buckets[base + w].append((a0, head, a9, a10))
@@ -300,7 +335,8 @@ def _coefficient_tuples(q_lo: int, q_hi: int) -> dict[int, list[tuple]]:
         suffix((a2,), a2, 0, a2)
         a2 += 1
     # suffix calls itself through its closure, a reference cycle that
-    # would hold the table until the next full collection
+    # would hold the table until the next full collection; with it gone
+    # the buckets hold no cycle, which lets `_paused` run this walk
     del suffix
     return buckets
 
@@ -319,7 +355,7 @@ def coefficients_by_genus(g_lo: int, g_hi: int) -> Iterator[tuple[int, list[tupl
     leaves the walk's buckets when it is reached.  An empty window
     (g_hi < g_lo) yields nothing."""
     _check_genera(g_lo, g_hi)
-    buckets = _coefficient_tuples(g_lo - 1, g_hi - 1)
+    buckets = _paused(_coefficient_tuples, g_lo - 1, g_hi - 1)
     if g_lo == g_hi:
         return iter([(g_lo, [c for total in sorted(buckets) for c in buckets[total]])])
     return ((q + 1, buckets.pop(q)) for q in list(buckets))
@@ -334,7 +370,8 @@ def components_by_genus(
     genus are built when it is reached, so a sweep holds one genus's rows
     at a time.  An empty window (g_hi < g_lo) yields nothing."""
     return (
-        (g, tuple(_components(g, _rows(g, ts)))) for g, ts in coefficients_by_genus(g_lo, g_hi)
+        (g, tuple(_components(g, _paused(_rows, g, ts))))
+        for g, ts in coefficients_by_genus(g_lo, g_hi)
     )
 
 
@@ -347,8 +384,8 @@ def component_rows(g: int) -> Iterator[tuple]:
     total are built when reached and dropped once yielded.  Rows of ints,
     strings, bools and int tuples only, so the collector untracks them."""
     _check_genera(g, g)
-    strata = _coefficient_tuples(g - 1, g - 1)
-    return (row for total in sorted(strata) for row in _rows(g, strata.pop(total)))
+    strata = _paused(_coefficient_tuples, g - 1, g - 1)
+    return (row for total in sorted(strata) for row in _paused(_rows, g, strata.pop(total)))
 
 
 def enumerate_components(g: int) -> tuple[ModuliComponent, ...]:

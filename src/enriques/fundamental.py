@@ -87,9 +87,11 @@ class FundamentalCoefficients:
         too), and eps 0, or 1 on even coefficients.  Anything else goes
         through the checks below in their order, which name the first
         condition that fails; they too take only plain ints, so a bool,
-        although an int, is no coefficient."""
+        although an int, is no coefficient.  The chained test takes only
+        a tuple head: the checks store any other sequence as one first, so
+        the coefficients compare and hash as ones built from a tuple."""
         head = self.head
-        if len(head) == 7:
+        if type(head) is tuple and len(head) == 7:
             h1, h2, h3, h4, h5, h6, h7 = head
             a0, a9, a10, eps = self.a0, self.a9, self.a10, self.eps
             if (
@@ -104,6 +106,9 @@ class FundamentalCoefficients:
                 )
             ):
                 return
+        if type(head) is not tuple:
+            head = tuple(head)
+            _SLOT_SETTERS[1](self, head)
         if len(head) != 7 or not set(map(type, head)) <= {int}:
             raise ValueError("head takes exactly seven integers")
         vals = (self.a0, *head, self.a9, self.a10)

@@ -78,9 +78,15 @@ class NumClass:
     coords: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.coords) != RANK:
-            raise ValueError(f"a class needs {RANK} coordinates, got {len(self.coords)}")
-        if not set(map(type, self.coords)) <= {int}:
+        """Any other sequence of coordinates is stored as a tuple, so the
+        class compares and hashes as one built from a tuple."""
+        coords = self.coords
+        if type(coords) is not tuple:
+            coords = tuple(coords)
+            object.__setattr__(self, "coords", coords)
+        if len(coords) != RANK:
+            raise ValueError(f"a class needs {RANK} coordinates, got {len(coords)}")
+        if not set(map(type, coords)) <= {int}:
             raise ValueError("coordinates must be integers")
 
     @classmethod

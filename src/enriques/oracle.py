@@ -88,9 +88,11 @@ class PhiVector:
         at least three times the last three.  Anything else goes through
         the checks below in their order, which name the first condition
         that fails; they too take only plain ints, so a bool, although an
-        int, is no entry."""
+        int, is no entry.  The chained test takes only a tuple: the checks
+        store any other sequence as one first, so the vector compares and
+        hashes as one built from a tuple."""
         p = self.phis
-        if len(p) == 10:
+        if type(p) is tuple and len(p) == 10:
             p1, p2, p3, p4, p5, p6, p7, p8, p9, p10 = p
             if (
                 type(p1) is type(p2) is type(p3) is type(p4) is type(p5) is int
@@ -101,6 +103,9 @@ class PhiVector:
                 total = p1 + p2 + p3 + p4 + p5 + p6 + p7 + tail
                 if not total % 3 and total >= 3 * tail:
                     return
+        if type(p) is not tuple:
+            p = tuple(p)
+            object.__setattr__(self, "phis", p)
         if len(p) != 10 or not set(map(type, p)) <= {int}:
             raise ValueError("a phi-vector has ten integer entries")
         if p[0] < 1:
@@ -197,7 +202,7 @@ class IsotropicSequence:
         if len(ms) != 10:
             raise ValueError("an isotropic sequence has ten members")
         rows = [f.coords for f in ms]
-        if frozenset(map(tuple, rows)) != _STANDARD_ROWS:
+        if frozenset(rows) != _STANDARD_ROWS:
             _check_sequence_rows(rows)
 
 

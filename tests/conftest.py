@@ -1,6 +1,8 @@
 """Fixtures shared by the test modules: the benchmark's workloads, read
-from bench/ and never changed, supply operations and their own checks."""
+from bench/ and never changed, supply operations and their own checks,
+and every test must leave the cyclic collector enabled."""
 
+import gc
 import importlib
 import json
 from pathlib import Path
@@ -29,3 +31,14 @@ def benchmark_ops():
         return workload.make_ops(seed, max(1, round(seconds / workload.block_seconds)))
 
     return ops
+
+
+@pytest.fixture(autouse=True)
+def collector_left_enabled():
+    """Fail any test that leaves the cyclic collector disabled: the
+    component builders pause it, and a pause that outlives them would go
+    on for the rest of the process."""
+    yield
+    if not gc.isenabled():
+        gc.enable()
+        pytest.fail("the test left the cyclic collector disabled")

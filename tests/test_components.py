@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import pytest
 
+import enriques.components
 import enriques.verify
 from enriques.components import (
     ModuliComponent,
@@ -66,9 +67,11 @@ def test_components_sorted_by_profile_order_then_eps():
 def test_rows_sort_as_tuples_in_profile_order_then_eps():
     """Rows sort as plain tuples on (9a + 3a0, profile, eps); that must be
     the order of (order_key, eps), with each eps = 1 row right after its
-    eps = 0 twin."""
-    for g in (*range(2, 121), 405, 934):
-        rows = enumerate_components(g)
+    eps = 0 twin.  The window's genera hold many totals in one `_rows`
+    call, the single genera one at a time."""
+    listings = [(g, enumerate_components(g)) for g in (*range(2, 121), 405, 934)]
+    for g, rows in (*listings, *components_by_genus(249, 260)):
+        assert list(rows) == sorted(rows), g
         assert list(rows) == sorted(rows, key=lambda m: (order_key(m.phi), m.eps)), g
         for before, m in zip(rows, rows[1:]):
             if m.eps:
@@ -130,6 +133,35 @@ def test_listing_rows_and_walk_tuples_leave_the_collector():
     assert rows and not any(map(gc.is_tracked, rows))
     entries = [c for cs in buckets.values() for c in cs]
     assert entries and not any(map(gc.is_tracked, entries))
+
+
+def test_the_builders_leave_the_collector_as_they_found_it(monkeypatch):
+    """The walk and the rows run with the cyclic collector paused, which
+    ends when they return or raise; a collector the caller paused stays
+    paused."""
+    assert gc.isenabled()
+    assert list(component_rows(300))
+    assert gc.isenabled()
+    assert list(coefficients_by_genus(2, 60))
+    assert gc.isenabled()
+
+    def fail(phi):
+        raise RuntimeError("row builder failed")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(enriques.components, "_unirational", fail)
+        with pytest.raises(RuntimeError, match="row builder failed"):
+            list(component_rows(300))
+    assert gc.isenabled()
+
+    gc.disable()
+    try:
+        assert list(component_rows(300))
+        assert list(components_by_genus(2, 60))
+        paused = gc.isenabled()
+    finally:
+        gc.enable()
+    assert not paused
 
 
 def test_every_row_agrees_with_its_coefficients():

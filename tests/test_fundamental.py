@@ -66,6 +66,10 @@ def test_coefficient_validation():
         FundamentalCoefficients(True, (1,) * 7, True, False)
     with pytest.raises(ValueError, match="head takes exactly seven integers"):
         FundamentalCoefficients(a0=1, head=(True,) + (1,) * 6, a9=1, a10=0)
+    # a list head is stored as a tuple
+    listed = FundamentalCoefficients(4, [7, 6, 5, 4, 3, 2, 1], 3, 2)
+    assert type(listed.head) is tuple
+    assert listed == DOMINATING and hash(listed) == hash(DOMINATING)
 
 
 def test_eps_requires_even_profile():

@@ -161,6 +161,9 @@ def test_standard_sequence():
 def test_numclass_validation():
     with pytest.raises(ValueError):
         NumClass((1, 2, 3))
+    # a list of coordinates is stored as a tuple
+    listed = NumClass([0] * 9 + [1])
+    assert type(listed.coords) is tuple and listed == D and hash(listed) == hash(D)
     for bad in (0.5, "2", True):  # a bool, although an int, is no coordinate
         with pytest.raises(ValueError, match="coordinates must be integers"):
             NumClass((bad,) + (0,) * 9)

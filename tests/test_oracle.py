@@ -68,6 +68,9 @@ def test_phivector_accepts_valid():
     assert not p.all_even()
     assert PhiVector((9,) * 10).all_even() is False
     assert PhiVector((2, 2, 4, 4, 4, 4, 4, 4, 4, 4)).all_even()
+    # a list of entries is stored as a tuple
+    listed = PhiVector([1, 1] + [2] * 8)
+    assert type(listed.phis) is tuple and listed == p and hash(listed) == hash(p)
 
 
 @pytest.mark.parametrize(
