@@ -2,6 +2,7 @@
 
 import gc
 from dataclasses import replace
+from itertools import chain
 
 import pytest
 
@@ -69,8 +70,8 @@ def test_rows_sort_as_tuples_in_profile_order_then_eps():
     the order of (order_key, eps), with each eps = 1 row right after its
     eps = 0 twin.  The window's genera hold many totals in one `_rows`
     call, the single genera one at a time."""
-    listings = [(g, enumerate_components(g)) for g in (*range(2, 121), 405, 934)]
-    for g, rows in (*listings, *components_by_genus(249, 260)):
+    listings = ((g, enumerate_components(g)) for g in (*range(2, 121), 405, 934))
+    for g, rows in chain(listings, components_by_genus(249, 260)):
         assert list(rows) == sorted(rows), g
         assert list(rows) == sorted(rows, key=lambda m: (order_key(m.phi), m.eps)), g
         for before, m in zip(rows, rows[1:]):
