@@ -29,11 +29,12 @@ rows sort as tuples.  Tuples and rows form no reference cycle, so
 reference counting frees them, and the two builders (`_coefficient_tuples`
 and `_rows`) run with the cyclic collector paused: allocating a listing's
 tuples would otherwise start collections that walk them and free
-nothing.  The pause ends when a builder returns or raises, never spans a
-`yield`, and leaves a collector that the caller paused paused.  Holding
-only ints, strings, bools and tuples of ints, tuples and rows are
-untracked by the collector once it has seen them, so full collections
-after a listing do not walk them.
+nothing.  A CLI command pauses the collector for its whole run, so this
+pause is for library callers.  It ends when a builder returns or raises,
+never spans a `yield`, and leaves a collector that the caller paused
+paused.  Holding only ints, strings, bools and tuples of ints, tuples
+and rows are untracked by the collector once it has seen them, so full
+collections after a listing do not walk them.
 `component_rows(g)` builds and yields the rows one profile total at a
 time, and the `cli` listing writes them in every format.  The other public
 functions but `coefficients_by_genus` wrap the same tuples and rows: each

@@ -14,13 +14,15 @@ Any class is brought to that form by one reduction: reflect the standard
 sequence by the simple roots of W(E10) until the sorted pairings of L
 satisfy the chain above, then read the coefficients off those pairings
 (Cossec-Dolgachev, Enriques Surfaces I).  The reduction reflects plain
-coordinate tuples and builds the classes of the sequence once, when it
-returns it; its parity check, the coefficient validation and the exact
+coordinate tuples and builds a class, when it returns the sequence, only
+for a member it reflected (the others are the shared standard classes);
+its parity check, the coefficient validation and the exact
 reconstruction of the class run on every call, under `python -O` too.
 This is the formula route; `oracle` recomputes the same profiles by
 exhaustive search and shares only the value types with it.
 `FundamentalCoefficients.divisor_class` evaluates a presentation on the
-standard sequence through `lattice.sequence_combination`, and
+standard sequence in the closed form of `lattice.sequence_combination`,
+on coefficients whose checks it does not repeat, and
 `lattice.require_big` screens every class that `fundamental_presentation`
 reduces.
 """
@@ -150,8 +152,18 @@ class FundamentalCoefficients:
 
     def divisor_class(self) -> NumClass:
         """The presented class on the standard sequence, modulo torsion;
-        the torsion bit stays on the coefficients."""
-        return sequence_combination((*self.head, 0, self.a9, self.a10), self.a0)
+        the torsion bit stays on the coefficients.  It is
+        `sequence_combination((*head, 0, a9, a10), a0)`, whose closed form
+        gives the coordinates a_i - a_10 + a_0 (i <= 8, a_8 = 0),
+        a_9 - a_10 and 3 a_10 - 2 a_0, without its check that the
+        coefficients are integers, which they are already."""
+        a0, a10 = self.a0, self.a10
+        h1, h2, h3, h4, h5, h6, h7 = self.head
+        c = a0 - a10
+        return NumClass._trusted((
+            h1 + c, h2 + c, h3 + c, h4 + c, h5 + c, h6 + c, h7 + c,
+            c, self.a9 - a10, 3 * a10 - 2 * a0,
+        ))
 
 
 # The slots' own setters, which the frozen __setattr__ does not guard.
@@ -301,23 +313,25 @@ def _reduce(goal: NumClass, eps: int) -> tuple[FundamentalCoefficients, Isotropi
     2s - (m_8 + m_9 + m_10) < s, and s stays positive on a nonzero class
     in the closed positive cone, so the loop ends.  At the stop the
     sorted pairings satisfy the tail chain and read off as coefficients.
-    The members are plain coordinate tuples in the loop and become
-    classes once, in the returned sequence.
+    The members are plain coordinate tuples in the loop, each carrying
+    its shared standard class until a reflection replaces it; the returned
+    sequence builds a class only for a reflected member, so a class that
+    needs no reflection (most do not) builds none.
     """
-    pairs = list(zip(_standard_pairings(goal), _STANDARD_COORDS))
+    pairs = list(zip(_standard_pairings(goal), _STANDARD_COORDS, standard_sequence()))
     by_value = itemgetter(0)
     pairs.sort(key=by_value)
     s = sum(map(by_value, pairs)) // 3
     dseq = D.coords
     while True:
-        (m8, x), (m9, y), (m10, z) = pairs[7:]
+        (m8, x, _), (m9, y, _), (m10, z, _) = pairs[7:]
         top = m8 + m9 + m10
         if top <= s:
             break
         pairs[7:] = [
-            (s - m9 - m10, tuple(map(sub, map(sub, dseq, y), z))),
-            (s - m8 - m10, tuple(map(sub, map(sub, dseq, x), z))),
-            (s - m8 - m9, tuple(map(sub, map(sub, dseq, x), y))),
+            (s - m9 - m10, tuple(map(sub, map(sub, dseq, y), z)), None),
+            (s - m8 - m10, tuple(map(sub, map(sub, dseq, x), z)), None),
+            (s - m8 - m9, tuple(map(sub, map(sub, dseq, x), y)), None),
         ]
         dseq = tuple(2 * d - a - b - c for d, a, b, c in zip(dseq, x, y, z))
         s = 2 * s - top
@@ -327,7 +341,9 @@ def _reduce(goal: NumClass, eps: int) -> tuple[FundamentalCoefficients, Isotropi
     fc = _from_pairings(list(map(by_value, pairs)), eps if even else 0)
     if fc.all_even() != even:
         raise AssertionError("2-divisibility disagrees with the coefficient parity")
-    iso = IsotropicSequence(tuple(NumClass._trusted(f) for _, f in pairs))
+    iso = IsotropicSequence(
+        tuple(NumClass._trusted(x) if f is None else f for _, x, f in pairs)
+    )
     if class_from_presentation(fc, iso) != goal:
         raise AssertionError("presentation failed to reconstruct the class")
     return fc, iso

@@ -22,9 +22,11 @@ halves of a 2-divisible family apart lives on the coefficients, as
 Positivity convention: a nonzero class with nonnegative square counts as
 positive (effective in the unnodal model) iff it pairs positively with D.
 
-`sequence_combination` is the one map from coefficients on the fixed
-sequence to coordinates, and `require_big` is the one check that a class
-is big and positive; every route into the package starts with them.
+`sequence_combination` is the one checked map from coefficients on the
+fixed sequence to coordinates (`FundamentalCoefficients.divisor_class`
+evaluates its closed form on coefficients checked already), and
+`require_big` is the one check that a class is big and positive; every
+route into the package starts with them.
 
 Validation happens at that boundary, by one integer rule: a value is an
 integer when its type is `int`, so a bool or a float is not.

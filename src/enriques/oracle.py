@@ -31,15 +31,20 @@ members is then accepted by comparing coordinate sets.  Every condition of
 the check is symmetric in the members, so this accepts the same sequences
 with the same messages, and the chamber reduction, which mostly returns
 the standard members reordered, skips the check there.
+
+The searches that recurse do so through a closure, a reference cycle
+while the closure's name is bound; each deletes that name when it is
+done, so what it built is freed by reference counting and a caller that
+paused the cyclic collector (as a CLI command does) leaks nothing.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import product, repeat
 from math import gcd, isqrt
-from operator import and_, le, mul
+from operator import and_, itemgetter, le, mul, sub
 from typing import Sequence
 
 import numpy as np
@@ -48,7 +53,6 @@ from .lattice import (
     NumClass,
     generator_e,
     gram_matrix,
-    is_primitive,
     linear_form,
     pair,
     require_big,
@@ -206,11 +210,6 @@ class IsotropicSequence:
             _check_sequence_rows(rows)
 
 
-def _from_pairing(m: Sequence[int], t: int) -> NumClass:
-    m10 = m[9]
-    return NumClass._trusted(tuple(m10 - m[i] for i in range(9)) + (t - 3 * m10,))
-
-
 def _t_limit(cap: int, d: int, q: int) -> int:
     """Largest t >= 0 with a possible solution of F.L <= cap (reverse
     Cauchy-Schwarz bound), in exact integer arithmetic.
@@ -282,6 +281,9 @@ def _layer_solutions(t: int, weights: list[int], kappa: int, cap: int) -> list[t
         m[pos] = 0
 
     rec(0, 3 * t, t * t, kappa)
+    # rec calls itself through its closure, a reference cycle that would
+    # hold `out` until a collection; with the name gone it holds nothing
+    del rec
     return out
 
 
@@ -291,17 +293,22 @@ def _enumerate_with_values(L: NumClass, cap: int, extra_layers: int = 0) -> list
     raw = [y[i] for i in range(9)] + [0]
     order = sorted(range(10), key=lambda i: -raw[i])
     weights = [raw[i] for i in order]
+    # a layer lists each m in the order of the weights; this puts it back
+    # in the order of the members, m_1, ..., m_10
+    unpermute = itemgetter(*map(order.index, range(10)))
+    trusted = NumClass._trusted
     found: list[tuple[int, NumClass]] = []
     # t = F.D is at least 3: sum(m) = 3t and sum(m^2) = t^2 force t^2 >= 3t
     for t in range(3, _t_limit(cap, d, q) + extra_layers + 1):
         kappa = t * y[9]
         for value, m_ord in _layer_solutions(t, weights, kappa, cap):
-            m = [0] * 10
-            for slot, v in zip(order, m_ord):
-                m[slot] = v
-            f = _from_pairing(m, t)
-            if is_primitive(f):
-                found.append((value, f))
+            m = unpermute(m_ord)
+            m10 = m[9]
+            # F = sum_i (m_10 - m_i) E_i (i <= 9) + (t - 3 m_10) D, nonzero
+            # since F.D = t > 0, so primitive exactly when its gcd is 1
+            coords = (*map(sub, repeat(m10, 9), m), t - 3 * m10)
+            if gcd(*coords) == 1:
+                found.append((value, trusted(coords)))
     found.sort(key=lambda pf: (pf[0], pf[1].coords))
     return found
 
@@ -351,14 +358,16 @@ def box_isotropics(L: NumClass, cap: int, box: int = 2) -> list[NumClass]:
 
     def halves(weights: Sequence[int]) -> dict[tuple[int, int], list]:
         """(s, q) -> [(share of F.L, coordinates)] over the box in these
-        coordinates, sorted; built one coordinate at a time."""
-        rows = [(0, 0, 0, ())]
+        coordinates, sorted.  The sums are built one coordinate at a time,
+        each point's last coordinate varying fastest, which is the order
+        in which `product` lists the points."""
+        sums, squares, dots = [0], [0], [0]
         for w in weights:
-            rows = [
-                (s + v, q + v * v, dot + w * v, c + (v,)) for s, q, dot, c in rows for v in vals
-            ]
+            sums = [s + v for s in sums for v in vals]
+            squares = [q + v * v for q in squares for v in vals]
+            dots = [dot + w * v for dot in dots for v in vals]
         groups: dict[tuple[int, int], list] = {}
-        for s, q, dot, c in rows:
+        for s, q, dot, c in zip(sums, squares, dots, product(vals, repeat=len(weights))):
             groups.setdefault((s, q), []).append((dot, c))
         for members in groups.values():
             members.sort()
@@ -495,6 +504,7 @@ def _best_sequences(
             chosen_vals.pop()
 
     rec((1 << n) - 1, [], [], 0)
+    del rec  # rec calls itself through its closure: drop that cycle
     if best_tuple is None:
         raise AssertionError("no isotropic 10-sequence found in the certified pool")
     return best_tuple, best_sets

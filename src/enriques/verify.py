@@ -140,47 +140,77 @@ def _profiles_by_genus(g_lo: int, g_hi: int) -> dict[int, list[tuple[int, ...]]]
     rules out.  The loop's range already keeps k - 1 <= r - v <= (k - 1) v,
     the range of `_most_squares`.  The balanced bound, which prunes from
     the top of the window, rules out the largest v first (v^2 plus the
-    least completion grows with v), so it cannot end the downward loop,
-    and each child checks it on entry.
+    least completion grows with v), so it cannot end the downward loop.
+
+    A node checks each child before entering it: the balanced bound, and
+    the greedy bound at the child's own largest entry, which the head/tail
+    cap can hold far below v.  The first rules out the largest v first
+    and the second is not monotone in v, so a child that fails either is
+    skipped, and the loop goes on.  Most children fail there, so most
+    are never entered.
     """
     found: dict[int, set[tuple[int, ...]]] = {g: set() for g in range(g_lo, g_hi + 1)}
     width = 2 * (g_hi - g_lo)  # of the square-sum window
     s_hi = 3 * g_hi + isqrt(g_hi) + 2
+    acc: list[int] = []  # built largest entry first
+
+    def rec(k: int, hi: int, r: int, r2: int) -> None:
+        # k >= 1 entries to place, summing to r, the largest v at most hi;
+        # r2 is what their squares may add to reach the top.  The caller
+        # keeps hi <= r - (k - 1) and hi^2 <= r2 - (k - 1), so the loop
+        # checks the bounds of the children only: the greedy bound of v,
+        # then the rest before a child is entered.
+        km1 = k - 1
+        j = RANK - km1  # entries placed in a child
+        low = r2 - width  # the child's squares must reach this
+        for v in range(hi, -(-r // k) - 1, -1):
+            rv, r2v = r - v, r2 - v * v
+            if not km1:  # v = r is the last entry, and v^2 <= r2
+                if r2v <= width:
+                    found[g_lo + r2v // 2].add((v, *reversed(acc)))
+                continue
+            if low > v * v + _most_squares(km1, v, rv):
+                break  # even the greediest completion squares too low
+            q, rem = divmod(rv, km1)
+            if r2v < (km1 - rem) * q * q + rem * (q + 1) * (q + 1):
+                continue  # even the most balanced completion squares too high
+            # the child's largest entry: at most v, leaving 1 to each later
+            # entry in the sum and in the squares, under the head/tail cap;
+            # the child places nothing unless it reaches their average
+            child_hi = rv - (km1 - 1)
+            if child_hi > v:
+                child_hi = v
+            if j < 3:
+                # placed + w + (2 - j)(rv - w)/(km1 - 1) <= s solved for
+                # the child's entry w; the coefficient of w is 7/(km1 - 1)
+                cap = ((km1 - 1) * (s - (total - rv)) - (2 - j) * rv) // 7
+                if child_hi > cap:
+                    child_hi = cap
+            cap = isqrt(r2v - (km1 - 1))
+            if child_hi > cap:
+                child_hi = cap
+            if child_hi * km1 < rv:
+                continue
+            if km1 > 1 and r2v - width > child_hi * child_hi + _most_squares(
+                km1 - 1, child_hi, rv - child_hi
+            ):
+                continue  # the child's greedy bound rules out its first entry
+            acc.append(v)
+            rec(km1, child_hi, rv, r2v)
+            acc.pop()
+
     for s in range(2, s_hi + 1):
         total = 3 * s
         top = s * s - (2 * g_lo - 2)
         if top < total:  # entries are positive integers: sum of squares >= sum
             continue
-        acc: list[int] = []  # built largest entry first
-
-        def rec(k: int, hi: int, r: int, r2: int) -> None:
-            # r2 is what the remaining squares may add to reach the top; the
-            # caller's loop keeps k <= r <= k hi and checks the greedy bound
-            # (the root has r = 3s > 10, since top >= total needs s >= 4)
-            if k == 0:
-                if r == 0 and r2 <= width:
-                    found[g_lo + r2 // 2].add(tuple(reversed(acc)))
-                return
-            q, rem = divmod(r, k)
-            if r2 < (k - rem) * q * q + rem * (q + 1) * (q + 1):
-                return  # even the most balanced completion squares too high
-            lo_v = -(-r // k)  # the largest remaining entry is at least the average
-            hi_v = min(hi, r - (k - 1), isqrt(r2 - (k - 1)))
-            j = RANK - k  # entries placed so far
-            if j < 3:
-                # placed + v + (2 - j)(r - v)/(k - 1) <= s solved for v; the
-                # coefficient of v is (k - 1 - (2 - j))/(k - 1) = 7/(k - 1)
-                room = s - (total - r)
-                hi_v = min(hi_v, ((k - 1) * room - (2 - j) * r) // 7)
-            low = r2 - width  # the child's squares must reach this
-            for v in range(hi_v, lo_v - 1, -1):
-                if k > 1 and low > v * v + _most_squares(k - 1, v, r - v):
-                    break  # even the greediest completion squares too low
-                acc.append(v)
-                rec(k - 1, v, r - v, r2 - v * v)
-                acc.pop()
-
-        rec(RANK, total, total, top)
+        # the root's largest entry, bounded as a parent bounds a child's
+        # (top >= total needs s >= 4, so the head/tail cap, 3s // 7, is
+        # positive); the loop checks the rest
+        rec(RANK, min(total - (RANK - 1), isqrt(top - (RANK - 1)), 3 * s // 7), total, top)
+    # rec calls itself through its closure, a reference cycle that would
+    # hold `found` until a collection; with the name gone it holds nothing
+    del rec
     return {g: sorted(profiles, key=order_key) for g, profiles in found.items()}
 
 
@@ -305,22 +335,23 @@ def _iter_coefficient_tuples(max_total: int) -> Iterator[FundamentalCoefficients
 
     The loops below keep the head nonincreasing and a9 + a10 >= a0 >=
     a9 >= a10 >= 0, so each tuple is valid by construction and skips the
-    constructor's checks."""
-    def heads(budget: int, slots: int, cap: int) -> Iterator[tuple[int, ...]]:
-        if slots == 0:
-            yield ()
-            return
-        for v in range(min(budget, cap), -1, -1):
-            for rest in heads(budget - v, slots - 1, v):
-                yield (v,) + rest
-
-    for head in heads(max_total, 7, max_total):
-        used = sum(head)
-        for a9 in range(max_total - used + 1):
-            for a10 in range(min(a9, max_total - used - a9) + 1):
-                lo, hi = a9, min(a9 + a10, max_total - used - a9 - a10)
-                for a0 in range(lo, hi + 1):
-                    yield FundamentalCoefficients._trusted(a0, head, a9, a10)
+    constructor's checks.  The heads are listed first, one entry at a
+    time, each with the budget it leaves; a pass puts each head's
+    extensions in its place, the new entry from the largest down, so the
+    heads stay in decreasing lexicographic order."""
+    heads = [((), max_total)]
+    for _ in range(7):
+        heads = [
+            ((*head, v), left - v)
+            for head, left in heads
+            for v in range(min(left, head[-1]) if head else left, -1, -1)
+        ]
+    trusted = FundamentalCoefficients._trusted
+    for head, left in heads:
+        for a9 in range(left + 1):
+            for a10 in range(min(a9, left - a9) + 1):
+                for a0 in range(a9, min(a9 + a10, left - a9 - a10) + 1):
+                    yield trusted(a0, head, a9, a10)
 
 
 def suite_roundtrip(gmax: int | None = None) -> list[CheckResult]:

@@ -1,6 +1,7 @@
 """Command line behavior: formats, exit codes, determinism."""
 
 import csv
+import gc
 import hashlib
 import io
 import json
@@ -16,6 +17,7 @@ import pytest
 import enriques
 import enriques.cli
 import enriques.fundamental
+import enriques.verify
 from enriques.cli import main
 from enriques.components import (
     component_of,
@@ -31,7 +33,7 @@ from enriques.fundamental import (
 )
 from enriques.lattice import NumClass
 from enriques.oracle import PhiVector, phi_vector_oracle
-from enriques.verify import _iter_coefficient_tuples
+from enriques.verify import CheckResult, _iter_coefficient_tuples
 
 SRC_DIR = Path(enriques.__file__).resolve().parents[1]
 PYPROJECT = SRC_DIR.parent / "pyproject.toml"
@@ -927,3 +929,44 @@ def test_phivector_oracle_on_a_far_genus_4_class_returns_promptly():
     assert data["phi"] == data["oracle_phi"] == [2, 2, 2] + [3] * 7
     assert data["oracle_agrees"] is True
     assert data["genus"] == 4
+
+
+class _Interrupt(BaseException):
+    """An interrupt from outside the package, as the benchmark's deadline
+    raises one."""
+
+
+@pytest.mark.parametrize("collecting", [True, False], ids=["enabled", "paused"])
+@pytest.mark.parametrize("outcome", [0, 1, 2, 3, "interrupt"])
+def test_main_leaves_the_collector_as_it_found_it(monkeypatch, capsys, outcome, collecting):
+    """A command runs with the cyclic collector paused, and however it ends
+    (exit code 0, a failed check, a usage error, a class that is not big,
+    or a BaseException raised inside the command) the collector is enabled
+    again, unless the caller had paused it: that pause stays."""
+    seen = []
+
+    def suite():
+        seen.append(gc.isenabled())
+        if outcome == "interrupt":
+            raise _Interrupt
+        return [CheckResult("stand-in check", outcome == 0)]
+
+    monkeypatch.setattr(enriques.verify, "suite_lattice", suite)
+    argv = {
+        2: ["verify", "--suite", "lattice", "--gmax", "1"],
+        3: ["phivector", "--class=1,0,0,0,0,0,0,0,0,0"],
+    }.get(outcome, ["verify", "--suite", "lattice"])
+    if not collecting:
+        gc.disable()
+    try:
+        try:
+            code = main([*argv, "--format", "json"])
+        except SystemExit as exc:
+            code = exc.code
+        except _Interrupt:
+            code = "interrupt"
+        assert gc.isenabled() is collecting
+    finally:
+        gc.enable()
+    assert code == outcome
+    assert seen == ([] if outcome in (2, 3) else [False])

@@ -234,6 +234,8 @@ def test_divisor_class_is_the_presentation_on_the_standard_sequence():
     n = 0
     for c in _iter_coefficient_tuples(12):
         assert c.divisor_class() == class_from_presentation(c, seq)
+        # the closed form it evaluates without the integer check
+        assert c.divisor_class() == sequence_combination((*c.head, 0, c.a9, c.a10), c.a0)
         n += 1
     assert n == 881
 
@@ -242,6 +244,8 @@ def test_rewrite_leaves_fundamental_input_alone():
     fc, seq = rewrite_to_fundamental((1, 1, 0, 0, 0, 0, 0, 0, 0, 0))
     assert fc.as_tuple() == (0, 1, 1, 0, 0, 0, 0, 0, 0, 0)
     assert tuple(seq.members) == standard_sequence()
+    # members that no reflection moved are the shared standard classes
+    assert all(f is e for f, e in zip(seq.members, standard_sequence()))
 
 
 def test_rewrite_absorbs_full_rows():

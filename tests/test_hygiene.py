@@ -3,10 +3,12 @@ no dead imports and no private names taken across modules, one integer
 rule at every public boundary, formula routes that take only value types
 from the search oracle, the names the benchmark traces still defined where
 it looks and wrapped by its tracer, numpy still in the import its set-up
-probe times, and a README quick start that runs."""
+probe times, searches and builders that leave no cyclic garbage, and a
+README quick start that runs."""
 
 import ast
 import dataclasses
+import gc
 import importlib
 import importlib.util
 import inspect
@@ -21,7 +23,16 @@ from pathlib import Path
 import pytest
 
 import enriques
-from enriques import D
+from enriques import (
+    D,
+    NumClass,
+    box_isotropics,
+    component_rows,
+    eight_lowest,
+    enumerate_isotropics,
+    phi_vector_oracle,
+)
+from enriques.verify import _iter_coefficient_tuples, _profiles_by_genus
 
 PACKAGE_DIR = Path(enriques.__file__).resolve().parent
 TESTS_DIR = Path(__file__).resolve().parent
@@ -159,6 +170,35 @@ def test_no_module_imports_a_private_name_of_another():
                     if a.name.startswith("_")
                 ]
     assert not found, f"private names imported: {found}"
+
+
+def test_searches_and_builders_leave_no_cyclic_garbage():
+    """A CLI command runs with the cyclic collector paused, so what the
+    package builds must be freed by reference counting alone.  A closure
+    that calls itself is a reference cycle until its name is deleted, and
+    it would hold what it built (a search layer's solutions, the profile
+    sets) until the collector ran again.  Each run below, with the
+    collector paused, leaves nothing for it to find."""
+    L = NumClass((-2, -2, -2, 0, 0, 0, 0, 0, 0, 3))
+    runs = {
+        "phi_vector_oracle": lambda: phi_vector_oracle(L),
+        "eight_lowest": lambda: eight_lowest(L),
+        "enumerate_isotropics": lambda: enumerate_isotropics(L, 5),
+        "box_isotropics": lambda: box_isotropics(3 * D, 12),
+        "_profiles_by_genus": lambda: _profiles_by_genus(2, 30),
+        "_iter_coefficient_tuples": lambda: list(_iter_coefficient_tuples(10)),
+        "component_rows": lambda: list(component_rows(300)),
+    }
+    gc.collect()
+    gc.disable()
+    try:
+        left = {}
+        for name, run in runs.items():
+            run()
+            left[name] = gc.collect()
+    finally:
+        gc.enable()
+    assert left == dict.fromkeys(runs, 0)
 
 
 def test_readme_quick_start_runs(capsys):
