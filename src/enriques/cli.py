@@ -21,10 +21,17 @@ subcommand's parser, which is all the top-level parser would do with them;
 anything else (no arguments, `-h`, an unknown command, `--` first) goes
 through the top-level parser.
 
+Every integer on the command line (`--genus`, `--phi`, `--eps`, `--gmax`
+and the entries of `--class` and `--coeffs`) is read here, by one grammar
+and one conversion, which reports a value of more digits than int()
+converts with the interpreter's limit.  `parse_coefficients` and
+`format_coefficients` read and write the `--coeffs` form.
+
 `main` runs each command with the cyclic collector paused from start to
-end: the package builds no reference cycle, so a collection during a
-command would walk its values and free nothing.  The collector runs
-again however the command ends, unless the caller had paused it.  What a
+end, and it is the one place in the package that touches the collector:
+the package builds no reference cycle, so a collection during a command
+would walk its values and free nothing.  The collector runs again
+however the command ends, unless the caller had paused it.  What a
 paused command leaves for the collector is json's pure-Python indent
 encoder under `verify` (about 33 objects a run) and, once per process,
 the argument parser's build.
@@ -47,12 +54,7 @@ import re
 import sys
 
 from .components import component_of, component_rows
-from .fundamental import (
-    FundamentalCoefficients,
-    format_coefficients,
-    fundamental_presentation,
-    parse_coefficients,
-)
+from .fundamental import FundamentalCoefficients, fundamental_presentation
 from .lattice import NotBigError, NumClass
 from .oracle import phi_vector_oracle
 from .verify import SUITES, run_suite
@@ -62,9 +64,23 @@ FORMATS = ("json", "csv", "markdown")
 
 # An integer argument is ASCII digits with an optional sign; int() alone
 # would also take underscores, surrounding whitespace and non-ASCII digits.
-# A --class string is such integers joined by commas.
+# A --class string is such integers joined by commas, and a --coeffs string
+# such integers in the groups of `_COEFFS`.
 _INTEGER = re.compile(r"[+-]?[0-9]+")
 _CLASS = re.compile(rf"{_INTEGER.pattern}(?:,{_INTEGER.pattern})*")
+# The --coeffs form "a0;a1,..,a7;a9,a10", as a %-format of the ten coefficients.
+_COEFFS = "%d;%d,%d,%d,%d,%d,%d,%d;%d,%d"
+
+
+def _integers(fields, what: str) -> tuple[int, ...]:
+    """The ints of fields that match `_INTEGER`, for every integer on the
+    command line.  A field of more digits than int() converts raises
+    ValueError(f"{what} of at most N digits"), N the interpreter's limit."""
+    try:
+        return tuple(map(int, fields))
+    except ValueError:  # more digits than int() converts
+        limit = sys.get_int_max_str_digits()
+        raise ValueError(f"{what} of at most {limit} digits") from None
 
 
 def _integer_arg(least: int | None = None):
@@ -74,18 +90,38 @@ def _integer_arg(least: int | None = None):
     want = "an integer" if least is None else f"an integer >= {least}"
 
     def parse(text: str) -> int:
-        try:
-            n = int(text) if _INTEGER.fullmatch(text) else None
-        except ValueError:  # more digits than int() converts
-            limit = sys.get_int_max_str_digits()
-            raise argparse.ArgumentTypeError(
-                f"expected {want} of at most {limit} digits"
-            ) from None
-        if n is None or (least is not None and n < least):
-            raise argparse.ArgumentTypeError(f"expected {want}, got {text!r}")
-        return n
+        if _INTEGER.fullmatch(text):
+            try:
+                [n] = _integers((text,), f"expected {want}")
+            except ValueError as exc:
+                raise argparse.ArgumentTypeError(str(exc)) from None
+            if least is None or n >= least:
+                return n
+        raise argparse.ArgumentTypeError(f"expected {want}, got {text!r}")
 
     return parse
+
+
+def format_coefficients(c: FundamentalCoefficients) -> str:
+    """The "a0;a1,..,a7;a9,a10" form that `parse_coefficients` reads."""
+    return _COEFFS % c.as_tuple()
+
+
+def parse_coefficients(text: str, eps: int = 0) -> FundamentalCoefficients:
+    """The coefficients of a --coeffs string "a0;a1,..,a7;a9,a10", checked
+    by `FundamentalCoefficients`; ValueError names what is wrong."""
+    parts = text.split(";")
+    if len(parts) != 3:
+        raise ValueError('expected "a0;a1,..,a7;a9,a10"')
+    a0, head, tail = parts[0], parts[1].split(","), parts[2].split(",")
+    if not all(map(_INTEGER.fullmatch, (a0, *head, *tail))):
+        raise ValueError("coefficients must be integers")
+    if len(head) != 7:
+        raise ValueError("the middle group takes exactly seven coefficients")
+    if len(tail) != 2:
+        raise ValueError("the last group takes exactly two coefficients")
+    a0, *head, a9, a10 = _integers((a0, *head, *tail), "coefficients must be integers")
+    return FundamentalCoefficients(a0=a0, head=tuple(head), a9=a9, a10=a10, eps=eps)
 
 
 def _colorize(word: str, code: str) -> str:
@@ -192,7 +228,6 @@ def cmd_components(args: argparse.Namespace) -> int:
     rows = component_rows(genus)
     if phi1 is not None:
         rows = (row for row in rows if row[1][0] == phi1)
-    coefficients = FundamentalCoefficients._trusted
     with _output(args.format) as fmt:
         if fmt == "json":
             _emit_components_json(genus, rows)
@@ -208,7 +243,7 @@ def cmd_components(args: argparse.Namespace) -> int:
                     _phi_str(phi),
                     eps,
                     int(two_divisible),
-                    format_coefficients(coefficients(a0, head, a9, a10, eps)),
+                    _COEFFS % (a0, *head, a9, a10),
                     int(unirational),
                 ]
                 for _, phi, eps, name, two_divisible, unirational, a0, head, a9, a10 in rows
@@ -223,7 +258,7 @@ def cmd_components(args: argparse.Namespace) -> int:
                 write(
                     f"| {name} | ({_phi_str(phi)}) | {eps} "
                     f"| {'yes' if two_divisible else 'no'} "
-                    f"| {format_coefficients(coefficients(a0, head, a9, a10, eps))} "
+                    f"| {_COEFFS % (a0, *head, a9, a10)} "
                     f"| {'yes' if unirational else 'no'} |\n"
                 )
     return 0
@@ -243,12 +278,7 @@ def _class_from_args(args: argparse.Namespace):
         if args.coeffs is not None:
             num = parse_coefficients(text, eps=args.eps).divisor_class()
         elif _CLASS.fullmatch(text):
-            try:
-                coords = tuple(int(v) for v in text.split(","))
-            except ValueError:  # more digits than int() converts
-                limit = sys.get_int_max_str_digits()
-                raise ValueError(f"expected integers of at most {limit} digits") from None
-            num = NumClass(coords)
+            num = NumClass(_integers(text.split(","), "expected integers"))
         else:
             raise ValueError(f"expected integers, got {text!r}")
     except ValueError as exc:

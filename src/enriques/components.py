@@ -26,15 +26,12 @@ The walk's tuples are plain (a0, head, a9, a10), and they become sorted
 rows in one pass of integer arithmetic.  A row is a plain tuple whose
 leading fields (profile total, profile, eps) are the listing order, so
 rows sort as tuples.  Tuples and rows form no reference cycle, so
-reference counting frees them, and the two builders (`_coefficient_tuples`
-and `_rows`) run with the cyclic collector paused: allocating a listing's
-tuples would otherwise start collections that walk them and free
-nothing.  A CLI command pauses the collector for its whole run, so this
-pause is for library callers.  It ends when a builder returns or raises,
-never spans a `yield`, and leaves a collector that the caller paused
-paused.  Holding only ints, strings, bools and tuples of ints, tuples
-and rows are untracked by the collector once it has seen them, so full
-collections after a listing do not walk them.
+reference counting frees them all.  This module never touches the cyclic
+collector: a CLI command runs with it paused, and a library caller who
+builds many listings may pause it around them.  Holding only ints,
+strings, bools and tuples of ints, tuples and rows are untracked by the
+collector once it has seen them, so full collections after a listing do
+not walk them.
 `component_rows(g)` builds and yields the rows one profile total at a
 time, and the `cli` listing writes them in every format.  The other public
 functions but `coefficients_by_genus` wrap the same tuples and rows: each
@@ -54,11 +51,10 @@ dominating genus-621 class live in `verify`.
 
 from __future__ import annotations
 
-import gc
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from operator import itemgetter
-from typing import Callable, Iterator, NamedTuple, Sequence, TypeVar
+from typing import Iterator, NamedTuple, Sequence
 
 from .fundamental import FundamentalCoefficients, phivector_from_coefficients
 
@@ -150,24 +146,6 @@ def _rows(g: int, coeffs: Sequence[tuple]) -> list[tuple]:
     out.sort(key=itemgetter(1))
     out.sort(key=itemgetter(0))
     return out
-
-
-_T = TypeVar("_T")
-
-
-def _paused(build: Callable[..., _T], *args) -> _T:
-    """build(*args) with the cyclic collector paused, for the two builders
-    of a listing: they allocate all of its long-lived tuples and return
-    plain values that hold no reference cycle.  The collector runs again
-    when build returns or raises, unless the caller had paused it.  Pass
-    no generator function: its body would run after the pause ends."""
-    if not gc.isenabled():
-        return build(*args)
-    gc.disable()
-    try:
-        return build(*args)
-    finally:
-        gc.enable()
 
 
 def _components(g: int, rows) -> Iterator[ModuliComponent]:
@@ -337,7 +315,8 @@ def _coefficient_tuples(q_lo: int, q_hi: int) -> dict[int, list[tuple]]:
         a2 += 1
     # suffix calls itself through its closure, a reference cycle that
     # would hold the table until the next full collection; with it gone
-    # the buckets hold no cycle, which lets `_paused` run this walk
+    # the buckets hold no cycle, and reference counting frees the walk
+    # even while the collector is paused
     del suffix
     return buckets
 
@@ -356,7 +335,7 @@ def coefficients_by_genus(g_lo: int, g_hi: int) -> Iterator[tuple[int, list[tupl
     leaves the walk's buckets when it is reached.  An empty window
     (g_hi < g_lo) yields nothing."""
     _check_genera(g_lo, g_hi)
-    buckets = _paused(_coefficient_tuples, g_lo - 1, g_hi - 1)
+    buckets = _coefficient_tuples(g_lo - 1, g_hi - 1)
     if g_lo == g_hi:
         return iter([(g_lo, [c for total in sorted(buckets) for c in buckets[total]])])
     return ((q + 1, buckets.pop(q)) for q in list(buckets))
@@ -370,10 +349,7 @@ def components_by_genus(
     profile order then eps.  The walk runs at the call; the rows of a
     genus are built when it is reached, so a sweep holds one genus's rows
     at a time.  An empty window (g_hi < g_lo) yields nothing."""
-    return (
-        (g, tuple(_components(g, _paused(_rows, g, ts))))
-        for g, ts in coefficients_by_genus(g_lo, g_hi)
-    )
+    return ((g, tuple(_components(g, _rows(g, ts)))) for g, ts in coefficients_by_genus(g_lo, g_hi))
 
 
 def component_rows(g: int) -> Iterator[tuple]:
@@ -385,8 +361,8 @@ def component_rows(g: int) -> Iterator[tuple]:
     total are built when reached and dropped once yielded.  Rows of ints,
     strings, bools and int tuples only, so the collector untracks them."""
     _check_genera(g, g)
-    strata = _paused(_coefficient_tuples, g - 1, g - 1)
-    return (row for total in sorted(strata) for row in _paused(_rows, g, strata.pop(total)))
+    strata = _coefficient_tuples(g - 1, g - 1)
+    return (row for total in sorted(strata) for row in _rows(g, strata.pop(total)))
 
 
 def enumerate_components(g: int) -> tuple[ModuliComponent, ...]:

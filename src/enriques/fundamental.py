@@ -29,8 +29,6 @@ reduces.
 
 from __future__ import annotations
 
-import re
-import sys
 from dataclasses import dataclass
 from itertools import repeat
 from operator import and_, ge, itemgetter, mul, sub
@@ -52,8 +50,6 @@ __all__ = [
     "quadratic_value",
     "phivector_from_coefficients",
     "coefficients_from_phivector",
-    "format_coefficients",
-    "parse_coefficients",
     "class_from_presentation",
     "rewrite_to_fundamental",
     "fundamental_presentation",
@@ -132,9 +128,9 @@ class FundamentalCoefficients:
     ) -> FundamentalCoefficients:
         """Build without the checks above, for a producer whose tuples
         pass them by construction (the component walk, whose tuples the
-        rows, the `cli` listing and `verify`'s bounds and paper-tables
-        sweeps wrap, the eps = 1 twins of its rows, and the tuple sweep of
-        `verify`'s roundtrip suite)."""
+        rows and `verify`'s bounds and paper-tables sweeps wrap, the
+        eps = 1 twins of its rows, and the tuple sweep of `verify`'s
+        roundtrip suite)."""
         c = object.__new__(cls)
         set_a0, set_head, set_a9, set_a10, set_eps = _SLOT_SETTERS
         set_a0(c, a0)
@@ -232,35 +228,6 @@ def _from_pairings(p: Sequence[int], eps: int) -> FundamentalCoefficients:
     return FundamentalCoefficients(
         s - 3 * p8, tuple(map(sub, repeat(p8, 7), p[:7])), tail - p[8], tail - p[9], eps
     )
-
-
-def format_coefficients(c: FundamentalCoefficients) -> str:
-    return f"{c.a0};{','.join(str(v) for v in c.head)};{c.a9},{c.a10}"
-
-
-# A coefficient is ASCII digits with an optional sign; int() alone would
-# also take underscores, surrounding whitespace and non-ASCII digits.
-_INTEGER = re.compile(r"[+-]?[0-9]+")
-
-
-def parse_coefficients(text: str, eps: int = 0) -> FundamentalCoefficients:
-    """Parse the "a0;a1,..,a7;a9,a10" form used by the CLI."""
-    parts = text.split(";")
-    if len(parts) != 3:
-        raise ValueError('expected "a0;a1,..,a7;a9,a10"')
-    a0, head, tail = parts[0], parts[1].split(","), parts[2].split(",")
-    if not all(map(_INTEGER.fullmatch, (a0, *head, *tail))):
-        raise ValueError("coefficients must be integers")
-    if len(head) != 7:
-        raise ValueError("the middle group takes exactly seven coefficients")
-    if len(tail) != 2:
-        raise ValueError("the last group takes exactly two coefficients")
-    try:
-        a0, head, a9, a10 = int(a0), tuple(map(int, head)), int(tail[0]), int(tail[1])
-    except ValueError:  # more digits than int() converts
-        limit = sys.get_int_max_str_digits()
-        raise ValueError(f"coefficients must be integers of at most {limit} digits") from None
-    return FundamentalCoefficients(a0=a0, head=head, a9=a9, a10=a10, eps=eps)
 
 
 def class_from_presentation(

@@ -530,7 +530,7 @@ def phi_vector_oracle(
     round 1's, and its C* is at most the cap it searched.
 
     The minimal tuple is always exact.  Degenerate classes can admit
-    astronomically many computing sequences (millions already at genus 2),
+    very many computing sequences (the genus-2 class E_1 + E_2 has 17,280),
     so collection stops at max_sequences; a result strictly shorter than
     the limit is the complete set, in lexicographic member-coordinate
     order.

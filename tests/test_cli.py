@@ -18,19 +18,14 @@ import enriques
 import enriques.cli
 import enriques.fundamental
 import enriques.verify
-from enriques.cli import main
+from enriques.cli import format_coefficients, main, parse_coefficients
 from enriques.components import (
     component_of,
     components_by_genus,
     enumerate_components,
     enumerate_components_by_phi,
 )
-from enriques.fundamental import (
-    format_coefficients,
-    fundamental_presentation,
-    parse_coefficients,
-    quadratic_value,
-)
+from enriques.fundamental import fundamental_presentation, quadratic_value
 from enriques.lattice import NumClass
 from enriques.oracle import PhiVector, phi_vector_oracle
 from enriques.verify import CheckResult, _iter_coefficient_tuples

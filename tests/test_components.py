@@ -137,9 +137,9 @@ def test_listing_rows_and_walk_tuples_leave_the_collector():
 
 
 def test_the_builders_leave_the_collector_as_they_found_it(monkeypatch):
-    """The walk and the rows run with the cyclic collector paused, which
-    ends when they return or raise; a collector the caller paused stays
-    paused."""
+    """The walk and the rows never touch the cyclic collector: it stays
+    enabled through a listing, a window sweep and a builder that raises,
+    and a collector the caller paused stays paused."""
     assert gc.isenabled()
     assert list(component_rows(300))
     assert gc.isenabled()

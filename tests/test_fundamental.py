@@ -6,15 +6,14 @@ from dataclasses import replace
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from enriques.cli import format_coefficients, parse_coefficients
 from enriques.fundamental import (
     FundamentalCoefficients,
     _reduce,
     _standard_pairings,
     class_from_presentation,
     coefficients_from_phivector,
-    format_coefficients,
     fundamental_presentation,
-    parse_coefficients,
     phivector_from_coefficients,
     quadratic_value,
     rewrite_to_fundamental,

@@ -1,10 +1,11 @@
 """Package hygiene: exact checks that survive `python -O`, one export list,
-no dead imports and no private names taken across modules, one integer
-rule at every public boundary, formula routes that take only value types
-from the search oracle, the names the benchmark traces still defined where
-it looks and wrapped by its tracer, numpy still in the import its set-up
-probe times, searches and builders that leave no cyclic garbage, and a
-README quick start that runs."""
+no dead imports and no private names taken across modules, gc, re and sys
+imported by the command line alone, one integer rule at every public
+boundary, formula routes that take only value types from the search
+oracle, the names the benchmark traces still defined where it looks and
+wrapped by its tracer, numpy still in the import its set-up probe times,
+searches and builders that leave no cyclic garbage, and a README quick
+start that runs."""
 
 import ast
 import dataclasses
@@ -55,7 +56,9 @@ BENCH_DIR = TESTS_DIR.parent / "bench"
 # the CLI wrote its JSON from templates; iter_components when every
 # format of the CLI listing wrote the plain rows of component_rows; and the
 # plain profile walk moved to the tests, since roundtrip takes its profiles
-# from the one search.
+# from the one search.  parse_coefficients and format_coefficients, which
+# read and write the --coeffs form, moved to the command line, which owns
+# its integer grammar.
 # Functions that only their own module called became private:
 # unirationality_flag (now _unirational, of the listing's rows), and the
 # profile search and closed-form tables that only verify's suites call
@@ -91,6 +94,8 @@ DROPPED = {
         "FundamentalCoefficients.total",
         "FundamentalCoefficients.to_json",
         "iter_coefficient_tuples",
+        "parse_coefficients",
+        "format_coefficients",
     ),
     "components": (
         "component_name",
@@ -157,6 +162,23 @@ def test_no_unused_import_in_the_package():
 def test_no_unused_import_in_the_tests():
     found = _unused_imports(sorted(TESTS_DIR.glob("*.py")))
     assert not found, f"imported but never used: {found}"
+
+
+def test_only_the_cli_imports_gc_re_or_sys():
+    """The command line owns the collector pause and the integer grammar
+    of its arguments, and the library flips no interpreter-wide state:
+    no other module of the package imports gc, re or sys."""
+    found = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [a.name.split(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [(node.module or "").split(".")[0]]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {n}" for n in names if n in {"gc", "re", "sys"}]
+    assert found and all(f.startswith("cli.py:") for f in found), found
 
 
 def test_no_module_imports_a_private_name_of_another():
@@ -426,7 +448,6 @@ VALID_CALLS = {
     "fundamental_presentation": {"L": 3 * D, "eps": 0},
     "generator_e": {"i": 1},
     "generator_pair": {"i": 1, "j": 2},
-    "parse_coefficients": {"text": "4;7,6,5,4,3,2,1;3,2", "eps": 0},
     "phi_vector_oracle": {"L": 3 * D, "max_sequences": 1},
     "rewrite_to_fundamental": {"coeffs": (1,) * 10, "a0": 1, "eps": 0},
     "run_suite": {"name": "lattice", "gmax": 2},

@@ -652,6 +652,9 @@ def test_oracle_on_genus_two():
     p, seqs = phi_vector_oracle(E[1] + E[2], max_sequences=5)
     assert p.phis == (1, 1, 2, 2, 2, 2, 2, 2, 2, 2)
     assert len(seqs) == 5  # truncated: far more sequences attain the minimum
+    # one below the limit, so the set is complete: 17,280 sequences
+    _, seqs = phi_vector_oracle(E[1] + E[2], max_sequences=17_281)
+    assert len(seqs) == 17_280
 
 
 def test_oracle_respects_sequence_limit():
