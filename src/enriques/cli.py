@@ -37,8 +37,9 @@ encoder under `verify` (about 33 objects a run) and, once per process,
 the argument parser's build.
 
 Exit codes: 0 success, 1 a verification or agreement check failed,
-2 unusable arguments, 3 the class fails a mathematical precondition.  A
-reader that closes stdout early changes neither the exit code nor stderr.
+2 unusable arguments, 3 the class fails a mathematical precondition, 4 the
+command ran out of memory (a huge `--genus` or `--gmax`).  A reader that
+closes stdout early changes neither the exit code nor stderr.
 """
 
 from __future__ import annotations
@@ -434,7 +435,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     """Run one command with the cyclic collector paused from start to end.
     The collector runs again however the command ends (a return, a
-    SystemExit or any other exception), unless the caller had paused it."""
+    SystemExit or any other exception), unless the caller had paused it.
+    A command that runs out of memory exits 4 with one line on stderr."""
     collecting = gc.isenabled()
     gc.disable()
     try:
@@ -451,6 +453,9 @@ def main(argv: list[str] | None = None) -> int:
             if extra:
                 parser.error(f"unrecognized arguments: {' '.join(extra)}")
         return args.run(args)
+    except MemoryError:
+        print("enriques: out of memory", file=sys.stderr)
+        return 4
     finally:
         if collecting:
             gc.enable()

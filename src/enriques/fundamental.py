@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import repeat
-from operator import and_, ge, itemgetter, mul, sub
+from operator import and_, itemgetter, mul, sub
 from typing import Sequence
 
 from .lattice import (
@@ -79,47 +79,37 @@ class FundamentalCoefficients:
     eps: int = 0
 
     def __post_init__(self):
-        """One chained test accepts exactly the valid coefficients: plain
-        ints, the head nonincreasing down to a nonnegative a_7, the tail
-        chain down to a nonnegative a_10 (so a_0 and a_9 are nonnegative
-        too), and eps 0, or 1 on even coefficients.  Anything else goes
-        through the checks below in their order, which name the first
-        condition that fails; they too take only plain ints, so a bool,
-        although an int, is no coefficient.  The chained test takes only
-        a tuple head: the checks store any other sequence as one first, so
-        the coefficients compare and hash as ones built from a tuple."""
+        """One pass of checks, in this order, each raising ValueError with
+        its own message: the head is seven ints; a_0, a_9 and a_10 are
+        ints and all ten coefficients are nonnegative; the head is
+        nonincreasing; the tail chain holds; eps is 0 or 1; and eps = 1
+        only on even coefficients.  An int is one whose type is int, so a
+        bool is no coefficient.  A head that is not a tuple is stored as
+        one first, so the coefficients compare and hash as ones built from
+        a tuple; a head of another length reads as seven Nones, which fail
+        the first check."""
         head = self.head
-        if type(head) is tuple and len(head) == 7:
-            h1, h2, h3, h4, h5, h6, h7 = head
-            a0, a9, a10, eps = self.a0, self.a9, self.a10, self.eps
-            if (
-                type(a0) is type(a9) is type(a10) is type(eps) is int
-                and type(h1) is type(h2) is type(h3) is type(h4) is int
-                and type(h5) is type(h6) is type(h7) is int
-                and h1 >= h2 >= h3 >= h4 >= h5 >= h6 >= h7 >= 0
-                and a9 + a10 >= a0 >= a9 >= a10 >= 0
-                and (
-                    eps == 0
-                    or eps == 1 and not (a0 | h1 | h2 | h3 | h4 | h5 | h6 | h7 | a9 | a10) & 1
-                )
-            ):
-                return
         if type(head) is not tuple:
             head = tuple(head)
             _SLOT_SETTERS[1](self, head)
-        if len(head) != 7 or not set(map(type, head)) <= {int}:
+        h1, h2, h3, h4, h5, h6, h7 = head if len(head) == 7 else (None,) * 7
+        if not (
+            type(h1) is type(h2) is type(h3) is type(h4) is int
+            and type(h5) is type(h6) is type(h7) is int
+        ):
             raise ValueError("head takes exactly seven integers")
-        vals = (self.a0, *head, self.a9, self.a10)
-        if not set(map(type, vals)) <= {int} or min(vals) < 0:
+        a0, a9, a10, eps = self.a0, self.a9, self.a10, self.eps
+        # An OR of ints is negative exactly when one of them is.
+        if not (type(a0) is type(a9) is type(a10) is int) or (
+            a0 | h1 | h2 | h3 | h4 | h5 | h6 | h7 | a9 | a10
+        ) < 0:
             raise ValueError("coefficients must be nonnegative integers")
-        if not all(map(ge, head, head[1:])):
+        if not h1 >= h2 >= h3 >= h4 >= h5 >= h6 >= h7:
             raise ValueError("head coefficients must be nonincreasing")
-        if not (self.a9 + self.a10 >= self.a0 >= self.a9 >= self.a10):
-            raise ValueError(
-                "tail chain violated: need a9 + a10 >= a0 >= a9 >= a10"
-            )
-        _check_eps(self.eps)
-        if self.eps == 1 and not self.all_even():
+        if not a9 + a10 >= a0 >= a9 >= a10:
+            raise ValueError("tail chain violated: need a9 + a10 >= a0 >= a9 >= a10")
+        _check_eps(eps)
+        if eps and not self.all_even():
             raise ValueError("eps = 1 requires all coefficients even")
 
     @classmethod

@@ -44,7 +44,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import product, repeat
 from math import gcd, isqrt
-from operator import and_, itemgetter, le, mul, sub
+from operator import and_, itemgetter, mul, sub
 from typing import Sequence
 
 import numpy as np
@@ -86,39 +86,33 @@ class PhiVector:
     phis: tuple[int, ...]
 
     def __post_init__(self):
-        """One chained test accepts exactly the valid profiles: ten plain
-        ints, positive and nondecreasing, the total divisible by 3, and
-        the first seven at least twice the last three, that is the total
-        at least three times the last three.  Anything else goes through
-        the checks below in their order, which name the first condition
-        that fails; they too take only plain ints, so a bool, although an
-        int, is no entry.  The chained test takes only a tuple: the checks
-        store any other sequence as one first, so the vector compares and
-        hashes as one built from a tuple."""
+        """One pass of checks, in this order, each raising ValueError with
+        its own message: ten ints; the first positive; nondecreasing; the
+        total divisible by 3; and the first seven at least twice the last
+        three, that is the total at least three times the last three.  An
+        int is one whose type is int, so a bool is no entry.  Entries that
+        are not a tuple are stored as one first, so the vector compares
+        and hashes as one built from a tuple; a profile of another length
+        reads as ten Nones, which fail the first check."""
         p = self.phis
-        if type(p) is tuple and len(p) == 10:
-            p1, p2, p3, p4, p5, p6, p7, p8, p9, p10 = p
-            if (
-                type(p1) is type(p2) is type(p3) is type(p4) is type(p5) is int
-                and type(p6) is type(p7) is type(p8) is type(p9) is type(p10) is int
-                and 1 <= p1 <= p2 <= p3 <= p4 <= p5 <= p6 <= p7 <= p8 <= p9 <= p10
-            ):
-                tail = p8 + p9 + p10
-                total = p1 + p2 + p3 + p4 + p5 + p6 + p7 + tail
-                if not total % 3 and total >= 3 * tail:
-                    return
         if type(p) is not tuple:
             p = tuple(p)
             object.__setattr__(self, "phis", p)
-        if len(p) != 10 or not set(map(type, p)) <= {int}:
+        p1, p2, p3, p4, p5, p6, p7, p8, p9, p10 = p if len(p) == 10 else (None,) * 10
+        if not (
+            type(p1) is type(p2) is type(p3) is type(p4) is type(p5) is int
+            and type(p6) is type(p7) is type(p8) is type(p9) is type(p10) is int
+        ):
             raise ValueError("a phi-vector has ten integer entries")
-        if p[0] < 1:
+        if p1 < 1:
             raise ValueError("phi-vector entries must be positive")
-        if not all(map(le, p, p[1:])):
+        if not p1 <= p2 <= p3 <= p4 <= p5 <= p6 <= p7 <= p8 <= p9 <= p10:
             raise ValueError("phi-vector entries must be nondecreasing")
-        if sum(p) % 3:
+        tail = p8 + p9 + p10
+        total = p1 + p2 + p3 + p4 + p5 + p6 + p7 + tail
+        if total % 3:
             raise ValueError("phi-vector total must be divisible by 3")
-        if sum(p[:7]) < 2 * (p[7] + p[8] + p[9]):
+        if total < 3 * tail:
             raise ValueError(
                 "phi-vector fails the head/tail inequality "
                 "phi_1+...+phi_7 >= 2(phi_8+phi_9+phi_10)"

@@ -445,6 +445,23 @@ def test_verify_bounds_counts_every_component_of_the_window(capsys):
     assert first["detail"] == f"{n} components"
 
 
+@pytest.mark.parametrize("suite, checks", [("roundtrip", 7), ("paper-tables", 6), ("bounds", 3)])
+def test_verify_sweeps_pass_on_the_one_genus_window(capsys, suite, checks):
+    """At `--gmax 2` each sweep's window holds genus 2 alone, so
+    `coefficients_by_genus(2, 2)` takes its single-genus path, which
+    flattens the profile-total strata; every check still runs and passes,
+    and bounds counts the one component."""
+    rc, out = run_cli(capsys, "verify", "--suite", suite, "--gmax", "2", "--format", "json")
+    assert rc == 0
+    data = json.loads(out)
+    assert data["suite"] == suite and data["passed"] is True
+    assert len(data["checks"]) == checks
+    assert all(c["passed"] for c in data["checks"])
+    if suite == "bounds":
+        assert len(enumerate_components(2)) == 1
+        assert data["checks"][0]["detail"] == "1 components"
+
+
 # Each integer flag after a command line that is valid up to it, crossed
 # with values that are not integers in the ASCII grammar or that int() will
 # not convert (4301 digits), and each lower bound with the value below it.
@@ -965,3 +982,26 @@ def test_main_leaves_the_collector_as_it_found_it(monkeypatch, capsys, outcome, 
         gc.enable()
     assert code == outcome
     assert seen == ([] if outcome in (2, 3) else [False])
+
+
+@pytest.mark.parametrize("collecting", [True, False], ids=["enabled", "paused"])
+def test_running_out_of_memory_exits_four(monkeypatch, capsys, collecting):
+    """A command that runs out of memory (a huge `--genus` fills its walk's
+    tables first) exits 4 with one line on stderr and no traceback, writes
+    nothing to stdout, and leaves the collector as it found it."""
+
+    def exhausted(genus):
+        raise MemoryError
+
+    monkeypatch.setattr(enriques.cli, "component_rows", exhausted)
+    if not collecting:
+        gc.disable()
+    try:
+        code = main(["components", "--genus", "1000000000", "--format", "json"])
+        assert gc.isenabled() is collecting
+    finally:
+        gc.enable()
+    out, err = capsys.readouterr()
+    assert code == 4
+    assert out == ""
+    assert err == "enriques: out of memory\n"

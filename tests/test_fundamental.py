@@ -725,16 +725,20 @@ def _coefficient_grid(seed, n=600):
 @pytest.mark.parametrize("seed", range(3))
 def test_coefficient_checks_give_the_first_message_of_the_checks_in_turn(seed):
     """`FundamentalCoefficients` accepts what the checks one by one accept
-    and names the first that fails, on a seeded grid of malformed fields."""
+    and names the first that fails, on a seeded grid of malformed fields,
+    each passed once with the head as a tuple and once as a list; what it
+    accepts it stores with a tuple head."""
     seen = set()
     for a0, head, a9, a10, eps in _coefficient_grid(seed):
         want = fundamental_coefficients_error(a0, tuple(head), a9, a10, eps)
-        got = _outcome(lambda: FundamentalCoefficients(a0, tuple(head), a9, a10, eps))
-        if want is None:
-            assert isinstance(got, FundamentalCoefficients), (a0, head, a9, a10, eps, got)
-            assert (got.a0, got.head, got.a9, got.a10, got.eps) == (a0, tuple(head), a9, a10, eps)
-        else:
-            assert got == want, (a0, head, a9, a10, eps)
+        for given_head in (tuple(head), list(head)):
+            got = _outcome(lambda: FundamentalCoefficients(a0, given_head, a9, a10, eps))
+            if want is None:
+                assert isinstance(got, FundamentalCoefficients), (a0, given_head, a9, a10, eps, got)
+                assert (got.a0, got.head, got.a9, got.a10, got.eps) == (a0, tuple(head), a9, a10, eps)
+                assert type(got.head) is tuple
+            else:
+                assert got == want, (a0, given_head, a9, a10, eps)
         seen.add(want)
     assert seen == {
         None,

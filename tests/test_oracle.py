@@ -903,17 +903,22 @@ def _profile_grid(seed, n=800):
 @pytest.mark.parametrize("seed", range(3))
 def test_phivector_checks_give_the_first_message_of_the_checks_in_turn(seed):
     """`PhiVector` accepts what the checks one by one accept and names the
-    first that fails, on a seeded grid of malformed profiles."""
+    first that fails, on a seeded grid of malformed profiles, each passed
+    once as a tuple and once as a list; what it accepts it stores as a
+    tuple."""
     seen = set()
     for p in _profile_grid(seed):
         want = phivector_error(p)
-        try:
-            PhiVector(p)
-            got = None
-        except ValueError as exc:
-            got = str(exc)
-        assert got == want, p
-        if bool in map(type, p):  # a bool, although an int, is no entry
-            assert got == "a phi-vector has ten integer entries", p
+        for given in (p, list(p)):
+            try:
+                v = PhiVector(given)
+                got = None
+            except ValueError as exc:
+                got = str(exc)
+            assert got == want, given
+            if got is None:
+                assert type(v.phis) is tuple and v.phis == p, given
+            if bool in map(type, p):  # a bool, although an int, is no entry
+                assert got == "a phi-vector has ten integer entries", given
         seen.add(want)
     assert len(seen) == 6, seen
