@@ -9,8 +9,9 @@ invocations print identical bytes.  JSON output is byte-identical to
 encoder lays out the `components` row and the `phivector` payload once, at
 import, as %-templates, since its indent mode runs in pure Python.
 `components` writes, in every format, the rows of `component_rows`:
-plain tuples yielded one profile total at a time, of which `--phi K` keeps
-in one place those whose profile starts at K.  JSON and CSV write the rows
+plain tuples yielded one profile total at a time.  Under `--phi K` they are
+the rows of `component_rows(g, K)`, whose profile starts at K; the CLI
+filters nothing itself.  JSON and CSV write the rows
 as they come, so neither listing holds every row of its genus; markdown,
 whose header gives the count first, collects them first.
 The argument parser is built once per process, on first use, and each
@@ -225,10 +226,8 @@ def _emit_components_json(genus: int, rows) -> None:
 def cmd_components(args: argparse.Namespace) -> int:
     """Write the rows of a genus, or under `--phi K` those with smallest
     profile entry K."""
-    genus, phi1 = args.genus, args.phi
-    rows = component_rows(genus)
-    if phi1 is not None:
-        rows = (row for row in rows if row[1][0] == phi1)
+    genus = args.genus
+    rows = component_rows(genus, args.phi)
     with _output(args.format) as fmt:
         if fmt == "json":
             _emit_components_json(genus, rows)

@@ -33,8 +33,12 @@ strings, bools and tuples of ints, tuples and rows are untracked by the
 collector once it has seen them, so full collections after a listing do
 not walk them.
 `component_rows(g)` builds and yields the rows one profile total at a
-time, and the `cli` listing writes them in every format.  The other public
-functions but `coefficients_by_genus` wrap the same tuples and rows: each
+time, and the `cli` listing writes them in every format.  Given phi1,
+`component_rows(g, phi1)` keeps the rows whose smallest profile entry
+(Cossec's phi-invariant) is phi1: the one such filter, behind
+`components --phi`, the paper-tables suite and
+`enumerate_components(g, phi1)`.  The other public functions but
+`coefficients_by_genus` wrap the same tuples and rows: each
 row becomes a `ModuliComponent`, a named tuple of the same fields plus
 the genus, with its coefficients gathered into a `FundamentalCoefficients`
 of the row's eps (so each eps = 1 twin has its own).  The walk's tuples
@@ -65,7 +69,6 @@ __all__ = [
     "component_rows",
     "components_by_genus",
     "enumerate_components",
-    "enumerate_components_by_phi",
 ]
 
 
@@ -352,28 +355,26 @@ def components_by_genus(
     return ((g, tuple(_components(g, _rows(g, ts)))) for g, ts in coefficients_by_genus(g_lo, g_hi))
 
 
-def component_rows(g: int) -> Iterator[tuple]:
+def component_rows(g: int, phi1: int | None = None) -> Iterator[tuple]:
     """The components of genus g as plain rows (total, phi, eps, name,
     two_divisible, unirational, a0, head, a9, a10), sorted by profile
     order then eps: the fields of a `ModuliComponent` without its genus,
-    and its coefficients spread out (their eps is the row's).  The genus
-    is checked and the walk runs at the call; the rows of one profile
-    total are built when reached and dropped once yielded.  Rows of ints,
-    strings, bools and int tuples only, so the collector untracks them."""
+    and its coefficients spread out (their eps is the row's).  Given phi1,
+    only the rows whose smallest profile entry is phi1: the package's one
+    smallest-entry filter.  The genus and phi1 are checked and the walk
+    runs at the call; the rows of one profile total are built when reached
+    and dropped once yielded.  Rows of ints, strings, bools and int tuples
+    only, so the collector untracks them."""
     _check_genera(g, g)
-    strata = _coefficient_tuples(g - 1, g - 1)
-    return (row for total in sorted(strata) for row in _rows(g, strata.pop(total)))
-
-
-def enumerate_components(g: int) -> tuple[ModuliComponent, ...]:
-    """All components of the genus-g polarized moduli space, sorted by
-    profile order then eps: the rows of `component_rows` as
-    `ModuliComponent`s."""
-    return tuple(_components(g, component_rows(g)))
-
-
-def enumerate_components_by_phi(g: int, phi1: int) -> tuple[ModuliComponent, ...]:
-    """The components of genus g with smallest profile entry phi1."""
-    if type(phi1) is not int or phi1 < 1:
+    if phi1 is not None and (type(phi1) is not int or phi1 < 1):
         raise ValueError("phi must be a positive integer")
-    return tuple(_components(g, (row for row in component_rows(g) if row[1][0] == phi1)))
+    strata = _coefficient_tuples(g - 1, g - 1)
+    rows = (row for total in sorted(strata) for row in _rows(g, strata.pop(total)))
+    return rows if phi1 is None else (row for row in rows if row[1][0] == phi1)
+
+
+def enumerate_components(g: int, phi1: int | None = None) -> tuple[ModuliComponent, ...]:
+    """All components of the genus-g polarized moduli space, or given phi1
+    those with smallest profile entry phi1, sorted by profile order then
+    eps: the rows of `component_rows` as `ModuliComponent`s."""
+    return tuple(_components(g, component_rows(g, phi1)))

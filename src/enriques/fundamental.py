@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import repeat
-from operator import and_, itemgetter, mul, sub
+from operator import itemgetter, mul, sub
 from typing import Sequence
 
 from .lattice import (
@@ -131,7 +131,8 @@ class FundamentalCoefficients:
         return c
 
     def all_even(self) -> bool:
-        return not any(map(and_, (self.a0, *self.head, self.a9, self.a10), repeat(1)))
+        h1, h2, h3, h4, h5, h6, h7 = self.head
+        return not (self.a0 | h1 | h2 | h3 | h4 | h5 | h6 | h7 | self.a9 | self.a10) & 1
 
     def as_tuple(self) -> tuple[int, ...]:
         return (self.a0, *self.head, self.a9, self.a10)

@@ -43,9 +43,8 @@ too, without re-checking.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
 from math import gcd
-from operator import add, and_, mul, neg, sub
+from operator import add, mul, neg, sub
 from typing import Sequence
 
 RANK = 10
@@ -197,7 +196,10 @@ def is_positive(a: NumClass) -> bool:
 
 
 def is_two_divisible(a: NumClass) -> bool:
-    return not any(map(and_, a.coords, repeat(1)))
+    """True when every coordinate is even: an OR of ints is odd exactly
+    when one of them is."""
+    c1, c2, c3, c4, c5, c6, c7, c8, c9, c10 = a.coords
+    return not (c1 | c2 | c3 | c4 | c5 | c6 | c7 | c8 | c9 | c10) & 1
 
 
 def sequence_combination(coeffs: Sequence[int], a0: int = 0) -> NumClass:

@@ -44,7 +44,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import product, repeat
 from math import gcd, isqrt
-from operator import and_, itemgetter, mul, sub
+from operator import itemgetter, mul, sub
 from typing import Sequence
 
 import numpy as np
@@ -125,7 +125,8 @@ class PhiVector:
         return 10
 
     def all_even(self) -> bool:
-        return not any(map(and_, self.phis, repeat(1)))
+        p1, p2, p3, p4, p5, p6, p7, p8, p9, p10 = self.phis
+        return not (p1 | p2 | p3 | p4 | p5 | p6 | p7 | p8 | p9 | p10) & 1
 
     def self_intersection(self) -> int:
         p = self.phis

@@ -40,7 +40,6 @@ from .components import (
     component_of,
     components_by_genus,
     enumerate_components,
-    enumerate_components_by_phi,
 )
 from .fundamental import (
     FundamentalCoefficients,
@@ -494,7 +493,7 @@ def suite_paper_tables(gmax: int | None = None) -> list[CheckResult]:
             ok = False
     checks.append(_check("small-genus component names", ok))
 
-    all3 = [m.name for m in enumerate_components_by_phi(6, 3)]
+    all3 = [m.name for m in enumerate_components(6, 3)]
     checks.append(
         _check(
             "genus 6 has the all-threes component",

@@ -1,6 +1,6 @@
 """Reference walks that the tests hold the package's routes against."""
 
-from math import gcd, isqrt
+from math import factorial, gcd, isqrt
 from operator import mul
 
 import numpy as np
@@ -270,3 +270,75 @@ def coefficients_from_phivector_fields(p, eps=0):
     p8 = p[7]
     fields = (s - 3 * p8, tuple(p8 - p[i] for i in range(7)), s - 2 * p8 - p[8], s - 2 * p8 - p[9], eps)
     return fundamental_coefficients_error(*fields) or fields
+
+
+# The simple roots of W(E10) on the standard sequence, r_i = E_{i+1} - E_i
+# for i = 1..9 and r_0 = D - E_8 - E_9 - E_10, as the edges of their
+# diagram: the chain r_1..r_9 with r_0 joined to r_7 (T_{2,3,7}).
+E10_EDGES = tuple((i, i + 1) for i in range(1, 9)) + ((0, 7),)
+# |W| of the exceptional types, keyed by the sorted arm lengths at the branch
+# node (nodes of each arm, the branch node aside)
+E_ORDERS = {(1, 2, 2): 51_840, (1, 2, 3): 2_903_040, (1, 2, 4): 696_729_600}
+
+
+def profile_roots(phis):
+    """J: the simple roots orthogonal to the presented class of a profile.
+    The class lies in the closed chamber with E_1..E_10 in profile order,
+    so i <= 9 is in J when phi_i = phi_{i+1}, and 0 when phi_8 + phi_9 +
+    phi_10 is a third of the total."""
+    roots = {i for i in range(1, 10) if phis[i - 1] == phis[i]}
+    if 3 * sum(phis[7:]) == sum(phis):
+        roots.add(0)
+    return roots
+
+
+def parabolic_order(roots, edges=E10_EDGES):
+    """|W_J| for a set J of simple roots: the product over the components
+    of J's subdiagram of (n+1)! for A_n, 2^(n-1)*n! for D_n, and 51,840,
+    2,903,040 and 696,729,600 for E6, E7 and E8.  ValueError when a
+    component is of none of these finite types."""
+    near = {i: set() for i in roots}
+    for i, j in edges:
+        if i in roots and j in roots:
+            near[i].add(j)
+            near[j].add(i)
+
+    def reach(start, skip):
+        seen, todo = {start}, [start]
+        while todo:
+            for j in near[todo.pop()] - seen - {skip}:
+                seen.add(j)
+                todo.append(j)
+        return seen
+
+    order, left = 1, set(roots)
+    while left:
+        part = reach(min(left), None)
+        left -= part
+        n = len(part)
+        branch = [i for i in part if len(near[i]) > 2]
+        if not branch:
+            order *= factorial(n + 1)
+            continue
+        [b] = branch
+        arms = tuple(sorted(len(reach(j, b)) for j in near[b]))
+        if len(arms) == 3 and arms[:2] == (1, 1):
+            order *= 2 ** (n - 1) * factorial(n)
+        elif arms in E_ORDERS:
+            order *= E_ORDERS[arms]
+        else:
+            raise ValueError(f"roots {sorted(part)} are not of finite type")
+    return order
+
+
+def computing_sequence_count(phis):
+    """The index [W_J : W_J'] of J' = J & {1..9} in J = `profile_roots`:
+    the number of unordered computing sequences of the presented class of
+    a profile, counted as the images of the presenting sequence under W_J,
+    two of which agree as sets when they differ by a permutation of equal
+    pairings, in W_J'.  A checked identity, not a proved one: it holds if
+    W(E10) acts simply transitively on the ordered isotropic 10-sequences
+    whose sum is divisible by 3, and every profile measured agrees with the
+    search oracle."""
+    roots = profile_roots(phis)
+    return parabolic_order(roots) // parabolic_order(roots - {0})

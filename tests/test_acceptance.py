@@ -11,7 +11,7 @@ import random
 import time
 from itertools import combinations
 
-from enriques.components import enumerate_components, enumerate_components_by_phi
+from enriques.components import enumerate_components
 from enriques.fundamental import (
     class_from_presentation,
     phivector_from_coefficients,
@@ -111,7 +111,7 @@ def test_criterion_4_low_phi_tables():
     for g in genera:
         expected = _golden_low_phi(g)
         for k in (1, 2, 3):
-            got = [(m.phi, m.eps) for m in enumerate_components_by_phi(g, k)]
+            got = [(m.phi, m.eps) for m in enumerate_components(g, k)]
             ok &= sorted(got) == sorted(expected[k])
             n += len(got)
     # congruence shape: odd genus splits the second family exactly when g = 1 mod 4

@@ -23,7 +23,6 @@ from enriques.components import (
     component_of,
     components_by_genus,
     enumerate_components,
-    enumerate_components_by_phi,
 )
 from enriques.fundamental import fundamental_presentation, quadratic_value
 from enriques.lattice import NumClass
@@ -186,7 +185,7 @@ def test_components_csv_and_markdown_bytes_match_the_public_rows(capsys, fmt):
         assert rc == 0
         assert out == _reference_listing(fmt, g, enumerate_components(g)), g
     for g, phi in ((5, 2), (17, 4), (57, 8), (5, 9), (405, 6), (934, 10)):
-        rows = enumerate_components_by_phi(g, phi)
+        rows = enumerate_components(g, phi)
         rc, out = run_cli(
             capsys, "components", "--genus", str(g), "--phi", str(phi), "--format", fmt
         )
@@ -990,7 +989,7 @@ def test_running_out_of_memory_exits_four(monkeypatch, capsys, collecting):
     tables first) exits 4 with one line on stderr and no traceback, writes
     nothing to stdout, and leaves the collector as it found it."""
 
-    def exhausted(genus):
+    def exhausted(genus, phi1):
         raise MemoryError
 
     monkeypatch.setattr(enriques.cli, "component_rows", exhausted)

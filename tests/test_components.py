@@ -16,7 +16,6 @@ from enriques.components import (
     component_rows,
     components_by_genus,
     enumerate_components,
-    enumerate_components_by_phi,
     _unirational,
 )
 from enriques.fundamental import (
@@ -204,26 +203,42 @@ def test_enumeration_rejects_small_genus():
         components_by_genus(1, 5)
     with pytest.raises(ValueError):
         coefficients_by_genus(1, 5)
-    # the listing iterator checks its genus at the call, before any row
+    # the listing iterator checks its genus and smallest entry at the call,
+    # before any row
     with pytest.raises(ValueError):
         component_rows(1)
-    with pytest.raises(ValueError):
-        enumerate_components_by_phi(4, 0)
+    with pytest.raises(ValueError, match="phi must be a positive integer"):
+        component_rows(4, 0)
+    with pytest.raises(ValueError, match="phi must be a positive integer"):
+        enumerate_components(4, 0)
 
 
 def test_phi_filter():
     # g = 9 is 1 mod 4: the even profile splits, so three rows not two
-    assert [m.phi[0] for m in enumerate_components_by_phi(9, 2)] == [2, 2, 2]
-    assert enumerate_components_by_phi(2, 3) == ()
+    assert [m.phi[0] for m in enumerate_components(9, 2)] == [2, 2, 2]
+    assert enumerate_components(2, 3) == ()
+
+
+@pytest.mark.parametrize("phi1, start", [(1, 2), (2, 4), (3, 8), (4, 14), (5, 22)])
+def test_phi_filter_counts_repeat_with_period_twice_the_entry(phi1, start):
+    """On a fundamental tuple phi_1 = a - a_1, so phi_1 = K fixes the total
+    of the other nine coefficients at K, and q = g - 1 = a_1*K + C with C
+    the part of q that a_1 does not multiply: once g - 1 passes every
+    C + a_2*K, the count of phi_1 = K rows depends only on (g - 1) mod 2K.
+    Over g < 200 it repeats from `start` on, and not from start - 1."""
+    counts = [len(enumerate_components(g, phi1)) for g in range(2, 200)]
+    period = 2 * phi1
+    breaks = [g for g in range(2, 200 - period) if counts[g - 2] != counts[g - 2 + period]]
+    assert (breaks[-1] + 1 if breaks else 2) == start
 
 
 def test_genus_six_all_threes():
-    names = [m.name for m in enumerate_components_by_phi(6, 3)]
+    names = [m.name for m in enumerate_components(6, 3)]
     assert "E_{6;3,3,3,3,3,3,3,3,3,3}" in names
 
 
 def test_genus_seven_phi_three_profile():
-    profs = [m.phi for m in enumerate_components_by_phi(7, 3)]
+    profs = [m.phi for m in enumerate_components(7, 3)]
     assert (3, 3, 3, 3, 4, 4, 4, 4, 4, 4) in profs
 
 
@@ -231,7 +246,7 @@ def test_low_phi_families_match_closed_formulas():
     for g in range(2, 19):
         expected = _golden_low_phi(g)
         for k in (1, 2, 3):
-            got = [(m.phi, m.eps) for m in enumerate_components_by_phi(g, k)]
+            got = [(m.phi, m.eps) for m in enumerate_components(g, k)]
             assert sorted(got) == sorted(expected[k]), (g, k)
 
 

@@ -56,9 +56,11 @@ BENCH_DIR = TESTS_DIR.parent / "bench"
 # the CLI wrote its JSON from templates; iter_components when every
 # format of the CLI listing wrote the plain rows of component_rows; and the
 # plain profile walk moved to the tests, since roundtrip takes its profiles
-# from the one search.  parse_coefficients and format_coefficients, which
-# read and write the --coeffs form, moved to the command line, which owns
-# its integer grammar.
+# from the one search; enumerate_components_by_phi(g, K) when the one
+# smallest-entry filter moved into component_rows(g, K), which
+# enumerate_components(g, K) wraps.  parse_coefficients and
+# format_coefficients, which read and write the --coeffs form, moved to
+# the command line, which owns its integer grammar.
 # Functions that only their own module called became private:
 # unirationality_flag (now _unirational, of the listing's rows), and the
 # profile search and closed-form tables that only verify's suites call
@@ -112,6 +114,7 @@ DROPPED = {
         "_genus_records",
         "unirationality_flag",
         "iter_components",
+        "enumerate_components_by_phi",
     ),
     "verify": (
         "DominationReport",
@@ -440,10 +443,9 @@ VALID_CALLS = {
     "box_isotropics": {"L": 3 * D, "cap": 12, "box": 2},
     "coefficients_by_genus": {"g_lo": 2, "g_hi": 3},
     "coefficients_from_phivector": {"p": (1, 1) + (2,) * 8, "eps": 0},
-    "component_rows": {"g": 2},
+    "component_rows": {"g": 2, "phi1": 1},
     "components_by_genus": {"g_lo": 2, "g_hi": 3},
-    "enumerate_components": {"g": 2},
-    "enumerate_components_by_phi": {"g": 2, "phi1": 1},
+    "enumerate_components": {"g": 2, "phi1": 1},
     "enumerate_isotropics": {"L": 3 * D, "cap": 12, "extra_layers": 0},
     "fundamental_presentation": {"L": 3 * D, "eps": 0},
     "generator_e": {"i": 1},

@@ -235,6 +235,27 @@ def test_two_divisibility():
     assert is_two_divisible(2 * D)
 
 
+def test_two_divisibility_matches_coordinate_parity_with_negative_entries():
+    """Parity is read from the OR of the coordinates, which for negative
+    ints works on their two's complement: a seeded differential against
+    the coordinates read one by one, on classes with negative entries,
+    entries past 64 bits, and doubled ones, so both answers occur."""
+    rng = random.Random(23)
+    seen = set()
+    for _ in range(2000):
+        big = rng.random() < 0.2
+        span = 2**70 if big else 9
+        coords = [rng.randint(-span, span) for _ in range(RANK)]
+        if rng.random() < 0.5:
+            coords = [2 * v for v in coords]
+        if rng.random() < 0.3:
+            coords[rng.randrange(RANK)] = -rng.randrange(1, span, 2)
+        want = all(v % 2 == 0 for v in coords)
+        assert is_two_divisible(NumClass(tuple(coords))) == want, coords
+        seen.add((want, min(coords) < 0))
+    assert seen == {(True, True), (False, True), (True, False), (False, False)}
+
+
 def test_sequence_combination_matches_manual_sum():
     built = sequence_combination((1, 1, 0, 0, 0, 0, 0, 0, 0, 0))
     assert built == generator_e(1) + generator_e(2)

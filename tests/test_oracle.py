@@ -39,7 +39,15 @@ from enriques.oracle import (
     phi_vector_oracle,
 )
 from enriques.verify import _DOMINATING, _iter_coefficient_tuples
-from reference import best_sequences_unpruned, check_isotropic_sequence, eight_lowest_at_the_cap, phivector_error
+from reference import (
+    best_sequences_unpruned,
+    check_isotropic_sequence,
+    computing_sequence_count,
+    eight_lowest_at_the_cap,
+    parabolic_order,
+    phivector_error,
+    profile_roots,
+)
 
 coords_st = st.tuples(*([st.integers(-9, 9)] * RANK))
 classes_st = coords_st.map(NumClass)
@@ -655,6 +663,47 @@ def test_oracle_on_genus_two():
     # one below the limit, so the set is complete: 17,280 sequences
     _, seqs = phi_vector_oracle(E[1] + E[2], max_sequences=17_281)
     assert len(seqs) == 17_280
+
+
+def test_sequence_count_of_known_profiles():
+    """E_1 + E_2 has J of type A1 + E8 and (1, 4, 5, ..., 5) of type E8,
+    each over a J' of type A1 + A7 or A7, so both give 17,280, the count
+    `test_oracle_on_genus_two` pins; the dominating genus-621 profile
+    (30, ..., 39) has J empty, so its one computing sequence is the
+    presenting one."""
+    e1_e2 = (1, 1) + (2,) * 8
+    assert profile_roots(e1_e2) == {0, 1, 3, 4, 5, 6, 7, 8, 9}
+    assert parabolic_order(profile_roots(e1_e2)) == 2 * 696_729_600
+    assert computing_sequence_count(e1_e2) == 17_280
+    assert profile_roots((1, 4) + (5,) * 8) == {0, 3, 4, 5, 6, 7, 8, 9}
+    assert computing_sequence_count((1, 4) + (5,) * 8) == 17_280
+    dominating = phivector_from_coefficients(_DOMINATING).phis
+    assert dominating == tuple(range(30, 40))
+    assert profile_roots(dominating) == set()
+    assert computing_sequence_count(dominating) == 1
+    # D4 and D5 on the branch node, and the affine E9 that J cannot be
+    assert parabolic_order({0, 6, 7, 8}) == 192
+    assert parabolic_order({0, 6, 7, 8, 9}) == parabolic_order({0, 5, 6, 7, 8}) == 1920
+    with pytest.raises(ValueError, match="finite type"):
+        parabolic_order(set(range(10)) - {1})
+
+
+def test_oracle_finds_exactly_the_index_of_computing_sequences():
+    """On every profile of genus g <= 30 whose index [W_J : W_J'] is at
+    most 1000, the oracle asked for one sequence more than the index
+    returns exactly the index: no computing sequence is missed and none is
+    listed twice."""
+    checked = 0
+    for g in range(2, 31):
+        for m in enumerate_components(g):
+            index = computing_sequence_count(m.phi)
+            if m.eps or index > 1000:
+                continue
+            L = m.coefficients.divisor_class()
+            _, seqs = phi_vector_oracle(L, max_sequences=index + 1)
+            assert len(seqs) == index, (g, m.phi)
+            checked += 1
+    assert checked == 172
 
 
 def test_oracle_respects_sequence_limit():

@@ -13,7 +13,6 @@ from enriques.components import (
     component_rows,
     components_by_genus,
     enumerate_components,
-    enumerate_components_by_phi,
 )
 from enriques.fundamental import (
     FundamentalCoefficients,
@@ -253,8 +252,8 @@ def test_profile_search_matches_the_plain_profile_walk():
 @pytest.mark.parametrize(
     "call",
     [
-        lambda: enumerate_components_by_phi(5, 2.5),
-        lambda: enumerate_components_by_phi(5, True),
+        lambda: enumerate_components(5, 2.5),
+        lambda: enumerate_components(5, True),
         lambda: enumerate_components(5.0),
         lambda: components_by_genus(2.0, 3),
         lambda: components_by_genus(2, 3.0),
@@ -311,7 +310,7 @@ def test_bounds_check_names_a_row_that_breaks_a_bound(monkeypatch, genus, source
     """A genus-5 tuple with phi_1 = 2 moved to genus 2 has 4 > 2g - 2 = 2; a
     genus-15 tuple with phi_1 = 5 moved to genus 14 has 25 < 26 < 28.  Both
     are odd, so each names one row."""
-    [row, *_] = enumerate_components_by_phi(source, phi1)
+    [row, *_] = enumerate_components(source, phi1)
     results = _bounds_over(
         monkeypatch, lambda g, coeffs: coeffs + [_walk_tuple(row)] if g == genus else coeffs
     )
@@ -323,7 +322,7 @@ def test_bounds_check_names_both_sheets_of_an_even_tuple(monkeypatch):
     """An all-even tuple stands for two rows: moved to a genus where it
     breaks a bound, it is named on both sheets, in row order, as the rows
     of the window name it."""
-    comps = enumerate_components_by_phi(5, 2)
+    comps = enumerate_components(5, 2)
     even = [m for m in comps if m.two_divisible]
     assert [m.eps for m in even] == [0, 1]
     results = _bounds_over(
