@@ -19,8 +19,7 @@ table's sorted keys for a window.  `_coefficient_tuples` describes the
 walk.  `coefficients_by_genus` yields a window's plain tuples genus by
 genus, for sweeps that read only what the tuple gives (phi_1 is the
 coefficient total less a_1, and the tuple has an eps = 1 twin exactly
-when it is all even); `components_by_genus` yields the same window as
-rows.
+when it is all even).
 
 The walk's tuples are plain (a0, head, a9, a10), and they become sorted
 rows in one pass of integer arithmetic.  A row is a plain tuple whose
@@ -32,8 +31,9 @@ builds many listings may pause it around them.  Holding only ints,
 strings, bools and tuples of ints, tuples and rows are untracked by the
 collector once it has seen them, so full collections after a listing do
 not walk them.
-`component_rows(g)` builds and yields the rows one profile total at a
-time, and the `cli` listing writes them in every format.  Given phi1,
+Every row comes from the walk of one genus: `component_rows(g)` builds
+and yields the rows one profile total at a time, and the `cli` listing
+writes them in every format.  Given phi1,
 `component_rows(g, phi1)` keeps the rows whose smallest profile entry
 (Cossec's phi-invariant) is phi1: the one such filter, behind
 `components --phi`, the paper-tables suite and
@@ -67,7 +67,6 @@ __all__ = [
     "coefficients_by_genus",
     "component_of",
     "component_rows",
-    "components_by_genus",
     "enumerate_components",
 ]
 
@@ -120,12 +119,11 @@ def _rows(g: int, coeffs: Sequence[tuple]) -> list[tuple]:
     grown row by row between the writes of a streamed listing fragments
     the C heap and raises the peak memory of later listings.
 
-    The rows are sorted on the profile, then stably on the total, which
-    is the order of the row tuples without comparing whole rows: within a
-    genus a profile names one coefficient tuple, so rows of equal
-    (total, profile) are eps twins, appended eps 0 first and kept so by
-    both stable sorts.  The total sort matters when the tuples hold
-    several totals, as a window's genus does in `components_by_genus`."""
+    The tuples share one profile total (one stratum of a listing, or a
+    single tuple), so sorting on the profile alone gives the order of the
+    row tuples without comparing whole rows: within a genus a profile
+    names one coefficient tuple, so rows of equal profile are eps twins,
+    appended eps 0 first and kept so by the stable sort."""
     odd_name, plus_name, minus_name = (f"E{sign}_{{{g};{_BODY}" for sign in ("", "^+", "^-"))
     out: list = [None] * (2 * len(coeffs))
     k = 0
@@ -147,7 +145,6 @@ def _rows(g: int, coeffs: Sequence[tuple]) -> list[tuple]:
             k += 2
     del out[k:]
     out.sort(key=itemgetter(1))
-    out.sort(key=itemgetter(0))
     return out
 
 
@@ -342,17 +339,6 @@ def coefficients_by_genus(g_lo: int, g_hi: int) -> Iterator[tuple[int, list[tupl
     if g_lo == g_hi:
         return iter([(g_lo, [c for total in sorted(buckets) for c in buckets[total]])])
     return ((q + 1, buckets.pop(q)) for q in list(buckets))
-
-
-def components_by_genus(
-    g_lo: int, g_hi: int
-) -> Iterator[tuple[int, tuple[ModuliComponent, ...]]]:
-    """(g, components of genus g) for every g_lo <= g <= g_hi in ascending
-    order: the rows of `coefficients_by_genus`, each genus sorted by
-    profile order then eps.  The walk runs at the call; the rows of a
-    genus are built when it is reached, so a sweep holds one genus's rows
-    at a time.  An empty window (g_hi < g_lo) yields nothing."""
-    return ((g, tuple(_components(g, _rows(g, ts)))) for g, ts in coefficients_by_genus(g_lo, g_hi))
 
 
 def component_rows(g: int, phi1: int | None = None) -> Iterator[tuple]:

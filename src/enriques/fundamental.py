@@ -118,9 +118,8 @@ class FundamentalCoefficients:
     ) -> FundamentalCoefficients:
         """Build without the checks above, for a producer whose tuples
         pass them by construction (the component walk, whose tuples the
-        rows and `verify`'s bounds and paper-tables sweeps wrap, the
-        eps = 1 twins of its rows, and the tuple sweep of `verify`'s
-        roundtrip suite)."""
+        rows and `verify`'s sweeps wrap, the eps = 1 twins of its rows,
+        and the tuple sweep of `verify`'s roundtrip suite)."""
         c = object.__new__(cls)
         set_a0, set_head, set_a9, set_a10, set_eps = _SLOT_SETTERS
         set_a0(c, a0)

@@ -12,15 +12,18 @@ phi_1^2 < 2g - 2 < phi_1^2 + phi_1 - 2. Each suite builds its plain
 CheckResult records itself; the CLI turns them into PASS/FAIL lines and an
 exit code, and the test suite asserts on them at larger scales.
 
-The sweeps read the component walk along one of two routes.  `roundtrip`
-certifies the component rows, so it reads them (`components_by_genus`),
-and so do the `paper-tables` checks of literal names.  `bounds` and the
-closed-form `paper-tables` checks read the walk's coefficient tuples
-(`coefficients_by_genus`), plain (a0, head, a9, a10) tuples: a tuple is
-one component, plus its eps = 1 twin when every coefficient is even, and
-its phi_1 is the coefficient total less a_1.  A sweep wraps a tuple in
+Each sweep walks the coefficients once over the window 2..gmax
+(`coefficients_by_genus`), whose plain (a0, head, a9, a10) tuples are one
+component each, plus an eps = 1 twin when every coefficient is even, with
+phi_1 the coefficient total less a_1.  `bounds` and the closed-form
+`paper-tables` checks read only those tuples, and wrap one in
 `FundamentalCoefficients` only to compute its profile (a paper-tables
 tuple of phi_1 <= 3) or to name its rows (a tuple that fails a bound).
+`roundtrip` certifies the component rows, so it also reads the rows that
+every `components` listing writes (`component_rows`), one genus at a
+time, and holds them against the window's tuples and the profile search:
+a tuple that either walk drops, adds or repeats fails a check.  The
+`paper-tables` checks of literal names read listings too.
 
 `run_suite` is the one entry point and checks the genus ceiling.  The
 second routes (the profile search `_profiles_by_genus` and the closed-form
@@ -38,7 +41,7 @@ from typing import Callable, Iterator
 from .components import (
     coefficients_by_genus,
     component_of,
-    components_by_genus,
+    component_rows,
     enumerate_components,
 )
 from .fundamental import (
@@ -391,28 +394,37 @@ def suite_roundtrip(gmax: int | None = None) -> list[CheckResult]:
     checks.append(_check("square equals twice the quadratic value", square_ok, f"{n} tuples"))
     checks.append(_check("2-divisible exactly when the profile is even", parity_ok))
 
+    # One window walk gives every genus's tuples, and the listing of each
+    # genus its rows: the listing's eps = 0 profiles, in row order, are the
+    # search's profiles, and its eps = 0 coefficients are the window's
+    # tuples, so a tuple dropped, added or repeated by either walk fails.
     profiles_ok = fibers_ok = True
     worst = ""
-    for g, comps in components_by_genus(2, gmax):
+    trusted = FundamentalCoefficients._trusted
+    for g, coeffs in coefficients_by_genus(2, gmax):
+        rows = list(component_rows(g))
         direct = direct_by_genus[g]
-        if profiles_ok and sorted({m.phi for m in comps}, key=order_key) != direct:
+        if profiles_ok and (
+            [row[1] for row in rows if not row[2]] != direct
+            or sorted(row[6:] for row in rows if not row[2]) != sorted(coeffs)
+        ):
             profiles_ok = False
             worst = f"g={g}"
         # one component per profile, plus one more per all-even profile
         even = sum(1 for t in direct if all(v % 2 == 0 for v in t))
-        if len(comps) != len(direct) + even:
+        if len(rows) != len(direct) + even:
             fibers_ok = False
         # The double cover splits exactly over the 2-divisible classes: on
         # every row the lattice side, the profile side and the row's flag
         # agree, and the eps = 1 rows are the eps = 0 rows of even profile,
         # with the same profile and coefficients.
         split, even_rows = [], []
-        for m in comps:
-            two_div = is_two_divisible(m.coefficients.divisor_class())
-            if not (two_div == all(v % 2 == 0 for v in m.phi) == m.two_divisible):
+        for _, phi, eps, _, two_divisible, _, a0, head, a9, a10 in rows:
+            two_div = is_two_divisible(trusted(a0, head, a9, a10).divisor_class())
+            if not (two_div == all(v % 2 == 0 for v in phi) == two_divisible):
                 fibers_ok = False
-            key = (m.phi, m.coefficients.as_tuple())
-            if m.eps:
+            key = (phi, a0, head, a9, a10)
+            if eps:
                 split.append(key)
             elif two_div:
                 even_rows.append(key)

@@ -2,7 +2,6 @@
 
 import gc
 from dataclasses import replace
-from itertools import chain
 
 import pytest
 
@@ -14,7 +13,6 @@ from enriques.components import (
     coefficients_by_genus,
     component_of,
     component_rows,
-    components_by_genus,
     enumerate_components,
     _unirational,
 )
@@ -67,10 +65,10 @@ def test_components_sorted_by_profile_order_then_eps():
 def test_rows_sort_as_tuples_in_profile_order_then_eps():
     """Rows sort as plain tuples on (9a + 3a0, profile, eps); that must be
     the order of (order_key, eps), with each eps = 1 row right after its
-    eps = 0 twin.  The window's genera hold many totals in one `_rows`
-    call, the single genera one at a time."""
-    listings = ((g, enumerate_components(g)) for g in (*range(2, 121), 405, 934))
-    for g, rows in chain(listings, components_by_genus(249, 260)):
+    eps = 0 twin.  A listing builds its rows one profile total at a time,
+    in ascending total, and `_rows` sorts each total on the profile."""
+    for g in (*range(2, 121), *range(249, 261), 405, 934):
+        rows = enumerate_components(g)
         assert list(rows) == sorted(rows), g
         assert list(rows) == sorted(rows, key=lambda m: (order_key(m.phi), m.eps)), g
         for before, m in zip(rows, rows[1:]):
@@ -89,11 +87,13 @@ def listings_to_400():
 
 def test_the_listing_iterator_yields_one_total_at_a_time(listings_to_400):
     """`enumerate_components(g)`, the rows of the listing iterator
-    `component_rows(g)` as components, holds the rows that a window walk
-    builds and sorts for g in one call, with profile totals nondecreasing."""
-    for g, window_rows in components_by_genus(2, 400):
+    `component_rows(g)` as components, has for its eps = 0 rows the tuples
+    that a window walk finds for g, one each, with profile totals
+    nondecreasing."""
+    for g, coeffs in coefficients_by_genus(2, 400):
         rows = listings_to_400[g]
-        assert rows == window_rows, g
+        got = sorted(m.coefficients.as_tuple() for m in rows if m.eps == 0)
+        assert got == sorted((a0, *head, a9, a10) for a0, head, a9, a10 in coeffs), g
         assert all(a.total <= b.total for a, b in zip(rows, rows[1:])), g
 
 
@@ -157,7 +157,7 @@ def test_the_builders_leave_the_collector_as_they_found_it(monkeypatch):
     gc.disable()
     try:
         assert list(component_rows(300))
-        assert list(components_by_genus(2, 60))
+        assert list(coefficients_by_genus(2, 60))
         paused = gc.isenabled()
     finally:
         gc.enable()
@@ -166,9 +166,9 @@ def test_the_builders_leave_the_collector_as_they_found_it(monkeypatch):
 
 def test_every_row_agrees_with_its_coefficients():
     """Each field of a row is what the checked routes give its coefficients,
-    one genus at a time and across a window."""
-    window = components_by_genus(249, 260)
-    for g, rows in (*((g, enumerate_components(g)) for g in range(2, 61)), *window):
+    at the small genera and at the genera of a window higher up."""
+    for g in (*range(2, 61), *range(249, 261)):
+        rows = enumerate_components(g)
         assert rows, g
         for m in rows:
             assert m.genus == g
@@ -182,15 +182,15 @@ def test_every_row_agrees_with_its_coefficients():
 
 @pytest.mark.parametrize("window", [(2, 60), (37, 45), (2, 2), (9, 9), (250, 250), (5, 4)])
 def test_coefficient_window_gives_the_tuples_of_the_rows(window):
-    """`coefficients_by_genus` gives the genera of `components_by_genus`
-    over the same window and, per genus, the coefficients of its eps = 0
-    rows, one plain tuple (a0, head, a9, a10) per profile; an empty window
-    gives nothing."""
+    """`coefficients_by_genus` gives each genus of the window in ascending
+    order and, per genus, the coefficients of the eps = 0 rows of its
+    listing, one plain tuple (a0, head, a9, a10) per profile; an empty
+    window gives nothing."""
     tuples = [
         (g, [(a0, *head, a9, a10) for a0, head, a9, a10 in coeffs])
         for g, coeffs in coefficients_by_genus(*window)
     ]
-    rows = list(components_by_genus(*window))
+    rows = [(g, enumerate_components(g)) for g in range(window[0], window[1] + 1)]
     assert [g for g, _ in tuples] == [g for g, _ in rows] == list(range(window[0], window[1] + 1))
     for (g, got), (_, comps) in zip(tuples, rows):
         assert sorted(got) == sorted(m.coefficients.as_tuple() for m in comps if m.eps == 0), g
@@ -199,8 +199,6 @@ def test_coefficient_window_gives_the_tuples_of_the_rows(window):
 def test_enumeration_rejects_small_genus():
     with pytest.raises(ValueError):
         enumerate_components(1)
-    with pytest.raises(ValueError):
-        components_by_genus(1, 5)
     with pytest.raises(ValueError):
         coefficients_by_genus(1, 5)
     # the listing iterator checks its genus and smallest entry at the call,

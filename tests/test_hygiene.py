@@ -60,7 +60,9 @@ BENCH_DIR = TESTS_DIR.parent / "bench"
 # smallest-entry filter moved into component_rows(g, K), which
 # enumerate_components(g, K) wraps.  parse_coefficients and
 # format_coefficients, which read and write the --coeffs form, moved to
-# the command line, which owns its integer grammar.
+# the command line, which owns its integer grammar.  components_by_genus
+# went when roundtrip read each genus's listing (component_rows), so that
+# every row comes from the one route the listings write.
 # Functions that only their own module called became private:
 # unirationality_flag (now _unirational, of the listing's rows), and the
 # profile search and closed-form tables that only verify's suites call
@@ -115,6 +117,7 @@ DROPPED = {
         "unirationality_flag",
         "iter_components",
         "enumerate_components_by_phi",
+        "components_by_genus",
     ),
     "verify": (
         "DominationReport",
@@ -444,7 +447,6 @@ VALID_CALLS = {
     "coefficients_by_genus": {"g_lo": 2, "g_hi": 3},
     "coefficients_from_phivector": {"p": (1, 1) + (2,) * 8, "eps": 0},
     "component_rows": {"g": 2, "phi1": 1},
-    "components_by_genus": {"g_lo": 2, "g_hi": 3},
     "enumerate_components": {"g": 2, "phi1": 1},
     "enumerate_isotropics": {"L": 3 * D, "cap": 12, "extra_layers": 0},
     "fundamental_presentation": {"L": 3 * D, "eps": 0},

@@ -11,7 +11,6 @@ import enriques.verify
 from enriques.components import (
     coefficients_by_genus,
     component_rows,
-    components_by_genus,
     enumerate_components,
 )
 from enriques.fundamental import (
@@ -79,8 +78,9 @@ def test_fixed_class_suites_ignore_gmax(name):
 
 def test_sweeps_enumerate_each_genus_once(monkeypatch):
     """Each sweep walks the coefficients once over the window [2, gmax], and
-    roundtrip searches the profiles once over it; fixed spot checks at
-    g <= 7 may add width-zero windows."""
+    roundtrip searches the profiles once over it; roundtrip then walks each
+    genus of the window once more at width zero, for the rows its listing
+    writes, and fixed spot checks at g <= 7 may add width-zero windows."""
     walks, searches = [], []
     walk = enriques.components._coefficient_tuples
     search = enriques.verify._profiles_by_genus
@@ -99,7 +99,9 @@ def test_sweeps_enumerate_each_genus_once(monkeypatch):
         walks.clear()
         searches.clear()
         assert all(r.passed for r in run_suite(name)), name
-        assert [w for w in walks if w[1] > 7] == [(2, gmax)], (name, walks)
+        listings = [(g, g) for g in range(2, gmax + 1)] if name == "roundtrip" else []
+        assert walks[: 1 + len(listings)] == [(2, gmax), *listings], (name, walks)
+        assert [w for w in walks if w[1] > 7] == [(2, gmax), *listings[6:]], (name, walks)
         assert all(lo == hi for lo, hi in walks if hi <= 7), (name, walks)
         assert searches == ([(2, gmax)] if name == "roundtrip" else []), (name, searches)
 
@@ -157,14 +159,23 @@ def test_split_check_sees_a_missing_split_row(monkeypatch):
     ]
 
 
+def _walk_profiles(coeffs):
+    """The profiles of the walk's plain tuples (a0, head, a9, a10), in
+    profile order."""
+    return sorted(
+        (phivector_from_coefficients(FundamentalCoefficients(*c)).phis for c in coeffs),
+        key=order_key,
+    )
+
+
 def test_profile_window_matches_its_slice_and_the_coefficient_route():
     inner = _profiles_by_genus(37, 45)
     outer = _profiles_by_genus(2, 45)
-    comps = dict(components_by_genus(37, 45))
-    assert list(inner) == list(comps) == list(range(37, 46))
+    coeffs = dict(coefficients_by_genus(37, 45))
+    assert list(inner) == list(coeffs) == list(range(37, 46))
     for g in range(37, 46):
         assert inner[g] == outer[g], g
-        assert inner[g] == sorted({m.phi for m in comps[g]}, key=order_key), g
+        assert inner[g] == _walk_profiles(coeffs[g]), g
         assert inner[g] == _profiles_by_genus(g, g)[g], g
 
 
@@ -230,8 +241,8 @@ def test_profile_search_matches_the_walk_to_genus_120():
     square sum shows up as a missing profile somewhere in the window."""
     search = _profiles_by_genus(2, 120)
     assert list(search) == list(range(2, 121))
-    for g, rows in components_by_genus(2, 120):
-        assert search[g] == sorted({m.phi for m in rows}, key=order_key), g
+    for g, coeffs in coefficients_by_genus(2, 120):
+        assert search[g] == _walk_profiles(coeffs), g
 
 
 def test_profile_search_matches_the_plain_profile_walk():
@@ -255,8 +266,8 @@ def test_profile_search_matches_the_plain_profile_walk():
         lambda: enumerate_components(5, 2.5),
         lambda: enumerate_components(5, True),
         lambda: enumerate_components(5.0),
-        lambda: components_by_genus(2.0, 3),
-        lambda: components_by_genus(2, 3.0),
+        lambda: coefficients_by_genus(2.0, 3),
+        lambda: coefficients_by_genus(2, "3"),
         lambda: coefficients_by_genus(2, 3.0),
         lambda: coefficients_by_genus(2, True),
         lambda: component_rows(5.0),
@@ -320,8 +331,8 @@ def test_bounds_check_names_a_row_that_breaks_a_bound(monkeypatch, genus, source
 
 def test_bounds_check_names_both_sheets_of_an_even_tuple(monkeypatch):
     """An all-even tuple stands for two rows: moved to a genus where it
-    breaks a bound, it is named on both sheets, in row order, as the rows
-    of the window name it."""
+    breaks a bound, it is named on both sheets, in row order, as the
+    listing rows name it."""
     comps = enumerate_components(5, 2)
     even = [m for m in comps if m.two_divisible]
     assert [m.eps for m in even] == [0, 1]
@@ -339,9 +350,11 @@ def test_bounds_check_sees_a_genus_without_components(monkeypatch):
 
 
 def _bounds_from_rows(gmax):
-    """The bounds suite's sweep checks, read off the window's rows."""
+    """The bounds suite's sweep checks, read off the listing rows of each
+    genus."""
     n, violations, every_genus = 0, [], True
-    for g, comps in components_by_genus(2, gmax):
+    for g in range(2, gmax + 1):
+        comps = enumerate_components(g)
         n += len(comps)
         every_genus &= bool(comps)
         for m in comps:
@@ -361,10 +374,11 @@ def _bounds_from_rows(gmax):
 
 
 def _paper_tables_from_rows(gmax):
-    """The paper-tables suite's closed-form checks, read off the window's
-    rows."""
+    """The paper-tables suite's closed-form checks, read off the listing
+    rows of each genus."""
     failures, split_ok = {}, True
-    for g, comps in components_by_genus(2, gmax):
+    for g in range(2, gmax + 1):
+        comps = enumerate_components(g)
         golden = enriques.verify._golden_low_phi(g)
         if g % 2:
             split_ok &= any(eps == 1 for _, eps in golden[2]) == (g % 4 == 1)
@@ -385,8 +399,8 @@ def _paper_tables_from_rows(gmax):
 @pytest.mark.parametrize("gmax", [2, 3, 15, 40, 100, 150])
 def test_tuple_sweeps_match_the_row_sweeps(gmax):
     """bounds and paper-tables read the walk's coefficient tuples; each of
-    their sweep checks gives what the same check gives on the window's
-    component rows, name, verdict and detail."""
+    their sweep checks gives what the same check gives on each genus's
+    listing rows, name, verdict and detail."""
     for name, from_rows in (("bounds", _bounds_from_rows), ("paper-tables", _paper_tables_from_rows)):
         want = from_rows(gmax)
         assert run_suite(name, gmax)[: len(want)] == want, (name, gmax)
@@ -395,7 +409,7 @@ def test_tuple_sweeps_match_the_row_sweeps(gmax):
 def test_failing_tables_list_the_rows_in_row_order(monkeypatch):
     """With no closed-form rows at g = 9 every table fails there (and so
     does the split check, since 9 = 1 mod 4), and each detail lists the
-    genus's rows of that smallest entry as the window's rows give them: at
+    genus's rows of that smallest entry as its listing rows give them: at
     smallest entry 3, the total-39 profile (3,4,...,4) before the total-45
     profile (3,3,4,5,...,5)."""
     golden = enriques.verify._golden_low_phi
@@ -501,31 +515,55 @@ _SPLIT_ROW_MUTATIONS = {
 
 @pytest.mark.parametrize("mutation", list(_SPLIT_ROW_MUTATIONS))
 def test_double_cover_check_sees_a_misplaced_split_row(monkeypatch, mutation):
-    """A walk that keeps every genus's row count and profile set but breaks
-    the double cover on one row of genus 5 must fail the fiber check.  The
-    sweeps build a genus's rows in one call; a one-genus listing builds
-    them one profile total at a time, and a total of genus 5 holds no split
-    row and odd row together, so the mutation leaves those calls alone."""
-    rows_of = enriques.components._rows
+    """A listing that keeps every genus's row count and profile set but
+    breaks the double cover on one row of genus 5 must fail the fiber
+    check.  The mutation applies to the genus-5 rows that roundtrip reads
+    from the listing, whole, since a total of genus 5 holds no split row
+    and odd row together."""
+    listing = enriques.verify.component_rows
 
-    def mutated_rows(g, coeffs):
-        rows = rows_of(g, coeffs)
-        split = next((row for row in rows if row[2] == 1), None)
-        odd = next((row for row in rows if not row[4]), None)
-        if g != 5 or split is None or odd is None:
+    def mutated_listing(g, phi1=None):
+        rows = list(listing(g, phi1))
+        if g != 5:
             return rows
+        split = next(row for row in rows if row[2] == 1)
+        odd = next(row for row in rows if not row[4])
         old, new = _SPLIT_ROW_MUTATIONS[mutation](split, odd)
         return [new if row is old else row for row in rows]
 
-    monkeypatch.setattr(enriques.components, "_rows", mutated_rows)
-    # genus 5 read off a window, which builds it in one call
-    [(_, rows), _] = components_by_genus(5, 6)
+    monkeypatch.setattr(enriques.verify, "component_rows", mutated_listing)
+    rows = enriques.verify.component_rows(5)
     direct = _profiles_by_genus(5, 5)[5]
     assert len(rows) == len(direct) + 1
-    assert {m.phi for m in rows} == set(direct)
+    assert {row[1] for row in rows} == set(direct)
     results = {r.name: r.passed for r in run_suite("roundtrip")}
     assert results["double-cover fiber count for g <= 15"] is False
     assert results["profile sets agree with quadratic search for g <= 15"] is True
+
+
+@pytest.mark.parametrize("walk", ["listing", "window"])
+def test_roundtrip_sees_a_tuple_dropped_by_either_walk(monkeypatch, walk):
+    """roundtrip reads the window walk's tuples and each genus's listing,
+    a width-zero walk, and holds them against each other and the profile
+    search: a walk that drops one genus-27 tuple fails the profile check
+    there, whichever of the two it is, and a listing short of a row fails
+    the fiber count too."""
+    tuples = enriques.components._coefficient_tuples
+
+    def dropping(q_lo, q_hi):
+        buckets = tuples(q_lo, q_hi)
+        if walk == "window" and q_lo < 26 < q_hi:
+            buckets[26].pop()
+        elif walk == "listing" and q_lo == q_hi == 26:
+            buckets[min(buckets)].pop()
+        return buckets
+
+    monkeypatch.setattr(enriques.components, "_coefficient_tuples", dropping)
+    failed = {r.name: r.detail for r in run_suite("roundtrip", 30) if not r.passed}
+    want = {"profile sets agree with quadratic search for g <= 30": "g=27"}
+    if walk == "listing":
+        want["double-cover fiber count for g <= 30"] = ""
+    assert failed == want
 
 
 def test_direct_profiles_for_small_genus():
