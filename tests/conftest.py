@@ -1,6 +1,7 @@
 """Fixtures shared by the test modules: the benchmark's workloads, read
 from bench/ and never changed, supply operations and their own checks,
-and every test must leave the cyclic collector enabled."""
+and every test must leave the cyclic collector enabled.  A run that skips
+any test fails."""
 
 import gc
 import importlib
@@ -42,3 +43,24 @@ def collector_left_enabled():
     if not gc.isenabled():
         gc.enable()
         pytest.fail("the test left the cyclic collector disabled")
+
+
+def _skipped(reporter):
+    """The number of tests and test modules skipped, as the summary line
+    counts them."""
+    return len(reporter.stats.get("skipped", []))
+
+
+def pytest_sessionfinish(session):
+    """Fail a run that skipped a test or a test module, whatever else it
+    did: tier-1 passes only with none skipped, so no check can stop
+    running unnoticed."""
+    reporter = session.config.pluginmanager.get_plugin("terminalreporter")
+    if _skipped(reporter) and session.exitstatus == pytest.ExitCode.OK:
+        session.exitstatus = pytest.ExitCode.TESTS_FAILED
+
+
+def pytest_terminal_summary(terminalreporter):
+    skipped = _skipped(terminalreporter)
+    if skipped:
+        terminalreporter.write_sep("=", f"{skipped} skipped: a run passes only with no test skipped", red=True)

@@ -4,8 +4,8 @@ imported by the command line alone, one integer rule at every public
 boundary, formula routes that take only value types from the search
 oracle, the names the benchmark traces still defined where it looks and
 wrapped by its tracer, numpy still in the import its set-up probe times,
-searches and builders that leave no cyclic garbage, and a README quick
-start that runs."""
+searches and builders that leave no cyclic garbage, a README quick
+start that runs, and a CI workflow with no inline program."""
 
 import ast
 import dataclasses
@@ -38,6 +38,9 @@ from enriques.verify import _iter_coefficient_tuples, _profiles_by_genus
 PACKAGE_DIR = Path(enriques.__file__).resolve().parent
 TESTS_DIR = Path(__file__).resolve().parent
 BENCH_DIR = TESTS_DIR.parent / "bench"
+WORKFLOW = TESTS_DIR.parent / ".github" / "workflows" / "tier1.yml"
+# a heredoc, or a python command given `-c` or `-` (its program on stdin)
+INLINE_PROGRAM = re.compile(r"<<|\bpython[\d.]*\s(.*\s)?-c?(\s|$)")
 
 # Names dropped from the API, dotted below their module.  Most gave way to
 # one surviving function each: PhiVector.genus, sequence_combination,
@@ -133,14 +136,29 @@ DROPPED = {
 def test_no_bare_assert_in_the_package():
     """Nor in the helper modules the tests import: pytest rewrites asserts
     only in test modules and conftest files, so under `python -O` a bare
-    assert in the reference arithmetic or in the benchmark's checkers would
-    drop out of the checks that tier-1 runs through them."""
-    helpers = [TESTS_DIR / "reference.py", BENCH_DIR / "workloads.py", BENCH_DIR / "arith.py"]
+    assert in the reference arithmetic, in the CI gates or in the
+    benchmark's checkers would drop out of the checks that tier-1 runs
+    through them."""
+    helpers = [TESTS_DIR / name for name in ("reference.py", "ci_gates.py")]
+    helpers += [BENCH_DIR / "workloads.py", BENCH_DIR / "arith.py"]
     found = []
     for path in sorted(PACKAGE_DIR.glob("*.py")) + helpers:
         tree = ast.parse(path.read_text(), filename=str(path))
         found += [f"{path.name}:{n.lineno}" for n in ast.walk(tree) if isinstance(n, ast.Assert)]
     assert not found, f"assert vanishes under python -O: {found}"
+
+
+def test_the_workflow_runs_no_inline_program():
+    """Every CI gate is committed code that one local command runs
+    (tests/ci_gates.py holds those that are not tier-1 tests): no step of
+    the workflow feeds Python a program of its own, by `python -c`, by
+    `python -` or by a heredoc."""
+    found = [
+        f"{WORKFLOW.name}:{n}: {line.strip()}"
+        for n, line in enumerate(WORKFLOW.read_text().splitlines(), 1)
+        if not line.lstrip().startswith("#") and INLINE_PROGRAM.search(line)
+    ]
+    assert not found, f"inline program in the workflow: {found}"
 
 
 def _unused_imports(paths):
